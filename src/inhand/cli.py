@@ -38,24 +38,18 @@ from .errors import (
     OpenMeshError,
     UnderConstrainedError,
 )
-from .fusion import (
-    TsdfVolume,
-    euler_characteristic,
-    extract_mesh,
-    integrate,
-    is_closed,
-    laplacian_smooth,
-    measure_dimensions,
-)
-from .geometry import CameraIntrinsics
+from .fusion import euler_characteristic, is_closed
+from .geometry import CameraIntrinsics, PointCloud
 from .metrics import (
     compare_energies,
     energies_to_csv,
+    measure_probes,
+    reconstruct,
     rotation_span_deg,
     run_gamma_sweep,
     sweep_to_csv,
 )
-from .register import RegistrationConfig, run_sequence
+from .register import RegistrationConfig
 from .synth import (
     MotionScript,
     SyntheticObjectSpec,
@@ -79,6 +73,13 @@ DEFAULT_INTRINSICS = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
 # reconstruction is flagged as collapsed: the estimated trajectory either
 # barely moved or thrashed far beyond the scripted motion.
 SPAN_AGREEMENT_THRESHOLD = 0.3
+
+# File name of each reconstruct output, by its manifest ``outputs`` key.
+OUTPUT_NAMES = {
+    "mesh": "mesh.ply",
+    "trajectory": "trajectory.jsonl",
+    "report": "report.json",
+}
 
 _INPUT_ERRORS = (
     ManifestError,
@@ -171,7 +172,7 @@ def cmd_synth(args) -> int:
         object_path = stem.with_name(stem.name + "_object.ply")
         hand_path = stem.with_name(stem.name + "_hand.ply")
         fileio.write_ply(object_path, frame.object_cloud, binary=binary)
-        fileio.write_ply(hand_path, frame.hand_cloud, binary=binary)
+        fileio.write_ply(hand_path, PointCloud(frame.hand_pose.vertices), binary=binary)
         feat2d_path = boxes_path = None
         if frame.feat2d_matches is not None:
             feat2d_path = stem.with_name(stem.name + "_feat2d.txt")
@@ -197,11 +198,7 @@ def cmd_synth(args) -> int:
         tsdf_resolution=args.tsdf_resolution,
         smooth_iterations=args.smooth_iterations,
         registration=RegistrationConfig(),
-        outputs={
-            "mesh": out / "mesh.ply",
-            "trajectory": out / "trajectory.jsonl",
-            "report": out / "report.json",
-        },
+        outputs={key: out / name for key, name in OUTPUT_NAMES.items()},
         hand_model=hand_model_path,
         ground_truth=truth_path,
     )
@@ -232,36 +229,16 @@ def _apply_overrides(config: RegistrationConfig, args) -> RegistrationConfig:
     return config
 
 
-def _fuse_mesh(manifest: fileio.SequenceManifest, frames, poses):
-    volume = TsdfVolume(
-        np.asarray(manifest.volume_center),
-        manifest.volume_side_mm,
-        manifest.tsdf_resolution,
-    )
-    by_index = {f.frame_index: f for f in frames}
-    for pose in poses:
-        volume = integrate(
-            volume, by_index[pose.frame_index].object_cloud, pose.world_from_frame
-        )
-    return laplacian_smooth(extract_mesh(volume), manifest.smooth_iterations)
-
-
 def _measure_report(mesh, truth: fileio.TruthRecord) -> dict:
+    """Measured, expected and absolute error per probe; ``None`` where unknown."""
     dimensions = {}
-    for probe in truth.probes:
-        try:
-            measured = measure_dimensions(mesh, [probe])[probe.name]
-        except InHandError:
-            measured = None
-        expected = truth.expected.get(probe.name)
-        dimensions[probe.name] = {
-            "measured": measured,
+    for name, measured in measure_probes(mesh, truth.probes).items():
+        expected = truth.expected.get(name)
+        known = not math.isnan(measured) and expected is not None
+        dimensions[name] = {
+            "measured": None if math.isnan(measured) else measured,
             "expected": expected,
-            "abs_error": (
-                abs(measured - expected)
-                if measured is not None and expected is not None
-                else None
-            ),
+            "abs_error": abs(measured - expected) if known else None,
         }
     return dimensions
 
@@ -279,32 +256,21 @@ def cmd_reconstruct(args) -> int:
             return EXIT_INPUT
     frames = fileio.load_frames(manifest)
 
-    outputs = dict(manifest.outputs)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        outputs = {
-            "mesh": out / "mesh.ply",
-            "trajectory": out / "trajectory.jsonl",
-            "report": out / "report.json",
-        }
-    root = Path(args.manifest).resolve().parent
-    for key, default_name in (
-        ("mesh", "mesh.ply"),
-        ("trajectory", "trajectory.jsonl"),
-        ("report", "report.json"),
-    ):
-        outputs.setdefault(key, root / default_name)
+    out = Path(args.manifest).resolve().parent if args.out is None else Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = {key: out / name for key, name in OUTPUT_NAMES.items()}
+    if args.out is None:
+        outputs.update(manifest.outputs)
 
-    result = run_sequence(frames, config, manifest.intrinsics)
-    if len(frames) > 1 and len(result.poses) == 1:
-        _fail(
-            "registration failed on every pair; last good frame is "
-            f"{result.poses[-1].frame_index}"
-        )
-        return EXIT_REGISTRATION
-
-    mesh = _fuse_mesh(manifest, frames, result.poses)
+    result, mesh = reconstruct(
+        frames,
+        config,
+        manifest.intrinsics,
+        volume_center=manifest.volume_center,
+        side_mm=manifest.volume_side_mm,
+        resolution=manifest.tsdf_resolution,
+        smooth_iterations=manifest.smooth_iterations,
+    )
     fileio.write_ply(outputs["mesh"], mesh, binary=True)
     fileio.save_trajectory(result.poses, outputs["trajectory"])
 
@@ -381,6 +347,8 @@ def _nanmean(values) -> float | None:
 
 
 def cmd_eval(args) -> int:
+    if args.threads < 1:
+        raise _UsageError("--threads must be at least 1")
     if args.sweep_gammas is None and not args.compare_energies:
         raise _UsageError("nothing to do: pass --sweep-gammas and/or --compare-energies")
     manifest = fileio.load_manifest(args.manifest)
@@ -488,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--smooth-iterations", type=int, default=3)
     synth.add_argument("--ascii", action="store_true", help="write ASCII PLY files")
     synth.add_argument("--out", required=True, help="output sequence directory")
+    synth.add_argument("--seed", type=int, default=0, help="RNG seed")
     synth.set_defaults(func=cmd_synth)
 
     rec = sub.add_parser("reconstruct", help="register, fuse, and mesh a sequence")
@@ -514,16 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="score contact/detector energy configurations on annotated pairs",
     )
     ev.add_argument("--out", default=None, help="directory for CSV reports")
+    ev.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for independent evaluation cells",
+    )
     ev.set_defaults(func=cmd_eval)
-
-    for sp in (synth, rec, ev):
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for independent evaluation cells",
-        )
     return parser
 
 
@@ -533,9 +499,6 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        _fail("--threads must be at least 1")
-        return EXIT_USAGE
     try:
         return args.func(args)
     except _UsageError as exc:

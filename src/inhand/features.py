@@ -25,7 +25,7 @@ from scipy.spatial.distance import cdist
 from .errors import EmptyInputError, MatchFileParseError
 from .geometry import CameraIntrinsics, PointCloud, _freeze, back_project_many
 
-CORRESPONDENCE_TAGS = ("feat2d", "feat3d", "contact", "detector", "icp")
+CORRESPONDENCE_TAGS = ("feat2d", "feat3d", "contact", "detector")
 
 
 @dataclass(frozen=True)

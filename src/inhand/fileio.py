@@ -59,6 +59,7 @@ __all__ = [
     "load_frames",
     "save_trajectory",
     "save_json",
+    "write_atomic",
 ]
 
 
@@ -66,7 +67,8 @@ __all__ = [
 # atomic writing
 
 
-def _atomic_bytes(path, data: bytes) -> None:
+def write_atomic(path, data: bytes) -> None:
+    """Write bytes via a sibling temp file and rename, never a partial file."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".part")
     try:
@@ -80,7 +82,7 @@ def _atomic_bytes(path, data: bytes) -> None:
 
 def save_json(path, payload: dict) -> None:
     """Write a JSON document atomically with a stable layout."""
-    _atomic_bytes(path, (json.dumps(payload, indent=2) + "\n").encode())
+    write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())
 
 
 def _load_json(path, schema: str) -> dict:
@@ -165,7 +167,7 @@ def write_ply(path, data: PointCloud | TriangleMesh, binary: bool = True) -> Non
         for tri in data.triangles if is_mesh else ():
             lines.append("3 " + " ".join(str(int(i)) for i in tri))
         out.append(("\n".join(lines) + "\n").encode())
-    _atomic_bytes(path, b"".join(out))
+    write_atomic(path, b"".join(out))
 
 
 def _parse_ply_header(raw: bytes, path) -> tuple[str, list, bytes]:
@@ -338,7 +340,7 @@ def save_feat2d(matches: tuple, path) -> None:
     for (u, v, u2, v2), d, d2 in zip(pairs, src_d, tgt_d):
         fields = (float(u), float(v), float(d), float(u2), float(v2), float(d2))
         lines.append(" ".join(repr(x) for x in fields))
-    _atomic_bytes(path, ("\n".join(lines) + "\n").encode())
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 # --------------------------------------------------------------------------
@@ -626,11 +628,9 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
         if cloud.normals is None:
             cloud = estimate_normals(cloud)
         if mf.hand_path is not None:
-            hand_cloud = read_ply(mf.hand_path)
             labels, effectors = model
-            hand_pose = PosedHand(hand_cloud.points, labels, effectors)
+            hand_pose = PosedHand(read_ply(mf.hand_path).points, labels, effectors)
         else:
-            hand_cloud = PointCloud(np.empty((0, 3)))
             hand_pose = _empty_hand()
         feat2d = (
             parse_feat2d_file(mf.feat2d_path) if mf.feat2d_path is not None else None
@@ -640,13 +640,11 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
         boxes = (
             load_detector_boxes(mf.boxes_path) if mf.boxes_path is not None else None
         )
-        frames.append(
-            SegmentedFrame(mf.index, cloud, hand_cloud, hand_pose, feat2d, boxes)
-        )
+        frames.append(SegmentedFrame(mf.index, cloud, hand_pose, feat2d, boxes))
     return frames
 
 
 def save_trajectory(poses, path) -> None:
     """Write one JSON record per registered frame (JSON Lines)."""
     lines = [json.dumps(pose_record(p)) for p in poses]
-    _atomic_bytes(path, ("\n".join(lines) + "\n").encode())
+    write_atomic(path, ("\n".join(lines) + "\n").encode())

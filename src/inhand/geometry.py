@@ -193,22 +193,11 @@ class CameraIntrinsics:
             raise ValueError("image size must be positive")
 
 
-def back_project(pixel, depth: float, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Lift a pixel with metric depth (mm) to a camera-frame 3D point."""
-    if depth <= 0.0:
-        raise InvalidDepthError(f"depth must be positive, got {depth!r}")
-    u, v = float(pixel[0]), float(pixel[1])
-    return np.array(
-        [
-            depth * (u - intrinsics.cx) / intrinsics.fx,
-            depth * (v - intrinsics.cy) / intrinsics.fy,
-            depth,
-        ]
-    )
-
-
 def back_project_many(pixels, depths, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Vectorized :func:`back_project` for ``(N, 2)`` pixels and ``(N,)`` depths."""
+    """Lift ``(N, 2)`` pixels with ``(N,)`` positive metric depths to camera points.
+
+    ``x = d * (u - cx) / fx``, ``y = d * (v - cy) / fy``, ``z = d``, in mm.
+    """
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     d = np.asarray(depths, dtype=np.float64).reshape(-1)
     if d.size and d.min() <= 0.0:
@@ -244,34 +233,10 @@ class SpatialIndex:
     def __len__(self) -> int:
         return len(self.points)
 
-    def nearest(self, query) -> tuple[int, float]:
-        """Index and distance of the exact nearest neighbor of one point."""
-        d, i = self._tree.query(np.asarray(query, dtype=np.float64).reshape(3))
-        return int(i), float(d)
-
     def nearest_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized nearest lookup; returns (indices, distances)."""
+        """Exact nearest neighbor of each query point; returns (indices, distances)."""
         d, i = self._tree.query(np.asarray(queries, dtype=np.float64).reshape(-1, 3))
         return i.astype(np.int64), d
-
-    def radius_search(self, query, radius: float) -> list[tuple[int, float]]:
-        """All neighbors within ``radius``, sorted by ascending distance."""
-        q = np.asarray(query, dtype=np.float64).reshape(3)
-        idx = np.asarray(self._tree.query_ball_point(q, radius), dtype=np.int64)
-        if idx.size == 0:
-            return []
-        dist = np.linalg.norm(self.points[idx] - q, axis=1)
-        order = np.lexsort((idx, dist))
-        return [(int(idx[j]), float(dist[j])) for j in order]
-
-    def radius_search_many(self, queries, radius: float) -> list[np.ndarray]:
-        """Neighbor index lists (unsorted) for a stack of query points."""
-        res = self._tree.query_ball_point(np.asarray(queries, dtype=np.float64).reshape(-1, 3), radius)
-        return [np.asarray(r, dtype=np.int64) for r in res]
-
-
-def build_index(cloud: PointCloud | np.ndarray) -> SpatialIndex:
-    return SpatialIndex(cloud)
 
 
 def solve_weighted_rigid(source, target, weights=None) -> RigidTransform:

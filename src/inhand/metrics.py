@@ -1,6 +1,8 @@
-"""Evaluation protocols over registered and fused sequences.
+"""The reconstruction pipeline and the evaluation protocols over it.
 
-Two instruments:
+:func:`reconstruct` is the one register -> fuse -> extract -> smooth
+pipeline and :func:`measure_probes` measures its mesh; the ``reconstruct``
+command and the gamma sweep both run through them.  Two instruments:
 
 * :func:`run_gamma_sweep` re-runs the full reconstruction pipeline across
   a grid of contact weights and scores each run by how far the fused
@@ -17,19 +19,20 @@ Both emit plot-ready CSV through :func:`sweep_to_csv` and
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, InHandError, UnderConstrainedError
+from .errors import DivergenceError, EmptyInputError, InHandError, UnderConstrainedError
+from .fileio import write_atomic
 from .fusion import (
     Probe,
+    TriangleMesh,
     TsdfVolume,
     extract_mesh,
     integrate,
@@ -40,6 +43,7 @@ from .geometry import CameraIntrinsics, RigidTransform, rotation_angle_rad
 from .preprocess import SegmentedFrame
 from .register import (
     RegistrationConfig,
+    SequenceResult,
     align_sparse,
     build_correspondences,
     pairwise_annotation_error,
@@ -52,14 +56,61 @@ __all__ = [
     "ProbeCell",
     "SweepResult",
     "EnergyRow",
+    "reconstruct",
+    "measure_probes",
     "normalized_mean_error",
-    "pooled_normalized_errors",
     "rotation_span_deg",
     "run_gamma_sweep",
     "compare_energies",
     "sweep_to_csv",
     "energies_to_csv",
 ]
+
+
+def reconstruct(
+    frames: Sequence[SegmentedFrame],
+    config: RegistrationConfig,
+    intrinsics: CameraIntrinsics | None,
+    *,
+    volume_center,
+    side_mm: float,
+    resolution: int,
+    smooth_iterations: int,
+) -> tuple[SequenceResult, TriangleMesh]:
+    """Register a sequence, fuse the registered frames, and mesh the volume.
+
+    The frames are registered by :func:`run_sequence` and integrated at
+    their poses into a TSDF cube of ``side_mm`` and ``resolution`` voxels
+    centred on ``volume_center``; the extracted mesh is smoothed for
+    ``smooth_iterations``.  When a sequence of several frames registers
+    nothing beyond frame 0 this raises :class:`DivergenceError` instead of
+    meshing a single view.
+    """
+    result = run_sequence(frames, config, intrinsics)
+    if len(frames) > 1 and len(result.poses) == 1:
+        raise DivergenceError(
+            "every frame pair failed to register; only frame "
+            f"{result.poses[0].frame_index} has a pose"
+        )
+    by_index = {f.frame_index: f for f in frames}
+    volume = TsdfVolume(volume_center, side_mm, resolution)
+    for pose in result.poses:
+        volume = integrate(
+            volume, by_index[pose.frame_index].object_cloud, pose.world_from_frame
+        )
+    return result, laplacian_smooth(extract_mesh(volume), smooth_iterations)
+
+
+def measure_probes(mesh: TriangleMesh, probes: Iterable[Probe]) -> dict[str, float]:
+    """Each probe's value on ``mesh``; a probe that cannot be measured is NaN."""
+    out: dict[str, float] = {}
+    for probe in probes:
+        try:
+            out[probe.name] = float(measure_dimensions(mesh, [probe])[probe.name])
+        except InHandError as exc:
+            log.warning("probe %r failed (%s)", probe.name, exc)
+            out[probe.name] = float("nan")
+    return out
 
 
 def rotation_span_deg(poses: Sequence[RigidTransform]) -> float:
@@ -169,26 +220,6 @@ def _same_float(a: float, b: float) -> bool:
     return (math.isnan(a) and math.isnan(b)) or a == b
 
 
-def pooled_normalized_errors(results: Sequence[SweepResult]) -> dict[float, float]:
-    """Normalized mean error per gamma pooled over several sweeps.
-
-    All sweeps must cover the same gamma grid.  Pooling concatenates the
-    raw cells, so objects with more probes weigh proportionally more --
-    the same convention as averaging one table of per-probe rows.
-    """
-    results = list(results)
-    if not results:
-        raise EmptyInputError("no sweep results to pool")
-    gammas = results[0].gammas
-    for r in results[1:]:
-        if r.gammas != gammas:
-            raise ValueError("sweeps cover different gamma grids")
-    return {
-        g: normalized_mean_error(c for r in results for c in r.cells_at(g))
-        for g in gammas
-    }
-
-
 def run_gamma_sweep(
     frames: Sequence[SegmentedFrame],
     probes: Sequence[Probe],
@@ -208,10 +239,10 @@ def run_gamma_sweep(
     Each gamma gets a fresh registration, TSDF fusion at ``volume_center``,
     mesh extraction, smoothing, and probe measurement against the
     ``expected`` ground-truth dimensions.  A pipeline failure at some
-    gamma (or a single unmeasurable probe, e.g. volume of an open mesh)
-    is recorded as a NaN cell and the sweep continues.  Gamma cells are
-    independent, so ``threads > 1`` runs them concurrently with results
-    identical to the serial order.
+    gamma (no frame pair registered, say, or a single unmeasurable probe,
+    e.g. volume of an open mesh) is recorded as a NaN cell and the sweep
+    continues.  Gamma cells are independent, so ``threads > 1`` runs them
+    concurrently with results identical to the serial order.
     """
     frames = list(frames)
     probes = tuple(probes)
@@ -273,29 +304,22 @@ def _measure_at_gamma(
     smooth_iterations: int,
 ) -> dict[str, float]:
     """Probe values for one pipeline run; failures come back as NaN."""
-    failed = {p.name: float("nan") for p in probes}
     try:
-        result = run_sequence(frames, config, intrinsics)
-        by_index = {f.frame_index: f for f in frames}
-        volume = TsdfVolume(volume_center, tsdf_side_mm, tsdf_resolution)
-        for pose in result.poses:
-            volume = integrate(
-                volume, by_index[pose.frame_index].object_cloud, pose.world_from_frame
-            )
-        mesh = laplacian_smooth(extract_mesh(volume), smooth_iterations)
+        _, mesh = reconstruct(
+            frames,
+            config,
+            intrinsics,
+            volume_center=volume_center,
+            side_mm=tsdf_side_mm,
+            resolution=tsdf_resolution,
+            smooth_iterations=smooth_iterations,
+        )
     except InHandError as exc:
         log.warning(
             "gamma %g: pipeline failed (%s); recording failed cells", config.gamma_t, exc
         )
-        return failed
-    out: dict[str, float] = {}
-    for probe in probes:
-        try:
-            out[probe.name] = float(measure_dimensions(mesh, [probe])[probe.name])
-        except InHandError as exc:
-            log.warning("gamma %g: probe %r failed (%s)", config.gamma_t, probe.name, exc)
-            out[probe.name] = float("nan")
-    return out
+        return {p.name: float("nan") for p in probes}
+    return measure_probes(mesh, probes)
 
 
 # The four sparse-energy configurations scored by compare_energies, as
@@ -395,65 +419,50 @@ def compare_energies(
     return tuple(rows)
 
 
-def _write_atomic(path, write_rows) -> None:
-    """Write CSV via a sibling temp file and rename, never a partial file."""
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            write_rows(csv.writer(fh))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def sweep_to_csv(result: SweepResult, path) -> None:
     """One row per (gamma, probe), with the per-gamma normalized mean repeated."""
-
-    def rows(writer) -> None:
-        writer.writerow(
-            [
-                "gamma",
-                "probe",
-                "kind",
-                "expected",
-                "measured",
-                "abs_error",
-                "normalized_mean_error",
-            ]
-        )
-        for gamma, norm in zip(result.gammas, result.normalized_errors):
-            for cell in result.cells_at(gamma):
-                writer.writerow(
-                    [
-                        repr(gamma),
-                        cell.probe,
-                        cell.kind,
-                        repr(cell.expected),
-                        repr(cell.measured),
-                        repr(cell.error),
-                        repr(norm),
-                    ]
-                )
-
-    _write_atomic(path, rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        [
+            "gamma",
+            "probe",
+            "kind",
+            "expected",
+            "measured",
+            "abs_error",
+            "normalized_mean_error",
+        ]
+    )
+    for gamma, norm in zip(result.gammas, result.normalized_errors):
+        for cell in result.cells_at(gamma):
+            writer.writerow(
+                [
+                    repr(gamma),
+                    cell.probe,
+                    cell.kind,
+                    repr(cell.expected),
+                    repr(cell.measured),
+                    repr(cell.error),
+                    repr(norm),
+                ]
+            )
+    write_atomic(path, buf.getvalue().encode())
 
 
 def energies_to_csv(rows: Sequence[EnergyRow], path) -> None:
     """One row per (config, statistic); unavailable rows carry empty values."""
-
-    def write(writer) -> None:
-        writer.writerow(["config", "statistic", "value", "available"])
-        for row in rows:
-            for stat, value in (("mean", row.mean), ("stdev", row.stdev)):
-                writer.writerow(
-                    [
-                        row.config,
-                        stat,
-                        repr(value) if row.available else "",
-                        int(row.available),
-                    ]
-                )
-
-    _write_atomic(path, write)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["config", "statistic", "value", "available"])
+    for row in rows:
+        for stat, value in (("mean", row.mean), ("stdev", row.stdev)):
+            writer.writerow(
+                [
+                    row.config,
+                    stat,
+                    repr(value) if row.available else "",
+                    int(row.available),
+                ]
+            )
+    write_atomic(path, buf.getvalue().encode())

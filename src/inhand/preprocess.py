@@ -109,7 +109,7 @@ class DetectorBox:
 
 @dataclass(frozen=True)
 class SegmentedFrame:
-    """One observation: segmented object/hand clouds plus optional sidecars.
+    """One observation: segmented object cloud, posed hand, optional sidecars.
 
     ``feat2d_matches`` holds pixel matches against the previous frame as a
     tuple ``(pixel_pairs (N, 4), source_depths (N,), target_depths (N,))``;
@@ -118,7 +118,6 @@ class SegmentedFrame:
 
     frame_index: int
     object_cloud: PointCloud
-    hand_cloud: PointCloud
     hand_pose: "PosedHand"  # noqa: F821 - defined in inhand.contact
     feat2d_matches: tuple | None = None
     detector_boxes: tuple[DetectorBox, ...] | None = None

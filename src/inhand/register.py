@@ -345,12 +345,6 @@ class SequenceResult:
     metascan: Metascan
     skipped: tuple[int, ...]
 
-    def pose_for(self, frame_index: int) -> FramePose:
-        for pose in self.poses:
-            if pose.frame_index == frame_index:
-                return pose
-        raise KeyError(f"frame {frame_index} has no pose")
-
 
 def run_sequence(
     frames: list[SegmentedFrame],

@@ -13,7 +13,7 @@ visual channel degrades with sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -627,6 +627,8 @@ def generate_sequence(
     hand-contact correspondences are noise-free while only the visual
     channel carries ``motion.sigma``.  Set it to model hand-tracking error.
     """
+    if hand_sigma < 0.0:
+        raise ValueError("hand_sigma must be nonnegative")
     center = np.asarray(center, dtype=np.float64)
     rng = np.random.default_rng(motion.seed)
     surface = obj.surface()
@@ -662,12 +664,7 @@ def generate_sequence(
             hand_canonical.end_effectors,
         )
         frames.append(
-            SegmentedFrame(
-                k,
-                PointCloud(pts, normals=normals, colors=colors),
-                PointCloud(hand_k.vertices),
-                hand_k,
-            )
+            SegmentedFrame(k, PointCloud(pts, normals=normals, colors=colors), hand_k)
         )
         camera_dirs.append(pose.rotation @ view_dir)
         visible_indices.append(idx)
@@ -747,20 +744,8 @@ def attach_feat2d(
         pp = prev.object_cloud.points[rows_p]
         px_c = project(pc, intrinsics)
         px_p = project(pp, intrinsics)
-        out.append(
-            SegmentedFrame(
-                curr.frame_index,
-                curr.object_cloud,
-                curr.hand_cloud,
-                curr.hand_pose,
-                feat2d_matches=(
-                    np.hstack([px_c, px_p]),
-                    pc[:, 2].copy(),
-                    pp[:, 2].copy(),
-                ),
-                detector_boxes=curr.detector_boxes,
-            )
-        )
+        matches = (np.hstack([px_c, px_p]), pc[:, 2].copy(), pp[:, 2].copy())
+        out.append(replace(curr, feat2d_matches=matches))
     return out
 
 
@@ -775,7 +760,7 @@ def attach_detector_boxes(
     rng = np.random.default_rng(seed)
     out = []
     for frame in frames:
-        scene = np.vstack([frame.object_cloud.points, frame.hand_cloud.points])
+        scene = np.vstack([frame.object_cloud.points, frame.hand_pose.vertices])
         uv = project(scene, intrinsics)
         u, v = uv[:, 0], uv[:, 1]
         boxes = []
@@ -792,14 +777,5 @@ def attach_detector_boxes(
             np.minimum.at(depth.reshape(-1), flat, scene[in_box, 2])
             depth[~np.isfinite(depth)] = 0.0
             boxes.append(DetectorBox(label, x0, y0, box_size, box_size, depth))
-        out.append(
-            SegmentedFrame(
-                frame.frame_index,
-                frame.object_cloud,
-                frame.hand_cloud,
-                frame.hand_pose,
-                feat2d_matches=frame.feat2d_matches,
-                detector_boxes=tuple(boxes),
-            )
-        )
+        out.append(replace(frame, detector_boxes=tuple(boxes)))
     return out

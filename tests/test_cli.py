@@ -8,6 +8,7 @@ import shutil
 import pytest
 
 from inhand import cli
+from inhand.errors import DivergenceError
 from inhand.fileio import load_ground_truth, load_manifest, read_ply
 from inhand.fusion import TriangleMesh
 from inhand.geometry import PointCloud
@@ -153,22 +154,18 @@ class TestReconstruct:
         assert report["config"]["use_contact"] is False
         assert report["ground_truth"]["collapse_suspected"] is True
 
-    def test_thread_count_does_not_change_outputs(self, seq_dir, tmp_path):
-        outs = []
-        for threads in (1, 2):
-            out = tmp_path / f"t{threads}"
-            code = run_cli(
-                "reconstruct",
-                seq_dir / "manifest.json",
-                "--threads",
-                threads,
-                "--out",
-                out,
-            )
-            assert code == 0
-            outs.append(out)
-        for name in ("mesh.ply", "trajectory.jsonl"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    def test_no_registered_pair_fails_without_mesh(
+        self, seq_dir, tmp_path, monkeypatch, capsys
+    ):
+        def diverge(*args, **kwargs):
+            raise DivergenceError("no ICP pairs")
+
+        monkeypatch.setattr("inhand.register.register_pair", diverge)
+        out = tmp_path / "diverged"
+        code = run_cli("reconstruct", seq_dir / "manifest.json", "--out", out)
+        assert code == cli.EXIT_REGISTRATION
+        assert not (out / "mesh.ply").exists()
+        assert "registration failed" in capsys.readouterr().err
 
     def test_frame_without_hand_refused(self, seq_dir, tmp_path, capsys):
         def drop_hand(payload):
@@ -218,6 +215,24 @@ class TestEval:
         assert sorted({r["gamma"] for r in rows}) == ["0.0", "15.0"]
         by_gamma = {r["gamma"]: float(r["normalized_mean_error"]) for r in rows}
         assert by_gamma["15.0"] < by_gamma["0.0"]
+
+    def test_thread_count_does_not_change_outputs(self, seq_dir, tmp_path):
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            code = run_cli(
+                "eval",
+                seq_dir / "manifest.json",
+                "--sweep-gammas",
+                "0,15",
+                "--threads",
+                threads,
+                "--out",
+                out,
+            )
+            assert code == 0
+            outs.append(out)
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
 
     def test_energy_comparison_csv(self, seq_dir, tmp_path):
         out = tmp_path / "energies"
@@ -287,7 +302,9 @@ class TestUsage:
         assert exc.value.code == 2
 
     def test_zero_threads_rejected(self, seq_dir, capsys):
-        code = run_cli("reconstruct", seq_dir / "manifest.json", "--threads", "0")
+        code = run_cli(
+            "eval", seq_dir / "manifest.json", "--sweep-gammas", "0", "--threads", "0"
+        )
         assert code == cli.EXIT_USAGE
         assert "--threads" in capsys.readouterr().err
 

@@ -255,7 +255,7 @@ def write_sequence_dir(tmp_path):
         obj = tmp_path / "frames" / f"f{frame.frame_index}_object.ply"
         hand = tmp_path / "frames" / f"f{frame.frame_index}_hand.ply"
         write_ply(obj, frame.object_cloud)
-        write_ply(hand, frame.hand_cloud)
+        write_ply(hand, PointCloud(frame.hand_pose.vertices))
         manifest_frames.append(ManifestFrame(frame.frame_index, obj, hand))
     hand_model = tmp_path / "hand_model.json"
     save_hand_model(frames[0].hand_pose, hand_model)
@@ -364,7 +364,6 @@ class TestLoadFrames:
         )
         loaded = load_frames(no_hands)
         assert len(loaded[0].hand_pose.vertices) == 0
-        assert len(loaded[0].hand_cloud.points) == 0
 
     def test_mesh_as_object_cloud_rejected(self, tmp_path):
         manifest, _ = write_sequence_dir(tmp_path)

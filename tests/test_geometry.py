@@ -14,9 +14,7 @@ from inhand.geometry import (
     PointCloud,
     RigidTransform,
     SpatialIndex,
-    back_project,
     back_project_many,
-    build_index,
     project,
     rotation_about_axis,
     solve_weighted_rigid,
@@ -107,20 +105,20 @@ class TestBackProject:
     def test_principal_point(self):
         # (u, v) at the principal point maps straight down the optical axis.
         np.testing.assert_allclose(
-            back_project((320.0, 240.0), 700.0, self.INTR), [0.0, 0.0, 700.0]
+            back_project_many([[320.0, 240.0]], [700.0], self.INTR), [[0.0, 0.0, 700.0]]
         )
 
     def test_formula(self):
         # x = d*(u-cx)/fx = 500*(377-320)/570 = 50.0
         # y = d*(v-cy)/fy = 500*(297-240)/570 = 50.0
-        p = back_project((377.0, 297.0), 500.0, self.INTR)
-        np.testing.assert_allclose(p, [50.0, 50.0, 500.0])
+        p = back_project_many([[377.0, 297.0]], [500.0], self.INTR)
+        np.testing.assert_allclose(p, [[50.0, 50.0, 500.0]])
 
     def test_zero_depth_rejected(self):
         with pytest.raises(InvalidDepthError):
-            back_project((10.0, 10.0), 0.0, self.INTR)
+            back_project_many([[10.0, 10.0]], [0.0], self.INTR)
         with pytest.raises(InvalidDepthError):
-            back_project((10.0, 10.0), -3.0, self.INTR)
+            back_project_many([[10.0, 10.0]], [-3.0], self.INTR)
 
     def test_project_roundtrip(self):
         rng = np.random.default_rng(11)
@@ -243,41 +241,19 @@ class TestSolveWeightedRigid:
 class TestSpatialIndex:
     def test_empty_cloud_rejected(self):
         with pytest.raises(EmptyInputError):
-            build_index(PointCloud(np.empty((0, 3))))
+            SpatialIndex(PointCloud(np.empty((0, 3))))
 
     def test_nearest_matches_brute_force(self):
         rng = np.random.default_rng(18)
         pts = rng.uniform(-100, 100, (500, 3))
-        index = build_index(PointCloud(pts))
-        for _ in range(1000):
-            q = rng.uniform(-120, 120, 3)
-            i, d = index.nearest(q)
-            dists = np.linalg.norm(pts - q, axis=1)
-            j = int(np.argmin(dists))
-            assert d == pytest.approx(dists[j])
-            assert dists[i] == pytest.approx(dists[j])
-
-    def test_radius_search_sorted_and_complete(self):
-        rng = np.random.default_rng(19)
-        pts = rng.uniform(-10, 10, (300, 3))
-        index = build_index(PointCloud(pts))
-        q = np.zeros(3)
-        found = index.radius_search(q, 5.0)
-        dists = [d for _, d in found]
-        assert dists == sorted(dists)
-        brute = set(np.nonzero(np.linalg.norm(pts, axis=1) <= 5.0)[0].tolist())
-        assert {i for i, _ in found} == brute
-
-    def test_nearest_many_agrees_with_nearest(self):
-        rng = np.random.default_rng(20)
-        pts = rng.uniform(-10, 10, (100, 3))
-        index = build_index(pts)
-        qs = rng.uniform(-10, 10, (50, 3))
-        idx, dist = index.nearest_many(qs)
-        for q, i, d in zip(qs, idx, dist):
-            i1, d1 = index.nearest(q)
-            assert d == pytest.approx(d1)
-            assert i == i1
+        qs = rng.uniform(-120, 120, (1000, 3))
+        for index in (SpatialIndex(PointCloud(pts)), SpatialIndex(pts)):
+            idx, dist = index.nearest_many(qs)
+            for q, i, d in zip(qs, idx, dist):
+                dists = np.linalg.norm(pts - q, axis=1)
+                j = int(np.argmin(dists))
+                assert d == pytest.approx(dists[j])
+                assert dists[i] == pytest.approx(dists[j])
 
 
 class TestPointCloud:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from inhand.errors import EmptyInputError
+from inhand.errors import DivergenceError, EmptyInputError
 from inhand.fusion import Probe
 from inhand.geometry import CameraIntrinsics
 from inhand.metrics import (
@@ -15,7 +15,6 @@ from inhand.metrics import (
     compare_energies,
     energies_to_csv,
     normalized_mean_error,
-    pooled_normalized_errors,
     run_gamma_sweep,
     sweep_to_csv,
 )
@@ -208,6 +207,26 @@ class TestRunGammaSweep:
         assert math.isfinite(by_name["height"].measured)
         assert math.isnan(result.error_at(15.0))
 
+    def test_no_registered_pair_fails_every_cell(self, monkeypatch):
+        frames, truth, _ = sweep_fixture()
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError("no ICP pairs")
+
+        monkeypatch.setattr("inhand.register.register_pair", diverge)
+        result = run_gamma_sweep(
+            frames,
+            truth.probes,
+            truth.expected,
+            (15.0,),
+            volume_center=truth.center,
+            tsdf_side_mm=120.0,
+            tsdf_resolution=48,
+            smooth_iterations=2,
+        )
+        assert all(math.isnan(c.measured) for c in result.cells)
+        assert math.isnan(result.error_at(15.0))
+
     def test_sweep_is_deterministic(self):
         frames, truth, result = sweep_fixture()
         again = run_gamma_sweep(
@@ -253,23 +272,6 @@ class TestRunGammaSweep:
             run_gamma_sweep(
                 frames, (), truth.expected, (15.0,), volume_center=truth.center
             )
-
-
-class TestPooledNormalizedErrors:
-    def test_pooling_matches_cell_level_average(self):
-        _, _, result = sweep_fixture()
-        pooled = pooled_normalized_errors([result, result])
-        for gamma in result.gammas:
-            assert pooled[gamma] == pytest.approx(result.error_at(gamma))
-
-    def test_mismatched_grids_rejected(self):
-        cells = (ProbeCell(0.0, "height", "extent", 30.0, 33.0),)
-        a = SweepResult((0.0,), (0.1,), cells)
-        b = SweepResult((1.0,), (0.1,), (ProbeCell(1.0, "height", "extent", 30.0, 33.0),))
-        with pytest.raises(ValueError, match="grids"):
-            pooled_normalized_errors([a, b])
-        with pytest.raises(EmptyInputError):
-            pooled_normalized_errors([])
 
 
 class TestCompareEnergies:

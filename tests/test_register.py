@@ -217,7 +217,7 @@ def make_frame(index, motion, base_cloud, base_hand):
     hand = PosedHand(
         motion.apply(base_hand.vertices), base_hand.bone_labels, base_hand.end_effectors
     )
-    return SegmentedFrame(index, cloud, PointCloud(hand.vertices), hand)
+    return SegmentedFrame(index, cloud, hand)
 
 
 def exact_sequence(n_frames=4, deg_per_frame=4.0):
@@ -239,9 +239,7 @@ def exact_sequence(n_frames=4, deg_per_frame=4.0):
 class TestRegisterPair:
     def test_identical_frames_give_identity(self):
         frames, _ = exact_sequence(n_frames=1)
-        twin = SegmentedFrame(
-            1, frames[0].object_cloud, frames[0].hand_cloud, frames[0].hand_pose
-        )
+        twin = SegmentedFrame(1, frames[0].object_cloud, frames[0].hand_pose)
         scan = Metascan()
         scan.append(frames[0].object_cloud, 0)
         pose = register_pair(frames[0], twin, scan, RigidTransform.identity())
@@ -286,9 +284,10 @@ class TestRunSequence:
 
         frames, _ = exact_sequence()
         result = run_sequence(frames)
+        poses = {p.frame_index: p.world_from_frame for p in result.poses}
         for k, frame in enumerate(frames):
             sel = result.metascan.frame_ids == k
-            back = result.pose_for(k).world_from_frame.inverse().apply(
+            back = poses[k].inverse().apply(
                 result.metascan.points[sel]
             )
             _, dist = SpatialIndex(frame.object_cloud.points).nearest_many(back)
@@ -327,7 +326,7 @@ class TestDetectorCorrespondences:
             ("thumb_tip",) * 45 + ("index_tip",) * 45,
             frozenset({"thumb_tip", "index_tip"}),
         )
-        return SegmentedFrame(index, cloud, cloud, hand, detector_boxes=(box,))
+        return SegmentedFrame(index, cloud, hand, detector_boxes=(box,))
 
     def test_identical_boxes_zero_displacement(self):
         depth = np.full((8, 8), 500.0)

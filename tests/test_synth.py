@@ -224,7 +224,6 @@ class TestGenerateSequence:
         for k, frame in enumerate(frames):
             expected = truth.motions[k].apply(truth.hand_canonical.vertices)
             assert np.array_equal(frame.hand_pose.vertices, expected)
-            assert np.array_equal(frame.hand_cloud.points, expected)
 
     def test_hand_noise_perturbs_pads_only(self):
         exact_frames, exact_truth = tumble_sphere()
@@ -236,8 +235,12 @@ class TestGenerateSequence:
             gap = frame.hand_pose.vertices - expected
             assert abs(gap.std() - 0.5) < 0.05
             assert np.abs(gap.mean()) < 0.05
-            assert np.array_equal(frame.hand_cloud.points, frame.hand_pose.vertices)
             assert np.array_equal(truth.visible_indices[k], exact_truth.visible_indices[k])
+
+    def test_negative_hand_noise_rejected(self):
+        motion = MotionScript.tumble(2, 6.0, seed=7)
+        with pytest.raises(ValueError, match="hand_sigma"):
+            generate_sequence(SyntheticObjectSpec.sphere(70.0), motion, hand_sigma=-0.5)
 
     def test_total_occlusion_degenerates(self):
         obj = SyntheticObjectSpec.sphere(70.0)
@@ -411,7 +414,7 @@ class TestAttachDetectorBoxes:
         boxed = attach_detector_boxes(frames, INTRINSICS)
         for frame in boxed:
             scene_z = np.concatenate(
-                [frame.object_cloud.points[:, 2], frame.hand_cloud.points[:, 2]]
+                [frame.object_cloud.points[:, 2], frame.hand_pose.vertices[:, 2]]
             )
             lo = scene_z.min() - 1.0
             hi = scene_z.max() + 1.0
