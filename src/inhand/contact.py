@@ -21,6 +21,13 @@ from .errors import NoContactError
 from .features import CorrespondenceSet
 from .geometry import PointCloud, SpatialIndex, _freeze
 
+# Contact search schedule of :func:`detect_contacts`; distances in mm.
+START_THRESHOLD = 1.0
+THRESHOLD_STEP = 0.5
+MIN_CANDIDATE_VERTICES = 40
+MIN_BONES = 2
+THRESHOLD_CAP = 10.0
+
 
 @dataclass(frozen=True)
 class PosedHand:
@@ -65,29 +72,17 @@ class ContactState:
         )
 
 
-def detect_contacts(
-    hand: PosedHand,
-    object_cloud: PointCloud | None = None,
-    index: SpatialIndex | None = None,
-    *,
-    start_threshold: float = 1.0,
-    step: float = 0.5,
-    min_candidate_vertices: int = 40,
-    min_bones: int = 2,
-    cap: float = 10.0,
-) -> ContactState:
+def detect_contacts(hand: PosedHand, object_cloud: PointCloud) -> ContactState:
     """Infer which end-effector bones touch the object in this frame.
 
     Candidate vertices of a bone are those with nearest-object distance
     strictly below the current threshold; a bone qualifies with more than
-    ``min_candidate_vertices`` candidates. The threshold sequence is
-    ``start, start+step, ...`` and stops as soon as ``min_bones`` bones
-    qualify; exceeding ``cap`` raises :class:`NoContactError`.
+    ``MIN_CANDIDATE_VERTICES`` candidates. The threshold sequence is
+    ``START_THRESHOLD, START_THRESHOLD + THRESHOLD_STEP, ...`` and stops as
+    soon as ``MIN_BONES`` bones qualify; exceeding ``THRESHOLD_CAP`` raises
+    :class:`NoContactError`.
     """
-    if index is None:
-        if object_cloud is None:
-            raise ValueError("either object_cloud or index must be given")
-        index = SpatialIndex(object_cloud)
+    index = SpatialIndex(object_cloud)
     effector_bones = sorted(hand.end_effectors)
     bone_indices = {b: hand.bone_vertex_indices(b) for b in effector_bones}
     bone_dists = {}
@@ -97,20 +92,20 @@ def detect_contacts(
         else:
             _, d = index.nearest_many(hand.vertices[vi])
             bone_dists[b] = d
-    threshold = start_threshold
-    while threshold <= cap + 1e-12:
+    threshold = START_THRESHOLD
+    while threshold <= THRESHOLD_CAP + 1e-12:
         bones = [
             b for b in effector_bones
-            if int((bone_dists[b] < threshold).sum()) > min_candidate_vertices
+            if int((bone_dists[b] < threshold).sum()) > MIN_CANDIDATE_VERTICES
         ]
-        if len(bones) >= min_bones:
+        if len(bones) >= MIN_BONES:
             vertices = np.concatenate([bone_indices[b] for b in bones])
             vertices.sort()
             return ContactState(frozenset(bones), vertices, threshold)
-        threshold += step
+        threshold += THRESHOLD_STEP
     raise NoContactError(
-        f"no {min_bones} bones with >{min_candidate_vertices} candidate vertices "
-        f"within the {cap} mm cap"
+        f"no {MIN_BONES} bones with >{MIN_CANDIDATE_VERTICES} candidate vertices "
+        f"within the {THRESHOLD_CAP} mm cap"
     )
 
 

@@ -15,7 +15,7 @@ millimeter depths and ``#`` comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,25 +27,30 @@ from .geometry import CameraIntrinsics, PointCloud, _freeze, back_project_many
 
 CORRESPONDENCE_TAGS = ("feat2d", "feat3d", "contact", "detector")
 
+# ISS detector: neighbourhood radius of the scatter matrix, radius of the
+# non-maximum suppression, the eigenvalue-ratio bounds l2/l1 and l3/l2, and
+# the fewest points (self included) a neighbourhood must hold.
+SALIENT_RADIUS = 6.0
+NONMAX_RADIUS = 4.0
+GAMMA21 = 0.975
+GAMMA32 = 0.975
+MIN_NEIGHBORS = 10
+# Descriptor support radius and the Lowe ratio of the matcher.
+DESCRIBE_RADIUS = 8.0
+MATCH_RATIO = 0.8
+
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
-    """Homogeneous set of 3D point pairs (source -> target) with one tag.
-
-    ``weight`` is a uniform nonnegative multiplier applied to every pair
-    when the set enters an alignment solve.
-    """
+    """Homogeneous set of 3D point pairs (source -> target) with one tag."""
 
     source: np.ndarray
     target: np.ndarray
     tag: str
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.tag not in CORRESPONDENCE_TAGS:
             raise ValueError(f"unknown tag {self.tag!r}")
-        if self.weight < 0.0:
-            raise ValueError("weight must be nonnegative")
         src = np.asarray(self.source, dtype=np.float64).reshape(-1, 3)
         tgt = np.asarray(self.target, dtype=np.float64).reshape(-1, 3)
         if src.shape != tgt.shape:
@@ -71,31 +76,14 @@ class Keypoint:
         )
 
 
-@dataclass(frozen=True)
-class FeatureParams:
-    salient_radius: float = 6.0
-    nonmax_radius: float = 4.0
-    gamma21: float = 0.975
-    gamma32: float = 0.975
-    min_neighbors: int = 10
-    describe_radius: float = 8.0
-    ratio: float = 0.8
-
-
-def detect_iss_keypoints(
-    cloud: PointCloud,
-    salient_radius: float = 6.0,
-    nonmax_radius: float = 4.0,
-    gamma21: float = 0.975,
-    gamma32: float = 0.975,
-    min_neighbors: int = 10,
-) -> list[Keypoint]:
+def detect_iss_keypoints(cloud: PointCloud) -> list[Keypoint]:
     """ISS keypoints of a cloud (which must carry normals for description).
 
-    A point qualifies when its scatter eigenvalues l1 >= l2 >= l3 satisfy
-    l2/l1 < gamma21 and l3/l2 < gamma32 with l3 > 0, and its l3 is maximal
-    among neighbors within ``nonmax_radius``. Output is sorted by position
-    so the result is invariant under point reordering.
+    A point qualifies when at least ``MIN_NEIGHBORS`` points lie within
+    ``SALIENT_RADIUS``, its scatter eigenvalues l1 >= l2 >= l3 satisfy
+    l2/l1 < ``GAMMA21`` and l3/l2 < ``GAMMA32`` with l3 > 0, and its l3 is
+    maximal among neighbors within ``NONMAX_RADIUS``. Output is sorted by
+    position so the result is invariant under point reordering.
     """
     if cloud.normals is None:
         raise ValueError("keypoint detection expects a cloud with normals")
@@ -107,7 +95,7 @@ def detect_iss_keypoints(
     canon = np.lexsort((cloud.points[:, 2], cloud.points[:, 1], cloud.points[:, 0]))
     pts = cloud.points[canon]
     tree = cKDTree(pts)
-    pairs = tree.query_pairs(salient_radius, output_type="ndarray")
+    pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
     # Accumulate neighborhood first and second moments (self included).
     counts = np.ones(n)
     s1 = pts.copy()
@@ -126,10 +114,10 @@ def detect_iss_keypoints(
     l3 = np.maximum(l3, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = (
-            (counts >= min_neighbors)
+            (counts >= MIN_NEIGHBORS)
             & (l1 > 0.0)
-            & (l2 / np.maximum(l1, 1e-300) < gamma21)
-            & (l3 / np.maximum(l2, 1e-300) < gamma32)
+            & (l2 / np.maximum(l1, 1e-300) < GAMMA21)
+            & (l3 / np.maximum(l2, 1e-300) < GAMMA32)
             & (l3 > 0.0)
         )
     if not np.any(ok):
@@ -139,7 +127,7 @@ def detect_iss_keypoints(
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], l3))] = np.arange(n)
     keep = ok.copy()
-    nms_pairs = tree.query_pairs(nonmax_radius, output_type="ndarray")
+    nms_pairs = tree.query_pairs(NONMAX_RADIUS, output_type="ndarray")
     if len(nms_pairs):
         a, b = nms_pairs[:, 0], nms_pairs[:, 1]
         both = ok[a] & ok[b]
@@ -156,23 +144,22 @@ N_LUM_BINS = 8
 
 
 def describe(
-    cloud: PointCloud,
-    keypoint: Keypoint,
-    radius: float = 8.0,
-    tree: cKDTree | None = None,
+    cloud: PointCloud, keypoint: Keypoint, tree: cKDTree | None = None
 ) -> np.ndarray:
     """L2-normalized local histogram descriptor at a keypoint.
 
-    Bins neighbors within ``radius`` by (radial shell, angle between the
-    neighbor normal and the keypoint normal); appends a luminance
-    histogram when the cloud has colors. A keypoint with no neighbors gets
+    Bins neighbors within ``DESCRIBE_RADIUS`` by (radial shell, angle
+    between the neighbor normal and the keypoint normal); appends a
+    luminance histogram when the cloud has colors. A keypoint with no neighbors gets
     the all-zero descriptor.
     """
     if cloud.normals is None:
         raise ValueError("descriptor needs normals")
     if tree is None:
         tree = cKDTree(cloud.points)
-    nbr = np.asarray(tree.query_ball_point(keypoint.position, radius), dtype=np.int64)
+    nbr = np.asarray(
+        tree.query_ball_point(keypoint.position, DESCRIBE_RADIUS), dtype=np.int64
+    )
     size = N_SHELLS * N_ANGLE_BINS + (N_LUM_BINS if cloud.colors is not None else 0)
     desc = np.zeros(size)
     if nbr.size == 0:
@@ -185,7 +172,7 @@ def describe(
     # when the support shifts by a fraction of a shell, which is exactly
     # what happens when the same physical feature is re-detected a
     # millimeter off in another view.
-    sc = dist / (radius / N_SHELLS) - 0.5
+    sc = dist / (DESCRIBE_RADIUS / N_SHELLS) - 0.5
     ac = (cosang + 1.0) * 0.5 * N_ANGLE_BINS - 0.5
     s0 = np.floor(sc).astype(np.int64)
     a0 = np.floor(ac).astype(np.int64)
@@ -206,9 +193,9 @@ def describe(
     return desc
 
 
-def _describe_all(cloud: PointCloud, keypoints: list[Keypoint], radius: float) -> np.ndarray:
+def _describe_all(cloud: PointCloud, keypoints: list[Keypoint]) -> np.ndarray:
     tree = cKDTree(cloud.points)
-    return np.array([describe(cloud, kp, radius, tree) for kp in keypoints])
+    return np.array([describe(cloud, kp, tree) for kp in keypoints])
 
 
 def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:
@@ -231,33 +218,17 @@ def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:
     return out
 
 
-def match_feat3d(
-    source: PointCloud, target: PointCloud, params: FeatureParams = FeatureParams()
-) -> CorrespondenceSet:
+def match_feat3d(source: PointCloud, target: PointCloud) -> CorrespondenceSet:
     """Mutual-NN descriptor matches between two clouds (tag ``feat3d``)."""
-    kps = detect_iss_keypoints(
-        source,
-        params.salient_radius,
-        params.nonmax_radius,
-        params.gamma21,
-        params.gamma32,
-        params.min_neighbors,
-    )
-    kpt = detect_iss_keypoints(
-        target,
-        params.salient_radius,
-        params.nonmax_radius,
-        params.gamma21,
-        params.gamma32,
-        params.min_neighbors,
-    )
+    kps = detect_iss_keypoints(source)
+    kpt = detect_iss_keypoints(target)
     if not kps or not kpt:
         return CorrespondenceSet(np.empty((0, 3)), np.empty((0, 3)), "feat3d")
-    ds = _describe_all(source, kps, params.describe_radius)
-    dt = _describe_all(target, kpt, params.describe_radius)
+    ds = _describe_all(source, kps)
+    dt = _describe_all(target, kpt)
     dmat = cdist(ds, dt)
-    fwd = _nn_with_ratio(dmat, params.ratio)
-    bwd = _nn_with_ratio(dmat.T, params.ratio)
+    fwd = _nn_with_ratio(dmat, MATCH_RATIO)
+    bwd = _nn_with_ratio(dmat.T, MATCH_RATIO)
     src_pts, tgt_pts = [], []
     for i, j in enumerate(fwd):
         if j >= 0 and bwd[j] == i:

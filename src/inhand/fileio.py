@@ -269,9 +269,12 @@ def read_ply(path) -> PointCloud | TriangleMesh:
         colors = (
             np.column_stack([vertex_data[n] for n in ("red", "green", "blue")]) / 255.0
         )
-    if faces is not None:
-        return TriangleMesh(points, faces, normals=normals)
-    return PointCloud(points, normals=normals, colors=colors)
+    try:
+        if faces is not None:
+            return TriangleMesh(points, faces, normals=normals)
+        return PointCloud(points, normals=normals, colors=colors)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +295,10 @@ def save_hand_model(hand: PosedHand, path) -> None:
 
 def load_hand_model(path) -> tuple[tuple[str, ...], frozenset[str]]:
     payload = _load_json(path, HAND_SCHEMA)
-    return tuple(payload["bone_labels"]), frozenset(payload["end_effectors"])
+    try:
+        return tuple(payload["bone_labels"]), frozenset(payload["end_effectors"])
+    except (KeyError, TypeError) as exc:
+        raise FileFormatError(f"{path}: bad hand model ({exc})") from None
 
 
 def save_detector_boxes(boxes, path) -> None:
@@ -476,6 +482,12 @@ class SequenceManifest:
             raise ManifestError("smoothing iterations must be nonnegative")
         if self.hand_model is None and any(f.hand_path for f in self.frames):
             raise ManifestError("frames carry hand files but no hand model is set")
+        for a, b in zip(self.frames, self.frames[1:]):
+            if b.index <= a.index:
+                raise ManifestError(
+                    f"frame index {b.index} follows {a.index}; "
+                    "frame indices must strictly increase"
+                )
 
 
 def _rel(path: Path | None, root: Path) -> str | None:
@@ -609,6 +621,13 @@ def _empty_hand() -> PosedHand:
     return PosedHand(np.empty((0, 3)), (), frozenset({"none"}))
 
 
+def _read_cloud(path) -> PointCloud:
+    data = read_ply(path)
+    if isinstance(data, TriangleMesh):
+        raise FileFormatError(f"{path}: expected a point cloud, got a mesh")
+    return data
+
+
 def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
     """Materialize every frame of the manifest for registration.
 
@@ -622,14 +641,18 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
         model = load_hand_model(manifest.hand_model)
     frames = []
     for mf in manifest.frames:
-        cloud = read_ply(mf.object_path)
-        if isinstance(cloud, TriangleMesh):
-            raise FileFormatError(f"{mf.object_path}: expected a point cloud, got a mesh")
+        cloud = _read_cloud(mf.object_path)
         if cloud.normals is None:
             cloud = estimate_normals(cloud)
         if mf.hand_path is not None:
+            hand_points = _read_cloud(mf.hand_path).points
             labels, effectors = model
-            hand_pose = PosedHand(read_ply(mf.hand_path).points, labels, effectors)
+            try:
+                hand_pose = PosedHand(hand_points, labels, effectors)
+            except ValueError as exc:
+                raise FileFormatError(
+                    f"{mf.hand_path}: does not fit {manifest.hand_model} ({exc})"
+                ) from None
         else:
             hand_pose = _empty_hand()
         feat2d = (

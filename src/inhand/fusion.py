@@ -17,27 +17,29 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from ._mc_tables import CORNER_OFFSETS, EDGE_ANCHORS, TRI_TABLE
 from .errors import EmptyInputError, EmptyMeshError, OpenMeshError
 from .geometry import PointCloud, RigidTransform, _freeze
 
+# Truncation band half-width, in voxels.
+TRUNCATION_VOXELS = 3.0
+# Surface components with fewer than this fraction of the triangles are dropped.
+MIN_COMPONENT_FRACTION = 0.01
+# Step size of one Laplacian smoothing iteration.
+SMOOTH_LAMBDA = 0.5
+
 
 class TsdfVolume:
     """Cubic truncated-signed-distance volume.
 
-    ``tsdf`` is normalized to [-1, 1] (signed distance over truncation),
-    initialized to +1 (free space); ``weights`` start at 0 (unobserved).
+    ``tsdf`` is normalized to [-1, 1] (signed distance over truncation,
+    ``TRUNCATION_VOXELS`` voxels), initialized to +1 (free space);
+    ``weights`` start at 0 (unobserved).
     """
 
-    def __init__(
-        self,
-        center,
-        side_mm: float = 350.0,
-        resolution: int = 256,
-        truncation: float | None = None,
-    ):
+    def __init__(self, center, side_mm: float = 350.0, resolution: int = 256):
         if side_mm <= 0.0 or resolution < 2:
             raise ValueError("side_mm must be positive and resolution >= 2")
         self.center = np.asarray(center, dtype=np.float64).reshape(3)
@@ -46,9 +48,7 @@ class TsdfVolume:
         self.voxel_size = self.side_mm / self.resolution
         if self.voxel_size > 6.0:
             raise ValueError(f"voxel size {self.voxel_size:.2f} mm exceeds the 6 mm cap")
-        self.truncation = 3.0 * self.voxel_size if truncation is None else float(truncation)
-        if self.truncation <= 0.0:
-            raise ValueError("truncation must be positive")
+        self.truncation = TRUNCATION_VOXELS * self.voxel_size
         # Position of the (0,0,0) voxel center.
         self.origin = self.center - self.side_mm / 2.0 + self.voxel_size / 2.0
         shape = (self.resolution,) * 3
@@ -183,15 +183,15 @@ def _vertex_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return out / np.where(norms > 0.0, norms, 1.0)
 
 
-def _prune_components(vertices, triangles, min_fraction=0.01):
-    """Drop connected components carrying fewer than ``min_fraction`` of triangles."""
+def _prune_components(vertices, triangles):
+    """Drop connected components below ``MIN_COMPONENT_FRACTION`` of the triangles."""
     nv, nt = len(vertices), len(triangles)
     e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
     adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
     _, labels = connected_components(adj, directed=False)
     tri_labels = labels[triangles[:, 0]]
     counts = np.bincount(tri_labels)
-    keep_labels = np.nonzero(counts >= min_fraction * nt)[0]
+    keep_labels = np.nonzero(counts >= MIN_COMPONENT_FRACTION * nt)[0]
     keep = np.isin(tri_labels, keep_labels)
     triangles = triangles[keep]
     used = np.unique(triangles)
@@ -200,7 +200,7 @@ def _prune_components(vertices, triangles, min_fraction=0.01):
     return vertices[used], remap[triangles]
 
 
-def extract_mesh(vol: TsdfVolume, min_component_fraction: float = 0.01) -> TriangleMesh:
+def extract_mesh(vol: TsdfVolume) -> TriangleMesh:
     """Marching cubes over the zero level set of the fused volume.
 
     Only cells whose eight corner voxels all carry positive weight are
@@ -257,16 +257,18 @@ def extract_mesh(vol: TsdfVolume, min_component_fraction: float = 0.01) -> Trian
     # The raw table winding faces the negative (inside) region; flip so
     # triangle normals point outward.
     triangles = triangles[:, ::-1]
-    vertices, triangles = _prune_components(vertices, triangles, min_component_fraction)
+    vertices, triangles = _prune_components(vertices, triangles)
     if len(triangles) == 0:
         raise EmptyMeshError("all surface components fell below the size threshold")
     return TriangleMesh(vertices, triangles, _vertex_normals(vertices, triangles))
 
 
-def laplacian_smooth(mesh: TriangleMesh, iterations: int, lam: float = 0.5) -> TriangleMesh:
-    """Uniform-weight Laplacian smoothing: v <- v + lam * (neighbor mean - v)."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie in (0, 1)")
+def laplacian_smooth(mesh: TriangleMesh, iterations: int) -> TriangleMesh:
+    """Uniform-weight Laplacian smoothing.
+
+    Each iteration moves every vertex by ``v <- v + SMOOTH_LAMBDA *
+    (neighbor mean - v)``.
+    """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     if iterations == 0:
@@ -282,7 +284,7 @@ def laplacian_smooth(mesh: TriangleMesh, iterations: int, lam: float = 0.5) -> T
         acc = np.zeros_like(verts)
         np.add.at(acc, edges[:, 0], verts[edges[:, 1]])
         np.add.at(acc, edges[:, 1], verts[edges[:, 0]])
-        verts += lam * (acc / degree[:, None] - verts)
+        verts += SMOOTH_LAMBDA * (acc / degree[:, None] - verts)
     normals = None
     if mesh.normals is not None:
         normals = _vertex_normals(verts, mesh.triangles)
@@ -349,12 +351,10 @@ def measure_dimensions(mesh: TriangleMesh, probes) -> dict[str, float]:
                     f"probe {probe.name!r}: slice plane misses the mesh"
                 )
             if len(pts) > 400:
-                from scipy.spatial import ConvexHull
-
                 keep = np.delete(np.arange(3), probe.axis)
                 try:
                     pts = pts[ConvexHull(pts[:, keep]).vertices]
-                except Exception:
+                except QhullError:
                     pass  # nearly collinear slice: fall through to all pairs
             diff = pts[:, None, :] - pts[None, :, :]
             out[probe.name] = float(np.sqrt((diff**2).sum(-1)).max())

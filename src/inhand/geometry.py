@@ -94,10 +94,6 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_axis_angle(axis, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        return RigidTransform(rotation_about_axis(axis, angle_rad), np.asarray(translation, dtype=np.float64))
-
     def apply(self, points) -> np.ndarray:
         """Transform a single point ``(3,)`` or a stack ``(N, 3)``."""
         p = np.asarray(points, dtype=np.float64)
@@ -116,9 +112,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         r = self.rotation.T
         return RigidTransform(r, -(r @ self.translation))
-
-    def rotation_angle_rad(self) -> float:
-        return rotation_angle_rad(self.rotation)
 
 
 @dataclass(frozen=True)

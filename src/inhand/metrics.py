@@ -174,14 +174,11 @@ class SweepResult:
     """Dimension errors across a grid of contact weights.
 
     ``cells`` holds one entry per (gamma, probe); ``normalized_errors``
-    holds, per gamma, the normalized mean over that gamma's length
-    probes.  Construction re-derives every normalized value from the
-    cells and rejects a mismatch, so the summary column can always be
-    recomputed from the raw table.
+    derives, per gamma, the normalized mean over that gamma's length
+    probes from those cells.
     """
 
     gammas: tuple[float, ...]
-    normalized_errors: tuple[float, ...]
     cells: tuple[ProbeCell, ...]
 
     def __post_init__(self) -> None:
@@ -189,35 +186,19 @@ class SweepResult:
             raise ValueError("a sweep needs at least one gamma")
         if any(b <= a for a, b in zip(self.gammas, self.gammas[1:])):
             raise ValueError("gamma values must be strictly increasing")
-        if len(self.normalized_errors) != len(self.gammas):
-            raise ValueError("need exactly one normalized error per gamma")
         known = set(self.gammas)
         if any(c.gamma not in known for c in self.cells):
             raise ValueError("cell gamma not in the gamma grid")
-        for gamma, stored in zip(self.gammas, self.normalized_errors):
-            recomputed = normalized_mean_error(self.cells_at(gamma))
-            if not _same_float(stored, recomputed):
-                raise ValueError(
-                    f"normalized error at gamma={gamma:g} is {stored!r} but "
-                    f"recomputes to {recomputed!r} from the cells"
-                )
+
+    @property
+    def normalized_errors(self) -> tuple[float, ...]:
+        """Per gamma, :func:`normalized_mean_error` over that gamma's cells."""
+        return tuple(normalized_mean_error(self.cells_at(g)) for g in self.gammas)
 
     def cells_at(self, gamma: float) -> tuple[ProbeCell, ...]:
         """All probe cells measured at one gamma."""
         gamma = float(gamma)
         return tuple(c for c in self.cells if c.gamma == gamma)
-
-    def error_at(self, gamma: float) -> float:
-        """Normalized mean error at one gamma of the grid."""
-        gamma = float(gamma)
-        for g, err in zip(self.gammas, self.normalized_errors):
-            if g == gamma:
-                return err
-        raise KeyError(f"gamma {gamma:g} not in sweep grid")
-
-
-def _same_float(a: float, b: float) -> bool:
-    return (math.isnan(a) and math.isnan(b)) or a == b
 
 
 def run_gamma_sweep(
@@ -281,16 +262,12 @@ def run_gamma_sweep(
     else:
         measurements = [measure(g) for g in grid]
 
-    cells: list[ProbeCell] = []
-    norms: list[float] = []
-    for gamma, measured in zip(grid, measurements):
-        row = [
-            ProbeCell(gamma, p.name, p.kind, float(expected[p.name]), measured[p.name])
-            for p in probes
-        ]
-        cells.extend(row)
-        norms.append(normalized_mean_error(row))
-    return SweepResult(grid, tuple(norms), tuple(cells))
+    cells = tuple(
+        ProbeCell(gamma, p.name, p.kind, float(expected[p.name]), measured[p.name])
+        for gamma, measured in zip(grid, measurements)
+        for p in probes
+    )
+    return SweepResult(grid, cells)
 
 
 def _measure_at_gamma(

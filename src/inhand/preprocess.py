@@ -1,9 +1,9 @@
-"""Frame ingestion: working-volume clipping and normal estimation.
+"""Frame ingestion: normal estimation and the per-frame record types.
 
 Input frames are camera-space clouds already segmented into object and
-hand parts. A fixed axis-aligned working volume in front of the sensor
-discards background; normals come from local PCA oriented toward the
-sensor origin.
+hand parts. Clouds without stored normals get them from local PCA
+oriented toward the sensor origin; points outside the TSDF cube are
+dropped at integration, not here.
 """
 
 from __future__ import annotations
@@ -14,38 +14,6 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, InsufficientPointsError
 from .geometry import PointCloud, SpatialIndex, _freeze
-
-
-@dataclass(frozen=True)
-class WorkingVolume:
-    """Inclusive axis-aligned box, camera frame, millimeters."""
-
-    min_corner: np.ndarray
-    max_corner: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = np.asarray(self.min_corner, dtype=np.float64).reshape(3)
-        hi = np.asarray(self.max_corner, dtype=np.float64).reshape(3)
-        if not np.all(lo < hi):
-            raise ValueError("min_corner must be strictly below max_corner on every axis")
-        object.__setattr__(self, "min_corner", _freeze(lo))
-        object.__setattr__(self, "max_corner", _freeze(hi))
-
-    def contains(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        return np.all((p >= self.min_corner) & (p <= self.max_corner), axis=1)
-
-
-# Desk-scale scanning volume in front of the sensor.
-DEFAULT_WORKING_VOLUME = WorkingVolume(
-    min_corner=(-100.0, -140.0, 400.0),
-    max_corner=(100.0, 220.0, 1000.0),
-)
-
-
-def clip_volume(cloud: PointCloud, volume: WorkingVolume = DEFAULT_WORKING_VOLUME) -> PointCloud:
-    """Keep points inside the (inclusive) volume, preserving order and channels."""
-    return cloud.select(volume.contains(cloud.points))
 
 
 def estimate_normals(cloud: PointCloud, k: int = 16) -> PointCloud:

@@ -147,7 +147,7 @@ def sparse_energy(
     for cs in sets:
         if len(cs) == 0:
             continue
-        w = (gamma_t if cs.tag in _GAMMA_TAGS else 1.0) * cs.weight
+        w = gamma_t if cs.tag in _GAMMA_TAGS else 1.0
         if w == 0.0:
             continue
         res = transform.apply(cs.source) - cs.target
@@ -166,7 +166,7 @@ def align_sparse(
     """
     sources, targets, weights = [], [], []
     for cs in sets:
-        w = config.set_weight(cs.tag) * cs.weight
+        w = config.set_weight(cs.tag)
         if len(cs) == 0 or w == 0.0:
             continue
         sources.append(cs.source)

@@ -31,6 +31,19 @@ from .preprocess import DetectorBox, SegmentedFrame, estimate_normals
 
 DEFAULT_CENTER = np.array([0.0, 0.0, 550.0])
 
+# Tumble motion: rotation axis through the object center and per-frame
+# translation drift (mm) of every generated sequence.
+TUMBLE_AXIS = (1.0, 0.0, 0.0)
+TUMBLE_DRIFT_MM = (0.3, -0.25, 0.2)
+# Viewing directions sweep a full circle of azimuth.  That is what closes
+# the fused surface: visibility uses a strict ``dot < 0`` test, so a half
+# sweep never fires for normals pointing along the mid-sweep azimuth and
+# leaves an uncovered crescent behind the object.
+AZIMUTH_SWEEP_DEG = 360.0
+# Small elevation oscillation of the viewing direction over the sequence.
+ELEVATION_DEG = 3.0
+ELEVATION_CYCLES = 3
+
 # Bowling-pin revolve profile: raised-cosine bumps for belly and head,
 # tapered to zero radius at both poles.
 _PIN_BODY_T, _PIN_BODY_W = 0.35, 0.45
@@ -361,10 +374,9 @@ def _hex_disc(radius: float, spacing: float) -> np.ndarray:
     return np.array(pts)
 
 
-def build_hand(obj: SyntheticObjectSpec, hand: HandSpec = HandSpec(), center=DEFAULT_CENTER):
+def build_hand(obj: SyntheticObjectSpec, hand: HandSpec = HandSpec()):
     """Canonical PosedHand: one pad on each pole, conformed to the surface."""
     surface = obj.surface()
-    center = np.asarray(center, dtype=np.float64)
     disc = _hex_disc(hand.pad_radius, hand.pad_spacing)
     verts, labels = [], []
     for label, pole in zip(hand.labels, (1.0, -1.0)):
@@ -377,7 +389,7 @@ def build_hand(obj: SyntheticObjectSpec, hand: HandSpec = HandSpec(), center=DEF
         v = np.cross(n, u)
         raw = anchor[None, :] + disc[:, :1] * u[None, :] + disc[:, 1:] * v[None, :]
         surf_pts, surf_n = surface.project(raw)
-        pad = surf_pts + hand.standoff * surf_n + center
+        pad = surf_pts + hand.standoff * surf_n + DEFAULT_CENTER
         verts.append(pad)
         labels.extend([label] * len(pad))
     return PosedHand(np.vstack(verts), tuple(labels), frozenset(hand.labels))
@@ -421,36 +433,22 @@ class MotionScript:
 
     @classmethod
     def tumble(
-        cls,
-        n_frames: int,
-        deg_per_frame: float = 6.0,
-        axis=(1.0, 0.0, 0.0),
-        center=DEFAULT_CENTER,
-        drift_mm=(0.3, -0.25, 0.2),
-        sigma: float = 0.5,
-        seed: int = 0,
-        azimuth_sweep_deg: float = 360.0,
-        elevation_deg: float = 3.0,
-        elevation_cycles: int = 3,
+        cls, n_frames: int, deg_per_frame: float = 6.0, sigma: float = 0.5, seed: int = 0
     ):
-        """Rotation about an axis through the object center plus slow drift.
+        """Rotation about ``TUMBLE_AXIS`` through the object center plus slow drift.
 
-        View directions sweep ``azimuth_sweep_deg`` of azimuth with a small
-        oscillating elevation.  The full 360-degree default is what closes
-        the fused surface: visibility uses a strict ``dot < 0`` test, so a
-        half sweep never fires for normals pointing along the mid-sweep
-        azimuth and leaves an uncovered crescent behind the object.
+        View directions sweep ``AZIMUTH_SWEEP_DEG`` of azimuth with a small
+        oscillating elevation.
         """
-        center = np.asarray(center, dtype=np.float64)
-        drift = np.asarray(drift_mm, dtype=np.float64)
+        drift = np.asarray(TUMBLE_DRIFT_MM, dtype=np.float64)
         transforms, dirs = [], []
         for k in range(n_frames):
-            rot = rotation_about_axis(axis, math.radians(deg_per_frame * k))
-            trans = center - rot @ center + k * drift
+            rot = rotation_about_axis(TUMBLE_AXIS, math.radians(deg_per_frame * k))
+            trans = DEFAULT_CENTER - rot @ DEFAULT_CENTER + k * drift
             transforms.append(RigidTransform(rot, trans))
-            theta = math.radians(azimuth_sweep_deg) * k / n_frames
-            phi = math.radians(elevation_deg) * math.sin(
-                2.0 * math.pi * elevation_cycles * k / n_frames + 0.7
+            theta = math.radians(AZIMUTH_SWEEP_DEG) * k / n_frames
+            phi = math.radians(ELEVATION_DEG) * math.sin(
+                2.0 * math.pi * ELEVATION_CYCLES * k / n_frames + 0.7
             )
             dirs.append(
                 (
@@ -476,7 +474,6 @@ class Annotation:
 class GroundTruth:
     """Everything the generator knows that the pipeline must recover."""
 
-    object_spec: SyntheticObjectSpec
     center: np.ndarray
     motions: tuple[RigidTransform, ...]
     world_poses: tuple[RigidTransform, ...]
@@ -510,10 +507,9 @@ def _occluded(points: np.ndarray, pad_vertices: np.ndarray, view_dir: np.ndarray
     return out
 
 
-def standard_probes(obj: SyntheticObjectSpec, center=DEFAULT_CENTER):
+def standard_probes(obj: SyntheticObjectSpec):
     """Dimension probes for a reconstructed mesh of this object, plus truth."""
-    center = np.asarray(center, dtype=np.float64)
-    cz = float(center[2])
+    cz = float(DEFAULT_CENTER[2])
     if obj.shape == "sphere":
         d = obj.dimensions[0]
         probes = (
@@ -613,7 +609,6 @@ def generate_sequence(
     motion: MotionScript,
     hand: HandSpec = HandSpec(),
     *,
-    center=DEFAULT_CENTER,
     texture_count: int = 0,
     texture_seed: int = 0,
     annotate_every: int = 10,
@@ -629,15 +624,14 @@ def generate_sequence(
     """
     if hand_sigma < 0.0:
         raise ValueError("hand_sigma must be nonnegative")
-    center = np.asarray(center, dtype=np.float64)
     rng = np.random.default_rng(motion.seed)
     surface = obj.surface()
     n = max(int(round(surface.area * obj.density)), 800)
     local_pts, local_nrm = surface.sample(n, rng)
-    canonical = PointCloud(local_pts + center, normals=local_nrm)
+    canonical = PointCloud(local_pts + DEFAULT_CENTER, normals=local_nrm)
     if texture_count:
         canonical = add_texture_features(canonical, texture_count, texture_seed)
-    hand_canonical = build_hand(obj, hand, center)
+    hand_canonical = build_hand(obj, hand)
 
     frames: list[SegmentedFrame] = []
     camera_dirs, visible_indices = [], []
@@ -672,13 +666,12 @@ def generate_sequence(
     annotations = _make_annotations(
         canonical, hand_canonical, motion, rng, annotate_every, annotations_per_pair
     )
-    probes, expected = standard_probes(obj, center)
+    probes, expected = standard_probes(obj)
     world_poses = tuple(
         motion.transforms[0].compose(t.inverse()) for t in motion.transforms
     )
     truth = GroundTruth(
-        object_spec=obj,
-        center=center,
+        center=DEFAULT_CENTER,
         motions=tuple(motion.transforms),
         world_poses=world_poses,
         camera_dirs=tuple(camera_dirs),

@@ -9,7 +9,7 @@ import pytest
 
 from inhand import cli
 from inhand.errors import DivergenceError
-from inhand.fileio import load_ground_truth, load_manifest, read_ply
+from inhand.fileio import load_ground_truth, load_manifest, read_ply, write_ply
 from inhand.fusion import TriangleMesh
 from inhand.geometry import PointCloud
 
@@ -69,6 +69,50 @@ def tree_digest(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def truncate_object(work):
+    bad = work / "frames" / "frame_001_object.ply"
+    bad.write_bytes(bad.read_bytes()[:-20])
+    return bad.name
+
+
+def hand_with_faces(work):
+    bad = work / "frames" / "frame_002_hand.ply"
+    write_ply(bad, TriangleMesh([[0, 0, 500], [1, 0, 500], [0, 1, 500]], [[0, 1, 2]]))
+    return bad.name
+
+
+def hand_missing_a_vertex(work):
+    bad = work / "frames" / "frame_002_hand.ply"
+    write_ply(bad, PointCloud(read_ply(bad).points[:-1]))
+    return bad.name
+
+
+def hand_model_without_end_effectors(work):
+    bad = work / "hand_model.json"
+    payload = json.loads(bad.read_text())
+    del payload["end_effectors"]
+    bad.write_text(json.dumps(payload))
+    return bad.name
+
+
+def object_with_long_normals(work):
+    bad = work / "frames" / "frame_001_object.ply"
+    cloud = read_ply(bad)
+    rows = [
+        " ".join(f"{v:.9g}" for v in (*p, *(2.0 * n)))
+        for p, n in zip(cloud.points, cloud.normals)
+    ]
+    header = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(rows)}",
+        *(f"property float {c}" for c in ("x", "y", "z", "nx", "ny", "nz")),
+        "end_header",
+    ]
+    bad.write_text("\n".join(header + rows) + "\n")
+    return bad.name
 
 
 def edited_copy(seq_dir, tmp_path, mutate):
@@ -187,13 +231,62 @@ class TestReconstruct:
         assert "meshing failed" in capsys.readouterr().err
 
     def test_corrupt_frame_file_reported(self, seq_dir, tmp_path, capsys):
-        work = tmp_path / "seq_bad"
-        shutil.copytree(seq_dir, work)
-        bad = work / "frames" / "frame_001_object.ply"
-        bad.write_bytes(bad.read_bytes()[:-20])
-        code = run_cli("reconstruct", work / "manifest.json")
+        for corrupt in (
+            truncate_object,
+            hand_with_faces,
+            hand_missing_a_vertex,
+            hand_model_without_end_effectors,
+            object_with_long_normals,
+        ):
+            work = tmp_path / corrupt.__name__
+            shutil.copytree(seq_dir, work)
+            name = corrupt(work)
+            code = run_cli("reconstruct", work / "manifest.json")
+            assert code == cli.EXIT_INPUT, corrupt.__name__
+            assert name in capsys.readouterr().err, corrupt.__name__
+
+    def test_duplicate_frame_index_refused(self, seq_dir, tmp_path, capsys):
+        def relabel(payload):
+            payload["frames"][2]["index"] = 1
+
+        work = edited_copy(seq_dir, tmp_path, relabel)
+        code = run_cli("reconstruct", work / "manifest.json", "--out", tmp_path / "out")
         assert code == cli.EXIT_INPUT
-        assert "frame_001_object.ply" in capsys.readouterr().err
+        assert "strictly increase" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "mesh.ply").exists()
+
+    def test_negative_gamma_override_rejected(self, seq_dir, tmp_path, capsys):
+        code = run_cli(
+            "reconstruct", seq_dir / "manifest.json", "--gamma-t", "-1", "--out", tmp_path
+        )
+        assert code == cli.EXIT_USAGE
+        assert "--gamma-t" in capsys.readouterr().err
+
+    def test_overrides_reach_the_report(self, seq_dir, tmp_path):
+        code = run_cli(
+            "reconstruct",
+            seq_dir / "manifest.json",
+            "--gamma-t",
+            "5",
+            "--use-detector",
+            "--no-icp",
+            "--out",
+            tmp_path,
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"] == {
+            "gamma_t": 5.0,
+            "use_contact": True,
+            "use_detector": True,
+            "use_icp": False,
+        }
+        records = [
+            json.loads(line)
+            for line in (tmp_path / "trajectory.jsonl").read_text().splitlines()
+        ]
+        assert len(records) == 6
+        assert all(r["icp_rms"] is None for r in records)
 
 
 class TestEval:

@@ -5,8 +5,12 @@ import pytest
 
 from inhand.errors import MatchFileParseError
 from inhand.features import (
+    GAMMA21,
+    GAMMA32,
+    MIN_NEIGHBORS,
+    NONMAX_RADIUS,
+    SALIENT_RADIUS,
     CorrespondenceSet,
-    FeatureParams,
     Keypoint,
     describe,
     detect_iss_keypoints,
@@ -108,11 +112,12 @@ class TestDetect:
         pts = cube_surface(pitch=2.0, side=12.0)
         pts = pts + rng.normal(scale=0.05, size=pts.shape)
         nrm = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        kps = detect_iss_keypoints(
-            PointCloud(pts, normals=nrm), 6.0, 4.0, 0.975, 0.975, min_neighbors=5
-        )
+        kps = detect_iss_keypoints(PointCloud(pts, normals=nrm))
         got = {tuple(np.round(kp.position, 9)) for kp in kps}
-        want = brute_force_iss(pts, 6.0, 4.0, 0.975, 0.975, min_neighbors=5)
+        want = brute_force_iss(
+            pts, SALIENT_RADIUS, NONMAX_RADIUS, GAMMA21, GAMMA32, MIN_NEIGHBORS
+        )
+        assert len(want) == 9
         assert got == want
 
     def test_reorder_invariance(self):
@@ -140,7 +145,7 @@ class TestDescribe:
         nrm = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
         cloud = PointCloud(pts, normals=nrm)
         center = int(np.argmin(np.linalg.norm(pts, axis=1)))
-        d = describe(cloud, Keypoint(pts[center], 1.0, center), radius=8.0)
+        d = describe(cloud, Keypoint(pts[center], 1.0, center))
         grid = d[:32].reshape(4, 8)
         # cos(angle) = 1 for every neighbor -> highest angle bin per shell.
         assert grid[:, :7].sum() == 0.0
@@ -154,19 +159,19 @@ class TestDescribe:
         assert kps, "test needs at least one keypoint"
         for kp in kps:
             kp_moved = Keypoint(t.apply(kp.position), kp.saliency, kp.index)
-            d0 = describe(cloud, kp, radius=8.0)
-            d1 = describe(moved, kp_moved, radius=8.0)
+            d0 = describe(cloud, kp)
+            d1 = describe(moved, kp_moved)
             assert np.linalg.norm(d0 - d1) < 1e-6
 
     def test_no_neighbors_zero_descriptor(self):
         cloud = PointCloud(np.zeros((1, 3)), normals=np.array([[0.0, 0.0, 1.0]]))
-        d = describe(cloud, Keypoint(np.array([100.0, 0.0, 0.0]), 1.0, 0), radius=8.0)
+        d = describe(cloud, Keypoint(np.array([100.0, 0.0, 0.0]), 1.0, 0))
         np.testing.assert_array_equal(d, np.zeros(32))
 
     def test_unit_norm_or_zero(self):
         cloud = blobby_cloud(seed=44, n=1200)
         for kp in detect_iss_keypoints(cloud)[:8]:
-            d = describe(cloud, kp, radius=8.0)
+            d = describe(cloud, kp)
             assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
 
     def test_luminance_bins_appended_when_colored(self):
@@ -175,7 +180,7 @@ class TestDescribe:
         nrm = np.tile([0.0, 0.0, 1.0], (200, 1))
         col = rng.uniform(0, 1, (200, 3))
         cloud = PointCloud(pts, normals=nrm, colors=col)
-        d = describe(cloud, Keypoint(pts[0], 1.0, 0), radius=8.0)
+        d = describe(cloud, Keypoint(pts[0], 1.0, 0))
         assert d.shape == (40,)
 
     def test_deterministic(self):
@@ -241,10 +246,6 @@ class TestCorrespondenceSet:
     def test_tag_checked(self):
         with pytest.raises(ValueError):
             CorrespondenceSet(np.zeros((1, 3)), np.zeros((1, 3)), "bogus")
-
-    def test_weight_nonnegative(self):
-        with pytest.raises(ValueError):
-            CorrespondenceSet(np.zeros((1, 3)), np.zeros((1, 3)), "contact", weight=-1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -240,7 +240,7 @@ class TestLaplacianSmooth:
             sphere_mesh.vertices + radial * rng.uniform(-1.0, 1.0, (len(radial), 1)),
             sphere_mesh.triangles,
         )
-        smoothed = laplacian_smooth(noisy, 10, 0.5)
+        smoothed = laplacian_smooth(noisy, 10)
 
         def radial_rms(mesh):
             r = np.linalg.norm(mesh.vertices, axis=1)
@@ -249,7 +249,7 @@ class TestLaplacianSmooth:
         assert radial_rms(smoothed) < radial_rms(noisy)
 
     def test_counts_and_topology_preserved(self, sphere_mesh):
-        out = laplacian_smooth(sphere_mesh, 3, 0.4)
+        out = laplacian_smooth(sphere_mesh, 3)
         assert len(out.vertices) == len(sphere_mesh.vertices)
         np.testing.assert_array_equal(out.triangles, sphere_mesh.triangles)
 
@@ -258,7 +258,7 @@ class TestLaplacianSmooth:
         # One simultaneous update: every strictly interior vertex averages
         # to itself on the regular grid. Further iterations would let the
         # shrinking boundary pull the interior inward.
-        out = laplacian_smooth(mesh, 1, 0.5)
+        out = laplacian_smooth(mesh, 1)
         n = 8
         interior = [
             i * n + j for i in range(1, n - 1) for j in range(1, n - 1)
@@ -266,10 +266,6 @@ class TestLaplacianSmooth:
         np.testing.assert_allclose(
             out.vertices[interior], mesh.vertices[interior], atol=1e-9
         )
-
-    def test_bad_lambda(self, sphere_mesh):
-        with pytest.raises(ValueError):
-            laplacian_smooth(sphere_mesh, 1, 1.5)
 
 
 class TestMeasureDimensions:

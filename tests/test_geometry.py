@@ -50,8 +50,8 @@ class TestRigidTransform:
     def test_compose_rotations_about_z(self):
         # Rz(30 deg) o Rz(60 deg) = Rz(90 deg):
         # Rz(90) = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
-        a = RigidTransform.from_axis_angle((0, 0, 1), np.deg2rad(30))
-        b = RigidTransform.from_axis_angle((0, 0, 1), np.deg2rad(60))
+        a = RigidTransform(rotation_about_axis((0, 0, 1), np.deg2rad(30)), np.zeros(3))
+        b = RigidTransform(rotation_about_axis((0, 0, 1), np.deg2rad(60)), np.zeros(3))
         c = a.compose(b)
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(c.rotation, expected, atol=1e-12)
@@ -137,7 +137,9 @@ class TestBackProject:
 class TestSolveWeightedRigid:
     def test_exact_recovery_three_points(self):
         src = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
-        t = RigidTransform.from_axis_angle((0, 0, 1), np.deg2rad(25.0), (5.0, -3.0, 2.0))
+        t = RigidTransform(
+            rotation_about_axis((0, 0, 1), np.deg2rad(25.0)), np.array([5.0, -3.0, 2.0])
+        )
         est = solve_weighted_rigid(src, t.apply(src))
         np.testing.assert_allclose(est.rotation, t.rotation, atol=1e-9)
         np.testing.assert_allclose(est.translation, t.translation, atol=1e-9)
@@ -274,7 +276,7 @@ class TestPointCloud:
         cloud = PointCloud(
             np.array([[1.0, 0.0, 0.0]]), normals=np.array([[1.0, 0.0, 0.0]])
         )
-        t = RigidTransform.from_axis_angle((0, 0, 1), np.pi / 2, (0, 0, 5))
+        t = RigidTransform(rotation_about_axis((0, 0, 1), np.pi / 2), np.array([0.0, 0.0, 5.0]))
         moved = cloud.transformed(t)
         np.testing.assert_allclose(moved.points, [[0.0, 1.0, 5.0]], atol=1e-12)
         np.testing.assert_allclose(moved.normals, [[0.0, 1.0, 0.0]], atol=1e-12)

@@ -133,38 +133,24 @@ class TestSweepResult:
     def test_gammas_must_strictly_increase(self):
         cells = self.good_cells()
         with pytest.raises(ValueError, match="strictly increasing"):
-            SweepResult((15.0, 0.0), (0.01, 0.1), cells)
+            SweepResult((15.0, 0.0), cells)
         with pytest.raises(ValueError, match="strictly increasing"):
-            SweepResult((0.0, 0.0), (0.1, 0.1), cells)
+            SweepResult((0.0, 0.0), cells)
 
     def test_needs_at_least_one_gamma(self):
         with pytest.raises(ValueError, match="at least one gamma"):
-            SweepResult((), (), ())
-
-    def test_one_normalized_error_per_gamma(self):
-        with pytest.raises(ValueError, match="per gamma"):
-            SweepResult((0.0, 15.0), (0.1,), self.good_cells())
-
-    def test_normalized_errors_must_recompute_from_cells(self):
-        cells = self.good_cells()
-        with pytest.raises(ValueError, match="recomputes"):
-            SweepResult((0.0, 15.0), (0.1, 0.5), cells)
-        norms = tuple(normalized_mean_error([c]) for c in cells)
-        ok = SweepResult((0.0, 15.0), norms, cells)
-        assert ok.error_at(15.0) == pytest.approx(0.01)
+            SweepResult((), ())
 
     def test_cells_must_belong_to_the_grid(self):
         stray = (ProbeCell(7.0, "height", "extent", 30.0, 33.0),)
         with pytest.raises(ValueError, match="grid"):
-            SweepResult((0.0,), (float("nan"),), stray)
+            SweepResult((0.0,), stray)
 
     def test_lookup_helpers(self):
         cells = self.good_cells()
-        norms = tuple(normalized_mean_error([c]) for c in cells)
-        result = SweepResult((0.0, 15.0), norms, cells)
+        result = SweepResult((0.0, 15.0), cells)
         assert [c.gamma for c in result.cells_at(0.0)] == [0.0]
-        with pytest.raises(KeyError):
-            result.error_at(5.0)
+        assert result.normalized_errors == (pytest.approx(0.1), pytest.approx(0.01))
 
 
 class TestRunGammaSweep:
@@ -177,7 +163,8 @@ class TestRunGammaSweep:
 
     def test_contact_weight_shrinks_dimension_error(self):
         _, _, result = sweep_fixture()
-        assert result.error_at(15.0) < result.error_at(0.0)
+        errors = dict(zip(result.gammas, result.normalized_errors))
+        assert errors[15.0] < errors[0.0]
 
     def test_failed_volume_cell_recorded_and_sweep_continues(self):
         _, _, result = sweep_fixture()
@@ -205,7 +192,7 @@ class TestRunGammaSweep:
         by_name = {c.probe: c for c in result.cells_at(15.0)}
         assert math.isnan(by_name["phantom"].measured)
         assert math.isfinite(by_name["height"].measured)
-        assert math.isnan(result.error_at(15.0))
+        assert math.isnan(dict(zip(result.gammas, result.normalized_errors))[15.0])
 
     def test_no_registered_pair_fails_every_cell(self, monkeypatch):
         frames, truth, _ = sweep_fixture()
@@ -225,7 +212,7 @@ class TestRunGammaSweep:
             smooth_iterations=2,
         )
         assert all(math.isnan(c.measured) for c in result.cells)
-        assert math.isnan(result.error_at(15.0))
+        assert math.isnan(dict(zip(result.gammas, result.normalized_errors))[15.0])
 
     def test_sweep_is_deterministic(self):
         frames, truth, result = sweep_fixture()

@@ -1,48 +1,11 @@
-"""Working-volume clipping and PCA normal estimation."""
+"""PCA normal estimation."""
 
 import numpy as np
 import pytest
 
 from inhand.errors import DegenerateConfigurationError, InsufficientPointsError
 from inhand.geometry import PointCloud
-from inhand.preprocess import (
-    DEFAULT_WORKING_VOLUME,
-    WorkingVolume,
-    clip_volume,
-    estimate_normals,
-)
-
-
-class TestClipVolume:
-    def test_default_volume_bounds(self):
-        np.testing.assert_array_equal(DEFAULT_WORKING_VOLUME.min_corner, [-100, -140, 400])
-        np.testing.assert_array_equal(DEFAULT_WORKING_VOLUME.max_corner, [100, 220, 1000])
-
-    def test_inclusive_boundary_kept(self):
-        # A point exactly on the boundary stays in.
-        cloud = PointCloud(np.array([[100.0, 220.0, 1000.0], [100.0001, 0.0, 500.0]]))
-        clipped = clip_volume(cloud)
-        np.testing.assert_array_equal(clipped.points, [[100.0, 220.0, 1000.0]])
-
-    def test_order_and_channels_preserved(self):
-        pts = np.array([[0, 0, 500], [0, 0, 2000], [10, 10, 450], [0, -300, 500]], dtype=float)
-        normals = np.tile([0.0, 0.0, -1.0], (4, 1))
-        colors = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9], [1.0, 0.0, 0.0]])
-        clipped = clip_volume(PointCloud(pts, normals=normals, colors=colors))
-        np.testing.assert_array_equal(clipped.points, [[0, 0, 500], [10, 10, 450]])
-        np.testing.assert_array_equal(clipped.colors, [[0.1, 0.2, 0.3], [0.7, 0.8, 0.9]])
-        assert clipped.normals.shape == (2, 3)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(3)
-        cloud = PointCloud(rng.uniform(-300, 1200, (500, 3)))
-        once = clip_volume(cloud)
-        twice = clip_volume(once)
-        np.testing.assert_array_equal(once.points, twice.points)
-
-    def test_invalid_volume(self):
-        with pytest.raises(ValueError):
-            WorkingVolume((0, 0, 10), (1, 1, 5))
+from inhand.preprocess import estimate_normals
 
 
 class TestEstimateNormals:

@@ -49,7 +49,7 @@ def rigid(axis, deg, trans):
 def transform_gap(a: RigidTransform, b: RigidTransform):
     """(rotation angle in degrees, translation distance) between two poses."""
     delta = a.compose(b.inverse())
-    return math.degrees(delta.rotation_angle_rad()), float(
+    return math.degrees(rotation_angle_rad(delta.rotation)), float(
         np.linalg.norm(a.translation - b.translation)
     )
 
@@ -118,22 +118,6 @@ class TestAlignSparse:
         with pytest.raises(UnderConstrainedError):
             align_sparse([cs])
 
-    def test_uniform_weight_scaling_is_a_no_op(self):
-        rng = np.random.default_rng(3)
-        motion_a = rigid((1, 1, 0), 6.0, (0.5, 1.0, -0.5))
-        motion_b = rigid((0, 1, 1), -3.0, (2.0, 0.0, 0.0))
-        visual, _ = make_pair_sets(rng, motion_a)
-        _, contact = make_pair_sets(rng, motion_b)
-        scaled = [
-            CorrespondenceSet(visual.source, visual.target, "feat3d", weight=3.7),
-            CorrespondenceSet(contact.source, contact.target, "contact", weight=3.7),
-        ]
-        cfg = RegistrationConfig(gamma_t=15.0)
-        base = align_sparse([visual, contact], cfg)
-        same = align_sparse(scaled, cfg)
-        np.testing.assert_allclose(same.rotation, base.rotation, atol=1e-9)
-        np.testing.assert_allclose(same.translation, base.translation, atol=1e-9)
-
 
 class TestRefineIcp:
     def make_metascan(self, cloud=None, voxel=0.8):
@@ -148,7 +132,7 @@ class TestRefineIcp:
         assert len(result.rms_history) < 20
         err = np.linalg.norm(result.transform.translation + shift)
         assert err < 1e-3
-        assert math.degrees(result.transform.rotation_angle_rad()) < 0.01
+        assert math.degrees(rotation_angle_rad(result.transform.rotation)) < 0.01
 
     def test_identity_on_exact_overlap(self):
         scan = self.make_metascan()
