@@ -61,15 +61,7 @@ class ContactState:
     """Result of contact inference for one frame."""
 
     contact_bones: frozenset[str]
-    contact_vertices: np.ndarray  # indices into the hand's vertex array
     threshold_used: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "contact_vertices",
-            _freeze(np.asarray(self.contact_vertices, dtype=np.int64).reshape(-1)),
-        )
 
 
 def detect_contacts(hand: PosedHand, object_cloud: PointCloud) -> ContactState:
@@ -84,14 +76,10 @@ def detect_contacts(hand: PosedHand, object_cloud: PointCloud) -> ContactState:
     """
     index = SpatialIndex(object_cloud)
     effector_bones = sorted(hand.end_effectors)
-    bone_indices = {b: hand.bone_vertex_indices(b) for b in effector_bones}
     bone_dists = {}
-    for b, vi in bone_indices.items():
-        if len(vi) == 0:
-            bone_dists[b] = np.empty(0)
-        else:
-            _, d = index.nearest_many(hand.vertices[vi])
-            bone_dists[b] = d
+    for b in effector_bones:
+        vi = hand.bone_vertex_indices(b)
+        bone_dists[b] = index.nearest_many(hand.vertices[vi])[1] if len(vi) else np.empty(0)
     threshold = START_THRESHOLD
     while threshold <= THRESHOLD_CAP + 1e-12:
         bones = [
@@ -99,9 +87,7 @@ def detect_contacts(hand: PosedHand, object_cloud: PointCloud) -> ContactState:
             if int((bone_dists[b] < threshold).sum()) > MIN_CANDIDATE_VERTICES
         ]
         if len(bones) >= MIN_BONES:
-            vertices = np.concatenate([bone_indices[b] for b in bones])
-            vertices.sort()
-            return ContactState(frozenset(bones), vertices, threshold)
+            return ContactState(frozenset(bones), threshold)
         threshold += THRESHOLD_STEP
     raise NoContactError(
         f"no {MIN_BONES} bones with >{MIN_CANDIDATE_VERTICES} candidate vertices "

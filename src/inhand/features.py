@@ -5,8 +5,9 @@ eigenvalues are sufficiently anisotropic, surviving non-maximum
 suppression on the smallest eigenvalue. The descriptor is a rigid-motion
 invariant histogram over a spherical support: 4 radial shells x 8 bins of
 the angle between neighbor normals and the keypoint normal, plus an
-optional 8-bin luminance histogram when colors are present. Matching is
-mutual nearest neighbor with a Lowe-style ratio test.
+optional 8-bin luminance histogram when colors are present. A cloud is
+described once (:func:`describe_cloud`); :func:`match_feat3d` pairs two
+descriptions by mutual nearest neighbor with a Lowe-style ratio test.
 
 2D feature matches (e.g. from an external image matcher) arrive through a
 plain-text sidecar, one match per line: ``u v depth u' v' depth'`` with
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import EmptyInputError, MatchFileParseError
+from .errors import MatchFileParseError
 from .geometry import CameraIntrinsics, PointCloud, _freeze, back_project_many
 
 CORRESPONDENCE_TAGS = ("feat2d", "feat3d", "contact", "detector")
@@ -218,56 +219,46 @@ def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:
     return out
 
 
-def match_feat3d(source: PointCloud, target: PointCloud) -> CorrespondenceSet:
-    """Mutual-NN descriptor matches between two clouds (tag ``feat3d``)."""
-    kps = detect_iss_keypoints(source)
-    kpt = detect_iss_keypoints(target)
-    if not kps or not kpt:
+def describe_cloud(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only keypoint positions ``(k, 3)`` and their descriptors ``(k, d)``."""
+    keypoints = detect_iss_keypoints(cloud)
+    positions = np.array([kp.position for kp in keypoints]).reshape(-1, 3)
+    return _freeze(positions), _freeze(_describe_all(cloud, keypoints))
+
+
+def match_feat3d(source: tuple, target: tuple) -> CorrespondenceSet:
+    """Mutual-NN matches (tag ``feat3d``) of two :func:`describe_cloud` results."""
+    (ps, ds), (pt, dt) = source, target
+    if len(ps) == 0 or len(pt) == 0:
         return CorrespondenceSet(np.empty((0, 3)), np.empty((0, 3)), "feat3d")
-    ds = _describe_all(source, kps)
-    dt = _describe_all(target, kpt)
     dmat = cdist(ds, dt)
     fwd = _nn_with_ratio(dmat, MATCH_RATIO)
     bwd = _nn_with_ratio(dmat.T, MATCH_RATIO)
-    src_pts, tgt_pts = [], []
-    for i, j in enumerate(fwd):
-        if j >= 0 and bwd[j] == i:
-            src_pts.append(kps[i].position)
-            tgt_pts.append(kpt[j].position)
-    if not src_pts:
-        return CorrespondenceSet(np.empty((0, 3)), np.empty((0, 3)), "feat3d")
-    return CorrespondenceSet(np.array(src_pts), np.array(tgt_pts), "feat3d")
+    i = np.flatnonzero(fwd >= 0)
+    i = i[bwd[fwd[i]] == i]
+    return CorrespondenceSet(ps[i], pt[fwd[i]], "feat3d")
 
 
 def parse_feat2d_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a match sidecar: returns (pixel_pairs (N,4), src_depths, tgt_depths).
 
     Each data line is ``u v depth u' v' depth'``; ``#`` starts a comment.
-    Malformed lines raise with their 1-based line number.
+    Malformed lines raise with the file name and their 1-based line number.
     """
-    pairs, src_d, tgt_d = [], [], []
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    rows = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        if len(fields) != 6:
-            raise MatchFileParseError(
-                f"expected 6 fields (u v depth u' v' depth'), got {len(fields)}", lineno
-            )
         try:
-            values = [float(f) for f in fields]
+            u, v, depth, u2, v2, depth2 = map(float, line.split())
         except ValueError:
-            raise MatchFileParseError(f"non-numeric field in {fields!r}", lineno) from None
-        pairs.append([values[0], values[1], values[3], values[4]])
-        src_d.append(values[2])
-        tgt_d.append(values[5])
-    return (
-        np.asarray(pairs, dtype=np.float64).reshape(-1, 4),
-        np.asarray(src_d, dtype=np.float64),
-        np.asarray(tgt_d, dtype=np.float64),
-    )
+            raise MatchFileParseError(
+                f"{path}: expected 6 numbers (u v depth u' v' depth'), got {line!r}", lineno
+            ) from None
+        rows.append((u, v, u2, v2, depth, depth2))
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
+    return table[:, :4], table[:, 4], table[:, 5]
 
 
 def load_feat2d(

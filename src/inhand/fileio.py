@@ -237,23 +237,21 @@ def read_ply(path) -> PointCloud | TriangleMesh:
                     vertex_data[name] = table[name].astype(np.float64)
         elif element["name"] == "face":
             if fmt == "ascii":
-                rows = []
-                for _ in range(count):
-                    n = int(tokens[cursor])
-                    if n != 3:
-                        raise FileFormatError(f"{path}: only triangular faces supported")
-                    rows.append([int(t) for t in tokens[cursor + 1 : cursor + 4]])
-                    cursor += 4
-                faces = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+                block = tokens[cursor : cursor + count * 4]
+                cursor += count * 4
+                if len(block) != count * 4:
+                    raise FileFormatError(f"{path}: truncated face data")
+                table = np.array(block, dtype=np.int64).reshape(count, 4)
+                sides, faces = table[:, 0], table[:, 1:]
             else:
                 fdtype = np.dtype([("n", "u1"), ("v", "<i4", (3,))])
                 if cursor + count * fdtype.itemsize > len(body):
                     raise FileFormatError(f"{path}: truncated face data")
                 table = np.frombuffer(body, dtype=fdtype, count=count, offset=cursor)
                 cursor += count * fdtype.itemsize
-                if count and not (table["n"] == 3).all():
-                    raise FileFormatError(f"{path}: only triangular faces supported")
-                faces = table["v"].astype(np.int64)
+                sides, faces = table["n"], table["v"].astype(np.int64)
+            if not (sides == 3).all():
+                raise FileFormatError(f"{path}: only triangular faces supported")
         else:
             raise FileFormatError(f"{path}: unsupported element {element['name']!r}")
 

@@ -219,11 +219,13 @@ def run_gamma_sweep(
 
     Each gamma gets a fresh registration, TSDF fusion at ``volume_center``,
     mesh extraction, smoothing, and probe measurement against the
-    ``expected`` ground-truth dimensions.  A pipeline failure at some
-    gamma (no frame pair registered, say, or a single unmeasurable probe,
-    e.g. volume of an open mesh) is recorded as a NaN cell and the sweep
-    continues.  Gamma cells are independent, so ``threads > 1`` runs them
-    concurrently with results identical to the serial order.
+    ``expected`` ground-truth dimensions; the frames' features and contact
+    states, cached on the frames, are shared by every gamma.  A pipeline
+    failure at some gamma (no frame pair registered, say, or a single
+    unmeasurable probe, e.g. volume of an open mesh) is recorded as a NaN
+    cell and the sweep continues.  Gamma cells are independent, so
+    ``threads > 1`` runs them concurrently with results identical to the
+    serial order.
     """
     frames = list(frames)
     probes = tuple(probes)

@@ -3,17 +3,24 @@
 Input frames are camera-space clouds already segmented into object and
 hand parts. Clouds without stored normals get them from local PCA
 oriented toward the sensor origin; points outside the TSDF cube are
-dropped at integration, not here.
+dropped at integration, not here. A frame computes its own 3D features
+and contact state once, for every pair it takes part in.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, InsufficientPointsError
+from .contact import ContactState, PosedHand, detect_contacts
+from .errors import DegenerateConfigurationError, InsufficientPointsError, NoContactError
+from .features import describe_cloud
 from .geometry import PointCloud, SpatialIndex, _freeze
+
+log = logging.getLogger(__name__)
 
 
 def estimate_normals(cloud: PointCloud, k: int = 16) -> PointCloud:
@@ -82,10 +89,29 @@ class SegmentedFrame:
     ``feat2d_matches`` holds pixel matches against the previous frame as a
     tuple ``(pixel_pairs (N, 4), source_depths (N,), target_depths (N,))``;
     ``detector_boxes`` is a tuple of :class:`DetectorBox`.
+
+    :attr:`features` and :attr:`contact` depend on this frame alone: each
+    is computed on first use and cached, so every pair, gamma and energy
+    configuration shares it; :func:`dataclasses.replace` starts a new cache.
+    Threads first using a frame at once may both compute it, to equal values.
     """
 
     frame_index: int
     object_cloud: PointCloud
-    hand_pose: "PosedHand"  # noqa: F821 - defined in inhand.contact
+    hand_pose: PosedHand
     feat2d_matches: tuple | None = None
     detector_boxes: tuple[DetectorBox, ...] | None = None
+
+    @cached_property
+    def features(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keypoint positions and descriptors of the object cloud."""
+        return describe_cloud(self.object_cloud)
+
+    @cached_property
+    def contact(self) -> ContactState | None:
+        """The hand's contact state, or None when no contact is found."""
+        try:
+            return detect_contacts(self.hand_pose, self.object_cloud)
+        except NoContactError as exc:
+            log.warning("frame %d: %s; contact term dropped", self.frame_index, exc)
+            return None

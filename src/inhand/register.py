@@ -6,6 +6,8 @@ sets (2D feature matches, 3D feature matches, hand-contact pairs, and
 optionally detector-box pairs).  The result is composed with the previous
 frame's world pose and then refined by point-to-point ICP against the
 metascan — the running accumulation of every previously registered cloud.
+Keypoints, descriptors and contact states belong to one frame and are
+cached on it (:class:`SegmentedFrame`); a pair only matches them.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import contact_correspondences, detect_contacts
+from .contact import contact_correspondences
 from .errors import (
     DegenerateConfigurationError,
     DivergenceError,
     EmptyInputError,
-    NoContactError,
     UnderConstrainedError,
 )
 from .features import CorrespondenceSet, load_feat2d, match_feat3d
@@ -263,8 +264,12 @@ def build_correspondences(
     config: RegistrationConfig,
     intrinsics: CameraIntrinsics | None = None,
 ) -> list[CorrespondenceSet]:
-    """All sparse sets aligning ``curr`` (source) to ``prev`` (target)."""
-    sets = [match_feat3d(curr.object_cloud, prev.object_cloud)]
+    """All sparse sets aligning ``curr`` (source) to ``prev`` (target).
+
+    Only pairs what each frame caches (``features``, ``contact``); the
+    contact set is left out when either frame has no contact state.
+    """
+    sets = [match_feat3d(curr.features, prev.features)]
     if (
         curr.feat2d_matches is not None
         and intrinsics is not None
@@ -272,18 +277,10 @@ def build_correspondences(
     ):
         pixel_pairs, src_d, tgt_d = curr.feat2d_matches
         sets.append(load_feat2d(pixel_pairs, src_d, tgt_d, intrinsics))
-    if config.use_contact and config.gamma_t > 0.0:
-        try:
-            curr_state = detect_contacts(curr.hand_pose, curr.object_cloud)
-            prev_state = detect_contacts(prev.hand_pose, prev.object_cloud)
-        except NoContactError as exc:
-            log.warning("frame %d: %s; contact term dropped", curr.frame_index, exc)
-        else:
-            sets.append(
-                contact_correspondences(
-                    curr.hand_pose, prev.hand_pose, curr_state, prev_state
-                )
-            )
+    if config.use_contact and config.gamma_t > 0.0 and curr.contact and prev.contact:
+        sets.append(
+            contact_correspondences(curr.hand_pose, prev.hand_pose, curr.contact, prev.contact)
+        )
     if config.use_detector and intrinsics is not None:
         sets.append(detector_correspondences(curr, prev, intrinsics))
     return sets

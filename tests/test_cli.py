@@ -115,6 +115,24 @@ def object_with_long_normals(work):
     return bad.name
 
 
+def hand_faces_cut_short(work):
+    bad = work / "frames" / "frame_001_hand.ply"
+    mesh = TriangleMesh([[0, 0, 500], [1, 0, 500], [0, 1, 500]], [[0, 1, 2]])
+    write_ply(bad, mesh, binary=False)
+    bad.write_text(bad.read_text().rsplit("\n", 2)[0] + "\n")  # drop the face line
+    return bad.name
+
+
+def feat2d_line_cut_short(work):
+    bad = work / "frames" / "frame_001_feat2d.txt"
+    bad.write_text("0 0 500 1 1 500\n1 2 3\n")
+    manifest = work / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["frames"][1]["feat2d"] = "frames/" + bad.name
+    manifest.write_text(json.dumps(payload))
+    return bad.name
+
+
 def edited_copy(seq_dir, tmp_path, mutate):
     """Copy the sequence directory and rewrite its manifest JSON."""
     work = tmp_path / "seq_copy"
@@ -237,6 +255,8 @@ class TestReconstruct:
             hand_missing_a_vertex,
             hand_model_without_end_effectors,
             object_with_long_normals,
+            hand_faces_cut_short,
+            feat2d_line_cut_short,
         ):
             work = tmp_path / corrupt.__name__
             shutil.copytree(seq_dir, work)

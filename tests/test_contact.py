@@ -93,11 +93,6 @@ class TestDetectContacts:
             assert state.threshold_used == pytest.approx(1.0 + 0.5 * steps)
             assert state.threshold_used >= 1.0
 
-    def test_contact_vertices_cover_whole_bones(self):
-        cloud = plane_cloud()
-        state = detect_contacts(two_finger_hand(), cloud)
-        assert len(state.contact_vertices) == 90  # 45 + 45, all bone vertices
-
 
 class TestContactCorrespondences:
     def test_bone_intersection(self):
@@ -109,8 +104,8 @@ class TestContactCorrespondences:
         effectors = frozenset({"thumb_tip", "index_tip", "middle_tip"})
         src = PosedHand(verts, labels, effectors)
         tgt = PosedHand(verts + 5.0, labels, effectors)
-        s_state = ContactState(frozenset({"thumb_tip", "index_tip"}), np.arange(2 * n), 1.0)
-        t_state = ContactState(frozenset({"thumb_tip", "middle_tip"}), np.arange(n), 1.0)
+        s_state = ContactState(frozenset({"thumb_tip", "index_tip"}), 1.0)
+        t_state = ContactState(frozenset({"thumb_tip", "middle_tip"}), 1.0)
         cs = contact_correspondences(src, tgt, s_state, t_state)
         assert len(cs) == n
         np.testing.assert_array_equal(cs.source, verts[:n])
@@ -123,8 +118,8 @@ class TestContactCorrespondences:
         labels = ("thumb_tip",) * n + ("index_tip",) * n
         eff = frozenset({"thumb_tip", "index_tip"})
         hand = PosedHand(verts, labels, eff)
-        a = ContactState(frozenset({"thumb_tip"}), np.arange(n), 1.0)
-        b = ContactState(frozenset({"index_tip"}), np.arange(n, 2 * n), 1.0)
+        a = ContactState(frozenset({"thumb_tip"}), 1.0)
+        b = ContactState(frozenset({"index_tip"}), 1.0)
         assert len(contact_correspondences(hand, hand, a, b)) == 0
 
     def test_count_sums_per_bone_counts(self):
@@ -133,7 +128,7 @@ class TestContactCorrespondences:
         labels = ("thumb_tip",) * na + ("index_tip",) * nb
         eff = frozenset({"thumb_tip", "index_tip"})
         hand = PosedHand(verts, labels, eff)
-        both = ContactState(eff, np.arange(na + nb), 1.5)
+        both = ContactState(eff, 1.5)
         cs = contact_correspondences(hand, hand, both, both)
         assert len(cs) == na + nb
 
@@ -143,6 +138,6 @@ class TestContactCorrespondences:
         hand0 = two_finger_hand()
         t = RigidTransform(rotation_about_axis((0, 1, 0), 0.1), np.array([3.0, -2.0, 1.0]))
         hand1 = PosedHand(t.apply(hand0.vertices), hand0.bone_labels, hand0.end_effectors)
-        state = ContactState(hand0.end_effectors, np.arange(len(hand0.vertices)), 1.0)
+        state = ContactState(hand0.end_effectors, 1.0)
         cs = contact_correspondences(hand1, hand0, state, state)
         np.testing.assert_allclose(t.inverse().apply(cs.source), cs.target, atol=1e-9)

@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from inhand.errors import MatchFileParseError
 from inhand.features import (
     GAMMA21,
     GAMMA32,
+    MATCH_RATIO,
     MIN_NEIGHBORS,
     NONMAX_RADIUS,
     SALIENT_RADIUS,
     CorrespondenceSet,
     Keypoint,
     describe,
+    describe_cloud,
     detect_iss_keypoints,
     load_feat2d,
     match_feat3d,
@@ -55,6 +58,18 @@ def brute_force_iss(pts, salient_radius, nonmax_radius, g21, g32, min_neighbors)
         if all(keys[i] > keys[j] for j in nbrs):
             keep.append(i)
     return {tuple(np.round(pts[i], 9)) for i in keep}
+
+
+def brute_force_matches(ds, dt, ratio):
+    """Independent loop oracle: index pairs that are mutual ratio-test winners."""
+
+    def winner(row):
+        order = sorted(range(len(row)), key=lambda j: row[j])
+        return order[0] if row[order[0]] < ratio * row[order[1]] else None
+
+    fwd = [winner(row) for row in cdist(ds, dt)]
+    bwd = [winner(row) for row in cdist(dt, ds)]
+    return [(i, j) for i, j in enumerate(fwd) if j is not None and bwd[j] == i]
 
 
 def cube_surface(pitch=1.0, side=20.0):
@@ -194,7 +209,7 @@ class TestDescribe:
 class TestMatch:
     def test_self_match_is_identity(self):
         cloud = blobby_cloud(seed=47, n=2500)
-        matches = match_feat3d(cloud, cloud)
+        matches = match_feat3d(describe_cloud(cloud), describe_cloud(cloud))
         assert len(matches) > 0
         np.testing.assert_allclose(matches.source, matches.target, atol=1e-12)
 
@@ -202,7 +217,8 @@ class TestMatch:
         cloud = blobby_cloud(seed=48, n=3000)
         t = RigidTransform(rotation_about_axis((0, 1, 0), np.deg2rad(6.0)), np.array([2.0, 1.0, -3.0]))
         moved = cloud.transformed(t)
-        matches = match_feat3d(moved, cloud)  # source = moved, target = original
+        # source = moved, target = original
+        matches = match_feat3d(describe_cloud(moved), describe_cloud(cloud))
         assert len(matches) >= 10
         est = solve_weighted_rigid(matches.source, matches.target)
         # est maps moved -> original, i.e. the inverse of t.
@@ -226,17 +242,29 @@ class TestMatch:
             (base - center) @ r.T + center + rng.normal(scale=0.5, size=base.shape),
             normals=dirs @ r.T,
         )
-        matches = match_feat3d(f1, f0)
+        matches = match_feat3d(describe_cloud(f1), describe_cloud(f0))
         if len(matches) >= 3:
             displacement = np.linalg.norm(matches.source - matches.target, axis=1)
             true_motion = 2 * 35.0 * np.sin(np.deg2rad(3.0))  # max surface shift ~3.7 mm
             assert displacement.mean() > 3 * true_motion
 
+    def test_mutual_matches_agree_with_loop_oracle(self):
+        rng = np.random.default_rng(51)
+        ds = rng.random((40, 8))
+        near = ds[rng.permutation(40)[:25]] + rng.normal(scale=0.05, size=(25, 8))
+        dt = np.vstack([near, rng.random((10, 8))])
+        ps, pt = rng.normal(size=(40, 3)), rng.normal(size=(35, 3))
+        pairs = brute_force_matches(ds, dt, MATCH_RATIO)
+        assert len(pairs) >= 10
+        matches = match_feat3d((ps, ds), (pt, dt))
+        np.testing.assert_array_equal(matches.source, ps[[i for i, _ in pairs]])
+        np.testing.assert_array_equal(matches.target, pt[[j for _, j in pairs]])
+
     def test_swap_symmetry(self):
         a = blobby_cloud(seed=50, n=2000)
         b = a.transformed(RigidTransform(rotation_about_axis((1, 0, 0), 0.05), np.array([1.0, 0.0, 0.0])))
-        ab = match_feat3d(a, b)
-        ba = match_feat3d(b, a)
+        ab = match_feat3d(describe_cloud(a), describe_cloud(b))
+        ba = match_feat3d(describe_cloud(b), describe_cloud(a))
         fwd = {(tuple(s), tuple(t)) for s, t in zip(np.round(ab.source, 9), np.round(ab.target, 9))}
         rev = {(tuple(t), tuple(s)) for s, t in zip(np.round(ba.source, 9), np.round(ba.target, 9))}
         assert fwd == rev

@@ -2,10 +2,13 @@
 
 import functools
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from inhand import contact, features
 from inhand.errors import DivergenceError, EmptyInputError
 from inhand.fusion import Probe
 from inhand.geometry import CameraIntrinsics
@@ -18,7 +21,12 @@ from inhand.metrics import (
     run_gamma_sweep,
     sweep_to_csv,
 )
-from inhand.register import RegistrationConfig, align_sparse, build_correspondences
+from inhand.register import (
+    RegistrationConfig,
+    align_sparse,
+    build_correspondences,
+    run_sequence,
+)
 from inhand.synth import (
     Annotation,
     MotionScript,
@@ -59,6 +67,20 @@ def sweep_fixture():
         smooth_iterations=2,
     )
     return frames, truth, result
+
+
+def count_calls(monkeypatch, original):
+    """Record each call to ``original`` in every inhand module that binds its name."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "inhand" and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, counted)
+    return calls
 
 
 def assert_results_identical(a, b):
@@ -213,6 +235,27 @@ class TestRunGammaSweep:
         )
         assert all(math.isnan(c.measured) for c in result.cells)
         assert math.isnan(dict(zip(result.gammas, result.normalized_errors))[15.0])
+
+    def test_each_frame_is_detected_once(self, monkeypatch):
+        # replace() copies the frames without their cached per-frame data.
+        frames = [replace(f) for f in sweep_fixture()[0]]
+        truth = sweep_fixture()[1]
+        keypoint_calls = count_calls(monkeypatch, features.detect_iss_keypoints)
+        contact_calls = count_calls(monkeypatch, contact.detect_contacts)
+        run_sequence(frames)
+        run_gamma_sweep(
+            frames,
+            truth.probes,
+            truth.expected,
+            (0.0, 5.0, 15.0),
+            volume_center=truth.center,
+            tsdf_side_mm=120.0,
+            tsdf_resolution=48,
+            smooth_iterations=2,
+        )
+        clouds = sorted(id(f.object_cloud) for f in frames)
+        assert sorted(id(cloud) for cloud, in keypoint_calls) == clouds
+        assert sorted(id(cloud) for _, cloud in contact_calls) == clouds
 
     def test_sweep_is_deterministic(self):
         frames, truth, result = sweep_fixture()
