@@ -206,6 +206,17 @@ def _parse_ply_header(raw: bytes, path) -> tuple[str, list, bytes]:
     return fmt, elements, raw[cut + len(marker):]
 
 
+def _ascii_table(tokens, cursor, count, width, dtype, path, what) -> np.ndarray:
+    """The ``count x width`` numbers of one ASCII PLY element, from ``tokens[cursor:]``."""
+    block = tokens[cursor : cursor + count * width]
+    if len(block) != count * width:
+        raise FileFormatError(f"{path}: truncated {what} data")
+    try:
+        return np.array(block, dtype=dtype).reshape(count, width)
+    except (ValueError, OverflowError) as exc:  # a token that is no number of dtype
+        raise FileFormatError(f"{path}: bad {what} data ({exc})") from None
+
+
 def read_ply(path) -> PointCloud | TriangleMesh:
     """Read a PLY file written by :func:`write_ply` or a compatible tool."""
     fmt, elements, body = _parse_ply_header(Path(path).read_bytes(), path)
@@ -219,12 +230,8 @@ def read_ply(path) -> PointCloud | TriangleMesh:
             if any(kind == "list" for kind, _ in props):
                 raise FileFormatError(f"{path}: list property on vertex element")
             if fmt == "ascii":
-                width = len(props)
-                block = tokens[cursor : cursor + count * width]
-                cursor += count * width
-                if len(block) != count * width:
-                    raise FileFormatError(f"{path}: truncated vertex data")
-                grid = np.array(block, dtype=np.float64).reshape(count, width)
+                grid = _ascii_table(tokens, cursor, count, len(props), np.float64, path, "vertex")
+                cursor += grid.size
                 for j, (_, name) in enumerate(props):
                     vertex_data[name] = grid[:, j]
             else:
@@ -237,11 +244,8 @@ def read_ply(path) -> PointCloud | TriangleMesh:
                     vertex_data[name] = table[name].astype(np.float64)
         elif element["name"] == "face":
             if fmt == "ascii":
-                block = tokens[cursor : cursor + count * 4]
-                cursor += count * 4
-                if len(block) != count * 4:
-                    raise FileFormatError(f"{path}: truncated face data")
-                table = np.array(block, dtype=np.int64).reshape(count, 4)
+                table = _ascii_table(tokens, cursor, count, 4, np.int64, path, "face")
+                cursor += table.size
                 sides, faces = table[:, 0], table[:, 1:]
             else:
                 fdtype = np.dtype([("n", "u1"), ("v", "<i4", (3,))])

@@ -1,12 +1,14 @@
 """TSDF fusion of registered clouds and surface extraction.
 
 The volume stores a truncated signed distance and an accumulation weight
-at every voxel center.  Registered clouds are integrated by updating all
-voxels within the truncation band of any point: the signed distance of a
-voxel is the projection of its offset from the nearest point onto that
-point's normal, so the zero level set tracks the observed surface.  The
-mesh is pulled out with the classic 256-case marching-cubes tables over
-cells whose eight corners have all been observed.
+for each observed voxel only, keyed by its linear id in the cubic grid;
+a voxel that no cloud has come near is absent.  Registered clouds are
+integrated by updating all voxels within the truncation band of any
+point: the signed distance of a voxel is the projection of its offset
+from the nearest point onto that point's normal, so the zero level set
+tracks the observed surface.  The mesh is pulled out with the classic
+256-case marching-cubes tables over cells whose eight corners have all
+been observed.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ SMOOTH_LAMBDA = 0.5
 
 
 class TsdfVolume:
-    """Cubic truncated-signed-distance volume.
+    """Cubic truncated-signed-distance volume that stores observed voxels only.
 
-    ``tsdf`` is normalized to [-1, 1] (signed distance over truncation,
-    ``TRUNCATION_VOXELS`` voxels), initialized to +1 (free space);
-    ``weights`` start at 0 (unobserved).
+    ``keys`` holds the sorted linear ids ``(i * res + j) * res + k`` of the
+    observed voxels; ``tsdf`` and ``weights`` are aligned with it.  ``tsdf``
+    is normalized to [-1, 1] (signed distance over truncation,
+    ``TRUNCATION_VOXELS`` voxels) and every stored weight is positive.  A
+    voxel absent from ``keys`` is unobserved: free space (+1) with weight 0.
     """
 
     def __init__(self, center, side_mm: float = 350.0, resolution: int = 256):
@@ -51,33 +55,46 @@ class TsdfVolume:
         self.truncation = TRUNCATION_VOXELS * self.voxel_size
         # Position of the (0,0,0) voxel center.
         self.origin = self.center - self.side_mm / 2.0 + self.voxel_size / 2.0
-        shape = (self.resolution,) * 3
-        self.tsdf = np.ones(shape, dtype=np.float64)
-        self.weights = np.zeros(shape, dtype=np.float64)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.tsdf = np.empty(0, dtype=np.float64)
+        self.weights = np.empty(0, dtype=np.float64)
 
     def voxel_centers(self, indices: np.ndarray) -> np.ndarray:
         return self.origin + np.asarray(indices, dtype=np.float64) * self.voxel_size
 
+    def voxel_indices(self, ids: np.ndarray) -> np.ndarray:
+        """``(n, 3)`` grid indices of linear voxel ids."""
+        return np.column_stack(np.unravel_index(ids, (self.resolution,) * 3))
+
+
+def _find(keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``ids`` in the sorted ``keys``, and which of them are stored."""
+    pos = np.searchsorted(keys, ids)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == ids[found]
+    return pos, found
+
 
 def _candidate_voxels(vol: TsdfVolume, points: np.ndarray) -> np.ndarray:
-    """Unique voxel indices whose centers can lie within truncation of a point."""
+    """Sorted unique linear ids of the voxels whose centers can lie within
+    truncation of a point."""
     reach = vol.truncation / vol.voxel_size + math.sqrt(3.0) / 2.0
     r = int(math.ceil(reach))
     axis = np.arange(-r, r + 1)
     offs = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     offs = offs[np.linalg.norm(offs, axis=1) <= reach]
     base = np.round((points - vol.origin) / vol.voxel_size).astype(np.int64)
-    cand = (base[:, None, :] + offs[None, :, :]).reshape(-1, 3)
-    ok = np.all((cand >= 0) & (cand < vol.resolution), axis=1)
-    cand = cand[ok]
-    if len(cand) == 0:
-        return cand
-    lin = (cand[:, 0] * vol.resolution + cand[:, 1]) * vol.resolution + cand[:, 2]
-    keep = np.unique(lin)
-    out = np.empty((len(keep), 3), dtype=np.int64)
-    out[:, 0], rem = divmod(keep, vol.resolution * vol.resolution)
-    out[:, 1], out[:, 2] = divmod(rem, vol.resolution)
-    return out
+    # Mark the candidates in a grid over the points' voxels padded by r on
+    # each side, so no offset wraps; many points share a base voxel.
+    lo = base.min(axis=0) - r
+    shape = base.max(axis=0) + r + 1 - lo
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    base_ids = np.unique((base - lo) @ strides)
+    grid = np.zeros(shape, dtype=bool)
+    grid.ravel()[(base_ids[:, None] + offs @ strides).ravel()] = True
+    cand = np.argwhere(grid) + lo
+    cand = cand[np.all((cand >= 0) & (cand < vol.resolution), axis=1)]
+    return np.ravel_multi_index(cand.T, (vol.resolution,) * 3)
 
 
 def integrate(vol: TsdfVolume, cloud: PointCloud, pose: RigidTransform) -> TsdfVolume:
@@ -100,25 +117,29 @@ def integrate(vol: TsdfVolume, cloud: PointCloud, pose: RigidTransform) -> TsdfV
     pts, nrm = pts[inside], nrm[inside]
     if len(pts) == 0:
         return vol
-    voxels = _candidate_voxels(vol, pts)
-    if len(voxels) == 0:
+    ids = _candidate_voxels(vol, pts)
+    if len(ids) == 0:
         return vol
-    centers = vol.voxel_centers(voxels)
+    centers = vol.voxel_centers(vol.voxel_indices(ids))
     dist, nearest = cKDTree(pts).query(centers)
     in_band = dist <= vol.truncation
-    voxels, centers, nearest = voxels[in_band], centers[in_band], nearest[in_band]
-    if len(voxels) == 0:
+    ids, centers, nearest = ids[in_band], centers[in_band], nearest[in_band]
+    if len(ids) == 0:
         return vol
     sd = np.einsum("ij,ij->i", centers - pts[nearest], nrm[nearest])
     sd = np.clip(sd / vol.truncation, -1.0, 1.0)
-    ix, iy, iz = voxels.T
-    w_old = vol.weights[ix, iy, iz]
-    t_old = vol.tsdf[ix, iy, iz]
-    # Unobserved voxels hold the free-space placeholder +1 with weight 0,
-    # so the average starts from the new sample alone.
+    # Newly observed voxels enter with the free-space placeholder +1 and
+    # weight 0, so the average starts from the new sample alone.
+    pos, found = _find(vol.keys, ids)
+    new = pos[~found]
+    vol.keys = np.insert(vol.keys, new, ids[~found])
+    vol.tsdf = np.insert(vol.tsdf, new, 1.0)
+    vol.weights = np.insert(vol.weights, new, 0.0)
+    at = np.searchsorted(vol.keys, ids)
+    w_old = vol.weights[at]
     w_new = w_old + 1.0
-    vol.tsdf[ix, iy, iz] = (t_old * w_old + sd) / w_new
-    vol.weights[ix, iy, iz] = w_new
+    vol.tsdf[at] = (vol.tsdf[at] * w_old + sd) / w_new
+    vol.weights[at] = w_new
     return vol
 
 
@@ -203,25 +224,25 @@ def _prune_components(vertices, triangles):
 def extract_mesh(vol: TsdfVolume) -> TriangleMesh:
     """Marching cubes over the zero level set of the fused volume.
 
-    Only cells whose eight corner voxels all carry positive weight are
+    Only cells whose eight corner voxels are all stored (observed) are
     polygonized; vertices are deduplicated across cells by global edge id
     and linearly interpolated along the crossing edge.
     """
     res = vol.resolution
-    inside = vol.tsdf < 0.0
-    observed = vol.weights > 0.0
-    n = res - 1
-    case = np.zeros((n, n, n), dtype=np.int32)
-    all_observed = np.ones((n, n, n), dtype=bool)
+    # Each observed voxel below the last slice on every axis anchors the
+    # cell it is the low corner of; sorted keys visit cells in C order.
+    cells = vol.keys[np.all(vol.voxel_indices(vol.keys) < res - 1, axis=1)]
+    case = np.zeros(len(cells), dtype=np.int32)
+    all_observed = np.ones(len(cells), dtype=bool)
     for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
-        corner_inside = inside[ox : ox + n, oy : oy + n, oz : oz + n]
-        case |= corner_inside.astype(np.int32) << bit
-        all_observed &= observed[ox : ox + n, oy : oy + n, oz : oz + n]
+        pos, found = _find(vol.keys, cells + (ox * res + oy) * res + oz)
+        all_observed &= found
+        case[found] |= (vol.tsdf[pos[found]] < 0.0).astype(np.int32) << bit
     active = (case != 0) & (case != 255) & all_observed
-    ix, iy, iz = np.nonzero(active)
-    if len(ix) == 0:
+    if not active.any():
         raise EmptyMeshError("no observed zero crossing in the volume")
-    cell_case = case[ix, iy, iz]
+    ix, iy, iz = np.unravel_index(cells[active], (res,) * 3)
+    cell_case = case[active]
 
     # Global id of each of the 12 cell edges: anchor grid point * 3 + axis.
     anchor = EDGE_ANCHORS[:, :3]
@@ -240,19 +261,15 @@ def extract_mesh(vol: TsdfVolume) -> TriangleMesh:
     triangles = tri_flat.reshape(-1, 3)
 
     # Interpolate each unique crossing edge once, low corner toward high.
+    # Both ends are corners of an all-observed cell, so both are stored.
     ax = unique_ids % 3
     lin = unique_ids // 3
-    vx, rem = np.divmod(lin, res * res)
-    vy, vz = np.divmod(rem, res)
-    lo = np.column_stack([vx, vy, vz])
-    hi = lo.copy()
-    hi[np.arange(len(hi)), ax] += 1
-    v_lo = vol.tsdf[lo[:, 0], lo[:, 1], lo[:, 2]]
-    v_hi = vol.tsdf[hi[:, 0], hi[:, 1], hi[:, 2]]
+    v_lo = vol.tsdf[np.searchsorted(vol.keys, lin)]
+    v_hi = vol.tsdf[np.searchsorted(vol.keys, lin + np.array([res * res, res, 1])[ax])]
     t = v_lo / (v_lo - v_hi)
     step = np.zeros((len(t), 3))
     step[np.arange(len(t)), ax] = t
-    vertices = vol.voxel_centers(lo) + step * vol.voxel_size
+    vertices = vol.voxel_centers(vol.voxel_indices(lin)) + step * vol.voxel_size
 
     # The raw table winding faces the negative (inside) region; flip so
     # triangle normals point outward.

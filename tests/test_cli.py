@@ -123,6 +123,27 @@ def hand_faces_cut_short(work):
     return bad.name
 
 
+def object_vertex_not_a_number(work):
+    bad = work / "frames" / "frame_001_object.ply"
+    write_ply(bad, read_ply(bad), binary=False)
+    header, body = bad.read_text().split("end_header\n")
+    first, rest = body.split("\n", 1)
+    tokens = first.split()
+    tokens[2] = "abc"
+    bad.write_text(f"{header}end_header\n{' '.join(tokens)}\n{rest}")
+    return bad.name
+
+
+def hand_face_not_a_number(work):
+    bad = work / "frames" / "frame_001_hand.ply"
+    mesh = TriangleMesh([[0, 0, 500], [1, 0, 500], [0, 1, 500]], [[0, 1, 2]])
+    write_ply(bad, mesh, binary=False)
+    text = bad.read_text()
+    assert text.endswith("\n3 0 1 2\n")
+    bad.write_text(text[: -len("2\n")] + "x\n")
+    return bad.name
+
+
 def feat2d_line_cut_short(work):
     bad = work / "frames" / "frame_001_feat2d.txt"
     bad.write_text("0 0 500 1 1 500\n1 2 3\n")
@@ -256,6 +277,8 @@ class TestReconstruct:
             hand_model_without_end_effectors,
             object_with_long_normals,
             hand_faces_cut_short,
+            object_vertex_not_a_number,
+            hand_face_not_a_number,
             feat2d_line_cut_short,
         ):
             work = tmp_path / corrupt.__name__

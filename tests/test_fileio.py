@@ -155,6 +155,25 @@ class TestPlyErrors:
         with pytest.raises(FileFormatError, match="triangular"):
             read_ply(path)
 
+    @pytest.mark.parametrize(
+        "body, what",
+        [
+            ("1 2 abc\n0 1 0\n0 0 1\n3 0 1 2\n", "vertex"),
+            ("1 0 0\n0 1 0\n0 0 1\n3 0 1 x\n", "face"),
+            ("1 0 0\n0 1 0\n0 0 1\n3 0 1 2.5\n", "face"),
+            ("1 0 0\n0 1 0\n0 0 1\n3 0 1 99999999999999999999\n", "face"),
+        ],
+    )
+    def test_rejects_non_numeric_ascii_token(self, tmp_path, body, what):
+        path = tmp_path / "word.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "element face 1\nproperty list uchar int vertex_indices\nend_header\n" + body
+        )
+        with pytest.raises(FileFormatError, match=f"word.ply: bad {what} data"):
+            read_ply(path)
+
     def test_requires_xyz(self, tmp_path):
         path = tmp_path / "uv.ply"
         path.write_text(

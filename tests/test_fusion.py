@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from inhand._mc_tables import CORNER_OFFSETS, EDGE_ANCHORS, TRI_TABLE
 from inhand.errors import EmptyInputError, EmptyMeshError, OpenMeshError
 from inhand.fusion import (
     Probe,
     TriangleMesh,
     TsdfVolume,
+    _candidate_voxels,
+    _prune_components,
+    _vertex_normals,
     euler_characteristic,
     extract_mesh,
     integrate,
@@ -28,15 +35,24 @@ def sphere_cloud(n=20000, radius=35.0, seed=0):
     return PointCloud(radius * dirs, normals=dirs)
 
 
+def observe_all(vol, tsdf):
+    """Store every voxel of ``vol``, with the given C-ordered tsdf values."""
+    vol.keys = np.arange(vol.resolution**3)
+    vol.tsdf = np.asarray(tsdf, dtype=np.float64).ravel().copy()
+    vol.weights = np.ones(len(vol.keys))
+    return vol
+
+
+def voxel_ids(vol, indices):
+    """Linear ids of ``(n, 3)`` grid indices."""
+    return np.ravel_multi_index(np.asarray(indices).T, (vol.resolution,) * 3)
+
+
 def sphere_sdf_volume(radius=35.0, side=100.0, res=80):
     vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=side, resolution=res)
-    idx = np.stack(
-        np.meshgrid(*[np.arange(res)] * 3, indexing="ij"), axis=-1
-    ).reshape(-1, 3)
+    idx = vol.voxel_indices(np.arange(res**3))
     sd = np.linalg.norm(vol.voxel_centers(idx), axis=1) - radius
-    vol.tsdf = np.clip(sd / vol.truncation, -1.0, 1.0).reshape(res, res, res)
-    vol.weights[:] = 1.0
-    return vol
+    return observe_all(vol, np.clip(sd / vol.truncation, -1.0, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +65,9 @@ class TestTsdfVolume:
         vol = TsdfVolume(center=(10.0, 20.0, 500.0))
         assert vol.voxel_size == pytest.approx(350.0 / 256.0)
         assert vol.truncation == pytest.approx(3.0 * vol.voxel_size)
-        assert vol.tsdf.shape == (256, 256, 256)
-        assert np.all(vol.tsdf == 1.0)
-        assert np.all(vol.weights == 0.0)
+        # Nothing is observed yet, so nothing is stored.
+        assert vol.keys.shape == vol.tsdf.shape == vol.weights.shape == (0,)
+        assert vol.keys.dtype == np.int64
 
     def test_voxel_size_cap(self):
         with pytest.raises(ValueError):
@@ -69,11 +85,11 @@ class TestIntegrate:
     def test_sphere_matches_analytic_signed_distance(self):
         vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=80)
         integrate(vol, sphere_cloud(), RigidTransform.identity())
-        touched = np.argwhere(vol.weights > 0.0)
-        centers = vol.voxel_centers(touched)
+        assert np.all(vol.weights > 0.0)
+        centers = vol.voxel_centers(vol.voxel_indices(vol.keys))
         analytic = np.linalg.norm(centers, axis=1) - 35.0
         near = np.abs(analytic) < vol.voxel_size
-        got_mm = vol.tsdf[tuple(touched[near].T)] * vol.truncation
+        got_mm = vol.tsdf[near] * vol.truncation
         want_mm = np.clip(analytic[near], -vol.truncation, vol.truncation)
         assert np.abs(got_mm - want_mm).max() < vol.voxel_size
 
@@ -81,15 +97,17 @@ class TestIntegrate:
         vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=40)
         integrate(vol, PointCloud(np.empty((0, 3)), normals=np.empty((0, 3))),
                   RigidTransform.identity())
-        assert np.all(vol.tsdf == 1.0) and np.all(vol.weights == 0.0)
+        assert len(vol.keys) == len(vol.tsdf) == len(vol.weights) == 0
 
     def test_double_integration_fixed_point(self):
         cloud = sphere_cloud(4000)
         vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=60)
         integrate(vol, cloud, RigidTransform.identity())
+        once_keys = vol.keys.copy()
         once_tsdf = vol.tsdf.copy()
         once_w = vol.weights.copy()
         integrate(vol, cloud, RigidTransform.identity())
+        np.testing.assert_array_equal(vol.keys, once_keys)
         np.testing.assert_array_equal(vol.tsdf, once_tsdf)
         np.testing.assert_array_equal(vol.weights, 2.0 * once_w)
 
@@ -102,6 +120,7 @@ class TestIntegrate:
         vol_ba = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=60)
         integrate(vol_ba, b, RigidTransform.identity())
         integrate(vol_ba, a, RigidTransform.identity())
+        np.testing.assert_array_equal(vol_ab.keys, vol_ba.keys)
         np.testing.assert_array_equal(vol_ab.weights, vol_ba.weights)
         np.testing.assert_allclose(vol_ab.tsdf, vol_ba.tsdf, atol=1e-9)
 
@@ -111,7 +130,7 @@ class TestIntegrate:
             np.full((50, 3), 400.0), normals=np.tile([0.0, 0.0, 1.0], (50, 1))
         )
         integrate(vol, far, RigidTransform.identity())
-        assert np.all(vol.weights == 0.0)
+        assert len(vol.keys) == len(vol.weights) == 0
 
     def test_normals_required(self):
         vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=40)
@@ -123,7 +142,7 @@ class TestIntegrate:
         shift = RigidTransform(np.eye(3), np.array([200.0, 0.0, 0.0]))
         vol = TsdfVolume(center=(200.0, 0.0, 0.0), side_mm=100.0, resolution=60)
         integrate(vol, cloud, shift)
-        touched = vol.voxel_centers(np.argwhere(vol.weights > 0.0))
+        touched = vol.voxel_centers(vol.voxel_indices(vol.keys))
         assert np.abs(np.linalg.norm(touched - [200.0, 0.0, 0.0], axis=1) - 35.0).max() \
             <= vol.truncation + vol.voxel_size
 
@@ -144,8 +163,8 @@ class TestExtractMesh:
         t = coords[np.arange(len(coords)), frac_axis] - lo[np.arange(len(lo)), frac_axis]
         hi = lo.copy()
         hi[np.arange(len(hi)), frac_axis] += 1
-        v_lo = vol.tsdf[lo[:, 0], lo[:, 1], lo[:, 2]]
-        v_hi = vol.tsdf[hi[:, 0], hi[:, 1], hi[:, 2]]
+        v_lo = vol.tsdf[voxel_ids(vol, lo)]
+        v_hi = vol.tsdf[voxel_ids(vol, hi)]
         assert np.abs(v_lo + t * (v_hi - v_lo)).max() < 1e-6
 
     def test_outward_normals_and_positive_volume(self, sphere_mesh):
@@ -156,15 +175,17 @@ class TestExtractMesh:
         assert signed_volume(sphere_mesh) > 0.0
 
     def test_all_positive_raises(self):
-        vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=40)
-        vol.weights[:] = 1.0
+        vol = observe_all(
+            TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=40),
+            np.ones(40**3),
+        )
         with pytest.raises(EmptyMeshError):
             extract_mesh(vol)
 
     def test_tiny_component_pruned(self):
         vol = sphere_sdf_volume()
         # Carve a tiny far-away blob: a couple of negative voxels in a corner.
-        vol.tsdf[2:4, 2:4, 2:4] = -0.5
+        vol.tsdf[voxel_ids(vol, np.argwhere(np.ones((2, 2, 2))) + 2)] = -0.5
         mesh = extract_mesh(vol)
         corner = vol.voxel_centers(np.array([[3, 3, 3]]))[0]
         dist_to_corner = np.linalg.norm(mesh.vertices - corner, axis=1)
@@ -173,7 +194,8 @@ class TestExtractMesh:
 
     def test_unobserved_cells_not_polygonized(self):
         vol = sphere_sdf_volume()
-        vol.weights[:, :, 40:] = 0.0  # unobserve the upper half
+        keep = vol.voxel_indices(vol.keys)[:, 2] < 40  # unobserve the upper half
+        vol.keys, vol.tsdf, vol.weights = vol.keys[keep], vol.tsdf[keep], vol.weights[keep]
         mesh = extract_mesh(vol)
         zmax = vol.voxel_centers(np.array([[0, 0, 39]]))[0, 2]
         assert mesh.vertices[:, 2].max() <= zmax + 1e-9
@@ -193,6 +215,158 @@ class TestExtractMesh:
         assert abs(np.median(r) - 35.0) < 0.5
         assert is_closed(mesh)
         assert euler_characteristic(mesh) == 2
+
+
+# Dense reference: the volume as two full float64 grids, tsdf initialized
+# to +1 and weights to 0, as fusion kept it before storage became sparse.
+
+
+def dense_candidate_voxels(vol, points):
+    """Unique voxel indices whose centers can lie within truncation of a point."""
+    reach = vol.truncation / vol.voxel_size + math.sqrt(3.0) / 2.0
+    r = int(math.ceil(reach))
+    axis = np.arange(-r, r + 1)
+    offs = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    offs = offs[np.linalg.norm(offs, axis=1) <= reach]
+    base = np.round((points - vol.origin) / vol.voxel_size).astype(np.int64)
+    cand = (base[:, None, :] + offs[None, :, :]).reshape(-1, 3)
+    ok = np.all((cand >= 0) & (cand < vol.resolution), axis=1)
+    cand = cand[ok]
+    if len(cand) == 0:
+        return cand
+    lin = (cand[:, 0] * vol.resolution + cand[:, 1]) * vol.resolution + cand[:, 2]
+    keep = np.unique(lin)
+    out = np.empty((len(keep), 3), dtype=np.int64)
+    out[:, 0], rem = divmod(keep, vol.resolution * vol.resolution)
+    out[:, 1], out[:, 2] = divmod(rem, vol.resolution)
+    return out
+
+
+def dense_integrate(tsdf, weights, vol, cloud, pose):
+    """Fuse one cloud into the dense grids ``tsdf`` and ``weights`` of ``vol``'s shape."""
+    pts = pose.apply(cloud.points)
+    nrm = cloud.normals @ pose.rotation.T
+    lo = vol.center - vol.side_mm / 2.0
+    hi = vol.center + vol.side_mm / 2.0
+    inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+    pts, nrm = pts[inside], nrm[inside]
+    if len(pts) == 0:
+        return
+    voxels = dense_candidate_voxels(vol, pts)
+    if len(voxels) == 0:
+        return
+    centers = vol.voxel_centers(voxels)
+    dist, nearest = cKDTree(pts).query(centers)
+    in_band = dist <= vol.truncation
+    voxels, centers, nearest = voxels[in_band], centers[in_band], nearest[in_band]
+    sd = np.einsum("ij,ij->i", centers - pts[nearest], nrm[nearest])
+    sd = np.clip(sd / vol.truncation, -1.0, 1.0)
+    ix, iy, iz = voxels.T
+    w_old = weights[ix, iy, iz]
+    t_old = tsdf[ix, iy, iz]
+    w_new = w_old + 1.0
+    tsdf[ix, iy, iz] = (t_old * w_old + sd) / w_new
+    weights[ix, iy, iz] = w_new
+
+
+def dense_extract_mesh(tsdf, weights, vol):
+    """Marching cubes over the cells of the dense grids whose corners are all observed."""
+    res = vol.resolution
+    inside = tsdf < 0.0
+    observed = weights > 0.0
+    n = res - 1
+    case = np.zeros((n, n, n), dtype=np.int32)
+    all_observed = np.ones((n, n, n), dtype=bool)
+    for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
+        case |= inside[ox : ox + n, oy : oy + n, oz : oz + n].astype(np.int32) << bit
+        all_observed &= observed[ox : ox + n, oy : oy + n, oz : oz + n]
+    active = (case != 0) & (case != 255) & all_observed
+    ix, iy, iz = np.nonzero(active)
+    anchor = EDGE_ANCHORS[:, :3]
+    axis = EDGE_ANCHORS[:, 3].astype(np.int64)
+    gx = ix[:, None] + anchor[None, :, 0]
+    gy = iy[:, None] + anchor[None, :, 1]
+    gz = iz[:, None] + anchor[None, :, 2]
+    edge_ids = ((gx * res + gy) * res + gz) * 3 + axis[None, :]
+    tri_edges = TRI_TABLE[case[ix, iy, iz]]
+    valid = tri_edges >= 0
+    face_ids = np.take_along_axis(
+        edge_ids, np.where(valid, tri_edges, 0).astype(np.int64), axis=1
+    )[valid]
+    unique_ids, tri_flat = np.unique(face_ids, return_inverse=True)
+    ax = unique_ids % 3
+    vx, rem = np.divmod(unique_ids // 3, res * res)
+    vy, vz = np.divmod(rem, res)
+    lo = np.column_stack([vx, vy, vz])
+    hi = lo.copy()
+    hi[np.arange(len(hi)), ax] += 1
+    v_lo = tsdf[lo[:, 0], lo[:, 1], lo[:, 2]]
+    v_hi = tsdf[hi[:, 0], hi[:, 1], hi[:, 2]]
+    t = v_lo / (v_lo - v_hi)
+    step = np.zeros((len(t), 3))
+    step[np.arange(len(t)), ax] = t
+    vertices = vol.voxel_centers(lo) + step * vol.voxel_size
+    vertices, triangles = _prune_components(vertices, tri_flat.reshape(-1, 3)[:, ::-1])
+    return TriangleMesh(vertices, triangles, _vertex_normals(vertices, triangles))
+
+
+def overlapping_sphere_poses():
+    """Three sphere scans at poses that revisit voxels, reach new ones and leave the volume."""
+    rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    c, s = math.cos(0.4), math.sin(0.4)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return [
+        (sphere_cloud(3000, seed=1), RigidTransform.identity()),
+        (sphere_cloud(3000, seed=2), RigidTransform(rz, np.array([4.0, 0.0, 0.0]))),
+        (sphere_cloud(3000, seed=3), RigidTransform(rx, np.array([0.0, -3.0, 20.0]))),
+    ]
+
+
+class TestSparseAgainstDense:
+    def test_integrate_stores_exactly_the_observed_voxels(self):
+        vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=60)
+        tsdf = np.ones((60, 60, 60))
+        weights = np.zeros((60, 60, 60))
+        for cloud, pose in overlapping_sphere_poses():
+            integrate(vol, cloud, pose)
+            dense_integrate(tsdf, weights, vol, cloud, pose)
+            np.testing.assert_array_equal(vol.keys, np.flatnonzero(weights > 0.0))
+            assert vol.tsdf.tobytes() == tsdf.ravel()[vol.keys].tobytes()
+            assert vol.weights.tobytes() == weights.ravel()[vol.keys].tobytes()
+        # The poses both revisited voxels and reached new ones.
+        assert set(np.unique(vol.weights)) == {1.0, 2.0, 3.0}
+
+    def test_extracted_mesh_is_the_dense_one(self):
+        vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=60)
+        tsdf = np.ones((60, 60, 60))
+        weights = np.zeros((60, 60, 60))
+        for cloud, pose in overlapping_sphere_poses():
+            integrate(vol, cloud, pose)
+            dense_integrate(tsdf, weights, vol, cloud, pose)
+        got = extract_mesh(vol)
+        want = dense_extract_mesh(tsdf, weights, vol)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.triangles.tobytes() == want.triangles.tobytes()
+        assert got.normals.tobytes() == want.normals.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    res=st.integers(2, 9),
+    voxel_mm=st.sampled_from([0.5, 1.0, 2.5]),
+    data=st.data(),
+)
+def test_candidate_voxels_match_unique_oracle(res, voxel_mm, data):
+    vol = TsdfVolume(center=(10.0, -5.0, 3.0), side_mm=res * voxel_mm, resolution=res)
+    half = vol.side_mm / 2.0
+    # Faces and corners of the volume round to base voxel -1 or res.
+    offset = st.one_of(st.sampled_from([-half, 0.0, half]), st.floats(-half, half))
+    pts = vol.center + np.array(
+        data.draw(st.lists(st.tuples(offset, offset, offset), min_size=1, max_size=20))
+    )
+    got = _candidate_voxels(vol, pts)
+    want = voxel_ids(vol, dense_candidate_voxels(vol, pts))
+    np.testing.assert_array_equal(got, want)
 
 
 class TestTriangleMesh:
