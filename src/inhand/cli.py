@@ -51,6 +51,7 @@ from .metrics import (
 )
 from .register import RegistrationConfig
 from .synth import (
+    GroundTruth,
     MotionScript,
     SyntheticObjectSpec,
     attach_detector_boxes,
@@ -193,7 +194,7 @@ def cmd_synth(args) -> int:
     manifest = fileio.SequenceManifest(
         intrinsics=DEFAULT_INTRINSICS,
         frames=tuple(manifest_frames),
-        volume_center=tuple(float(c) for c in truth.center),
+        volume_center=truth.center,
         volume_side_mm=args.volume_side,
         tsdf_resolution=args.tsdf_resolution,
         smooth_iterations=args.smooth_iterations,
@@ -229,7 +230,7 @@ def _apply_overrides(config: RegistrationConfig, args) -> RegistrationConfig:
     return config
 
 
-def _measure_report(mesh, truth: fileio.TruthRecord) -> dict:
+def _measure_report(mesh, truth: GroundTruth) -> dict:
     """Measured, expected and absolute error per probe; ``None`` where unknown."""
     dimensions = {}
     for name, measured in measure_probes(mesh, truth.probes).items():
@@ -254,6 +255,9 @@ def cmd_reconstruct(args) -> int:
                 "hand data (pass --no-contact or --gamma-t 0)"
             )
             return EXIT_INPUT
+    truth = None
+    if manifest.ground_truth is not None:
+        truth = fileio.load_ground_truth(manifest.ground_truth)
     frames = fileio.load_frames(manifest)
 
     out = Path(args.manifest).resolve().parent if args.out is None else Path(args.out)
@@ -300,8 +304,7 @@ def cmd_reconstruct(args) -> int:
             "euler_characteristic": euler_characteristic(mesh),
         },
     }
-    if manifest.ground_truth is not None:
-        truth = fileio.load_ground_truth(manifest.ground_truth)
+    if truth is not None:
         truth_span = rotation_span_deg(truth.motions)
         agreement = (
             min(span / truth_span, truth_span / span) if truth_span and span else 0.0
@@ -347,8 +350,6 @@ def _nanmean(values) -> float | None:
 
 
 def cmd_eval(args) -> int:
-    if args.threads < 1:
-        raise _UsageError("--threads must be at least 1")
     if args.sweep_gammas is None and not args.compare_energies:
         raise _UsageError("nothing to do: pass --sweep-gammas and/or --compare-energies")
     manifest = fileio.load_manifest(args.manifest)
@@ -377,13 +378,12 @@ def cmd_eval(args) -> int:
                 truth.probes,
                 truth.expected,
                 gammas,
-                volume_center=np.asarray(truth.center),
+                volume_center=truth.center,
                 config=manifest.registration,
                 intrinsics=manifest.intrinsics,
                 tsdf_side_mm=manifest.volume_side_mm,
                 tsdf_resolution=manifest.tsdf_resolution,
                 smooth_iterations=manifest.smooth_iterations,
-                threads=args.threads,
             )
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
@@ -483,12 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="score contact/detector energy configurations on annotated pairs",
     )
     ev.add_argument("--out", default=None, help="directory for CSV reports")
-    ev.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for independent evaluation cells",
-    )
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -4,7 +4,7 @@ A captured or generated sequence lives in a directory shaped like::
 
     manifest.json             versioned index of everything below
     hand_model.json           bone labels shared by all hand PLYs
-    ground_truth.json         optional: generator poses, probes, annotations
+    ground_truth.json         optional: the generator's truth (synth.GroundTruth)
     frames/frame_000_object.ply
     frames/frame_000_hand.ply
     frames/frame_001_feat2d.txt   optional per-frame pixel matches
@@ -13,7 +13,10 @@ A captured or generated sequence lives in a directory shaped like::
 PLY files use float32 x/y/z with optional float32 normals and uchar RGB,
 in ASCII or binary little-endian form; binary files round-trip
 bit-exactly.  JSON files carry a ``schema`` field so stale layouts fail
-loudly instead of half-loading.
+loudly instead of half-loading; a document that does not fit its layout
+raises :class:`FileFormatError` (:class:`ManifestError` for the manifest)
+naming the file.  Ground truth is stored and read back as
+:class:`~inhand.synth.GroundTruth`, minus its generator-only fields.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .fusion import Probe, TriangleMesh
 from .geometry import CameraIntrinsics, PointCloud, RigidTransform
 from .preprocess import DetectorBox, SegmentedFrame, estimate_normals
 from .register import RegistrationConfig, pose_record
-from .synth import Annotation
+from .synth import Annotation, GroundTruth
 
 MANIFEST_SCHEMA = "inhand-manifest/1"
 HAND_SCHEMA = "inhand-hand/1"
@@ -44,7 +47,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "ManifestFrame",
     "SequenceManifest",
-    "TruthRecord",
     "read_ply",
     "write_ply",
     "save_hand_model",
@@ -90,11 +92,21 @@ def _load_json(path, schema: str) -> dict:
         payload = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("schema") != schema:
+    if not isinstance(payload, dict):
+        kind = type(payload).__name__
+        raise FileFormatError(f"{path}: expected a JSON object, got {kind}")
+    if payload.get("schema") != schema:
         raise FileFormatError(
             f"{path}: expected schema {schema!r}, got {payload.get('schema')!r}"
         )
     return payload
+
+
+def _items(value):
+    """``value.items()`` of a JSON object; TypeError for any other value."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value.items()
 
 
 # --------------------------------------------------------------------------
@@ -355,29 +367,13 @@ def save_feat2d(matches: tuple, path) -> None:
 # ground truth
 
 
-@dataclass(frozen=True)
-class TruthRecord:
-    """Generator-side truth reloaded from disk for evaluation runs."""
-
-    center: tuple[float, float, float]
-    sigma: float
-    motions: tuple[RigidTransform, ...]
-    probes: tuple[Probe, ...]
-    expected: dict[str, float]
-    annotations: tuple[Annotation, ...]
-
-    def pair_truth(self, frame_a: int, frame_b: int) -> RigidTransform:
-        """Transform mapping frame_b coordinates onto frame_a coordinates."""
-        return self.motions[frame_a].compose(self.motions[frame_b].inverse())
-
-
-def save_ground_truth(truth, path) -> None:
-    """Serialize the evaluation-relevant parts of a generated sequence's truth."""
+def save_ground_truth(truth: GroundTruth, path) -> None:
+    """Store every field of the truth but the generator-only ones."""
     save_json(
         path,
         {
             "schema": TRUTH_SCHEMA,
-            "center": [float(c) for c in np.asarray(truth.center).reshape(3)],
+            "center": list(truth.center),
             "sigma": float(truth.sigma),
             "motions": [
                 {
@@ -404,7 +400,8 @@ def save_ground_truth(truth, path) -> None:
     )
 
 
-def load_ground_truth(path) -> TruthRecord:
+def load_ground_truth(path) -> GroundTruth:
+    """Read a truth file; the generator-only fields come back empty."""
     payload = _load_json(path, TRUTH_SCHEMA)
     try:
         motions = tuple(
@@ -427,13 +424,13 @@ def load_ground_truth(path) -> TruthRecord:
             )
             for a in payload["annotations"]
         )
-        return TruthRecord(
-            tuple(float(c) for c in payload["center"]),
-            float(payload["sigma"]),
-            motions,
-            probes,
-            {str(k): float(v) for k, v in payload["expected"].items()},
-            annotations,
+        return GroundTruth(
+            center=tuple(float(c) for c in payload["center"]),
+            sigma=float(payload["sigma"]),
+            motions=motions,
+            probes=probes,
+            expected={str(k): float(v) for k, v in _items(payload["expected"])},
+            annotations=annotations,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad ground truth ({exc})") from None
@@ -558,9 +555,11 @@ def load_manifest(path) -> SequenceManifest:
         raise ManifestError(str(exc)) from None
     root = path.resolve().parent
 
-    def resolve(value, *, required_by: str) -> Path | None:
+    def resolve(value, *, required_by: str, optional: bool = True) -> Path | None:
         if value is None:
-            return None
+            if optional:
+                return None
+            raise ManifestError(f"{path}: {required_by} names no object file")
         p = root / value
         if not p.exists():
             raise ManifestError(f"{required_by} references missing file: {p}")
@@ -591,7 +590,7 @@ def load_manifest(path) -> SequenceManifest:
         frames = tuple(
             ManifestFrame(
                 int(f["index"]),
-                resolve(f["object"], required_by=f"frame {f['index']}"),
+                resolve(f["object"], required_by=f"frame {f['index']}", optional=False),
                 resolve(f.get("hand"), required_by=f"frame {f['index']}"),
                 resolve(f.get("feat2d"), required_by=f"frame {f['index']}"),
                 resolve(f.get("detector_boxes"), required_by=f"frame {f['index']}"),
@@ -599,7 +598,7 @@ def load_manifest(path) -> SequenceManifest:
             for f in payload["frames"]
         )
         outputs = {
-            str(k): root / v for k, v in payload.get("outputs", {}).items() if v
+            str(k): root / v for k, v in _items(payload.get("outputs", {})) if v
         }
         return SequenceManifest(
             intrinsics=intrinsics,

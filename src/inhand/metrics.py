@@ -22,7 +22,6 @@ import csv
 import io
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -46,7 +45,6 @@ from .register import (
     SequenceResult,
     align_sparse,
     build_correspondences,
-    pairwise_annotation_error,
     run_sequence,
 )
 
@@ -213,19 +211,16 @@ def run_gamma_sweep(
     tsdf_side_mm: float = 350.0,
     tsdf_resolution: int = 256,
     smooth_iterations: int = 3,
-    threads: int = 1,
 ) -> SweepResult:
-    """Run the full pipeline once per gamma and measure the fused mesh.
+    """Run the full pipeline once per gamma, in grid order, and measure the mesh.
 
-    Each gamma gets a fresh registration, TSDF fusion at ``volume_center``,
-    mesh extraction, smoothing, and probe measurement against the
-    ``expected`` ground-truth dimensions; the frames' features and contact
-    states, cached on the frames, are shared by every gamma.  A pipeline
-    failure at some gamma (no frame pair registered, say, or a single
-    unmeasurable probe, e.g. volume of an open mesh) is recorded as a NaN
-    cell and the sweep continues.  Gamma cells are independent, so
-    ``threads > 1`` runs them concurrently with results identical to the
-    serial order.
+    Each gamma gets a fresh :func:`reconstruct` (registration, TSDF fusion
+    at ``volume_center``, extraction, smoothing) and probe measurement
+    against the ``expected`` ground-truth dimensions; the frames' features
+    and contact states, cached on the frames, are shared by every gamma.
+    A pipeline failure at some gamma (no frame pair registered, say, or a
+    single unmeasurable probe, e.g. volume of an open mesh) is recorded as
+    a NaN cell and the sweep continues.
     """
     frames = list(frames)
     probes = tuple(probes)
@@ -243,11 +238,10 @@ def run_gamma_sweep(
     missing = [p.name for p in probes if p.name not in expected]
     if missing:
         raise ValueError(f"no ground-truth value for probes: {', '.join(missing)}")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
 
-    def measure(gamma: float) -> dict[str, float]:
-        return _measure_at_gamma(
+    cells = []
+    for gamma in grid:
+        measured = _measure_at_gamma(
             frames,
             probes,
             replace(config, gamma_t=gamma),
@@ -257,19 +251,11 @@ def run_gamma_sweep(
             tsdf_resolution,
             smooth_iterations,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            measurements = list(pool.map(measure, grid))
-    else:
-        measurements = [measure(g) for g in grid]
-
-    cells = tuple(
-        ProbeCell(gamma, p.name, p.kind, float(expected[p.name]), measured[p.name])
-        for gamma, measured in zip(grid, measurements)
-        for p in probes
-    )
-    return SweepResult(grid, cells)
+        cells.extend(
+            ProbeCell(gamma, p.name, p.kind, float(expected[p.name]), measured[p.name])
+            for p in probes
+        )
+    return SweepResult(grid, tuple(cells))
 
 
 def _measure_at_gamma(
@@ -315,7 +301,12 @@ _ENERGY_CONFIGS: tuple[tuple[str, str, frozenset], ...] = (
 
 @dataclass(frozen=True)
 class EnergyRow:
-    """Pooled annotation error for one sparse-energy configuration."""
+    """Annotation error of one sparse-energy configuration over all pairs.
+
+    ``mean`` and ``stdev`` are those of ``|a - T(b)|`` over every annotated
+    point, where ``T`` is the configuration's solve for the point's frame
+    pair; ``pair_count`` is the number of annotated point pairs.
+    """
 
     config: str
     mean: float
@@ -334,9 +325,10 @@ def compare_energies(
     """Score the four sparse-energy configurations on annotated pairs.
 
     Every annotated frame pair is solved four ways -- contact+visual,
-    contact only, detector+visual, detector only -- and each solve is
-    scored by :func:`pairwise_annotation_error` over that pair's
-    annotated points; rows pool the error over all annotated pairs.  ICP
+    contact only, detector+visual, detector only -- and each solve ``T``
+    gives the errors ``|a - T(b)|`` of that pair's annotated points
+    ``(a, b)``; a row is the mean and standard deviation of its
+    configuration's errors over all annotated pairs.  ICP
     and fusion are deliberately excluded so the rows compare the sparse
     solves alone.  A configuration that cannot be solved on every pair
     (no detector boxes or intrinsics, a dropped contact term, fewer than
@@ -349,10 +341,8 @@ def compare_energies(
     by_index = {f.frame_index: f for f in frames}
     build_cfg = replace(config, use_contact=True, use_detector=True)
 
-    # Per config: one (mean, stdev, count) triple per annotated pair.
-    stats: dict[str, list[tuple[float, float, int]]] = {
-        name: [] for name, _, _ in _ENERGY_CONFIGS
-    }
+    # Per config: the point errors of each annotated pair.
+    errors: dict[str, list[np.ndarray]] = {name: [] for name, _, _ in _ENERGY_CONFIGS}
     usable = {name: True for name, _, _ in _ENERGY_CONFIGS}
     for ann in annotations:
         try:
@@ -378,23 +368,17 @@ def compare_energies(
                     )
                 usable[name] = False
                 continue
-            mean, stdev = pairwise_annotation_error(
-                zip(ann.points_b, ann.points_a), pair_transform
+            errors[name].append(
+                np.linalg.norm(ann.points_a - pair_transform.apply(ann.points_b), axis=1)
             )
-            stats[name].append((mean, stdev, len(ann.points_a)))
 
     rows = []
     for name, _, _ in _ENERGY_CONFIGS:
         if not usable[name]:
             rows.append(EnergyRow(name, float("nan"), float("nan"), 0, False))
             continue
-        per_pair = stats[name]
-        total = sum(n for _, _, n in per_pair)
-        mean = sum(m * n for m, _, n in per_pair) / total
-        # Pool exactly: E[x^2] recombines from each pair's (mean, stdev).
-        second = sum((s * s + m * m) * n for m, s, n in per_pair) / total
-        stdev = math.sqrt(max(second - mean * mean, 0.0))
-        rows.append(EnergyRow(name, float(mean), float(stdev), total))
+        pooled = np.concatenate(errors[name])
+        rows.append(EnergyRow(name, float(pooled.mean()), float(pooled.std()), len(pooled)))
     return tuple(rows)
 
 

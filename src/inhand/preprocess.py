@@ -93,7 +93,6 @@ class SegmentedFrame:
     :attr:`features` and :attr:`contact` depend on this frame alone: each
     is computed on first use and cached, so every pair, gamma and energy
     configuration shares it; :func:`dataclasses.replace` starts a new cache.
-    Threads first using a frame at once may both compute it, to equal values.
     """
 
     frame_index: int

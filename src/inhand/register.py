@@ -377,17 +377,6 @@ def run_sequence(
     return SequenceResult(tuple(poses), metascan, tuple(skipped))
 
 
-def pairwise_annotation_error(pairs, transform: RigidTransform) -> tuple[float, float]:
-    """Mean and standard deviation of ``|x' - T(x)|`` over annotated pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyInputError("no annotated pairs")
-    src = np.asarray([p[0] for p in pairs], dtype=np.float64)
-    tgt = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    errs = np.linalg.norm(tgt - transform.apply(src), axis=1)
-    return float(errs.mean()), float(errs.std())
-
-
 def pose_record(pose: FramePose) -> dict:
     """JSON-ready trajectory record for one frame."""
 

@@ -13,12 +13,12 @@ visual channel degrades with sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .contact import PosedHand
-from .errors import DegenerateMotionError, EmptyInputError
+from .errors import DegenerateMotionError
 from .fusion import Probe
 from .geometry import (
     CameraIntrinsics,
@@ -43,6 +43,11 @@ AZIMUTH_SWEEP_DEG = 360.0
 # Small elevation oscillation of the viewing direction over the sequence.
 ELEVATION_DEG = 3.0
 ELEVATION_CYCLES = 3
+# Annotated point pairs per annotated frame pair.
+ANNOTATIONS_PER_PAIR = 6
+# Detector boxes: side length and the largest seeded offset, in pixels.
+BOX_SIZE_PX = 24
+BOX_JITTER_PX = 1
 
 # Bowling-pin revolve profile: raised-cosine bumps for belly and head,
 # tapered to zero radius at both poles.
@@ -330,32 +335,21 @@ class SyntheticObjectSpec:
         return (_PIN_BODY_T - 0.5) * h, (_PIN_HEAD_T - 0.5) * h
 
 
-@dataclass(frozen=True)
-class HandSpec:
-    """Two rigid fingertip pads gripping the object by its ends.
-
-    Pads are hex-packed vertex discs conformed to the surface around the
-    top and bottom poles at ``standoff`` millimeters; each pad is one
-    labeled end-effector bone.  A polar grip keeps part of every pad's
-    under-surface camera-facing from any near-horizontal viewing
-    direction, so contact stays detectable throughout an azimuth sweep.
-    Every pad vertex occludes a thin ray tube of radius
-    ``occlusion_radius`` (the hand is a sparse vertex set, not a solid),
-    so shadow speckles move with the view direction and the surface
-    beneath the pad is still seen across a sweep.
-    """
-
-    pad_radius: float = 10.0
-    pad_spacing: float = 0.9
-    standoff: float = 0.5
-    occlusion_radius: float = 0.35
-    labels: tuple[str, str] = ("thumb_tip", "index_tip")
-
-    def __post_init__(self) -> None:
-        if min(self.pad_radius, self.pad_spacing, self.standoff) <= 0.0:
-            raise ValueError("pad geometry must be positive")
-        if self.occlusion_radius < 0.0:
-            raise ValueError("occlusion_radius must be nonnegative")
+# The hand: two rigid fingertip pads gripping the object by its ends.
+# Pads are hex-packed vertex discs of PAD_RADIUS_MM at PAD_SPACING_MM
+# conformed to the surface around the top and bottom poles at
+# PAD_STANDOFF_MM; each pad is one labeled end-effector bone.  A polar
+# grip keeps part of every pad's under-surface camera-facing from any
+# near-horizontal viewing direction, so contact stays detectable
+# throughout an azimuth sweep.  Every pad vertex occludes a thin ray tube
+# of radius OCCLUSION_RADIUS_MM (the hand is a sparse vertex set, not a
+# solid), so shadow speckles move with the view direction and the surface
+# beneath the pad is still seen across a sweep.
+PAD_RADIUS_MM = 10.0
+PAD_SPACING_MM = 0.9
+PAD_STANDOFF_MM = 0.5
+OCCLUSION_RADIUS_MM = 0.35
+HAND_LABELS = ("thumb_tip", "index_tip")
 
 
 def _hex_disc(radius: float, spacing: float) -> np.ndarray:
@@ -374,12 +368,12 @@ def _hex_disc(radius: float, spacing: float) -> np.ndarray:
     return np.array(pts)
 
 
-def build_hand(obj: SyntheticObjectSpec, hand: HandSpec = HandSpec()):
+def build_hand(obj: SyntheticObjectSpec) -> PosedHand:
     """Canonical PosedHand: one pad on each pole, conformed to the surface."""
     surface = obj.surface()
-    disc = _hex_disc(hand.pad_radius, hand.pad_spacing)
+    disc = _hex_disc(PAD_RADIUS_MM, PAD_SPACING_MM)
     verts, labels = [], []
-    for label, pole in zip(hand.labels, (1.0, -1.0)):
+    for label, pole in zip(HAND_LABELS, (1.0, -1.0)):
         anchor, n = surface.project(np.array([[0.0, 0.0, pole * 1e6]]))
         anchor, n = anchor[0], n[0]
         # Tangent basis around the pole normal.
@@ -389,10 +383,10 @@ def build_hand(obj: SyntheticObjectSpec, hand: HandSpec = HandSpec()):
         v = np.cross(n, u)
         raw = anchor[None, :] + disc[:, :1] * u[None, :] + disc[:, 1:] * v[None, :]
         surf_pts, surf_n = surface.project(raw)
-        pad = surf_pts + hand.standoff * surf_n + DEFAULT_CENTER
+        pad = surf_pts + PAD_STANDOFF_MM * surf_n + DEFAULT_CENTER
         verts.append(pad)
         labels.extend([label] * len(pad))
-    return PosedHand(np.vstack(verts), tuple(labels), frozenset(hand.labels))
+    return PosedHand(np.vstack(verts), tuple(labels), frozenset(HAND_LABELS))
 
 
 @dataclass(frozen=True)
@@ -425,11 +419,6 @@ class MotionScript:
 
     def __len__(self) -> int:
         return len(self.transforms)
-
-    @classmethod
-    def static(cls, n_frames: int, sigma: float = 0.0, seed: int = 0, view_dir=(0, 0, 1)):
-        identity = RigidTransform.identity()
-        return cls((identity,) * n_frames, (view_dir,) * n_frames, sigma, seed)
 
     @classmethod
     def tumble(
@@ -472,19 +461,28 @@ class Annotation:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Everything the generator knows that the pipeline must recover."""
+    """Everything the generator knows that the pipeline must recover.
 
-    center: np.ndarray
+    :func:`generate_sequence` makes it; ``fileio.save_ground_truth``
+    stores the first six fields and ``fileio.load_ground_truth`` reads
+    them back into this same type.  ``center`` is the object center in
+    canonical coordinates; ``motions[k]`` maps canonical coordinates to
+    frame k, so frame k's world pose is ``pair_truth(0, k)``.
+
+    The last two fields are generator-only and empty when the truth is
+    read from disk: ``visible_indices[k]`` lists the canonical rows that
+    frame k emits (``attach_feat2d`` pairs frames by them), and
+    ``canonical_cloud`` is the sample every frame re-poses.
+    """
+
+    center: tuple[float, float, float]
+    sigma: float
     motions: tuple[RigidTransform, ...]
-    world_poses: tuple[RigidTransform, ...]
-    camera_dirs: tuple
-    visible_indices: tuple
-    canonical_cloud: PointCloud
-    hand_canonical: PosedHand
-    annotations: tuple[Annotation, ...]
     probes: tuple[Probe, ...]
-    expected: dict[str, float] = field(default_factory=dict)
-    sigma: float = 0.0
+    expected: dict[str, float]
+    annotations: tuple[Annotation, ...]
+    visible_indices: tuple[np.ndarray, ...] = ()
+    canonical_cloud: PointCloud | None = None
 
     def pair_truth(self, frame_a: int, frame_b: int) -> RigidTransform:
         """Transform mapping frame_b coordinates onto frame_a coordinates."""
@@ -557,15 +555,12 @@ def standard_probes(obj: SyntheticObjectSpec):
 # two nearby dents land in different luminance bins of the descriptor.
 _DENT_LUMINANCE = (0.0625, 0.9375, 0.1875, 0.8125, 0.3125, 0.6875)
 _BASE_LUMINANCE = 0.55
+# Per-dent depth and radius (mm) are drawn uniformly from these ranges.
+DENT_DEPTH_RANGE_MM = (1.2, 3.0)
+DENT_RADIUS_RANGE_MM = (2.0, 4.0)
 
 
-def add_texture_features(
-    cloud: PointCloud,
-    count: int,
-    seed: int = 0,
-    depth_range: tuple[float, float] = (1.2, 3.0),
-    radius_range: tuple[float, float] = (2.0, 4.0),
-) -> PointCloud:
+def add_texture_features(cloud: PointCloud, count: int, seed: int = 0) -> PointCloud:
     """Press small seeded, individually painted dents into the cloud.
 
     Dents are applied to the canonical sample, so they stay rigidly
@@ -583,8 +578,8 @@ def add_texture_features(
         raise ValueError("denting needs normals")
     rng = np.random.default_rng(seed)
     anchors = rng.choice(len(cloud.points), size=min(count, len(cloud.points)), replace=False)
-    depths = rng.uniform(*depth_range, size=len(anchors))
-    radii = rng.uniform(*radius_range, size=len(anchors))
+    depths = rng.uniform(*DENT_DEPTH_RANGE_MM, size=len(anchors))
+    radii = rng.uniform(*DENT_RADIUS_RANGE_MM, size=len(anchors))
     pts = cloud.points.copy()
     if cloud.colors is not None:
         colors = cloud.colors.copy()
@@ -607,12 +602,10 @@ def add_texture_features(
 def generate_sequence(
     obj: SyntheticObjectSpec,
     motion: MotionScript,
-    hand: HandSpec = HandSpec(),
     *,
     texture_count: int = 0,
     texture_seed: int = 0,
     annotate_every: int = 10,
-    annotations_per_pair: int = 6,
     hand_sigma: float = 0.0,
 ) -> tuple[list[SegmentedFrame], GroundTruth]:
     """Produce one scanning sequence plus its complete ground truth.
@@ -631,15 +624,15 @@ def generate_sequence(
     canonical = PointCloud(local_pts + DEFAULT_CENTER, normals=local_nrm)
     if texture_count:
         canonical = add_texture_features(canonical, texture_count, texture_seed)
-    hand_canonical = build_hand(obj, hand)
+    hand_canonical = build_hand(obj)
 
     frames: list[SegmentedFrame] = []
-    camera_dirs, visible_indices = [], []
+    visible_indices = []
     for k, (pose, view_dir) in enumerate(zip(motion.transforms, motion.view_dirs)):
         facing = canonical.normals @ view_dir < 0.0
         idx = np.nonzero(facing)[0]
         shadowed = _occluded(
-            canonical.points[idx], hand_canonical.vertices, view_dir, hand.occlusion_radius
+            canonical.points[idx], hand_canonical.vertices, view_dir, OCCLUSION_RADIUS_MM
         )
         idx = idx[~shadowed]
         if len(idx) == 0:
@@ -660,33 +653,24 @@ def generate_sequence(
         frames.append(
             SegmentedFrame(k, PointCloud(pts, normals=normals, colors=colors), hand_k)
         )
-        camera_dirs.append(pose.rotation @ view_dir)
         visible_indices.append(idx)
 
-    annotations = _make_annotations(
-        canonical, hand_canonical, motion, rng, annotate_every, annotations_per_pair
-    )
+    annotations = _make_annotations(canonical, hand_canonical, motion, rng, annotate_every)
     probes, expected = standard_probes(obj)
-    world_poses = tuple(
-        motion.transforms[0].compose(t.inverse()) for t in motion.transforms
-    )
     truth = GroundTruth(
-        center=DEFAULT_CENTER,
+        center=tuple(float(c) for c in DEFAULT_CENTER),
+        sigma=motion.sigma,
         motions=tuple(motion.transforms),
-        world_poses=world_poses,
-        camera_dirs=tuple(camera_dirs),
-        visible_indices=tuple(visible_indices),
-        canonical_cloud=canonical,
-        hand_canonical=hand_canonical,
-        annotations=annotations,
         probes=probes,
         expected=expected,
-        sigma=motion.sigma,
+        annotations=annotations,
+        visible_indices=tuple(visible_indices),
+        canonical_cloud=canonical,
     )
     return frames, truth
 
 
-def _make_annotations(canonical, hand_canonical, motion, rng, every, per_pair):
+def _make_annotations(canonical, hand_canonical, motion, rng, every):
     if every <= 0 or len(motion) <= 1:
         return ()
     # Annotated points sit near the fingertips, like hand-labeled pixels
@@ -694,7 +678,7 @@ def _make_annotations(canonical, hand_canonical, motion, rng, every, per_pair):
     d2 = (
         (canonical.points[:, None, :] - hand_canonical.vertices[None, :, :]) ** 2
     ).sum(-1)
-    order = np.argsort(d2.min(axis=1))[: max(per_pair, 1)]
+    order = np.argsort(d2.min(axis=1))[:ANNOTATIONS_PER_PAIR]
     out = []
     for k in range(every, len(motion), every):
         a, b = k - 1, k
@@ -743,13 +727,14 @@ def attach_feat2d(
 
 
 def attach_detector_boxes(
-    frames: list[SegmentedFrame],
-    intrinsics: CameraIntrinsics,
-    box_size: int = 24,
-    jitter_px: int = 1,
-    seed: int = 0,
+    frames: list[SegmentedFrame], intrinsics: CameraIntrinsics, seed: int = 0
 ) -> list[SegmentedFrame]:
-    """Attach per-fingertip detector boxes with z-buffered depth patches."""
+    """Attach per-fingertip detector boxes with z-buffered depth patches.
+
+    Each box is ``BOX_SIZE_PX`` square, centred on the projected pad
+    centroid up to a seeded jitter of at most ``BOX_JITTER_PX``.
+    """
+    box_size, jitter_px = BOX_SIZE_PX, BOX_JITTER_PX
     rng = np.random.default_rng(seed)
     out = []
     for frame in frames:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inhand import contact, features
+from inhand import contact, features, synth
 from inhand.errors import DivergenceError, EmptyInputError
 from inhand.fusion import Probe
 from inhand.geometry import CameraIntrinsics
@@ -345,11 +345,10 @@ class TestCompareEnergies:
         assert not rows["detector"].available
         assert rows["contact"].available
 
-    def test_single_annotated_point_has_zero_stdev(self):
+    def test_single_annotated_point_has_zero_stdev(self, monkeypatch):
+        monkeypatch.setattr(synth, "ANNOTATIONS_PER_PAIR", 1)
         motion = MotionScript.tumble(4, 6.0, sigma=0.5, seed=5)
-        frames, truth = generate_sequence(
-            SMALL_SPHERE, motion, annotate_every=3, annotations_per_pair=1
-        )
+        frames, truth = generate_sequence(SMALL_SPHERE, motion, annotate_every=3)
         assert len(truth.annotations) == 1
         rows = {r.config: r for r in compare_energies(frames, truth.annotations)}
         assert rows["contact"].pair_count == 1

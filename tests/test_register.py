@@ -21,7 +21,6 @@ from inhand.register import (
     RegistrationConfig,
     align_sparse,
     detector_correspondences,
-    pairwise_annotation_error,
     refine_icp,
     register_pair,
     run_sequence,
@@ -363,24 +362,3 @@ class TestDetectorCorrespondences:
         # pixel-offset pairing slides along the surface instead.
         assert residual.mean() > 0.25
         assert residual.max() > 0.6
-
-
-class TestPairwiseAnnotationError:
-    def test_ground_truth_pairs(self):
-        rng = np.random.default_rng(4)
-        t = rigid((0, 1, 0), 9.0, (1.0, 2.0, 3.0))
-        pts = rng.uniform(-40, 40, size=(25, 3))
-        mean, std = pairwise_annotation_error(zip(pts, t.apply(pts)), t)
-        assert mean == pytest.approx(0.0, abs=1e-12)
-        assert std == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_pair(self):
-        mean, std = pairwise_annotation_error(
-            [(np.zeros(3), np.array([3.0, 0.0, 0.0]))], RigidTransform.identity()
-        )
-        assert mean == pytest.approx(3.0)
-        assert std == pytest.approx(0.0)
-
-    def test_empty(self):
-        with pytest.raises(EmptyInputError):
-            pairwise_annotation_error([], RigidTransform.identity())

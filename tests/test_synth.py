@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from inhand import synth
 from inhand.contact import detect_contacts
 from inhand.errors import DegenerateMotionError
 from inhand.features import describe_cloud, load_feat2d, match_feat3d
@@ -18,7 +19,6 @@ from inhand.geometry import (
 )
 from inhand.synth import (
     DEFAULT_CENTER,
-    HandSpec,
     MotionScript,
     SyntheticObjectSpec,
     add_texture_features,
@@ -44,11 +44,23 @@ def rotation_pair_script(deg=6.0, sigma=0.0, seed=7):
     )
 
 
+def static_script(n_frames):
+    """``n_frames`` identical poses seen along +z, without noise."""
+    return MotionScript(
+        (RigidTransform.identity(),) * n_frames, ((0.0, 0.0, 1.0),) * n_frames, sigma=0.0
+    )
+
+
+TUMBLE_OBJECT = SyntheticObjectSpec.sphere(70.0)
+
+
+def tumble_motion():
+    return MotionScript.tumble(6, 6.0, sigma=0.5, seed=7)
+
+
 @functools.cache
 def tumble_sphere():
-    obj = SyntheticObjectSpec.sphere(70.0)
-    motion = MotionScript.tumble(6, 6.0, sigma=0.5, seed=7)
-    return generate_sequence(obj, motion)
+    return generate_sequence(TUMBLE_OBJECT, tumble_motion())
 
 
 @functools.cache
@@ -142,12 +154,6 @@ class TestBuildHand:
         gaps = np.linalg.norm(hand.vertices - DEFAULT_CENTER - foot, axis=1)
         assert np.allclose(gaps, 0.5, atol=1e-6)
 
-    def test_invalid_hand_spec_rejected(self):
-        with pytest.raises(ValueError):
-            HandSpec(pad_radius=0.0)
-        with pytest.raises(ValueError):
-            HandSpec(occlusion_radius=-1.0)
-
 
 class TestMotionScript:
     def test_validation(self):
@@ -158,13 +164,6 @@ class TestMotionScript:
             MotionScript((identity,), ())
         with pytest.raises(ValueError):
             MotionScript((identity,), ((0, 0, 1),), sigma=-0.1)
-
-    def test_static_script(self):
-        script = MotionScript.static(4, sigma=0.0, seed=3)
-        assert len(script) == 4
-        for t in script.transforms:
-            assert np.array_equal(t.rotation, np.eye(3))
-            assert np.array_equal(t.translation, np.zeros(3))
 
     def test_tumble_rotation_accumulates(self):
         script = MotionScript.tumble(5, deg_per_frame=6.0, sigma=0.0)
@@ -181,7 +180,7 @@ class TestMotionScript:
 class TestGenerateSequence:
     def test_static_noiseless_frames_identical_at_exact_radius(self):
         obj = SyntheticObjectSpec.sphere(70.0)
-        frames, truth = generate_sequence(obj, MotionScript.static(3, sigma=0.0))
+        frames, truth = generate_sequence(obj, static_script(3))
         first = frames[0].object_cloud.points
         for frame in frames[1:]:
             assert np.array_equal(frame.object_cloud.points, first)
@@ -215,23 +214,25 @@ class TestGenerateSequence:
 
     def test_visibility_culling_is_strict(self):
         frames, truth = tumble_sphere()
+        motion = tumble_motion()
         for k, frame in enumerate(frames):
-            facing = frame.object_cloud.normals @ truth.camera_dirs[k]
+            camera_dir = truth.motions[k].rotation @ motion.view_dirs[k]
+            facing = frame.object_cloud.normals @ camera_dir
             assert facing.max() < 0.0
 
     def test_hand_rides_rigidly_and_noise_free(self):
         frames, truth = tumble_sphere()
+        hand = build_hand(TUMBLE_OBJECT)
         for k, frame in enumerate(frames):
-            expected = truth.motions[k].apply(truth.hand_canonical.vertices)
+            expected = truth.motions[k].apply(hand.vertices)
             assert np.array_equal(frame.hand_pose.vertices, expected)
 
     def test_hand_noise_perturbs_pads_only(self):
         exact_frames, exact_truth = tumble_sphere()
-        obj = SyntheticObjectSpec.sphere(70.0)
-        motion = MotionScript.tumble(6, 6.0, sigma=0.5, seed=7)
-        frames, truth = generate_sequence(obj, motion, hand_sigma=0.5)
+        frames, truth = generate_sequence(TUMBLE_OBJECT, tumble_motion(), hand_sigma=0.5)
+        hand = build_hand(TUMBLE_OBJECT)
         for k, frame in enumerate(frames):
-            expected = truth.motions[k].apply(truth.hand_canonical.vertices)
+            expected = truth.motions[k].apply(hand.vertices)
             gap = frame.hand_pose.vertices - expected
             assert abs(gap.std() - 0.5) < 0.05
             assert np.abs(gap.mean()) < 0.05
@@ -242,12 +243,10 @@ class TestGenerateSequence:
         with pytest.raises(ValueError, match="hand_sigma"):
             generate_sequence(SyntheticObjectSpec.sphere(70.0), motion, hand_sigma=-0.5)
 
-    def test_total_occlusion_degenerates(self):
-        obj = SyntheticObjectSpec.sphere(70.0)
+    def test_total_occlusion_degenerates(self, monkeypatch):
+        monkeypatch.setattr(synth, "OCCLUSION_RADIUS_MM", 1e6)
         with pytest.raises(DegenerateMotionError):
-            generate_sequence(
-                obj, MotionScript.static(1, sigma=0.0), HandSpec(occlusion_radius=1e6)
-            )
+            generate_sequence(SyntheticObjectSpec.sphere(70.0), static_script(1))
 
     def test_contact_fires_every_frame_with_both_bones(self):
         frames, _ = tumble_sphere()
@@ -257,13 +256,11 @@ class TestGenerateSequence:
             assert state.threshold_used <= 2.5
 
     def test_annotations_on_schedule(self):
-        obj = SyntheticObjectSpec.sphere(70.0)
-        motion = MotionScript.tumble(6, 6.0, sigma=0.5, seed=7)
-        _, truth = generate_sequence(obj, motion, annotate_every=2, annotations_per_pair=5)
+        _, truth = generate_sequence(TUMBLE_OBJECT, tumble_motion(), annotate_every=2)
         assert [(a.frame_a, a.frame_b) for a in truth.annotations] == [(1, 2), (3, 4)]
         for ann in truth.annotations:
-            assert ann.points_a.shape == (5, 3)
-            assert ann.points_b.shape == (5, 3)
+            assert ann.points_a.shape == (synth.ANNOTATIONS_PER_PAIR, 3)
+            assert ann.points_b.shape == (synth.ANNOTATIONS_PER_PAIR, 3)
 
     def test_bitwise_deterministic(self):
         obj = SyntheticObjectSpec.sphere(70.0)
@@ -282,18 +279,6 @@ class TestGenerateSequence:
             assert len(idx) == len(frame.object_cloud)
             assert np.all(np.diff(idx) > 0)
 
-    def test_world_poses_and_camera_dirs(self):
-        frames, truth = tumble_sphere()
-        motion = MotionScript.tumble(6, 6.0, sigma=0.5, seed=7)
-        for k in range(len(frames)):
-            expected = truth.motions[0].compose(truth.motions[k].inverse())
-            assert np.allclose(truth.world_poses[k].rotation, expected.rotation, atol=1e-12)
-            assert np.allclose(
-                truth.world_poses[k].translation, expected.translation, atol=1e-12
-            )
-            cam = truth.motions[k].rotation @ motion.view_dirs[k]
-            assert np.allclose(truth.camera_dirs[k], cam, atol=1e-12)
-
     def test_colors_only_with_texture(self):
         frames, _ = tumble_sphere()
         assert frames[0].object_cloud.colors is None
@@ -307,7 +292,7 @@ class TestGenerateSequence:
 
     def test_small_objects_keep_a_minimum_sample(self):
         obj = SyntheticObjectSpec.sphere(5.0)
-        _, truth = generate_sequence(obj, MotionScript.static(1, sigma=0.0))
+        _, truth = generate_sequence(obj, static_script(1))
         assert len(truth.canonical_cloud) >= 800
 
 
@@ -395,7 +380,7 @@ class TestAttachFeat2d:
 class TestAttachDetectorBoxes:
     def test_boxes_track_fingertips(self):
         frames, _ = tumble_sphere()
-        boxed = attach_detector_boxes(frames, INTRINSICS, box_size=24, jitter_px=1)
+        boxed = attach_detector_boxes(frames, INTRINSICS)
         from inhand.geometry import project
 
         for frame in boxed:
