@@ -3,6 +3,9 @@
 ``synth`` writes a manifest-indexed sequence directory, ``reconstruct``
 turns a manifest into a fused mesh plus trajectory and report files, and
 ``eval`` runs the gamma-sweep and energy-comparison protocols to CSV.
+The manifest describes the sequence and its working volume; the flags
+alone configure a run (registration terms, contact weight, output
+directory), and ``eval`` runs with the default registration settings.
 Set ``INHAND_LOG=INFO`` (or ``DEBUG``) for progress logging.
 
 Exit codes: 0 success, 2 usage, 3 input problem, 4 registration failure,
@@ -16,7 +19,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +77,8 @@ DEFAULT_INTRINSICS = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
 # barely moved or thrashed far beyond the scripted motion.
 SPAN_AGREEMENT_THRESHOLD = 0.3
 
-# File name of each reconstruct output, by its manifest ``outputs`` key.
+# File name of each reconstruct output; they go to ``--out``, or next to
+# the manifest without it.
 OUTPUT_NAMES = {
     "mesh": "mesh.ply",
     "trajectory": "trajectory.jsonl",
@@ -198,8 +201,6 @@ def cmd_synth(args) -> int:
         volume_side_mm=args.volume_side,
         tsdf_resolution=args.tsdf_resolution,
         smooth_iterations=args.smooth_iterations,
-        registration=RegistrationConfig(),
-        outputs={key: out / name for key, name in OUTPUT_NAMES.items()},
         hand_model=hand_model_path,
         ground_truth=truth_path,
     )
@@ -216,18 +217,17 @@ def cmd_synth(args) -> int:
 # reconstruct
 
 
-def _apply_overrides(config: RegistrationConfig, args) -> RegistrationConfig:
-    if args.gamma_t is not None:
-        if args.gamma_t < 0.0:
-            raise _UsageError("--gamma-t must be nonnegative")
-        config = replace(config, gamma_t=args.gamma_t)
-    if args.no_contact:
-        config = replace(config, use_contact=False)
-    if args.use_detector:
-        config = replace(config, use_detector=True)
-    if args.no_icp:
-        config = replace(config, use_icp=False)
-    return config
+def _registration_config(args) -> RegistrationConfig:
+    """The registration settings of this run, from the flags alone."""
+    try:
+        return RegistrationConfig(
+            gamma_t=args.gamma_t,
+            use_contact=not args.no_contact,
+            use_detector=args.use_detector,
+            use_icp=not args.no_icp,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"--gamma-t: {exc}") from None
 
 
 def _measure_report(mesh, truth: GroundTruth) -> dict:
@@ -246,7 +246,7 @@ def _measure_report(mesh, truth: GroundTruth) -> dict:
 
 def cmd_reconstruct(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
-    config = _apply_overrides(manifest.registration, args)
+    config = _registration_config(args)
     if config.use_contact and config.gamma_t > 0.0:
         handless = [f.index for f in manifest.frames if f.hand_path is None]
         if handless:
@@ -263,8 +263,6 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.manifest).resolve().parent if args.out is None else Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {key: out / name for key, name in OUTPUT_NAMES.items()}
-    if args.out is None:
-        outputs.update(manifest.outputs)
 
     result, mesh = reconstruct(
         frames,
@@ -378,12 +376,11 @@ def cmd_eval(args) -> int:
                 truth.probes,
                 truth.expected,
                 gammas,
-                volume_center=truth.center,
-                config=manifest.registration,
-                intrinsics=manifest.intrinsics,
-                tsdf_side_mm=manifest.volume_side_mm,
-                tsdf_resolution=manifest.tsdf_resolution,
+                volume_center=manifest.volume_center,
+                side_mm=manifest.volume_side_mm,
+                resolution=manifest.tsdf_resolution,
                 smooth_iterations=manifest.smooth_iterations,
+                intrinsics=manifest.intrinsics,
             )
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
@@ -394,12 +391,7 @@ def cmd_eval(args) -> int:
             print(f"  gamma {gamma:g}: normalized error {err:.4f}")
 
     if args.compare_energies:
-        rows = compare_energies(
-            frames,
-            truth.annotations,
-            config=manifest.registration,
-            intrinsics=manifest.intrinsics,
-        )
+        rows = compare_energies(frames, truth.annotations, intrinsics=manifest.intrinsics)
         energies_path = out / "energies.csv"
         energies_to_csv(rows, energies_path)
         print(f"energy comparison -> {energies_path}")
@@ -461,13 +453,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("reconstruct", help="register, fuse, and mesh a sequence")
     rec.add_argument("manifest", help="path to manifest.json")
-    rec.add_argument("--gamma-t", type=float, default=None, help="contact weight")
+    rec.add_argument(
+        "--gamma-t",
+        type=float,
+        default=RegistrationConfig.gamma_t,
+        help=f"contact weight (default {RegistrationConfig.gamma_t:g})",
+    )
     rec.add_argument("--no-contact", action="store_true", help="drop the contact term")
     rec.add_argument(
         "--use-detector", action="store_true", help="add detector-box correspondences"
     )
     rec.add_argument("--no-icp", action="store_true", help="skip ICP refinement")
-    rec.add_argument("--out", default=None, help="directory for mesh/trajectory/report")
+    rec.add_argument(
+        "--out",
+        default=None,
+        help="directory for mesh/trajectory/report (default: the manifest's directory)",
+    )
     rec.set_defaults(func=cmd_reconstruct)
 
     ev = sub.add_parser("eval", help="run evaluation protocols to CSV")

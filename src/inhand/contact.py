@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .errors import NoContactError
+from .errors import EmptyInputError, NoContactError
 from .features import CorrespondenceSet
-from .geometry import PointCloud, SpatialIndex, _freeze
+from .geometry import PointCloud, _freeze
 
 # Contact search schedule of :func:`detect_contacts`; distances in mm.
 START_THRESHOLD = 1.0
@@ -72,14 +73,17 @@ def detect_contacts(hand: PosedHand, object_cloud: PointCloud) -> ContactState:
     ``MIN_CANDIDATE_VERTICES`` candidates. The threshold sequence is
     ``START_THRESHOLD, START_THRESHOLD + THRESHOLD_STEP, ...`` and stops as
     soon as ``MIN_BONES`` bones qualify; exceeding ``THRESHOLD_CAP`` raises
-    :class:`NoContactError`.
+    :class:`NoContactError`.  An empty object cloud raises
+    :class:`EmptyInputError`: it has no distances to search, not no contact.
     """
-    index = SpatialIndex(object_cloud)
+    if len(object_cloud) == 0:
+        raise EmptyInputError("cannot search contacts against an empty object cloud")
+    tree = cKDTree(object_cloud.points)
     effector_bones = sorted(hand.end_effectors)
     bone_dists = {}
     for b in effector_bones:
         vi = hand.bone_vertex_indices(b)
-        bone_dists[b] = index.nearest_many(hand.vertices[vi])[1] if len(vi) else np.empty(0)
+        bone_dists[b] = tree.query(hand.vertices[vi])[0] if len(vi) else np.empty(0)
     threshold = START_THRESHOLD
     while threshold <= THRESHOLD_CAP + 1e-12:
         bones = [

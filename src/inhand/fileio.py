@@ -2,7 +2,8 @@
 
 A captured or generated sequence lives in a directory shaped like::
 
-    manifest.json             versioned index of everything below
+    manifest.json             versioned index of everything below, plus the
+                              camera, working volume and TSDF settings
     hand_model.json           bone labels shared by all hand PLYs
     ground_truth.json         optional: the generator's truth (synth.GroundTruth)
     frames/frame_000_object.ply
@@ -17,14 +18,20 @@ loudly instead of half-loading; a document that does not fit its layout
 raises :class:`FileFormatError` (:class:`ManifestError` for the manifest)
 naming the file.  Ground truth is stored and read back as
 :class:`~inhand.synth.GroundTruth`, minus its generator-only fields.
+
+The manifest describes the sequence only.  How a run registers it (the
+contact weight and the terms switched on) and where its outputs go are
+set on the command line, never stored here.  A reconstruction's
+trajectory is written here too, as JSON Lines (:func:`save_trajectory`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +42,9 @@ from .features import parse_feat2d_file
 from .fusion import Probe, TriangleMesh
 from .geometry import CameraIntrinsics, PointCloud, RigidTransform
 from .preprocess import DetectorBox, SegmentedFrame, estimate_normals
-from .register import RegistrationConfig, pose_record
 from .synth import Annotation, GroundTruth
 
-MANIFEST_SCHEMA = "inhand-manifest/1"
+MANIFEST_SCHEMA = "inhand-manifest/2"
 HAND_SCHEMA = "inhand-hand/1"
 BOXES_SCHEMA = "inhand-boxes/1"
 TRUTH_SCHEMA = "inhand-truth/1"
@@ -453,10 +459,11 @@ class ManifestFrame:
 
 @dataclass(frozen=True)
 class SequenceManifest:
-    """Versioned index of a sequence directory.
+    """Versioned index of a sequence directory: what was captured, and where.
 
     ``volume_center``/``volume_side_mm`` bound the working volume scanned
-    by the TSDF; ``outputs`` names where reconstruction artifacts go.
+    by the TSDF, which ``tsdf_resolution`` voxels a side resolve; the
+    extracted mesh is smoothed ``smooth_iterations`` times.
     """
 
     intrinsics: CameraIntrinsics
@@ -465,8 +472,6 @@ class SequenceManifest:
     volume_side_mm: float
     tsdf_resolution: int
     smooth_iterations: int
-    registration: RegistrationConfig
-    outputs: dict[str, Path] = field(default_factory=dict)
     hand_model: Path | None = None
     ground_truth: Path | None = None
 
@@ -497,7 +502,6 @@ def save_manifest(manifest: SequenceManifest, path) -> None:
     """Write the manifest with paths stored relative to its directory."""
     root = Path(path).resolve().parent
     intr = manifest.intrinsics
-    reg = manifest.registration
     save_json(
         path,
         {
@@ -520,16 +524,6 @@ def save_manifest(manifest: SequenceManifest, path) -> None:
                 "resolution": manifest.tsdf_resolution,
                 "smooth_iterations": manifest.smooth_iterations,
             },
-            "registration": {
-                "gamma_t": reg.gamma_t,
-                "icp_max_dist": reg.icp_max_dist,
-                "icp_max_iters": reg.icp_max_iters,
-                "icp_convergence_eps": reg.icp_convergence_eps,
-                "use_contact": reg.use_contact,
-                "use_detector": reg.use_detector,
-                "use_icp": reg.use_icp,
-            },
-            "outputs": {k: _rel(v, root) for k, v in manifest.outputs.items()},
             "frames": [
                 {
                     "index": f.index,
@@ -577,16 +571,6 @@ def load_manifest(path) -> SequenceManifest:
         )
         volume = payload["working_volume"]
         tsdf = payload["tsdf"]
-        reg = payload["registration"]
-        config = RegistrationConfig(
-            gamma_t=float(reg["gamma_t"]),
-            icp_max_dist=float(reg["icp_max_dist"]),
-            icp_max_iters=int(reg["icp_max_iters"]),
-            icp_convergence_eps=float(reg["icp_convergence_eps"]),
-            use_contact=bool(reg["use_contact"]),
-            use_detector=bool(reg["use_detector"]),
-            use_icp=bool(reg["use_icp"]),
-        )
         frames = tuple(
             ManifestFrame(
                 int(f["index"]),
@@ -597,9 +581,6 @@ def load_manifest(path) -> SequenceManifest:
             )
             for f in payload["frames"]
         )
-        outputs = {
-            str(k): root / v for k, v in _items(payload.get("outputs", {})) if v
-        }
         return SequenceManifest(
             intrinsics=intrinsics,
             frames=frames,
@@ -607,8 +588,6 @@ def load_manifest(path) -> SequenceManifest:
             volume_side_mm=float(volume["side_mm"]),
             tsdf_resolution=int(tsdf["resolution"]),
             smooth_iterations=int(tsdf["smooth_iterations"]),
-            registration=config,
-            outputs=outputs,
             hand_model=resolve(payload.get("hand_model"), required_by="hand_model"),
             ground_truth=resolve(
                 payload.get("ground_truth"), required_by="ground_truth"
@@ -669,6 +648,26 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
 
 
 def save_trajectory(poses, path) -> None:
-    """Write one JSON record per registered frame (JSON Lines)."""
-    lines = [json.dumps(pose_record(p)) for p in poses]
+    """Write one JSON record per registered frame (JSON Lines).
+
+    ``poses`` are :class:`~inhand.register.FramePose` records; a NaN
+    residual (no pairs, or no ICP) is written as ``null``.
+    """
+
+    def num(x: float):
+        return None if math.isnan(x) else x
+
+    lines = [
+        json.dumps(
+            {
+                "frame": p.frame_index,
+                "rotation": [float(v) for v in p.world_from_frame.rotation.ravel()],
+                "translation": [float(v) for v in p.world_from_frame.translation],
+                "sparse_rms": num(p.sparse_residual),
+                "icp_rms": num(p.icp_residual),
+                "counts": dict(p.correspondence_counts),
+            }
+        )
+        for p in poses
+    ]
     write_atomic(path, ("\n".join(lines) + "\n").encode())

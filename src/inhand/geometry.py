@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateConfigurationError,
-    EmptyInputError,
     InvalidDepthError,
     UnderConstrainedError,
 )
@@ -151,14 +149,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def select(self, index) -> "PointCloud":
-        """Subset by boolean mask or index array; keeps channel alignment."""
-        return PointCloud(
-            self.points[index],
-            None if self.normals is None else self.normals[index],
-            None if self.colors is None else self.colors[index],
-        )
-
     def transformed(self, pose: RigidTransform) -> "PointCloud":
         """Apply a rigid transform; normals are rotated, colors unchanged."""
         return PointCloud(
@@ -211,25 +201,6 @@ def project(points, intrinsics: CameraIntrinsics) -> np.ndarray:
     uv[:, 0] = intrinsics.fx * p[:, 0] / p[:, 2] + intrinsics.cx
     uv[:, 1] = intrinsics.fy * p[:, 1] / p[:, 2] + intrinsics.cy
     return uv
-
-
-class SpatialIndex:
-    """Exact nearest-neighbor index over a cloud (kd-tree backed)."""
-
-    def __init__(self, cloud: PointCloud | np.ndarray) -> None:
-        pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-        if len(pts) == 0:
-            raise EmptyInputError("cannot index an empty cloud")
-        self.points = pts
-        self._tree = cKDTree(pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def nearest_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """Exact nearest neighbor of each query point; returns (indices, distances)."""
-        d, i = self._tree.query(np.asarray(queries, dtype=np.float64).reshape(-1, 3))
-        return i.astype(np.int64), d
 
 
 def solve_weighted_rigid(source, target, weights=None) -> RigidTransform:

@@ -6,7 +6,8 @@ command and the gamma sweep both run through them.  Two instruments:
 
 * :func:`run_gamma_sweep` re-runs the full reconstruction pipeline across
   a grid of contact weights and scores each run by how far the fused
-  mesh's measured dimensions land from ground truth.
+  mesh's measured dimensions land from ground truth.  Every other
+  registration setting keeps its :class:`RegistrationConfig` default.
 * :func:`compare_energies` scores the four sparse-energy configurations
   (contact/detector, each with and without visual features) against
   annotated point pairs, isolating the per-pair solve from ICP and
@@ -206,18 +207,19 @@ def run_gamma_sweep(
     gammas: Sequence[float],
     *,
     volume_center,
-    config: RegistrationConfig = RegistrationConfig(),
+    side_mm: float,
+    resolution: int,
+    smooth_iterations: int,
     intrinsics: CameraIntrinsics | None = None,
-    tsdf_side_mm: float = 350.0,
-    tsdf_resolution: int = 256,
-    smooth_iterations: int = 3,
 ) -> SweepResult:
     """Run the full pipeline once per gamma, in grid order, and measure the mesh.
 
-    Each gamma gets a fresh :func:`reconstruct` (registration, TSDF fusion
-    at ``volume_center``, extraction, smoothing) and probe measurement
+    Each gamma gets a fresh :func:`reconstruct` with
+    ``RegistrationConfig(gamma_t=gamma)`` in the working volume that the
+    keywords name as :func:`reconstruct` does, and probe measurement
     against the ``expected`` ground-truth dimensions; the frames' features
     and contact states, cached on the frames, are shared by every gamma.
+    A bad grid or gamma fails before the first gamma runs.
     A pipeline failure at some gamma (no frame pair registered, say, or a
     single unmeasurable probe, e.g. volume of an open mesh) is recorded as
     a NaN cell and the sweep continues.
@@ -228,34 +230,29 @@ def run_gamma_sweep(
         raise EmptyInputError("no frames to sweep")
     if not probes:
         raise EmptyInputError("no probes to measure")
-    grid = tuple(float(g) for g in gammas)
-    if not grid:
-        raise ValueError("gamma list is empty")
-    if any(g < 0.0 or not math.isfinite(g) for g in grid):
-        raise ValueError("gamma values must be finite and nonnegative")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("gamma values must be strictly increasing")
+    # The whole grid is checked, and each gamma's config built, before any run.
+    result = SweepResult(tuple(float(g) for g in gammas), ())
+    configs = [RegistrationConfig(gamma_t=g) for g in result.gammas]
     missing = [p.name for p in probes if p.name not in expected]
     if missing:
         raise ValueError(f"no ground-truth value for probes: {', '.join(missing)}")
 
+    volume = dict(
+        volume_center=volume_center,
+        side_mm=side_mm,
+        resolution=resolution,
+        smooth_iterations=smooth_iterations,
+    )
     cells = []
-    for gamma in grid:
-        measured = _measure_at_gamma(
-            frames,
-            probes,
-            replace(config, gamma_t=gamma),
-            intrinsics,
-            volume_center,
-            tsdf_side_mm,
-            tsdf_resolution,
-            smooth_iterations,
-        )
+    for config in configs:
+        measured = _measure_at_gamma(frames, probes, config, intrinsics, volume)
         cells.extend(
-            ProbeCell(gamma, p.name, p.kind, float(expected[p.name]), measured[p.name])
+            ProbeCell(
+                config.gamma_t, p.name, p.kind, float(expected[p.name]), measured[p.name]
+            )
             for p in probes
         )
-    return SweepResult(grid, tuple(cells))
+    return replace(result, cells=tuple(cells))
 
 
 def _measure_at_gamma(
@@ -263,22 +260,11 @@ def _measure_at_gamma(
     probes: tuple[Probe, ...],
     config: RegistrationConfig,
     intrinsics: CameraIntrinsics | None,
-    volume_center,
-    tsdf_side_mm: float,
-    tsdf_resolution: int,
-    smooth_iterations: int,
+    volume: dict,
 ) -> dict[str, float]:
     """Probe values for one pipeline run; failures come back as NaN."""
     try:
-        _, mesh = reconstruct(
-            frames,
-            config,
-            intrinsics,
-            volume_center=volume_center,
-            side_mm=tsdf_side_mm,
-            resolution=tsdf_resolution,
-            smooth_iterations=smooth_iterations,
-        )
+        _, mesh = reconstruct(frames, config, intrinsics, **volume)
     except InHandError as exc:
         log.warning(
             "gamma %g: pipeline failed (%s); recording failed cells", config.gamma_t, exc
@@ -319,7 +305,6 @@ def compare_energies(
     frames: Sequence[SegmentedFrame],
     annotations,
     *,
-    config: RegistrationConfig = RegistrationConfig(),
     intrinsics: CameraIntrinsics | None = None,
 ) -> tuple[EnergyRow, ...]:
     """Score the four sparse-energy configurations on annotated pairs.
@@ -332,14 +317,15 @@ def compare_energies(
     and fusion are deliberately excluded so the rows compare the sparse
     solves alone.  A configuration that cannot be solved on every pair
     (no detector boxes or intrinsics, a dropped contact term, fewer than
-    three effective pairs) comes back marked unavailable.
+    three effective pairs) comes back marked unavailable.  The contact and
+    detector sets carry the default ``gamma_t``.
     """
     frames = list(frames)
     annotations = list(annotations)
     if not annotations:
         raise EmptyInputError("sequence carries no annotated pairs")
     by_index = {f.frame_index: f for f in frames}
-    build_cfg = replace(config, use_contact=True, use_detector=True)
+    config = RegistrationConfig(use_detector=True)
 
     # Per config: the point errors of each annotated pair.
     errors: dict[str, list[np.ndarray]] = {name: [] for name, _, _ in _ENERGY_CONFIGS}
@@ -349,7 +335,7 @@ def compare_energies(
             prev, curr = by_index[ann.frame_a], by_index[ann.frame_b]
         except KeyError as exc:
             raise ValueError(f"annotation references missing frame {exc}") from None
-        sets = build_correspondences(prev, curr, build_cfg, intrinsics)
+        sets = build_correspondences(prev, curr, config, intrinsics)
         present = {cs.tag for cs in sets if len(cs) > 0}
         for name, anchor, tags in _ENERGY_CONFIGS:
             chosen = [cs for cs in sets if cs.tag in tags]

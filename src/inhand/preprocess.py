@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .contact import ContactState, PosedHand, detect_contacts
 from .errors import DegenerateConfigurationError, InsufficientPointsError, NoContactError
 from .features import describe_cloud
-from .geometry import PointCloud, SpatialIndex, _freeze
+from .geometry import PointCloud, _freeze
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +37,7 @@ def estimate_normals(cloud: PointCloud, k: int = 16) -> PointCloud:
     if n < k:
         raise InsufficientPointsError(f"cloud has {n} points but k={k}")
     pts = cloud.points
-    index = SpatialIndex(pts)
-    _, nbr = index._tree.query(pts, k=k)
+    _, nbr = cKDTree(pts).query(pts, k=k)
     neigh = pts[nbr]  # (n, k, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / k

@@ -15,8 +15,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .contact import contact_correspondences
 from .errors import (
@@ -30,7 +32,6 @@ from .geometry import (
     CameraIntrinsics,
     PointCloud,
     RigidTransform,
-    SpatialIndex,
     back_project_many,
     solve_weighted_rigid,
     voxel_downsample_indices,
@@ -46,30 +47,26 @@ _GAMMA_TAGS = frozenset({"contact", "detector"})
 
 @dataclass(frozen=True)
 class RegistrationConfig:
-    """Knobs for the per-pair solve and the ICP refinement.
+    """The settings of one registration run, as the command line gives them.
 
     ``use_contact`` / ``use_detector`` / ``use_icp`` switch whole terms on
     or off for ablation runs; ``gamma_t`` scales whichever of the contact
-    or detector sets are active.
+    or detector sets are active.  The ICP limits are constants of the
+    method, not settings.
     """
 
     gamma_t: float = 15.0
-    icp_max_dist: float = 5.0
-    icp_max_iters: int = 50
-    icp_convergence_eps: float = 1e-3
     use_contact: bool = True
     use_detector: bool = False
     use_icp: bool = True
 
+    icp_max_dist: ClassVar[float] = 5.0
+    icp_max_iters: ClassVar[int] = 50
+    icp_convergence_eps: ClassVar[float] = 1e-3
+
     def __post_init__(self) -> None:
-        if self.gamma_t < 0.0:
-            raise ValueError("gamma_t must be nonnegative")
-        if self.icp_max_dist <= 0.0:
-            raise ValueError("icp_max_dist must be positive")
-        if self.icp_max_iters < 1:
-            raise ValueError("icp_max_iters must be at least 1")
-        if self.icp_convergence_eps <= 0.0:
-            raise ValueError("icp_convergence_eps must be positive")
+        if not (math.isfinite(self.gamma_t) and self.gamma_t >= 0.0):
+            raise ValueError(f"gamma_t must be finite and nonnegative, got {self.gamma_t}")
 
     def set_weight(self, tag: str) -> float:
         return self.gamma_t if tag in _GAMMA_TAGS else 1.0
@@ -80,7 +77,7 @@ class Metascan:
 
     Every appended cloud is merged into a 2 mm voxel grid where the
     earliest point in a voxel wins, so the structure grows by filling
-    previously unseen voxels only.  The nearest-neighbor index is rebuilt
+    previously unseen voxels only.  The kd-tree over the points is rebuilt
     lazily after each append.
     """
 
@@ -90,7 +87,7 @@ class Metascan:
         self.voxel_size = float(voxel_size)
         self._points = np.empty((0, 3), dtype=np.float64)
         self._frame_ids = np.empty(0, dtype=np.int64)
-        self._index: SpatialIndex | None = None
+        self._index: cKDTree | None = None
 
     def __len__(self) -> int:
         return len(self._points)
@@ -104,9 +101,9 @@ class Metascan:
         return self._frame_ids
 
     @property
-    def index(self) -> SpatialIndex:
+    def index(self) -> cKDTree:
         if self._index is None:
-            self._index = SpatialIndex(self._points)
+            self._index = cKDTree(self._points)
         return self._index
 
     def append(self, cloud: PointCloud | np.ndarray, frame_index: int) -> None:
@@ -207,7 +204,7 @@ def refine_icp(
     pair_count = 0
     for iteration in range(config.icp_max_iters):
         moved = t.apply(pts)
-        idx, dist = metascan.index.nearest_many(moved)
+        dist, idx = metascan.index.query(moved)
         in_range = dist <= config.icp_max_dist
         pair_count = int(in_range.sum())
         if pair_count < 3:
@@ -376,18 +373,3 @@ def run_sequence(
         prev, world_prev = curr, pose.world_from_frame
     return SequenceResult(tuple(poses), metascan, tuple(skipped))
 
-
-def pose_record(pose: FramePose) -> dict:
-    """JSON-ready trajectory record for one frame."""
-
-    def _num(x: float):
-        return None if math.isnan(x) else x
-
-    return {
-        "frame": pose.frame_index,
-        "rotation": [float(v) for v in pose.world_from_frame.rotation.ravel()],
-        "translation": [float(v) for v in pose.world_from_frame.translation],
-        "sparse_rms": _num(pose.sparse_residual),
-        "icp_rms": _num(pose.icp_residual),
-        "counts": dict(pose.correspondence_counts),
-    }

@@ -14,6 +14,7 @@ from inhand.fileio import (
     load_manifest,
     read_ply,
     save_ground_truth,
+    save_manifest,
     write_ply,
 )
 from inhand.fusion import TriangleMesh
@@ -186,11 +187,6 @@ def truth_expected_a_list(work):
     return "ground_truth.json"
 
 
-def manifest_outputs_a_list(work):
-    edit_json(work / "manifest.json", lambda p: p.update(outputs=[]))
-    return "manifest.json"
-
-
 def frame_without_object(work):
     edit_json(work / "manifest.json", lambda p: p["frames"][1].update(object=None))
     return "frame 1"
@@ -219,12 +215,23 @@ class TestSynth:
         assert len(truth.motions) == 6
         assert len(truth.annotations) == 1
         assert truth.expected["diameter"] == 30.0
+        # Run settings come from the command line, not the manifest.
+        payload = json.loads((seq_dir / "manifest.json").read_text())
+        assert "registration" not in payload and "outputs" not in payload
 
     def test_truth_file_reloads_and_saves_byte_identical(self, seq_dir, tmp_path):
         written = seq_dir / "ground_truth.json"
         again = tmp_path / "ground_truth.json"
         save_ground_truth(load_ground_truth(written), again)
         assert again.read_bytes() == written.read_bytes()
+
+    def test_manifest_reloads_and_saves_byte_identical(self, seq_dir, tmp_path):
+        # Paths are stored relative to the manifest, so save next to it.
+        work = tmp_path / "seq"
+        shutil.copytree(seq_dir, work)
+        again = work / "manifest_again.json"
+        save_manifest(load_manifest(work / "manifest.json"), again)
+        assert again.read_bytes() == (work / "manifest.json").read_bytes()
 
     def test_negative_dimension_rejected(self, tmp_path, capsys):
         code = run_cli(
@@ -332,7 +339,6 @@ class TestReconstruct:
             manifest_not_an_object,
             hand_model_not_an_object,
             truth_expected_a_list,
-            manifest_outputs_a_list,
             frame_without_object,
         ):
             work = tmp_path / corrupt.__name__
@@ -353,11 +359,23 @@ class TestReconstruct:
         assert not (tmp_path / "out" / "mesh.ply").exists()
 
     def test_negative_gamma_override_rejected(self, seq_dir, tmp_path, capsys):
-        code = run_cli(
-            "reconstruct", seq_dir / "manifest.json", "--gamma-t", "-1", "--out", tmp_path
-        )
-        assert code == cli.EXIT_USAGE
-        assert "--gamma-t" in capsys.readouterr().err
+        for gamma in ("-1", "nan", "inf"):
+            out = tmp_path / gamma
+            code = run_cli(
+                "reconstruct", seq_dir / "manifest.json", "--gamma-t", gamma, "--out", out
+            )
+            assert code == cli.EXIT_USAGE, gamma
+            assert "--gamma-t" in capsys.readouterr().err, gamma
+            assert not out.exists(), gamma
+
+    def test_first_manifest_schema_refused(self, seq_dir, tmp_path, capsys):
+        def first_schema(payload):
+            payload["schema"] = "inhand-manifest/1"
+
+        work = edited_copy(seq_dir, tmp_path, first_schema)
+        code = run_cli("reconstruct", work / "manifest.json", "--out", tmp_path / "out")
+        assert code == cli.EXIT_INPUT
+        assert "inhand-manifest/1" in capsys.readouterr().err
 
     def test_overrides_reach_the_report(self, seq_dir, tmp_path):
         code = run_cli(
@@ -405,6 +423,19 @@ class TestEval:
         assert sorted({r["gamma"] for r in rows}) == ["0.0", "15.0"]
         by_gamma = {r["gamma"]: float(r["normalized_mean_error"]) for r in rows}
         assert by_gamma["15.0"] < by_gamma["0.0"]
+
+    def test_sweep_uses_the_manifest_volume(self, seq_dir, tmp_path):
+        # A working volume that misses the object leaves nothing to measure.
+        def move_volume(payload):
+            payload["working_volume"]["center"] = [0.0, 0.0, 0.0]
+
+        work = edited_copy(seq_dir, tmp_path, move_volume)
+        out = tmp_path / "sweep"
+        code = run_cli("eval", work / "manifest.json", "--sweep-gammas", "15", "--out", out)
+        assert code == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["measured"] == "nan" for r in rows)
 
     def test_energy_comparison_csv(self, seq_dir, tmp_path):
         out = tmp_path / "energies"

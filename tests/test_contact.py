@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from inhand.contact import ContactState, PosedHand, contact_correspondences, detect_contacts
-from inhand.errors import NoContactError
+from inhand.errors import EmptyInputError, NoContactError
 from inhand.geometry import PointCloud, RigidTransform, rotation_about_axis
 
 
@@ -71,6 +71,11 @@ class TestDetectContacts:
         hand = two_finger_hand(h_b=50.0)  # finger B far beyond the 10 mm cap
         with pytest.raises(NoContactError):
             detect_contacts(hand, cloud)
+
+    def test_empty_object_cloud_rejected(self):
+        # Not NoContactError: a frame would silently drop its contact term.
+        with pytest.raises(EmptyInputError, match="empty object cloud"):
+            detect_contacts(two_finger_hand(), PointCloud(np.empty((0, 3))))
 
     def test_non_end_effector_bones_ignored(self):
         cloud = plane_cloud()

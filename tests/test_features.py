@@ -139,7 +139,7 @@ class TestDetect:
         cloud = blobby_cloud(seed=40, n=1500)
         rng = np.random.default_rng(41)
         perm = rng.permutation(len(cloud))
-        shuffled = cloud.select(perm)
+        shuffled = PointCloud(cloud.points[perm], normals=cloud.normals[perm])
         a = np.array([kp.position for kp in detect_iss_keypoints(cloud)])
         b = np.array([kp.position for kp in detect_iss_keypoints(shuffled)])
         np.testing.assert_allclose(a, b, atol=1e-12)

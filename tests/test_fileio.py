@@ -2,10 +2,15 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import inhand
 from inhand.contact import PosedHand
 from inhand.errors import FileFormatError, ManifestError
 from inhand.features import parse_feat2d_file
@@ -29,7 +34,7 @@ from inhand.fileio import (
 from inhand.fusion import TriangleMesh
 from inhand.geometry import CameraIntrinsics, PointCloud, RigidTransform
 from inhand.preprocess import DetectorBox
-from inhand.register import FramePose, RegistrationConfig
+from inhand.register import FramePose
 from inhand.synth import MotionScript, SyntheticObjectSpec, generate_sequence
 
 INTRINSICS = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
@@ -287,8 +292,6 @@ def write_sequence_dir(tmp_path):
         volume_side_mm=120.0,
         tsdf_resolution=48,
         smooth_iterations=2,
-        registration=RegistrationConfig(icp_max_dist=2.5),
-        outputs={"mesh": tmp_path / "mesh.ply"},
         hand_model=hand_model,
         ground_truth=truth_path,
     )
@@ -311,7 +314,6 @@ class TestManifest:
                 volume_side_mm=350.0,
                 tsdf_resolution=128,
                 smooth_iterations=3,
-                registration=RegistrationConfig(),
             )
 
     def test_hand_files_require_hand_model(self, tmp_path):
@@ -324,7 +326,6 @@ class TestManifest:
                 volume_side_mm=manifest.volume_side_mm,
                 tsdf_resolution=manifest.tsdf_resolution,
                 smooth_iterations=manifest.smooth_iterations,
-                registration=manifest.registration,
                 hand_model=None,
             )
 
@@ -379,7 +380,6 @@ class TestLoadFrames:
             volume_side_mm=manifest.volume_side_mm,
             tsdf_resolution=manifest.tsdf_resolution,
             smooth_iterations=manifest.smooth_iterations,
-            registration=manifest.registration,
         )
         loaded = load_frames(no_hands)
         assert len(loaded[0].hand_pose.vertices) == 0
@@ -408,3 +408,13 @@ class TestTrajectory:
         assert records[0]["sparse_rms"] is None
         assert records[1]["counts"] == {"feat3d": 7}
         assert records[1]["rotation"] == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def test_fileio_does_not_load_register():
+    # File formats must not depend on the registration code they feed.
+    env = dict(os.environ, PYTHONPATH=str(Path(inhand.__file__).parents[1]))
+    probe = "import sys, inhand.fileio; print('inhand.register' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

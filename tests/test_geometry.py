@@ -1,11 +1,10 @@
-"""Core geometry: transforms, back-projection, weighted alignment, NN index."""
+"""Core geometry: transforms, back-projection, weighted alignment."""
 
 import numpy as np
 import pytest
 
 from inhand.errors import (
     DegenerateConfigurationError,
-    EmptyInputError,
     InvalidDepthError,
     UnderConstrainedError,
 )
@@ -13,7 +12,6 @@ from inhand.geometry import (
     CameraIntrinsics,
     PointCloud,
     RigidTransform,
-    SpatialIndex,
     back_project_many,
     project,
     rotation_about_axis,
@@ -238,24 +236,6 @@ class TestSolveWeightedRigid:
         src = np.zeros((5, 3))
         with pytest.raises(DegenerateConfigurationError):
             solve_weighted_rigid(src, src)
-
-
-class TestSpatialIndex:
-    def test_empty_cloud_rejected(self):
-        with pytest.raises(EmptyInputError):
-            SpatialIndex(PointCloud(np.empty((0, 3))))
-
-    def test_nearest_matches_brute_force(self):
-        rng = np.random.default_rng(18)
-        pts = rng.uniform(-100, 100, (500, 3))
-        qs = rng.uniform(-120, 120, (1000, 3))
-        for index in (SpatialIndex(PointCloud(pts)), SpatialIndex(pts)):
-            idx, dist = index.nearest_many(qs)
-            for q, i, d in zip(qs, idx, dist):
-                dists = np.linalg.norm(pts - q, axis=1)
-                j = int(np.argmin(dists))
-                assert d == pytest.approx(dists[j])
-                assert dists[i] == pytest.approx(dists[j])
 
 
 class TestPointCloud:

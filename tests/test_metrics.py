@@ -52,6 +52,11 @@ def noisy_sequence_with_boxes():
     return attach_detector_boxes(frames, INTRINSICS), truth
 
 
+def sweep_volume(truth):
+    """The working volume the sweep tests reconstruct in."""
+    return dict(volume_center=truth.center, side_mm=120.0, resolution=48, smooth_iterations=2)
+
+
 @functools.cache
 def sweep_fixture():
     motion = MotionScript.tumble(6, 6.0, sigma=0.5, seed=7)
@@ -61,10 +66,7 @@ def sweep_fixture():
         truth.probes,
         truth.expected,
         (0.0, 15.0),
-        volume_center=truth.center,
-        tsdf_side_mm=120.0,
-        tsdf_resolution=48,
-        smooth_iterations=2,
+        **sweep_volume(truth),
     )
     return frames, truth, result
 
@@ -206,10 +208,7 @@ class TestRunGammaSweep:
             truth.probes + (phantom,),
             expected,
             (15.0,),
-            volume_center=truth.center,
-            tsdf_side_mm=120.0,
-            tsdf_resolution=48,
-            smooth_iterations=2,
+            **sweep_volume(truth),
         )
         by_name = {c.probe: c for c in result.cells_at(15.0)}
         assert math.isnan(by_name["phantom"].measured)
@@ -228,10 +227,7 @@ class TestRunGammaSweep:
             truth.probes,
             truth.expected,
             (15.0,),
-            volume_center=truth.center,
-            tsdf_side_mm=120.0,
-            tsdf_resolution=48,
-            smooth_iterations=2,
+            **sweep_volume(truth),
         )
         assert all(math.isnan(c.measured) for c in result.cells)
         assert math.isnan(dict(zip(result.gammas, result.normalized_errors))[15.0])
@@ -248,10 +244,7 @@ class TestRunGammaSweep:
             truth.probes,
             truth.expected,
             (0.0, 5.0, 15.0),
-            volume_center=truth.center,
-            tsdf_side_mm=120.0,
-            tsdf_resolution=48,
-            smooth_iterations=2,
+            **sweep_volume(truth),
         )
         clouds = sorted(id(f.object_cloud) for f in frames)
         assert sorted(id(cloud) for cloud, in keypoint_calls) == clouds
@@ -264,22 +257,34 @@ class TestRunGammaSweep:
             truth.probes,
             truth.expected,
             (0.0, 15.0),
-            volume_center=truth.center,
-            tsdf_side_mm=120.0,
-            tsdf_resolution=48,
-            smooth_iterations=2,
+            **sweep_volume(truth),
         )
         assert_results_identical(result, again)
 
     def test_rejects_bad_gamma_grids(self):
         frames, truth, _ = sweep_fixture()
         args = frames, truth.probes, truth.expected
-        with pytest.raises(ValueError, match="empty"):
-            run_gamma_sweep(*args, (), volume_center=truth.center)
+        with pytest.raises(ValueError, match="at least one gamma"):
+            run_gamma_sweep(*args, (), **sweep_volume(truth))
         with pytest.raises(ValueError, match="strictly increasing"):
-            run_gamma_sweep(*args, (15.0, 5.0), volume_center=truth.center)
+            run_gamma_sweep(*args, (15.0, 5.0), **sweep_volume(truth))
         with pytest.raises(ValueError, match="nonnegative"):
-            run_gamma_sweep(*args, (-1.0, 5.0), volume_center=truth.center)
+            run_gamma_sweep(*args, (-1.0, 5.0), **sweep_volume(truth))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                run_gamma_sweep(*args, (bad,), **sweep_volume(truth))
+
+    def test_bad_gamma_fails_before_any_gamma_runs(self, monkeypatch):
+        frames, truth, _ = sweep_fixture()
+
+        def must_not_run(*args):
+            raise AssertionError("a gamma ran before the grid was checked")
+
+        monkeypatch.setattr("inhand.metrics._measure_at_gamma", must_not_run)
+        with pytest.raises(ValueError, match="finite"):
+            run_gamma_sweep(
+                frames, truth.probes, truth.expected, (0.0, math.inf), **sweep_volume(truth)
+            )
 
     def test_rejects_probes_without_ground_truth(self):
         frames, truth, _ = sweep_fixture()
@@ -289,18 +294,18 @@ class TestRunGammaSweep:
                 truth.probes + (Probe("phantom", "extent"),),
                 truth.expected,
                 (15.0,),
-                volume_center=truth.center,
+                **sweep_volume(truth),
             )
 
     def test_rejects_empty_inputs(self):
         frames, truth, _ = sweep_fixture()
         with pytest.raises(EmptyInputError):
             run_gamma_sweep(
-                [], truth.probes, truth.expected, (15.0,), volume_center=truth.center
+                [], truth.probes, truth.expected, (15.0,), **sweep_volume(truth)
             )
         with pytest.raises(EmptyInputError):
             run_gamma_sweep(
-                frames, (), truth.expected, (15.0,), volume_center=truth.center
+                frames, (), truth.expected, (15.0,), **sweep_volume(truth)
             )
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from inhand.contact import PosedHand
 from inhand.errors import DivergenceError, EmptyInputError, UnderConstrainedError
@@ -59,6 +60,15 @@ def make_pair_sets(rng, motion, n_visual=20, n_contact=100, noise=0.0):
     visual = CorrespondenceSet(pts_v, motion.apply(pts_v), "feat3d")
     contact = CorrespondenceSet(pts_c, motion.apply(pts_c), "contact")
     return visual, contact
+
+
+class TestRegistrationConfig:
+    def test_icp_limits_are_constants(self):
+        config = RegistrationConfig(gamma_t=0.0)
+        assert (config.icp_max_dist, config.icp_max_iters) == (5.0, 50)
+        assert config.icp_convergence_eps == 1e-3
+        with pytest.raises(TypeError):
+            RegistrationConfig(icp_max_dist=2.5)
 
 
 class TestAlignSparse:
@@ -180,7 +190,7 @@ class TestMetascan:
         scan = Metascan()
         scan.append(blob_cloud(500, seed=1), 0)
         scan.append(blob_cloud(500, seed=2).points + 100.0, 1)
-        idx, dist = scan.index.nearest_many(scan.points)
+        dist, idx = scan.index.query(scan.points)
         np.testing.assert_array_equal(idx, np.arange(len(scan)))
         assert np.all(dist == 0.0)
 
@@ -209,7 +219,8 @@ def exact_sequence(n_frames=4, deg_per_frame=4.0):
     # Pre-thin the canonical sample at the metascan voxel size so the
     # accumulation keeps every point and exact motions stay exact.
     canon = blob_cloud()
-    base_cloud = canon.select(voxel_downsample_indices(canon.points, 2.0))
+    keep = voxel_downsample_indices(canon.points, 2.0)
+    base_cloud = PointCloud(canon.points[keep], normals=canon.normals[keep])
     base_hand = hand_on(base_cloud)
     frames, truth = [], []
     for k in range(n_frames):
@@ -263,8 +274,6 @@ class TestRunSequence:
     def test_metascan_composition_consistency(self):
         # Every metascan point of frame k, mapped back through the inverse
         # of that frame's pose, must coincide with an original local point.
-        from inhand.geometry import SpatialIndex
-
         frames, _ = exact_sequence()
         result = run_sequence(frames)
         poses = {p.frame_index: p.world_from_frame for p in result.poses}
@@ -273,7 +282,7 @@ class TestRunSequence:
             back = poses[k].inverse().apply(
                 result.metascan.points[sel]
             )
-            _, dist = SpatialIndex(frame.object_cloud.points).nearest_many(back)
+            dist, _ = cKDTree(frame.object_cloud.points).query(back)
             assert np.all(dist < 1e-9)
 
     def test_empty_sequence(self):
