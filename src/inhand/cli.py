@@ -8,8 +8,8 @@ alone configure a run (registration terms, contact weight, output
 directory), and ``eval`` runs with the default registration settings.
 Set ``INHAND_LOG=INFO`` (or ``DEBUG``) for progress logging.
 
-Exit codes: 0 success, 2 usage, 3 input problem, 4 registration failure,
-5 meshing failure.
+Flags are checked before anything is written; a failure exits with the
+code of its error class (:mod:`inhand.errors` holds the table).
 """
 
 from __future__ import annotations
@@ -24,23 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import (
-    DegenerateConfigurationError,
-    DegenerateMotionError,
-    DivergenceError,
-    EmptyInputError,
-    EmptyMeshError,
-    FileFormatError,
-    InHandError,
-    InsufficientPointsError,
-    InvalidDepthError,
-    ManifestError,
-    MatchFileParseError,
-    NoContactError,
-    OpenMeshError,
-    UnderConstrainedError,
-)
-from .fusion import euler_characteristic, is_closed
+from .errors import FileFormatError, InHandError, ManifestError, UsageError
+from .fusion import check_working_volume, euler_characteristic, is_closed
 from .geometry import CameraIntrinsics, PointCloud
 from .metrics import (
     compare_energies,
@@ -49,10 +34,12 @@ from .metrics import (
     reconstruct,
     rotation_span_deg,
     run_gamma_sweep,
+    sweep_configs,
     sweep_to_csv,
 )
 from .register import RegistrationConfig
 from .synth import (
+    DEFAULT_CENTER,
     GroundTruth,
     MotionScript,
     SyntheticObjectSpec,
@@ -61,13 +48,7 @@ from .synth import (
     generate_sequence,
 )
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_INPUT = 3
-EXIT_REGISTRATION = 4
-EXIT_MESHING = 5
 
 # Kinect-style pinhole model used for all synthetic projections.
 DEFAULT_INTRINSICS = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
@@ -85,69 +66,73 @@ OUTPUT_NAMES = {
     "report": "report.json",
 }
 
-_INPUT_ERRORS = (
-    ManifestError,
-    FileFormatError,
-    MatchFileParseError,
-    DegenerateMotionError,
-    EmptyInputError,
-    InvalidDepthError,
-    InsufficientPointsError,
+# --------------------------------------------------------------------------
+# flag types: argparse checks each flag's own range and names the flag
+
+
+def _flag(convert, holds, wanted: str = ""):
+    """argparse type: ``convert`` the text, then require ``holds(value)``.
+
+    A false ``holds`` means the value is not ``wanted``; a library rule used
+    as ``holds`` raises ``ValueError`` itself and returns what it built.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if not holds(value):
+                raise ValueError(f"must be {wanted}, got {text}")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
+def _int_at_least(low: int):
+    return _flag(int, lambda v: v >= low, f">= {low}")
+
+
+_count = _int_at_least(0)
+_finite = _flag(float, math.isfinite, "finite")
+_positive = _flag(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_nonnegative = _flag(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_gamma = _flag(float, lambda g: RegistrationConfig(gamma_t=g))
+_gamma_grid = _flag(
+    lambda text: [float(g) for g in text.split(",") if g.strip()], sweep_configs
 )
-_REGISTRATION_ERRORS = (
-    DivergenceError,
-    UnderConstrainedError,
-    DegenerateConfigurationError,
-    NoContactError,
-)
-_MESHING_ERRORS = (EmptyMeshError, OpenMeshError)
-
-
-class _UsageError(Exception):
-    """Bad command-line values detected after argparse (exit code 2)."""
-
-
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
 
 
 # --------------------------------------------------------------------------
 # synth
 
 
-def _build_object(args) -> SyntheticObjectSpec:
-    def need(value, flag):
-        if value is None:
-            raise _UsageError(f"{flag} is required for --shape {args.shape}")
-        if value <= 0.0:
-            raise _UsageError(f"{flag} must be positive")
-        return float(value)
+_SHAPES = {  # --shape: the SyntheticObjectSpec constructor and its dimension flags
+    "sphere": ("sphere", ("--diameter",)),
+    "bottle": ("capsule_bottle", ("--diameter", "--height")),
+    "pin": ("bowling_pin", ("--head-diameter", "--body-diameter", "--height")),
+}
 
-    if args.density is not None and args.density <= 0.0:
-        raise _UsageError("--density must be positive")
-    density = args.density if args.density is not None else 1.0
-    if args.shape == "sphere":
-        return SyntheticObjectSpec.sphere(need(args.diameter, "--diameter"), density)
-    if args.shape == "bottle":
-        return SyntheticObjectSpec.capsule_bottle(
-            need(args.diameter, "--diameter"), need(args.height, "--height"), density
-        )
-    return SyntheticObjectSpec.bowling_pin(
-        need(args.head_diameter, "--head-diameter"),
-        need(args.body_diameter, "--body-diameter"),
-        need(args.height, "--height"),
-        density,
-    )
+
+def _build_object(args) -> SyntheticObjectSpec:
+    """The object the shape flags describe; :class:`UsageError` if they do not fit."""
+    constructor, flags = _SHAPES[args.shape]
+    values = [getattr(args, flag[2:].replace("-", "_")) for flag in flags]
+    for flag, value in zip(flags, values):
+        if value is None:
+            raise UsageError(f"{flag} is required for --shape {args.shape}")
+    try:
+        return getattr(SyntheticObjectSpec, constructor)(*values, args.density)
+    except ValueError as exc:
+        raise UsageError(f"--shape {args.shape}: {exc}") from None
 
 
 def cmd_synth(args) -> int:
     obj = _build_object(args)
-    if args.frames < 1:
-        raise _UsageError("--frames must be at least 1")
-    if args.noise < 0.0:
-        raise _UsageError("--noise must be nonnegative")
-    if args.hand_noise < 0.0:
-        raise _UsageError("--hand-noise must be nonnegative")
+    try:
+        check_working_volume(DEFAULT_CENTER, args.volume_side, args.tsdf_resolution)
+    except ValueError as exc:
+        raise UsageError(f"--volume-side with --tsdf-resolution: {exc}") from None
     motion = MotionScript.tumble(
         args.frames, args.deg_per_frame, sigma=args.noise, seed=args.seed
     )
@@ -217,27 +202,14 @@ def cmd_synth(args) -> int:
 # reconstruct
 
 
-def _registration_config(args) -> RegistrationConfig:
-    """The registration settings of this run, from the flags alone."""
-    try:
-        return RegistrationConfig(
-            gamma_t=args.gamma_t,
-            use_contact=not args.no_contact,
-            use_detector=args.use_detector,
-            use_icp=not args.no_icp,
-        )
-    except ValueError as exc:
-        raise _UsageError(f"--gamma-t: {exc}") from None
-
-
 def _measure_report(mesh, truth: GroundTruth) -> dict:
-    """Measured, expected and absolute error per probe; ``None`` where unknown."""
+    """Measured, expected and absolute error per probe; ``None`` where unmeasured."""
     dimensions = {}
     for name, measured in measure_probes(mesh, truth.probes).items():
-        expected = truth.expected.get(name)
-        known = not math.isnan(measured) and expected is not None
+        expected = truth.expected[name]
+        known = not math.isnan(measured)
         dimensions[name] = {
-            "measured": None if math.isnan(measured) else measured,
+            "measured": measured if known else None,
             "expected": expected,
             "abs_error": abs(measured - expected) if known else None,
         }
@@ -246,23 +218,23 @@ def _measure_report(mesh, truth: GroundTruth) -> dict:
 
 def cmd_reconstruct(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
-    config = _registration_config(args)
+    config = RegistrationConfig(
+        gamma_t=args.gamma_t,
+        use_contact=not args.no_contact,
+        use_detector=args.use_detector,
+        use_icp=not args.no_icp,
+    )
     if config.use_contact and config.gamma_t > 0.0:
         handless = [f.index for f in manifest.frames if f.hand_path is None]
         if handless:
-            _fail(
-                f"frame {handless[0]} has no hand file; the contact term needs "
-                "hand data (pass --no-contact or --gamma-t 0)"
+            raise ManifestError(
+                f"{args.manifest}: frame {handless[0]} has no hand file; the contact "
+                "term needs hand data (pass --no-contact or --gamma-t 0)"
             )
-            return EXIT_INPUT
     truth = None
     if manifest.ground_truth is not None:
         truth = fileio.load_ground_truth(manifest.ground_truth)
     frames = fileio.load_frames(manifest)
-
-    out = Path(args.manifest).resolve().parent if args.out is None else Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = {key: out / name for key, name in OUTPUT_NAMES.items()}
 
     result, mesh = reconstruct(
         frames,
@@ -273,6 +245,9 @@ def cmd_reconstruct(args) -> int:
         resolution=manifest.tsdf_resolution,
         smooth_iterations=manifest.smooth_iterations,
     )
+    out = Path(args.manifest).resolve().parent if args.out is None else Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = {key: out / name for key, name in OUTPUT_NAMES.items()}
     fileio.write_ply(outputs["mesh"], mesh, binary=True)
     fileio.save_trajectory(result.poses, outputs["trajectory"])
 
@@ -349,41 +324,41 @@ def _nanmean(values) -> float | None:
 
 def cmd_eval(args) -> int:
     if args.sweep_gammas is None and not args.compare_energies:
-        raise _UsageError("nothing to do: pass --sweep-gammas and/or --compare-energies")
+        raise UsageError("nothing to do: pass --sweep-gammas and/or --compare-energies")
     manifest = fileio.load_manifest(args.manifest)
     if manifest.ground_truth is None:
-        _fail("eval needs a ground_truth entry in the manifest")
-        return EXIT_INPUT
+        raise ManifestError(f"{args.manifest}: eval needs a ground_truth entry")
     truth = fileio.load_ground_truth(manifest.ground_truth)
-    if args.compare_energies and not truth.annotations:
-        _fail("ground truth carries no annotated pairs for --compare-energies")
-        return EXIT_INPUT
+    if args.sweep_gammas is not None and not truth.probes:
+        raise FileFormatError(f"{manifest.ground_truth}: no probes for --sweep-gammas")
+    if args.compare_energies:
+        if not truth.annotations:
+            raise FileFormatError(
+                f"{manifest.ground_truth}: no annotated pairs for --compare-energies"
+            )
+        annotated = {i for a in truth.annotations for i in (a.frame_a, a.frame_b)}
+        absent = sorted(annotated - {f.index for f in manifest.frames})
+        if absent:
+            raise FileFormatError(
+                f"{manifest.ground_truth}: an annotation names frame {absent[0]}, "
+                f"which {args.manifest} lacks"
+            )
     frames = fileio.load_frames(manifest)
     out = Path(args.out) if args.out is not None else Path(args.manifest).resolve().parent
     out.mkdir(parents=True, exist_ok=True)
 
     if args.sweep_gammas is not None:
-        text = args.sweep_gammas.strip()
-        try:
-            gammas = [float(g) for g in text.split(",") if g.strip() != ""]
-        except ValueError:
-            raise _UsageError(f"--sweep-gammas got a non-numeric entry in {text!r}")
-        if not gammas:
-            raise _UsageError("--sweep-gammas got an empty gamma list")
-        try:
-            sweep = run_gamma_sweep(
-                frames,
-                truth.probes,
-                truth.expected,
-                gammas,
-                volume_center=manifest.volume_center,
-                side_mm=manifest.volume_side_mm,
-                resolution=manifest.tsdf_resolution,
-                smooth_iterations=manifest.smooth_iterations,
-                intrinsics=manifest.intrinsics,
-            )
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        sweep = run_gamma_sweep(
+            frames,
+            truth.probes,
+            truth.expected,
+            args.sweep_gammas,
+            volume_center=manifest.volume_center,
+            side_mm=manifest.volume_side_mm,
+            resolution=manifest.tsdf_resolution,
+            smooth_iterations=manifest.smooth_iterations,
+            intrinsics=manifest.intrinsics,
+        )
         sweep_path = out / "sweep.csv"
         sweep_to_csv(sweep, sweep_path)
         print(f"gamma sweep ({len(frames)} frames) -> {sweep_path}")
@@ -418,46 +393,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="generate a synthetic scan sequence")
-    synth.add_argument("--shape", choices=("sphere", "bottle", "pin"), default="sphere")
-    synth.add_argument("--diameter", type=float, help="sphere/bottle diameter in mm")
-    synth.add_argument("--height", type=float, help="bottle/pin height in mm")
-    synth.add_argument("--head-diameter", type=float, help="pin head diameter in mm")
-    synth.add_argument("--body-diameter", type=float, help="pin body diameter in mm")
-    synth.add_argument("--density", type=float, help="surface points per mm^2")
-    synth.add_argument("--frames", type=int, default=24)
-    synth.add_argument("--deg-per-frame", type=float, default=6.0)
-    synth.add_argument("--noise", type=float, default=0.5, help="point noise sigma in mm")
-    synth.add_argument(
-        "--hand-noise",
-        type=float,
-        default=0.0,
-        help="tracked-hand vertex noise sigma in mm (default 0: the hand is exact)",
+    with_defaults = argparse.ArgumentDefaultsHelpFormatter
+    synth = sub.add_parser(
+        "synth", help="generate a synthetic scan sequence", formatter_class=with_defaults
     )
-    synth.add_argument("--texture-count", type=int, default=0, help="painted dents")
-    synth.add_argument("--texture-seed", type=int, default=None)
-    synth.add_argument(
-        "--feat2d", type=int, default=0, help="max pixel matches per frame pair"
-    )
-    synth.add_argument(
-        "--detector-boxes", action="store_true", help="attach fingertip detector boxes"
-    )
-    synth.add_argument("--annotate-every", type=int, default=10)
-    synth.add_argument("--volume-side", type=float, default=350.0)
-    synth.add_argument("--tsdf-resolution", type=int, default=256)
-    synth.add_argument("--smooth-iterations", type=int, default=3)
-    synth.add_argument("--ascii", action="store_true", help="write ASCII PLY files")
-    synth.add_argument("--out", required=True, help="output sequence directory")
-    synth.add_argument("--seed", type=int, default=0, help="RNG seed")
+    add = synth.add_argument
+    add("--shape", choices=tuple(_SHAPES), default="sphere")
+    add("--diameter", type=_positive, help="sphere/bottle diameter in mm, > 0")
+    add("--height", type=_positive, help="bottle/pin height in mm, > 0")
+    add("--head-diameter", type=_positive, help="pin head diameter in mm, > 0")
+    add("--body-diameter", type=_positive, help="pin body diameter in mm, > 0")
+    add("--density", type=_positive, default=1.0, help="surface points per mm^2, > 0")
+    add("--frames", type=_int_at_least(1), default=24, help="frame count, >= 1")
+    add("--deg-per-frame", type=_finite, default=6.0, help="turn per frame in degrees")
+    add("--noise", type=_nonnegative, default=0.5, help="point noise sigma in mm, >= 0")
+    add("--hand-noise", type=_nonnegative, default=0.0, help="hand noise sigma, mm, >= 0")
+    add("--texture-count", type=_count, default=0, help="painted dents, >= 0")
+    add("--texture-seed", type=_count, help="dent RNG seed, >= 0 (None: --seed)")
+    add("--feat2d", type=_count, default=0, help="max pixel matches a pair, >= 0")
+    add("--detector-boxes", action="store_true", help="attach fingertip detector boxes")
+    add("--annotate-every", type=_count, default=10, help="label every Nth pair; 0: none")
+    add("--volume-side", type=_positive, default=350.0, help="mm, > 0, voxel <= 6 mm")
+    add("--tsdf-resolution", type=_int_at_least(2), default=256, help="voxels/side, >= 2")
+    add("--smooth-iterations", type=_count, default=3, help="smoothing passes, >= 0")
+    add("--ascii", action="store_true", help="write ASCII PLY files")
+    add("--out", required=True, help="output sequence directory")
+    add("--seed", type=_count, default=0, help="RNG seed, >= 0")
     synth.set_defaults(func=cmd_synth)
 
     rec = sub.add_parser("reconstruct", help="register, fuse, and mesh a sequence")
     rec.add_argument("manifest", help="path to manifest.json")
     rec.add_argument(
         "--gamma-t",
-        type=float,
+        type=_gamma,
         default=RegistrationConfig.gamma_t,
-        help=f"contact weight (default {RegistrationConfig.gamma_t:g})",
+        help=f"contact weight, finite and >= 0 (default {RegistrationConfig.gamma_t:g})",
     )
     rec.add_argument("--no-contact", action="store_true", help="drop the contact term")
     rec.add_argument(
@@ -475,8 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("manifest", help="path to manifest.json")
     ev.add_argument(
         "--sweep-gammas",
+        type=_gamma_grid,
         default=None,
-        help="comma-separated contact weights, e.g. 0,1,5,10,15,20",
+        help="comma-separated contact weights, each finite and >= 0, strictly "
+        "increasing, e.g. 0,1,5,10,15,20",
     )
     ev.add_argument(
         "--compare-energies",
@@ -496,24 +468,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except _INPUT_ERRORS as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
-    except _REGISTRATION_ERRORS as exc:
-        _fail(f"registration failed: {exc}")
-        return EXIT_REGISTRATION
-    except _MESHING_ERRORS as exc:
-        _fail(f"meshing failed: {exc}")
-        return EXIT_MESHING
-    except ValueError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
     except InHandError as exc:
-        _fail(str(exc))
-        return EXIT_INPUT
+        prefix = f"{exc.stage} failed: " if exc.stage else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

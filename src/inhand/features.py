@@ -252,9 +252,11 @@ def parse_feat2d_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             continue
         try:
             u, v, depth, u2, v2, depth2 = map(float, line.split())
+            if not np.isfinite([u, v, u2, v2]).all():
+                raise ValueError("non-finite pixel")
         except ValueError:
             raise MatchFileParseError(
-                f"{path}: expected 6 numbers (u v depth u' v' depth'), got {line!r}", lineno
+                f"{path}: expected u v depth u' v' depth', pixels finite, got {line!r}", lineno
             ) from None
         rows.append((u, v, u2, v2, depth, depth2))
     table = np.asarray(rows, dtype=np.float64).reshape(-1, 6)

@@ -39,7 +39,7 @@ import numpy as np
 from .contact import PosedHand
 from .errors import FileFormatError, ManifestError
 from .features import parse_feat2d_file
-from .fusion import Probe, TriangleMesh
+from .fusion import Probe, TriangleMesh, check_working_volume
 from .geometry import CameraIntrinsics, PointCloud, RigidTransform
 from .preprocess import DetectorBox, SegmentedFrame, estimate_normals
 from .synth import Annotation, GroundTruth
@@ -106,13 +106,6 @@ def _load_json(path, schema: str) -> dict:
             f"{path}: expected schema {schema!r}, got {payload.get('schema')!r}"
         )
     return payload
-
-
-def _items(value):
-    """``value.items()`` of a JSON object; TypeError for any other value."""
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-    return value.items()
 
 
 # --------------------------------------------------------------------------
@@ -430,12 +423,18 @@ def load_ground_truth(path) -> GroundTruth:
             )
             for a in payload["annotations"]
         )
+        if any(a.points_a.shape != a.points_b.shape for a in annotations):
+            raise ValueError("an annotation pairs point lists of different lengths")
+        expected = {str(k): float(v) for k, v in dict(payload["expected"]).items()}
+        for p in probes:
+            if not 0.0 < expected.get(p.name, math.nan) < math.inf:
+                raise ValueError(f"probe {p.name!r} needs a finite, positive expected value")
         return GroundTruth(
             center=tuple(float(c) for c in payload["center"]),
             sigma=float(payload["sigma"]),
             motions=motions,
             probes=probes,
-            expected={str(k): float(v) for k, v in _items(payload["expected"])},
+            expected=expected,
             annotations=annotations,
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -478,10 +477,12 @@ class SequenceManifest:
     def __post_init__(self) -> None:
         if not self.frames:
             raise ManifestError("manifest has an empty frame list")
-        if self.volume_side_mm <= 0.0:
-            raise ManifestError("working volume side must be positive")
-        if self.tsdf_resolution < 2:
-            raise ManifestError("TSDF resolution must be at least 2")
+        try:
+            check_working_volume(
+                self.volume_center, self.volume_side_mm, self.tsdf_resolution
+            )
+        except ValueError as exc:
+            raise ManifestError(f"working volume: {exc}") from None
         if self.smooth_iterations < 0:
             raise ManifestError("smoothing iterations must be nonnegative")
         if self.hand_model is None and any(f.hand_path for f in self.frames):
@@ -553,7 +554,7 @@ def load_manifest(path) -> SequenceManifest:
         if value is None:
             if optional:
                 return None
-            raise ManifestError(f"{path}: {required_by} names no object file")
+            raise ManifestError(f"{required_by} names no object file")
         p = root / value
         if not p.exists():
             raise ManifestError(f"{required_by} references missing file: {p}")
@@ -595,6 +596,8 @@ def load_manifest(path) -> SequenceManifest:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"{path}: bad manifest field ({exc})") from None
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def _empty_hand() -> PosedHand:
@@ -619,6 +622,7 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
     model = None
     if manifest.hand_model is not None:
         model = load_hand_model(manifest.hand_model)
+    box_sizes: dict[str, tuple[int, int]] = {}
     frames = []
     for mf in manifest.frames:
         cloud = _read_cloud(mf.object_path)
@@ -643,6 +647,12 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
         boxes = (
             load_detector_boxes(mf.boxes_path) if mf.boxes_path is not None else None
         )
+        for box in boxes or ():
+            size = box_sizes.setdefault(box.label, (box.height, box.width))
+            if (box.height, box.width) != size:
+                raise FileFormatError(
+                    f"{mf.boxes_path}: box {box.label!r} is not {size[0]}x{size[1]} as before"
+                )
         frames.append(SegmentedFrame(mf.index, cloud, hand_pose, feat2d, boxes))
     return frames
 

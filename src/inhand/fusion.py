@@ -33,6 +33,16 @@ MIN_COMPONENT_FRACTION = 0.01
 SMOOTH_LAMBDA = 0.5
 
 
+def check_working_volume(center, side_mm: float, resolution: int) -> None:
+    """Raise ``ValueError`` unless a :class:`TsdfVolume` can span this cube."""
+    if np.shape(center) != (3,) or not np.isfinite(np.append(center, side_mm)).all():
+        raise ValueError(f"need a finite 3D center and side, got {center} and {side_mm}")
+    if side_mm <= 0.0 or resolution < 2:
+        raise ValueError("side_mm must be positive and resolution >= 2")
+    if side_mm / resolution > 6.0:
+        raise ValueError(f"voxel size {side_mm / resolution:.2f} mm exceeds the 6 mm cap")
+
+
 class TsdfVolume:
     """Cubic truncated-signed-distance volume that stores observed voxels only.
 
@@ -44,14 +54,11 @@ class TsdfVolume:
     """
 
     def __init__(self, center, side_mm: float = 350.0, resolution: int = 256):
-        if side_mm <= 0.0 or resolution < 2:
-            raise ValueError("side_mm must be positive and resolution >= 2")
+        check_working_volume(center, side_mm, resolution)
         self.center = np.asarray(center, dtype=np.float64).reshape(3)
         self.side_mm = float(side_mm)
         self.resolution = int(resolution)
         self.voxel_size = self.side_mm / self.resolution
-        if self.voxel_size > 6.0:
-            raise ValueError(f"voxel size {self.voxel_size:.2f} mm exceeds the 6 mm cap")
         self.truncation = TRUNCATION_VOXELS * self.voxel_size
         # Position of the (0,0,0) voxel center.
         self.origin = self.center - self.side_mm / 2.0 + self.voxel_size / 2.0

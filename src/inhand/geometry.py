@@ -170,8 +170,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError("focal lengths must be positive")
+        finite = np.isfinite([self.fx, self.fy, self.cx, self.cy]).all()
+        if not finite or self.fx <= 0.0 or self.fy <= 0.0:
+            raise ValueError("intrinsics must be finite, with positive focal lengths")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
 

@@ -23,7 +23,7 @@ import csv
 import io
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +59,7 @@ __all__ = [
     "measure_probes",
     "normalized_mean_error",
     "rotation_span_deg",
+    "sweep_configs",
     "run_gamma_sweep",
     "compare_energies",
     "sweep_to_csv",
@@ -139,10 +140,6 @@ class ProbeCell:
     expected: float
     measured: float
 
-    def __post_init__(self) -> None:
-        if self.expected <= 0.0:
-            raise ValueError(f"probe {self.probe!r}: expected value must be positive")
-
     @property
     def error(self) -> float:
         """Absolute measurement error in the probe's own units."""
@@ -200,6 +197,13 @@ class SweepResult:
         return tuple(c for c in self.cells if c.gamma == gamma)
 
 
+def sweep_configs(gammas: Sequence[float]) -> tuple[RegistrationConfig, ...]:
+    """Each gamma's registration config; ``ValueError`` for a grid that
+    :class:`SweepResult` or a gamma that :class:`RegistrationConfig` rejects."""
+    grid = SweepResult(tuple(float(g) for g in gammas), ())
+    return tuple(RegistrationConfig(gamma_t=g) for g in grid.gammas)
+
+
 def run_gamma_sweep(
     frames: Sequence[SegmentedFrame],
     probes: Sequence[Probe],
@@ -219,7 +223,7 @@ def run_gamma_sweep(
     keywords name as :func:`reconstruct` does, and probe measurement
     against the ``expected`` ground-truth dimensions; the frames' features
     and contact states, cached on the frames, are shared by every gamma.
-    A bad grid or gamma fails before the first gamma runs.
+    A bad grid or gamma (:func:`sweep_configs`) fails before the first run.
     A pipeline failure at some gamma (no frame pair registered, say, or a
     single unmeasurable probe, e.g. volume of an open mesh) is recorded as
     a NaN cell and the sweep continues.
@@ -230,12 +234,7 @@ def run_gamma_sweep(
         raise EmptyInputError("no frames to sweep")
     if not probes:
         raise EmptyInputError("no probes to measure")
-    # The whole grid is checked, and each gamma's config built, before any run.
-    result = SweepResult(tuple(float(g) for g in gammas), ())
-    configs = [RegistrationConfig(gamma_t=g) for g in result.gammas]
-    missing = [p.name for p in probes if p.name not in expected]
-    if missing:
-        raise ValueError(f"no ground-truth value for probes: {', '.join(missing)}")
+    configs = sweep_configs(gammas)
 
     volume = dict(
         volume_center=volume_center,
@@ -252,7 +251,7 @@ def run_gamma_sweep(
             )
             for p in probes
         )
-    return replace(result, cells=tuple(cells))
+    return SweepResult(tuple(c.gamma_t for c in configs), tuple(cells))
 
 
 def _measure_at_gamma(

@@ -7,8 +7,8 @@ import shutil
 
 import pytest
 
-from inhand import cli
-from inhand.errors import DivergenceError
+from inhand import cli, errors
+from inhand.errors import DivergenceError, InHandError
 from inhand.fileio import (
     load_ground_truth,
     load_manifest,
@@ -23,6 +23,14 @@ from inhand.geometry import PointCloud
 
 def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
+
+
+def argparse_rejects(capsys, *argv) -> str:
+    """Run the CLI, expect argparse to exit 2, and return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 def synth_sphere(out, frames=6, extra=()):
@@ -192,6 +200,48 @@ def frame_without_object(work):
     return "frame 1"
 
 
+def truth_without_expected_diameter(work):
+    edit_json(work / "ground_truth.json", lambda p: p["expected"].pop("diameter"))
+    return "ground_truth.json"
+
+
+def truth_expects_zero_height(work):
+    edit_json(work / "ground_truth.json", lambda p: p["expected"].update(height=0.0))
+    return "ground_truth.json"
+
+
+def manifest_side_not_a_number(work):
+    nan_side = {"side_mm": float("nan")}
+    edit_json(work / "manifest.json", lambda p: p["working_volume"].update(nan_side))
+    return "manifest.json"
+
+
+def manifest_voxels_too_large(work):
+    edit_json(work / "manifest.json", lambda p: p["tsdf"].update(resolution=10))
+    return "manifest.json"
+
+
+def manifest_focal_length_not_a_number(work):
+    edit_json(work / "manifest.json", lambda p: p["intrinsics"].update(fx=float("nan")))
+    return "manifest.json"
+
+
+def truth_without_probes(work):
+    edit_json(work / "ground_truth.json", lambda p: p.update(probes=[], expected={}))
+    return "ground_truth.json"
+
+
+def truth_annotation_sides_differ(work):
+    edit_json(work / "ground_truth.json", lambda p: p["annotations"][0]["points_b"].pop())
+    return "ground_truth.json"
+
+
+def boxes_change_size(work):
+    bad = work / "frames" / "frame_003_boxes.json"
+    edit_json(bad, lambda p: p["boxes"][0].update(width=1, depth=[[500.0]], height=1))
+    return bad.name
+
+
 def edited_copy(seq_dir, tmp_path, mutate):
     """Copy the sequence directory and rewrite its manifest JSON."""
     work = tmp_path / "seq_copy"
@@ -234,16 +284,59 @@ class TestSynth:
         assert again.read_bytes() == (work / "manifest.json").read_bytes()
 
     def test_negative_dimension_rejected(self, tmp_path, capsys):
-        code = run_cli(
-            "synth", "--shape", "sphere", "--diameter", "-1", "--out", tmp_path
+        out = tmp_path / "out"
+        err = argparse_rejects(
+            capsys, "synth", "--shape", "sphere", "--diameter", "-1", "--out", out
         )
-        assert code == cli.EXIT_USAGE
-        assert "--diameter" in capsys.readouterr().err
+        assert "--diameter" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--noise", "nan"),
+            ("--hand-noise", "nan"),
+            ("--density", "nan"),
+            ("--deg-per-frame", "nan"),
+            ("--texture-count", "-1"),
+            ("--feat2d", "-1"),
+            ("--volume-side", "0"),
+            ("--volume-side", "nan"),
+            ("--smooth-iterations", "-1"),
+            ("--tsdf-resolution", "1"),
+            ("--frames", "0"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_flag_out_of_range_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        err = argparse_rejects(capsys, "synth", "--diameter", "30", flag, value, "--out", out)
+        assert f"argument {flag}: " in err
+        assert not out.exists()
 
     def test_missing_dimension_rejected(self, tmp_path, capsys):
-        code = run_cli("synth", "--shape", "pin", "--out", tmp_path)
-        assert code == cli.EXIT_USAGE
+        code = run_cli("synth", "--shape", "pin", "--out", tmp_path / "out")
+        assert code == 2
         assert "--head-diameter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            ("--shape pin --head-diameter 90 --body-diameter 80 --height 150", "--shape pin"),
+            ("--shape bottle --diameter 60 --height 50", "--shape bottle"),
+            (
+                "--shape bottle --diameter 60 --height 120 --volume-side 200 "
+                "--tsdf-resolution 20",
+                "--volume-side",
+            ),
+        ],
+    )
+    def test_flags_that_do_not_fit_rejected(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        assert run_cli("synth", *flags.split(), "--frames", "4", "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_frame_sequence_reconstructs(self, tmp_path):
         out = tmp_path / "one"
@@ -301,8 +394,8 @@ class TestReconstruct:
         monkeypatch.setattr("inhand.register.register_pair", diverge)
         out = tmp_path / "diverged"
         code = run_cli("reconstruct", seq_dir / "manifest.json", "--out", out)
-        assert code == cli.EXIT_REGISTRATION
-        assert not (out / "mesh.ply").exists()
+        assert code == 4
+        assert not out.exists()
         assert "registration failed" in capsys.readouterr().err
 
     def test_frame_without_hand_refused(self, seq_dir, tmp_path, capsys):
@@ -311,7 +404,7 @@ class TestReconstruct:
 
         work = edited_copy(seq_dir, tmp_path, drop_hand)
         code = run_cli("reconstruct", work / "manifest.json")
-        assert code == cli.EXIT_INPUT
+        assert code == 3
         err = capsys.readouterr().err
         assert "frame 2" in err and "--no-contact" in err
 
@@ -321,7 +414,7 @@ class TestReconstruct:
 
         work = edited_copy(seq_dir, tmp_path, move_volume)
         code = run_cli("reconstruct", work / "manifest.json")
-        assert code == cli.EXIT_MESHING
+        assert code == 5
         assert "meshing failed" in capsys.readouterr().err
 
     def test_corrupt_frame_file_reported(self, seq_dir, tmp_path, capsys):
@@ -340,13 +433,22 @@ class TestReconstruct:
             hand_model_not_an_object,
             truth_expected_a_list,
             frame_without_object,
+            truth_without_expected_diameter,
+            truth_expects_zero_height,
+            manifest_side_not_a_number,
+            manifest_voxels_too_large,
+            manifest_focal_length_not_a_number,
+            truth_annotation_sides_differ,
+            boxes_change_size,
         ):
             work = tmp_path / corrupt.__name__
             shutil.copytree(seq_dir, work)
             name = corrupt(work)
-            code = run_cli("reconstruct", work / "manifest.json")
-            assert code == cli.EXIT_INPUT, corrupt.__name__
+            out = work / "out"
+            code = run_cli("reconstruct", work / "manifest.json", "--out", out)
+            assert code == 3, corrupt.__name__
             assert name in capsys.readouterr().err, corrupt.__name__
+            assert not out.exists(), corrupt.__name__
 
     def test_duplicate_frame_index_refused(self, seq_dir, tmp_path, capsys):
         def relabel(payload):
@@ -354,18 +456,23 @@ class TestReconstruct:
 
         work = edited_copy(seq_dir, tmp_path, relabel)
         code = run_cli("reconstruct", work / "manifest.json", "--out", tmp_path / "out")
-        assert code == cli.EXIT_INPUT
+        assert code == 3
         assert "strictly increase" in capsys.readouterr().err
         assert not (tmp_path / "out" / "mesh.ply").exists()
 
     def test_negative_gamma_override_rejected(self, seq_dir, tmp_path, capsys):
-        for gamma in ("-1", "nan", "inf"):
+        manifest = seq_dir / "manifest.json"
+        for command, flag, gamma in (
+            ("reconstruct", "--gamma-t", "-1"),
+            ("reconstruct", "--gamma-t", "nan"),
+            ("reconstruct", "--gamma-t", "inf"),
+            ("eval", "--sweep-gammas", "0,nan"),
+            ("eval", "--sweep-gammas", "0,-1"),
+            ("eval", "--sweep-gammas", "5,0"),
+        ):
             out = tmp_path / gamma
-            code = run_cli(
-                "reconstruct", seq_dir / "manifest.json", "--gamma-t", gamma, "--out", out
-            )
-            assert code == cli.EXIT_USAGE, gamma
-            assert "--gamma-t" in capsys.readouterr().err, gamma
+            err = argparse_rejects(capsys, command, manifest, flag, gamma, "--out", out)
+            assert f"argument {flag}: " in err, gamma
             assert not out.exists(), gamma
 
     def test_first_manifest_schema_refused(self, seq_dir, tmp_path, capsys):
@@ -374,7 +481,7 @@ class TestReconstruct:
 
         work = edited_copy(seq_dir, tmp_path, first_schema)
         code = run_cli("reconstruct", work / "manifest.json", "--out", tmp_path / "out")
-        assert code == cli.EXIT_INPUT
+        assert code == 3
         assert "inhand-manifest/1" in capsys.readouterr().err
 
     def test_overrides_reach_the_report(self, seq_dir, tmp_path):
@@ -462,18 +569,18 @@ class TestEval:
         assert means["contact"] <= means["detector"]
 
     def test_empty_gamma_list_rejected(self, seq_dir, capsys):
-        code = run_cli("eval", seq_dir / "manifest.json", "--sweep-gammas", ",")
-        assert code == cli.EXIT_USAGE
-        assert "gamma" in capsys.readouterr().err
+        err = argparse_rejects(capsys, "eval", seq_dir / "manifest.json", "--sweep-gammas", ",")
+        assert "--sweep-gammas" in err and "gamma" in err
 
     def test_non_numeric_gamma_rejected(self, seq_dir, capsys):
-        code = run_cli("eval", seq_dir / "manifest.json", "--sweep-gammas", "0,abc")
-        assert code == cli.EXIT_USAGE
-        assert "non-numeric" in capsys.readouterr().err
+        err = argparse_rejects(
+            capsys, "eval", seq_dir / "manifest.json", "--sweep-gammas", "0,abc"
+        )
+        assert "--sweep-gammas" in err and "abc" in err
 
     def test_requires_a_task_flag(self, seq_dir, capsys):
         code = run_cli("eval", seq_dir / "manifest.json")
-        assert code == cli.EXIT_USAGE
+        assert code == 2
         assert "nothing to do" in capsys.readouterr().err
 
     def test_requires_ground_truth(self, seq_dir, tmp_path, capsys):
@@ -482,15 +589,45 @@ class TestEval:
 
         work = edited_copy(seq_dir, tmp_path, drop_truth)
         code = run_cli("eval", work / "manifest.json", "--sweep-gammas", "0")
-        assert code == cli.EXIT_INPUT
+        assert code == 3
         assert "ground_truth" in capsys.readouterr().err
 
     def test_requires_annotations_for_energies(self, tmp_path, capsys):
         out = tmp_path / "sparse_ann"
         assert synth_sphere(out, extra=("--annotate-every", "50")) == 0
         code = run_cli("eval", out / "manifest.json", "--compare-energies")
-        assert code == cli.EXIT_INPUT
+        assert code == 3
         assert "annotated" in capsys.readouterr().err
+
+    def test_bad_truth_refused_before_any_output(self, seq_dir, tmp_path, capsys):
+        def annotate_missing_frame(work):
+            edit_json(work / "manifest.json", lambda p: p["frames"].pop(2))
+            return "frame 2"
+
+        for corrupt in (
+            truth_without_expected_diameter,
+            truth_expects_zero_height,
+            truth_without_probes,
+            truth_annotation_sides_differ,
+            annotate_missing_frame,
+        ):
+            work = tmp_path / corrupt.__name__
+            shutil.copytree(seq_dir, work)
+            named = corrupt(work)
+            out = work / "out"
+            code = run_cli(
+                "eval",
+                work / "manifest.json",
+                "--sweep-gammas",
+                "0,5",
+                "--compare-energies",
+                "--out",
+                out,
+            )
+            assert code == 3, corrupt.__name__
+            err = capsys.readouterr().err
+            assert "ground_truth.json" in err and named in err, corrupt.__name__
+            assert not out.exists(), corrupt.__name__
 
 
 class TestUsage:
@@ -506,5 +643,40 @@ class TestUsage:
 
     def test_missing_manifest_is_input_error(self, tmp_path, capsys):
         code = run_cli("reconstruct", tmp_path / "absent.json")
-        assert code == cli.EXIT_INPUT
+        assert code == 3
         assert "not found" in capsys.readouterr().err
+
+    def test_every_error_class_carries_an_exit_code(self):
+        codes = {
+            name: c.exit_code
+            for name, c in vars(errors).items()
+            if isinstance(c, type) and issubclass(c, InHandError)
+        }
+        assert set(codes.values()) <= {2, 3, 4, 5}
+        assert codes == {
+            "InHandError": 3,
+            "UsageError": 2,
+            "InvalidDepthError": 3,
+            "EmptyInputError": 3,
+            "InsufficientPointsError": 3,
+            "UnderConstrainedError": 4,
+            "DegenerateConfigurationError": 4,
+            "NoContactError": 4,
+            "DivergenceError": 4,
+            "MatchFileParseError": 3,
+            "EmptyMeshError": 5,
+            "OpenMeshError": 5,
+            "DegenerateMotionError": 3,
+            "FileFormatError": 3,
+            "ManifestError": 3,
+        }
+
+    def test_value_error_reaching_main_is_a_fault(self, seq_dir, tmp_path, monkeypatch):
+        # Only library errors are reported as failures; anything else is a bug.
+        def fault(*args, **kwargs):
+            raise ValueError("a program fault")
+
+        monkeypatch.setattr("inhand.cli.reconstruct", fault)
+        with pytest.raises(ValueError, match="a program fault"):
+            run_cli("reconstruct", seq_dir / "manifest.json", "--out", tmp_path / "out")
+        assert not (tmp_path / "out").exists()

@@ -313,7 +313,8 @@ class TestFeat2d:
 
     def test_non_numeric_field(self, tmp_path):
         f = tmp_path / "bad2.txt"
-        f.write_text("a b c d e f\n")
-        with pytest.raises(MatchFileParseError) as info:
-            parse_feat2d_file(f)
-        assert info.value.line_number == 1
+        for line in ("a b c d e f", "nan 240 700 377 297 500", "320 240 700 377 inf 500"):
+            f.write_text(line + "\n")
+            with pytest.raises(MatchFileParseError, match="bad2.txt") as info:
+                parse_feat2d_file(f)
+            assert info.value.line_number == 1

@@ -269,6 +269,23 @@ class TestGroundTruthFile:
         with pytest.raises(FileFormatError, match="schema"):
             load_ground_truth(path)
 
+    def test_expected_value_checked(self, tmp_path):
+        # Every probe needs a finite, positive expected value; None drops it.
+        _, truth = small_sequence()
+        path = tmp_path / "truth.json"
+        save_ground_truth(truth, path)
+        name = truth.probes[0].name
+        for value in (None, 0.0, -3.0, float("nan"), float("inf")):
+            payload = json.loads(path.read_text())
+            if value is None:
+                del payload["expected"][name]
+            else:
+                payload["expected"][name] = value
+            bad = tmp_path / "bad_truth.json"
+            bad.write_text(json.dumps(payload))
+            with pytest.raises(FileFormatError, match=f"bad_truth.json.*{name}"):
+                load_ground_truth(bad)
+
 
 def write_sequence_dir(tmp_path):
     """A minimal on-disk sequence: two frames with object and hand files."""
@@ -343,6 +360,28 @@ class TestManifest:
         with pytest.raises(ManifestError, match="schema"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "volume, resolution, fault",
+        [
+            ({"side_mm": float("nan")}, 48, "finite"),
+            ({"center": [0.0, float("inf"), 550.0]}, 48, "finite"),
+            ({"center": [0.0, 550.0]}, 48, "3D center"),
+            ({"side_mm": 200.0}, 20, "6 mm cap"),
+            ({"side_mm": 0.0}, 48, "positive"),
+            ({}, 1, "resolution"),
+        ],
+    )
+    def test_working_volume_checked(self, tmp_path, volume, resolution, fault):
+        manifest, _ = write_sequence_dir(tmp_path)
+        path = tmp_path / "manifest.json"
+        save_manifest(manifest, path)
+        payload = json.loads(path.read_text())
+        payload["working_volume"].update(volume)
+        payload["tsdf"]["resolution"] = resolution
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ManifestError, match=f"manifest.json: working volume.*{fault}"):
+            load_manifest(path)
+
     def test_missing_manifest_reported(self, tmp_path):
         with pytest.raises(ManifestError, match="not found"):
             load_manifest(tmp_path / "nope.json")
@@ -383,6 +422,25 @@ class TestLoadFrames:
         )
         loaded = load_frames(no_hands)
         assert len(loaded[0].hand_pose.vertices) == 0
+
+    def test_detector_box_keeps_its_size(self, tmp_path):
+        manifest, _ = write_sequence_dir(tmp_path)
+        frames = []
+        for f, side in zip(manifest.frames, (4, 5)):
+            boxes = tmp_path / "frames" / f"f{f.index}_boxes.json"
+            save_detector_boxes((DetectorBox("thumb", 0, 0, side, 3, np.ones((3, side))),), boxes)
+            frames.append(ManifestFrame(f.index, f.object_path, f.hand_path, None, boxes))
+        boxed = SequenceManifest(
+            intrinsics=manifest.intrinsics,
+            frames=tuple(frames),
+            volume_center=manifest.volume_center,
+            volume_side_mm=manifest.volume_side_mm,
+            tsdf_resolution=manifest.tsdf_resolution,
+            smooth_iterations=manifest.smooth_iterations,
+            hand_model=manifest.hand_model,
+        )
+        with pytest.raises(FileFormatError, match="f1_boxes.json: box 'thumb' is not 3x4"):
+            load_frames(boxed)
 
     def test_mesh_as_object_cloud_rejected(self, tmp_path):
         manifest, _ = write_sequence_dir(tmp_path)

@@ -72,6 +72,9 @@ class TestTsdfVolume:
     def test_voxel_size_cap(self):
         with pytest.raises(ValueError):
             TsdfVolume(center=(0, 0, 0), side_mm=700.0, resolution=100)
+        for center, side in (((0, 0, 0), math.nan), ((0, math.nan, 0), 100.0)):
+            with pytest.raises(ValueError, match="finite"):
+                TsdfVolume(center=center, side_mm=side, resolution=50)
 
     def test_voxel_centers_span_volume(self):
         vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=50)

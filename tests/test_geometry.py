@@ -130,6 +130,10 @@ class TestBackProject:
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=0.0, fy=570.0, cx=320.0, cy=240.0, width=640, height=480)
+        for bad in ({"fx": float("nan")}, {"fy": float("inf")}, {"cx": float("nan")}):
+            values = dict(fx=570.0, fy=570.0, cx=320.0, cy=240.0, width=640, height=480)
+            with pytest.raises(ValueError, match="finite"):
+                CameraIntrinsics(**{**values, **bad})
 
 
 class TestSolveWeightedRigid:
