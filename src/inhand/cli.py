@@ -225,15 +225,13 @@ def cmd_reconstruct(args) -> int:
         use_icp=not args.no_icp,
     )
     if config.use_contact and config.gamma_t > 0.0:
-        handless = [f.index for f in manifest.frames if f.hand_path is None]
-        if handless:
+        if handless := [f.index for f in manifest.frames if f.hand_path is None]:
             raise ManifestError(
                 f"{args.manifest}: frame {handless[0]} has no hand file; the contact "
                 "term needs hand data (pass --no-contact or --gamma-t 0)"
             )
-    truth = None
-    if manifest.ground_truth is not None:
-        truth = fileio.load_ground_truth(manifest.ground_truth)
+    truth_path = manifest.ground_truth
+    truth = None if truth_path is None else fileio.load_ground_truth(truth_path)
     frames = fileio.load_frames(manifest)
 
     result, mesh = reconstruct(
@@ -261,10 +259,8 @@ def cmd_reconstruct(args) -> int:
         "registered": len(result.poses),
         "skipped": list(result.skipped),
         "config": {
-            "gamma_t": config.gamma_t,
-            "use_contact": config.use_contact,
-            "use_detector": config.use_detector,
-            "use_icp": config.use_icp,
+            k: getattr(config, k)
+            for k in ("gamma_t", "use_contact", "use_detector", "use_icp")
         },
         "rotation_span_deg": span,
         "mean_sparse_rms": _nanmean(p.sparse_residual for p in result.poses),
@@ -337,8 +333,7 @@ def cmd_eval(args) -> int:
                 f"{manifest.ground_truth}: no annotated pairs for --compare-energies"
             )
         annotated = {i for a in truth.annotations for i in (a.frame_a, a.frame_b)}
-        absent = sorted(annotated - {f.index for f in manifest.frames})
-        if absent:
+        if absent := sorted(annotated - {f.index for f in manifest.frames}):
             raise FileFormatError(
                 f"{manifest.ground_truth}: an annotation names frame {absent[0]}, "
                 f"which {args.manifest} lacks"

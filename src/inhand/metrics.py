@@ -140,6 +140,10 @@ class ProbeCell:
     expected: float
     measured: float
 
+    def __post_init__(self) -> None:
+        if self.expected <= 0.0:
+            raise ValueError(f"probe {self.probe!r}: expected value must be positive")
+
     @property
     def error(self) -> float:
         """Absolute measurement error in the probe's own units."""
@@ -235,6 +239,8 @@ def run_gamma_sweep(
     if not probes:
         raise EmptyInputError("no probes to measure")
     configs = sweep_configs(gammas)
+    if missing := [p.name for p in probes if p.name not in expected]:
+        raise ValueError(f"no ground-truth value for probes: {', '.join(missing)}")
 
     volume = dict(
         volume_center=volume_center,

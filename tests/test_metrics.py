@@ -113,6 +113,10 @@ class TestProbeCell:
         assert math.isnan(cell.error)
         assert math.isnan(cell.normalized_error)
 
+    def test_expected_value_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            ProbeCell(0.0, "height", "extent", 0.0, 1.0)
+
 
 class TestNormalizedMeanError:
     def test_averages_normalized_length_errors(self):
@@ -280,6 +284,17 @@ class TestRunGammaSweep:
         with pytest.raises(ValueError, match="finite"):
             run_gamma_sweep(
                 frames, truth.probes, truth.expected, (0.0, math.inf), **sweep_volume(truth)
+            )
+
+    def test_rejects_probes_without_ground_truth(self):
+        frames, truth, _ = sweep_fixture()
+        with pytest.raises(ValueError, match="phantom"):
+            run_gamma_sweep(
+                frames,
+                truth.probes + (Probe("phantom", "extent"),),
+                truth.expected,
+                (15.0,),
+                **sweep_volume(truth),
             )
 
     def test_rejects_empty_inputs(self):
