@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .contact import PosedHand
 from .errors import DegenerateMotionError
@@ -116,20 +118,39 @@ class _RevolvedSurface:
         return self._revolve(pts, rho, *self._profile_foot(rho, pts[:, 2]))
 
     def _profile_foot(self, rho: np.ndarray, z: np.ndarray):
-        """Closest profile segment and (r, z) foot for each (rho, z) query."""
+        """Closest profile segment and (r, z) foot for each (rho, z) query.
+
+        No point of a segment is closer to a query than the segment's nearer
+        endpoint less half its length, so the closest segment has an
+        endpoint within the nearest vertex distance plus the longest
+        half-length; a tree over the profile vertices finds those.  Each
+        query is projected onto its candidate segments only, and the first
+        closest in segment order wins, as an argmin over all segments picks.
+        """
         q = np.column_stack([rho, z])
-        a = np.column_stack([self.r[:-1], self.z[:-1]])
+        vertices = np.column_stack([self.r, self.z])
+        a = vertices[:-1]
         d = np.column_stack([np.diff(self.r), np.diff(self.z)])
         len2 = np.maximum((d**2).sum(1), 1e-300)
-        # Project every query onto every profile segment (profiles are a
-        # few thousand segments; queries here are pads/dimples, not clouds).
-        diff = q[:, None, :] - a[None, :, :]
-        t = np.clip((diff * d[None, :, :]).sum(-1) / len2[None, :], 0.0, 1.0)
-        foot = a[None, :, :] + t[..., None] * d[None, :, :]
-        dist2 = ((q[:, None, :] - foot) ** 2).sum(-1)
-        best = np.argmin(dist2, axis=1)
-        rows = np.arange(len(q))
-        return best, foot[rows, best, 0], foot[rows, best, 1]
+        tree = cKDTree(vertices)
+        # The margin covers rounding, far below 1e-6 of the coordinates.
+        scale = max(np.abs(q).max(initial=0.0), np.abs(vertices).max())
+        reach = tree.query(q)[0] + 0.5 * self.seg_len.max() + 1e-6 * scale
+        hits = tree.query_ball_point(q, reach)
+        counts = np.fromiter(map(len, hits), dtype=np.intp, count=len(q))
+        near = np.fromiter(chain.from_iterable(hits), dtype=np.intp, count=counts.sum())
+        # Each vertex ends the segment before it and starts the one after it.
+        qi = np.tile(np.repeat(np.arange(len(q)), counts), 2)
+        seg = np.concatenate([near - 1, near])
+        keep = (seg >= 0) & (seg < len(a))
+        qi, seg = qi[keep], seg[keep]
+        diff = q[qi] - a[seg]
+        t = np.clip((diff * d[seg]).sum(-1) / len2[seg], 0.0, 1.0)
+        foot = a[seg] + t[:, None] * d[seg]
+        dist2 = ((q[qi] - foot) ** 2).sum(-1)
+        order = np.lexsort((seg, dist2, qi))
+        best = order[np.diff(qi[order], prepend=-1) != 0]
+        return seg[best], foot[best, 0], foot[best, 1]
 
     def _revolve(self, pts, rho, seg, foot_r, foot_z):
         """Sweep profile feet around z along each query's own azimuth."""
@@ -368,6 +389,14 @@ def _hex_disc(radius: float, spacing: float) -> np.ndarray:
     return np.array(pts)
 
 
+def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors u, v that complete the unit vector n to a right-handed basis."""
+    ref = np.eye(3)[np.argmin(np.abs(n))]
+    u = np.cross(n, ref)
+    u /= np.linalg.norm(u)
+    return u, np.cross(n, u)
+
+
 def build_hand(obj: SyntheticObjectSpec) -> PosedHand:
     """Canonical PosedHand: one pad on each pole, conformed to the surface."""
     surface = obj.surface()
@@ -376,11 +405,7 @@ def build_hand(obj: SyntheticObjectSpec) -> PosedHand:
     for label, pole in zip(HAND_LABELS, (1.0, -1.0)):
         anchor, n = surface.project(np.array([[0.0, 0.0, pole * 1e6]]))
         anchor, n = anchor[0], n[0]
-        # Tangent basis around the pole normal.
-        ref = np.eye(3)[np.argmin(np.abs(n))]
-        u = np.cross(n, ref)
-        u /= np.linalg.norm(u)
-        v = np.cross(n, u)
+        u, v = _tangent_basis(n)
         raw = anchor[None, :] + disc[:, :1] * u[None, :] + disc[:, 1:] * v[None, :]
         surf_pts, surf_n = surface.project(raw)
         pad = surf_pts + PAD_STANDOFF_MM * surf_n + DEFAULT_CENTER
@@ -470,9 +495,9 @@ class GroundTruth:
     frame k, so frame k's world pose is ``pair_truth(0, k)``.
 
     The last two fields are generator-only and empty when the truth is
-    read from disk: ``visible_indices[k]`` lists the canonical rows that
-    frame k emits (``attach_feat2d`` pairs frames by them), and
-    ``canonical_cloud`` is the sample every frame re-poses.
+    read from disk: ``visible_indices[k]`` lists, in ascending order, the
+    canonical rows that frame k emits (``attach_feat2d`` pairs frames by
+    them), and ``canonical_cloud`` is the sample every frame re-poses.
     """
 
     center: tuple[float, float, float]
@@ -491,17 +516,48 @@ class GroundTruth:
 
 def _occluded(points: np.ndarray, pad_vertices: np.ndarray, view_dir: np.ndarray,
               radius: float) -> np.ndarray:
-    """True for points shadowed by any pad vertex along the view direction."""
+    """True for points shadowed by any pad vertex along the view direction.
+
+    A point is shadowed when a pad vertex lies ahead of it (``along > 0``)
+    within lateral distance ``radius`` of its ray along the unit
+    ``view_dir``.  Candidate (point, vertex) pairs come from a cKDTree over
+    the pad vertices projected onto the plane normal to ``view_dir``,
+    searched at ``radius`` plus a rounding margin.  The test applied to the
+    candidates is the exact one, so the mask is the one testing every pair
+    gives.
+    """
     if radius <= 0.0 or len(pad_vertices) == 0:
         return np.zeros(len(points), dtype=bool)
     out = np.zeros(len(points), dtype=bool)
     r2 = radius * radius
-    for start in range(0, len(points), 4096):
-        block = points[start : start + 4096]
-        d = block[:, None, :] - pad_vertices[None, :, :]
-        along = d @ view_dir
-        lat2 = np.einsum("ijk,ijk->ij", d, d) - along**2
-        out[start : start + 4096] = np.any((lat2 < r2) & (along > 0.0), axis=1)
+    basis = np.column_stack(_tangent_basis(view_dir))
+    flat = points @ basis
+    pad_tree = cKDTree(pad_vertices @ basis)
+    # The projected distance differs from the tested lateral distance by
+    # rounding only, under 1e-7 of the coordinates' magnitude.
+    scale = max(np.abs(points).max(initial=0.0), np.abs(pad_vertices).max())
+    reach = radius + 1e-6 * scale
+    near = np.flatnonzero(pad_tree.query(flat, distance_upper_bound=reach)[0] < np.inf)
+    # Blocks of points bound the pairs held at once when every pair is a
+    # candidate (a radius wider than the object).
+    for start in range(0, len(near), 1024):
+        block = near[start : start + 1024]
+        pairs = cKDTree(flat[block]).sparse_distance_matrix(
+            pad_tree, reach, output_type="ndarray"
+        )
+        rows = block[pairs["i"]]
+        d = points[rows] - pad_vertices[pairs["j"]]
+        # matmul takes a one-row product through a dot product, which rounds
+        # differently from the matrix-vector product of more rows.  Give each
+        # pair the kernel that the all-pairs (block, pads, 3) product used.
+        if len(pad_vertices) == 1:
+            along = (d[:, None, :] @ view_dir)[:, 0]
+        elif len(d) == 1:
+            along = (np.vstack([d, d]) @ view_dir)[:1]
+        else:
+            along = d @ view_dir
+        lat2 = np.einsum("ij,ij->i", d, d) - along**2
+        out[rows[(lat2 < r2) & (along > 0.0)]] = True
     return out
 
 
@@ -670,15 +726,30 @@ def generate_sequence(
     return frames, truth
 
 
+def _nearest_to(points: np.ndarray, vertices: np.ndarray, count: int) -> np.ndarray:
+    """Rows of the ``count`` points nearest any vertex, nearest first.
+
+    Tree distances keep the few points within a rounding margin of the
+    ``count``-th nearest; the squared distances to every vertex then rank
+    those, as ranking all points would.
+    """
+    kth = min(count, len(points)) - 1
+    margin = 1e-6 * max(np.abs(points).max(), np.abs(vertices).max())
+    # The points nearest one vertex bound the count-th nearest distance from
+    # above, which cuts the tree search short for every farther point.
+    bound = math.sqrt(np.partition(((points - vertices[0]) ** 2).sum(1), kth)[kth])
+    nearest = cKDTree(vertices).query(points, distance_upper_bound=bound + margin)[0]
+    rows = np.flatnonzero(nearest <= np.partition(nearest, kth)[kth] + margin)
+    d2 = ((points[rows, None, :] - vertices[None, :, :]) ** 2).sum(-1)
+    return rows[np.argsort(d2.min(axis=1))[:count]]
+
+
 def _make_annotations(canonical, hand_canonical, motion, rng, every):
     if every <= 0 or len(motion) <= 1:
         return ()
     # Annotated points sit near the fingertips, like hand-labeled pixels
     # around the grip would.
-    d2 = (
-        (canonical.points[:, None, :] - hand_canonical.vertices[None, :, :]) ** 2
-    ).sum(-1)
-    order = np.argsort(d2.min(axis=1))[:ANNOTATIONS_PER_PAIR]
+    order = _nearest_to(canonical.points, hand_canonical.vertices, ANNOTATIONS_PER_PAIR)
     out = []
     for k in range(every, len(motion), every):
         a, b = k - 1, k
@@ -713,12 +784,9 @@ def attach_feat2d(
         shared = np.intersect1d(prev_idx, curr_idx)
         if len(shared) > max_matches:
             shared = rng.choice(shared, size=max_matches, replace=False)
-        pos_prev = {i: r for r, i in enumerate(prev_idx)}
-        pos_curr = {i: r for r, i in enumerate(curr_idx)}
-        rows_c = np.array([pos_curr[i] for i in shared], dtype=int)
-        rows_p = np.array([pos_prev[i] for i in shared], dtype=int)
-        pc = curr.object_cloud.points[rows_c]
-        pp = prev.object_cloud.points[rows_p]
+        # Visible indices are sorted, so a canonical index's row is its rank.
+        pc = curr.object_cloud.points[np.searchsorted(curr_idx, shared)]
+        pp = prev.object_cloud.points[np.searchsorted(prev_idx, shared)]
         px_c = project(pc, intrinsics)
         px_p = project(pp, intrinsics)
         matches = (np.hstack([px_c, px_p]), pc[:, 2].copy(), pp[:, 2].copy())

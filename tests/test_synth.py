@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from inhand import synth
 from inhand.contact import detect_contacts
@@ -439,3 +441,177 @@ class TestStandardProbes:
         positions = {p.name: p.position for p in probes if p.kind == "slice_diameter"}
         assert positions["body_diameter"] == pytest.approx(DEFAULT_CENTER[2] + z_body)
         assert positions["head_diameter"] == pytest.approx(DEFAULT_CENTER[2] + z_head)
+
+
+# Dense references: the all-pairs searches synth made before its candidate
+# searches went through cKDTree.  The program must agree with them exactly.
+
+
+def dense_occluded(points, pad_vertices, view_dir, radius):
+    """True for points shadowed by any pad vertex along the view direction."""
+    if radius <= 0.0 or len(pad_vertices) == 0:
+        return np.zeros(len(points), dtype=bool)
+    out = np.zeros(len(points), dtype=bool)
+    r2 = radius * radius
+    for start in range(0, len(points), 4096):
+        block = points[start : start + 4096]
+        d = block[:, None, :] - pad_vertices[None, :, :]
+        along = d @ view_dir
+        lat2 = np.einsum("ijk,ijk->ij", d, d) - along**2
+        out[start : start + 4096] = np.any((lat2 < r2) & (along > 0.0), axis=1)
+    return out
+
+
+def dense_nearest_to(points, vertices, count):
+    """Rows of the ``count`` points nearest any vertex, nearest first."""
+    d2 = ((points[:, None, :] - vertices[None, :, :]) ** 2).sum(-1)
+    return np.argsort(d2.min(axis=1))[:count]
+
+
+def dense_profile_foot(surface, rho, z):
+    """Closest profile segment and (r, z) foot for each (rho, z) query."""
+    q = np.column_stack([rho, z])
+    a = np.column_stack([surface.r[:-1], surface.z[:-1]])
+    d = np.column_stack([np.diff(surface.r), np.diff(surface.z)])
+    len2 = np.maximum((d**2).sum(1), 1e-300)
+    diff = q[:, None, :] - a[None, :, :]
+    t = np.clip((diff * d[None, :, :]).sum(-1) / len2[None, :], 0.0, 1.0)
+    foot = a[None, :, :] + t[..., None] * d[None, :, :]
+    dist2 = ((q[:, None, :] - foot) ** 2).sum(-1)
+    best = np.argmin(dist2, axis=1)
+    rows = np.arange(len(q))
+    return best, foot[rows, best, 0], foot[rows, best, 1]
+
+
+def unit_vectors():
+    """Axis-aligned and random unit vectors."""
+    axes = st.sampled_from([(0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (1.0, 0.0, 0.0)])
+    drawn = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
+    return st.one_of(axes, drawn).map(lambda v: np.asarray(v) / np.linalg.norm(v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(0, 300),
+    n_pads=st.integers(1, 40),
+    view_dir=unit_vectors(),
+    radius=st.sampled_from([0.0, 0.35, 2.0, 30.0, 1e6]),
+    n_edge=st.integers(0, 40),
+)
+def test_occluded_matches_all_pairs(seed, n_points, n_pads, view_dir, radius, n_edge):
+    rng = np.random.default_rng(seed)
+    pads = DEFAULT_CENTER + rng.normal(scale=20.0, size=(n_pads, 3))
+    points = DEFAULT_CENTER + rng.normal(scale=25.0, size=(n_points, 3))
+    # Points at lateral distance radius, or radius +- 1e-9, from a pad
+    # vertex, ahead of it, behind it or level with it (along = 0).
+    u, v = synth._tangent_basis(view_dir)
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=(n_edge, 1))
+    lateral = radius + rng.choice([-1e-9, 0.0, 1e-9], size=(n_edge, 1))
+    along = rng.choice([-5.0, 0.0, 5.0], size=(n_edge, 1))
+    edge = (
+        pads[rng.integers(0, n_pads, size=n_edge)]
+        + lateral * (np.cos(angle) * u + np.sin(angle) * v)
+        - along * view_dir
+    )
+    points = np.vstack([points, edge])
+    got = synth._occluded(points, pads, view_dir, radius)
+    assert np.array_equal(got, dense_occluded(points, pads, view_dir, radius))
+
+
+def test_occluded_matches_all_pairs_on_generated_pads():
+    obj = SyntheticObjectSpec.bowling_pin(head_diameter=50.0, body_diameter=82.0, height=150.0)
+    pads = build_hand(obj).vertices
+    local, normals = obj.surface().sample(20000, np.random.default_rng(3))
+    points = local + DEFAULT_CENTER
+    for view_dir in MotionScript.tumble(4, 6.0).view_dirs:
+        facing = points[normals @ view_dir < 0.0]
+        got = synth._occluded(facing, pads, view_dir, synth.OCCLUSION_RADIUS_MM)
+        want = dense_occluded(facing, pads, view_dir, synth.OCCLUSION_RADIUS_MM)
+        assert want.any()
+        assert np.array_equal(got, want)
+
+
+def test_occluded_keeps_the_all_pairs_rounding():
+    # A point level with a pad vertex (along is about 1e-18) and 0.28 mm
+    # beside it.  On some BLAS builds matmul's dot kernel, used for a
+    # one-row product, and its matrix-vector kernel disagree on the sign
+    # of along here; the mask must follow the kernel the all-pairs product
+    # used for one pad vertex and for several.
+    view_dir = np.array([0.17131914886057245, 0.9852155482209423, -0.00026977286217680715])
+    pad = np.array([-1.1383298296309583, 0.3940803789000021, 549.4968757560766])
+    point = np.array([[-0.8799546912097358, 0.34912770651852854, 549.4099027260094]])
+    radius = synth.OCCLUSION_RADIUS_MM
+    for pads in (pad[None, :], np.vstack([pad, pad + 100.0])):
+        got = synth._occluded(point, pads, view_dir, radius)
+        assert np.array_equal(got, dense_occluded(point, pads, view_dir, radius))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 400),
+    n_vertices=st.integers(1, 50),
+    count=st.integers(1, 10),
+)
+def test_nearest_to_matches_full_ranking(seed, n_points, n_vertices, count):
+    rng = np.random.default_rng(seed)
+    points = DEFAULT_CENTER + rng.normal(scale=30.0, size=(n_points, 3))
+    vertices = DEFAULT_CENTER + rng.normal(scale=30.0, size=(n_vertices, 3))
+    # The full ranking sorts with an unstable argsort, so tied distances
+    # have no one right order.
+    nearest = ((points[:, None, :] - vertices[None, :, :]) ** 2).sum(-1).min(axis=1)
+    assume(len(np.unique(nearest)) == len(nearest))
+    got = synth._nearest_to(points, vertices, count)
+    assert np.array_equal(got, dense_nearest_to(points, vertices, count))
+
+
+def test_nearest_to_matches_full_ranking_on_generated_hand():
+    _, truth = noiseless_tumble_sphere()
+    points = truth.canonical_cloud.points
+    vertices = build_hand(TUMBLE_OBJECT).vertices
+    got = synth._nearest_to(points, vertices, synth.ANNOTATIONS_PER_PAIR)
+    assert np.array_equal(got, dense_nearest_to(points, vertices, synth.ANNOTATIONS_PER_PAIR))
+
+
+PROFILE_SURFACES = {
+    "pin": SyntheticObjectSpec.bowling_pin(
+        head_diameter=50.0, body_diameter=82.0, height=150.0
+    ).surface(),
+    "bottle": SyntheticObjectSpec.capsule_bottle(diameter=60.0, height=120.0).surface(),
+    # A coarse stepped profile: near (15, -38) the closest segment is the
+    # bottom disc, whose ends lie much farther away than the step corner.
+    "stepped": synth._RevolvedSurface(
+        np.array([0.0, 30.0, 30.0, 15.0, 15.0, 0.0]),
+        np.array([-40.0, -40.0, -35.0, -35.0, 40.0, 40.0]),
+    ),
+}
+
+
+def profile_queries(surface):
+    """(rho, z) queries near the profile, at its vertices, beyond its end
+    discs and far away, including the poles build_hand anchors at."""
+    z_lo, z_hi = float(surface.z[0]), float(surface.z[-1])
+    r_max = float(surface.r.max())
+    near = st.tuples(st.floats(0.0, r_max + 20.0), st.floats(z_lo - 20.0, z_hi + 20.0))
+    vertex = st.integers(0, len(surface.r) - 1).map(
+        lambda i: (float(surface.r[i]), float(surface.z[i]))
+    )
+    end_disc = st.tuples(
+        st.floats(0.0, float(max(surface.r[1], surface.r[-2]))),
+        st.sampled_from([z_lo, z_hi]).flatmap(lambda e: st.floats(e - 5.0, e + 5.0)),
+    )
+    far = st.tuples(st.floats(0.0, 1e6), st.floats(-1e6, 1e6))
+    poles = st.sampled_from([(0.0, 1e6), (0.0, -1e6)])
+    return st.lists(st.one_of(near, vertex, end_disc, far, poles), min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(PROFILE_SURFACES)), data=st.data())
+def test_profile_foot_matches_all_segments(name, data):
+    surface = PROFILE_SURFACES[name]
+    rho, z = np.array(data.draw(profile_queries(surface))).T
+    got = surface._profile_foot(rho, z)
+    want = dense_profile_foot(surface, rho, z)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
