@@ -77,6 +77,47 @@ class Keypoint:
         )
 
 
+def _sum_in_order(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per-bin sums of ``weights``, as ``np.add.at`` onto each bin's first term.
+
+    ``np.bincount`` adds the terms one at a time in input order, like
+    ``np.add.at``, but onto +0.0: the two differ only in a bin whose every
+    term is -0.0, which ``np.add.at`` sums to -0.0.
+    """
+    total = np.bincount(index, weights, minlength=n)
+    if np.any(total == 0.0):
+        only_neg_zero = np.ones(n, dtype=bool)
+        only_neg_zero[index[(weights != 0.0) | ~np.signbit(weights)]] = False
+        total[only_neg_zero] = -0.0
+    return total
+
+
+def _neighbourhood_moments(
+    pts: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Point counts, first and second moments of each point's neighbourhood.
+
+    ``pairs`` holds the unordered neighbour pairs ``(i, j)``, ``i < j``. A
+    point's own term comes first, then its pair terms in pair order, first
+    as ``pairs[:, 0]`` and then as ``pairs[:, 1]``: the order of
+    ``np.add.at`` over the pairs onto the own terms.
+    """
+    n = len(pts)
+    own = np.arange(n)
+    ii = np.concatenate([own, pairs[:, 0], pairs[:, 1]])
+    jj = np.concatenate([own, pairs[:, 1], pairs[:, 0]])
+    coords = [column[jj] for column in pts.T]
+    counts = np.bincount(ii, minlength=n).astype(np.float64)
+    s1 = np.column_stack([_sum_in_order(ii, c, n) for c in coords])
+    # Unlike the first moments, these sums start at +0.0: the own term that
+    # np.einsum("ni,nj->nij") gives is 0.0 + x*y, never -0.0.
+    s2 = np.empty((n, 3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            s2[:, a, b] = s2[:, b, a] = np.bincount(ii, coords[a] * coords[b], minlength=n)
+    return counts, s1, s2
+
+
 def detect_iss_keypoints(cloud: PointCloud) -> list[Keypoint]:
     """ISS keypoints of a cloud (which must carry normals for description).
 
@@ -85,6 +126,11 @@ def detect_iss_keypoints(cloud: PointCloud) -> list[Keypoint]:
     l2/l1 < ``GAMMA21`` and l3/l2 < ``GAMMA32`` with l3 > 0, and its l3 is
     maximal among neighbors within ``NONMAX_RADIUS``. Output is sorted by
     position so the result is invariant under point reordering.
+
+    The moment sums add each neighbourhood's terms in one fixed order, the
+    order of ``np.add.at`` over the pairs of the position-sorted cloud
+    (see :func:`_neighbourhood_moments`). That makes the result
+    reproducible to the bit and independent of the input order.
     """
     if cloud.normals is None:
         raise ValueError("keypoint detection expects a cloud with normals")
@@ -97,16 +143,7 @@ def detect_iss_keypoints(cloud: PointCloud) -> list[Keypoint]:
     pts = cloud.points[canon]
     tree = cKDTree(pts)
     pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
-    # Accumulate neighborhood first and second moments (self included).
-    counts = np.ones(n)
-    s1 = pts.copy()
-    s2 = np.einsum("ni,nj->nij", pts, pts)
-    if len(pairs):
-        ii = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        jj = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        np.add.at(counts, ii, 1.0)
-        np.add.at(s1, ii, pts[jj])
-        np.add.at(s2, ii, np.einsum("ni,nj->nij", pts[jj], pts[jj]))
+    counts, s1, s2 = _neighbourhood_moments(pts, pairs)
     mean = s1 / counts[:, None]
     cov = s2 / counts[:, None, None] - np.einsum("ni,nj->nij", mean, mean)
     cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
@@ -133,8 +170,7 @@ def detect_iss_keypoints(cloud: PointCloud) -> list[Keypoint]:
         a, b = nms_pairs[:, 0], nms_pairs[:, 1]
         both = ok[a] & ok[b]
         a, b = a[both], b[both]
-        lower = np.where(rank[a] < rank[b], a, b)
-        np.minimum.at(keep, lower, False)
+        keep[np.where(rank[a] < rank[b], a, b)] = False
     idx = np.nonzero(keep)[0]  # already in position order thanks to canon
     return [Keypoint(pts[i], float(l3[i]), int(canon[i])) for i in idx]
 
@@ -162,9 +198,8 @@ def describe(
         tree.query_ball_point(keypoint.position, DESCRIBE_RADIUS), dtype=np.int64
     )
     size = N_SHELLS * N_ANGLE_BINS + (N_LUM_BINS if cloud.colors is not None else 0)
-    desc = np.zeros(size)
     if nbr.size == 0:
-        return desc
+        return np.zeros(size)
     rel = cloud.points[nbr] - keypoint.position
     dist = np.linalg.norm(rel, axis=1)
     n_kp = cloud.normals[keypoint.index]
@@ -179,15 +214,21 @@ def describe(
     a0 = np.floor(ac).astype(np.int64)
     fs = sc - s0
     fa = ac - a0
+    bins, weights = [], []
     for ds, ws in ((0, 1.0 - fs), (1, fs)):
         s = np.clip(s0 + ds, 0, N_SHELLS - 1)
         for da, wa in ((0, 1.0 - fa), (1, fa)):
             a = np.clip(a0 + da, 0, N_ANGLE_BINS - 1)
-            np.add.at(desc, s * N_ANGLE_BINS + a, ws * wa)
+            bins.append(s * N_ANGLE_BINS + a)
+            weights.append(ws * wa)
     if cloud.colors is not None:
         lum = cloud.colors[nbr] @ np.array([0.2126, 0.7152, 0.0722])
         lbin = np.minimum((lum * N_LUM_BINS).astype(np.int64), N_LUM_BINS - 1)
-        np.add.at(desc, N_SHELLS * N_ANGLE_BINS + lbin, 1.0)
+        bins.append(N_SHELLS * N_ANGLE_BINS + lbin)
+        weights.append(np.ones(len(nbr)))
+    # One pass over the blocks in the order above: each bin's terms are
+    # added one at a time, in that order, onto 0.0.
+    desc = np.bincount(np.concatenate(bins), np.concatenate(weights), minlength=size)
     norm = np.linalg.norm(desc)
     if norm > 0.0:
         desc /= norm

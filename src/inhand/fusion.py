@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -175,16 +176,22 @@ class TriangleMesh:
                 raise ValueError("need one normal per vertex")
             object.__setattr__(self, "normals", _freeze(n))
 
+    @cached_property
     def edges(self) -> np.ndarray:
-        """Undirected unique edges as sorted index pairs."""
-        e = np.vstack(
-            [self.triangles[:, [0, 1]], self.triangles[:, [1, 2]], self.triangles[:, [2, 0]]]
-        )
-        return np.unique(np.sort(e, axis=1), axis=0)
+        """Undirected unique edges as read-only ``(lo, hi)`` rows, sorted.
+
+        Computed on first use and cached. The rows are sorted by the key
+        ``lo * n_vertices + hi``, which orders them lexicographically.
+        """
+        t = self.triangles
+        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        n = len(self.vertices)
+        keys = np.unique(e.min(axis=1) * n + e.max(axis=1))
+        return _freeze(np.column_stack(np.divmod(keys, n)))
 
 
 def euler_characteristic(mesh: TriangleMesh) -> int:
-    return len(mesh.vertices) - len(mesh.edges()) + len(mesh.triangles)
+    return len(mesh.vertices) - len(mesh.edges) + len(mesh.triangles)
 
 
 def is_closed(mesh: TriangleMesh) -> bool:
@@ -297,7 +304,7 @@ def laplacian_smooth(mesh: TriangleMesh, iterations: int) -> TriangleMesh:
         raise ValueError("iterations must be nonnegative")
     if iterations == 0:
         return mesh
-    edges = mesh.edges()
+    edges = mesh.edges
     degree = np.zeros(len(mesh.vertices))
     np.add.at(degree, edges[:, 0], 1.0)
     np.add.at(degree, edges[:, 1], 1.0)
@@ -338,7 +345,7 @@ class Probe:
 
 def _slice_points(mesh: TriangleMesh, axis: int, position: float) -> np.ndarray:
     """Edge/plane intersection points of the mesh with coordinate = position."""
-    edges = mesh.edges()
+    edges = mesh.edges
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]
     da = a[:, axis] - position

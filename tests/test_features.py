@@ -2,18 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from inhand.errors import MatchFileParseError
 from inhand.features import (
     GAMMA21,
     GAMMA32,
+    DESCRIBE_RADIUS,
     MATCH_RATIO,
     MIN_NEIGHBORS,
     NONMAX_RADIUS,
     SALIENT_RADIUS,
+    N_ANGLE_BINS,
+    N_LUM_BINS,
+    N_SHELLS,
     CorrespondenceSet,
     Keypoint,
+    _neighbourhood_moments,
     describe,
     describe_cloud,
     detect_iss_keypoints,
@@ -70,6 +78,100 @@ def brute_force_matches(ds, dt, ratio):
     fwd = [winner(row) for row in cdist(ds, dt)]
     bwd = [winner(row) for row in cdist(dt, ds)]
     return [(i, j) for i, j in enumerate(fwd) if j is not None and bwd[j] == i]
+
+
+# np.add.at references: the moment sums, the detector and the descriptor
+# as they were before their sums went through np.bincount.  The program
+# must agree with them to the bit.
+
+
+def add_at_moments(pts, pairs):
+    """Neighbourhood counts, first and second moments, self included."""
+    n = len(pts)
+    counts = np.ones(n)
+    s1 = pts.copy()
+    s2 = np.einsum("ni,nj->nij", pts, pts)
+    if len(pairs):
+        ii = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        jj = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        np.add.at(counts, ii, 1.0)
+        np.add.at(s1, ii, pts[jj])
+        np.add.at(s2, ii, np.einsum("ni,nj->nij", pts[jj], pts[jj]))
+    return counts, s1, s2
+
+
+def add_at_iss(cloud):
+    """ISS keypoints with the moments summed by np.add.at."""
+    n = len(cloud)
+    if n == 0:
+        return []
+    canon = np.lexsort((cloud.points[:, 2], cloud.points[:, 1], cloud.points[:, 0]))
+    pts = cloud.points[canon]
+    tree = cKDTree(pts)
+    pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
+    counts, s1, s2 = add_at_moments(pts, pairs)
+    mean = s1 / counts[:, None]
+    cov = s2 / counts[:, None, None] - np.einsum("ni,nj->nij", mean, mean)
+    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
+    evals = np.linalg.eigvalsh(cov)
+    l3, l2, l1 = evals[:, 0], evals[:, 1], evals[:, 2]
+    l3 = np.maximum(l3, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (
+            (counts >= MIN_NEIGHBORS)
+            & (l1 > 0.0)
+            & (l2 / np.maximum(l1, 1e-300) < GAMMA21)
+            & (l3 / np.maximum(l2, 1e-300) < GAMMA32)
+            & (l3 > 0.0)
+        )
+    if not np.any(ok):
+        return []
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], l3))] = np.arange(n)
+    keep = ok.copy()
+    nms_pairs = tree.query_pairs(NONMAX_RADIUS, output_type="ndarray")
+    if len(nms_pairs):
+        a, b = nms_pairs[:, 0], nms_pairs[:, 1]
+        both = ok[a] & ok[b]
+        a, b = a[both], b[both]
+        lower = np.where(rank[a] < rank[b], a, b)
+        np.minimum.at(keep, lower, False)
+    idx = np.nonzero(keep)[0]
+    return [Keypoint(pts[i], float(l3[i]), int(canon[i])) for i in idx]
+
+
+def add_at_describe(cloud, keypoint, tree):
+    """The shell/angle (and luminance) histogram summed by np.add.at."""
+    nbr = np.asarray(
+        tree.query_ball_point(keypoint.position, DESCRIBE_RADIUS), dtype=np.int64
+    )
+    size = N_SHELLS * N_ANGLE_BINS + (N_LUM_BINS if cloud.colors is not None else 0)
+    desc = np.zeros(size)
+    if nbr.size == 0:
+        return desc
+    rel = cloud.points[nbr] - keypoint.position
+    dist = np.linalg.norm(rel, axis=1)
+    n_kp = cloud.normals[keypoint.index]
+    cosang = np.clip(cloud.normals[nbr] @ n_kp, -1.0, 1.0)
+    sc = dist / (DESCRIBE_RADIUS / N_SHELLS) - 0.5
+    ac = (cosang + 1.0) * 0.5 * N_ANGLE_BINS - 0.5
+    s0 = np.floor(sc).astype(np.int64)
+    a0 = np.floor(ac).astype(np.int64)
+    fs = sc - s0
+    fa = ac - a0
+    for ds, ws in ((0, 1.0 - fs), (1, fs)):
+        s = np.clip(s0 + ds, 0, N_SHELLS - 1)
+        for da, wa in ((0, 1.0 - fa), (1, fa)):
+            a = np.clip(a0 + da, 0, N_ANGLE_BINS - 1)
+            np.add.at(desc, s * N_ANGLE_BINS + a, ws * wa)
+    if cloud.colors is not None:
+        lum = cloud.colors[nbr] @ np.array([0.2126, 0.7152, 0.0722])
+        lbin = np.minimum((lum * N_LUM_BINS).astype(np.int64), N_LUM_BINS - 1)
+        np.add.at(desc, N_SHELLS * N_ANGLE_BINS + lbin, 1.0)
+    norm = np.linalg.norm(desc)
+    if norm > 0.0:
+        desc /= norm
+    return desc
 
 
 def cube_surface(pitch=1.0, side=20.0):
@@ -318,3 +420,91 @@ class TestFeat2d:
             with pytest.raises(MatchFileParseError, match="bad2.txt") as info:
                 parse_feat2d_file(f)
             assert info.value.line_number == 1
+
+
+# Bit-exact agreement with the np.add.at references above.
+
+
+@st.composite
+def iss_clouds(draw):
+    """Small clouds with normals: dense blobs, clouds on a 0.5 mm lattice
+    (duplicates and coordinates of exactly +-0), and clouds with no pair
+    within ``SALIENT_RADIUS``; at the origin or 550 mm from it; coloured
+    or not; with repeated points added."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 250))
+    layout = draw(st.sampled_from(["blob", "lattice", "sparse"]))
+    if layout == "blob":
+        pts = rng.normal(scale=draw(st.sampled_from([2.0, 4.0, 8.0])), size=(n, 3))
+    elif layout == "lattice":
+        pts = np.round(rng.normal(scale=3.0, size=(n, 3)) * 2.0) / 2.0
+    else:
+        pts = np.column_stack([7.0 * np.arange(n), np.zeros(n), np.zeros(n)])
+        pts += rng.uniform(-0.4, 0.4, size=(n, 3))
+    repeats = draw(st.integers(0, 20))
+    pts = np.vstack([pts, pts[rng.integers(0, n, size=repeats)]])
+    pts += draw(st.sampled_from([np.zeros(3), np.array([0.0, 0.0, 550.0])]))
+    normals = rng.normal(size=pts.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    colors = rng.uniform(0.0, 1.0, size=pts.shape) if draw(st.booleans()) else None
+    return PointCloud(pts, normals=normals, colors=colors)
+
+
+def keypoint_bytes(keypoints):
+    return [(kp.position.tobytes(), kp.saliency, kp.index) for kp in keypoints]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=iss_clouds())
+def test_moments_match_add_at_to_the_bit(cloud):
+    pairs = cKDTree(cloud.points).query_pairs(SALIENT_RADIUS, output_type="ndarray")
+    got = _neighbourhood_moments(cloud.points, pairs)
+    for g, w in zip(got, add_at_moments(cloud.points, pairs), strict=True):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_moments_keep_negative_zero_sums():
+    # Every term of point 0's x sum is -0.0, as is point 1's y sum: np.add.at
+    # keeps -0.0 there, a plain bincount gives +0.0.  Point 1's x*y product
+    # is -0.0 too, but einsum's second moment holds +0.0.
+    pts = np.array([[-0.0, 1.0, 2.0], [0.0, -0.0, 50.0], [-0.0, 3.0, 2.5]])
+    pairs = cKDTree(pts).query_pairs(SALIENT_RADIUS, output_type="ndarray")
+    counts, s1, s2 = _neighbourhood_moments(pts, pairs)
+    want = add_at_moments(pts, pairs)
+    assert np.signbit(want[1][0, 0]) and np.signbit(want[1][1, 1])
+    assert not np.signbit(want[2][1, 0, 1])
+    for g, w in zip((counts, s1, s2), want, strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=iss_clouds())
+def test_detector_matches_add_at_to_the_bit(cloud):
+    assert keypoint_bytes(detect_iss_keypoints(cloud)) == keypoint_bytes(add_at_iss(cloud))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cloud=iss_clouds())
+def test_descriptor_matches_add_at_to_the_bit(cloud):
+    tree = cKDTree(cloud.points)
+    at_points = [Keypoint(p, 0.0, i) for i, p in enumerate(cloud.points[:12])]
+    lonely = Keypoint(cloud.points[0] + 100.0, 0.0, 0)  # no neighbour in reach
+    for kp in add_at_iss(cloud) + at_points + [lonely]:
+        got = describe(cloud, kp, tree)
+        assert got.shape == (32 + (8 if cloud.colors is not None else 0),)
+        assert got.tobytes() == add_at_describe(cloud, kp, tree).tobytes()
+
+
+@pytest.mark.parametrize("coloured", [False, True])
+def test_describe_cloud_matches_add_at_on_a_blob(coloured):
+    cloud = blobby_cloud(seed=47, n=3000)
+    if coloured:
+        rng = np.random.default_rng(48)
+        cloud = PointCloud(cloud.points, cloud.normals, rng.uniform(0.0, 1.0, (3000, 3)))
+    positions, descriptors = describe_cloud(cloud)
+    keypoints = add_at_iss(cloud)
+    assert len(keypoints) > 10
+    tree = cKDTree(cloud.points)
+    assert np.array_equal(positions, [kp.position for kp in keypoints])
+    assert np.array_equal(descriptors, [add_at_describe(cloud, kp, tree) for kp in keypoints])

@@ -372,7 +372,40 @@ def test_candidate_voxels_match_unique_oracle(res, voxel_mm, data):
     np.testing.assert_array_equal(got, want)
 
 
+def row_unique_edges(triangles):
+    """Edges as they were built before the 1-D key: row-wise np.unique."""
+    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    return np.unique(np.sort(e, axis=1), axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(3, 40),
+    n_triangles=st.integers(0, 80),
+)
+def test_edges_match_row_unique(seed, n_vertices, n_triangles):
+    rng = np.random.default_rng(seed)
+    triangles = np.argsort(rng.random((n_triangles, n_vertices)), axis=1)[:, :3]
+    mesh = TriangleMesh(rng.normal(size=(n_vertices, 3)), triangles)
+    want = row_unique_edges(mesh.triangles)
+    assert mesh.edges.dtype == want.dtype
+    assert mesh.edges.shape == want.shape
+    assert np.array_equal(mesh.edges, want)
+
+
 class TestTriangleMesh:
+    def test_edges_cached_read_only_and_row_unique(self, sphere_mesh):
+        assert sphere_mesh.edges is sphere_mesh.edges
+        assert not sphere_mesh.edges.flags.writeable
+        assert np.array_equal(sphere_mesh.edges, row_unique_edges(sphere_mesh.triangles))
+
+    @pytest.mark.parametrize("n_vertices", [0, 4])
+    def test_no_triangles_no_edges(self, n_vertices):
+        mesh = TriangleMesh(np.zeros((n_vertices, 3)), np.zeros((0, 3), dtype=np.int64))
+        assert mesh.edges.shape == (0, 2)
+        assert mesh.edges.dtype == np.int64
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             TriangleMesh(np.zeros((3, 3)), [[0, 1, 3]])
