@@ -17,6 +17,7 @@ millimeter depths and ``#`` comments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -93,28 +94,45 @@ def _sum_in_order(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 
 def _neighbourhood_moments(
-    pts: np.ndarray, pairs: np.ndarray
+    pts: np.ndarray, tree: cKDTree
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Point counts, first and second moments of each point's neighbourhood.
 
-    ``pairs`` holds the unordered neighbour pairs ``(i, j)``, ``i < j``. A
-    point's own term comes first, then its pair terms in pair order, first
-    as ``pairs[:, 0]`` and then as ``pairs[:, 1]``: the order of
-    ``np.add.at`` over the pairs onto the own terms.
+    The neighbours are the pairs ``(i, j)``, ``i < j``, that ``tree`` (built
+    on ``pts``) finds within ``SALIENT_RADIUS``. A point's own term comes
+    first, then its pair terms in pair order, first as ``i`` and then as
+    ``j``: the order of ``np.add.at`` over the pairs onto the own terms.
+
+    Only two arrays of one entry per term live while the sums run: the bin
+    of each term, ``ii``, and one buffer that holds the current weights.
     """
     n = len(pts)
-    own = np.arange(n)
-    ii = np.concatenate([own, pairs[:, 0], pairs[:, 1]])
-    jj = np.concatenate([own, pairs[:, 1], pairs[:, 0]])
-    coords = [column[jj] for column in pts.T]
+    pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
+    p = len(pairs)
+    ii = np.concatenate([np.arange(n), pairs[:, 0], pairs[:, 1]])
+    del pairs  # the pair terms are read back through the two halves of ii
+    w = np.empty(len(ii))
+
+    def terms(f: np.ndarray) -> np.ndarray:
+        """``f`` of each term's neighbour, in the order of ``ii``."""
+        # The indices are in range; mode="clip" writes straight into w,
+        # where the default mode would fill a temporary copy first.
+        w[:n] = f
+        np.take(f, ii[n + p :], out=w[n : n + p], mode="clip")
+        np.take(f, ii[n : n + p], out=w[n + p :], mode="clip")
+        return w
+
     counts = np.bincount(ii, minlength=n).astype(np.float64)
-    s1 = np.column_stack([_sum_in_order(ii, c, n) for c in coords])
+    s1 = np.column_stack([_sum_in_order(ii, terms(column), n) for column in pts.T])
     # Unlike the first moments, these sums start at +0.0: the own term that
-    # np.einsum("ni,nj->nij") gives is 0.0 + x*y, never -0.0.
+    # np.einsum("ni,nj->nij") gives is 0.0 + x*y, never -0.0. Each term is
+    # the neighbour's own product x*y, so it is gathered, not formed per term.
     s2 = np.empty((n, 3, 3))
     for a in range(3):
         for b in range(a, 3):
-            s2[:, a, b] = s2[:, b, a] = np.bincount(ii, coords[a] * coords[b], minlength=n)
+            s2[:, a, b] = s2[:, b, a] = np.bincount(
+                ii, terms(pts[:, a] * pts[:, b]), minlength=n
+            )
     return counts, s1, s2
 
 
@@ -142,8 +160,7 @@ def detect_iss_keypoints(cloud: PointCloud) -> list[Keypoint]:
     canon = np.lexsort((cloud.points[:, 2], cloud.points[:, 1], cloud.points[:, 0]))
     pts = cloud.points[canon]
     tree = cKDTree(pts)
-    pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
-    counts, s1, s2 = _neighbourhood_moments(pts, pairs)
+    counts, s1, s2 = _neighbourhood_moments(pts, tree)
     mean = s1 / counts[:, None]
     cov = s2 / counts[:, None, None] - np.einsum("ni,nj->nij", mean, mean)
     cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
@@ -180,30 +197,36 @@ N_ANGLE_BINS = 8
 N_LUM_BINS = 8
 
 
-def describe(
-    cloud: PointCloud, keypoint: Keypoint, tree: cKDTree | None = None
-) -> np.ndarray:
-    """L2-normalized local histogram descriptor at a keypoint.
+def _describe_all(cloud: PointCloud, keypoints: list[Keypoint]) -> np.ndarray:
+    """L2-normalized local histogram descriptors ``(k, d)``, one per keypoint.
 
     Bins neighbors within ``DESCRIBE_RADIUS`` by (radial shell, angle
     between the neighbor normal and the keypoint normal); appends a
-    luminance histogram when the cloud has colors. A keypoint with no neighbors gets
-    the all-zero descriptor.
+    luminance histogram when the cloud has colors. A keypoint with no
+    neighbors gets the all-zero descriptor.
     """
     if cloud.normals is None:
         raise ValueError("descriptor needs normals")
-    if tree is None:
-        tree = cKDTree(cloud.points)
-    nbr = np.asarray(
-        tree.query_ball_point(keypoint.position, DESCRIBE_RADIUS), dtype=np.int64
-    )
     size = N_SHELLS * N_ANGLE_BINS + (N_LUM_BINS if cloud.colors is not None else 0)
-    if nbr.size == 0:
-        return np.zeros(size)
-    rel = cloud.points[nbr] - keypoint.position
-    dist = np.linalg.norm(rel, axis=1)
-    n_kp = cloud.normals[keypoint.index]
-    cosang = np.clip(cloud.normals[nbr] @ n_kp, -1.0, 1.0)
+    k = len(keypoints)
+    if k == 0:
+        return np.zeros((0, size))
+    positions = np.array([kp.position for kp in keypoints])
+    # Unsorted, each list keeps the order of a single-point query.
+    nbrs = cKDTree(cloud.points).query_ball_point(
+        positions, DESCRIBE_RADIUS, return_sorted=False, workers=-1
+    )
+    sizes = np.fromiter(map(len, nbrs), dtype=np.int64, count=k)
+    nbr = np.fromiter(chain.from_iterable(nbrs), dtype=np.int64, count=int(sizes.sum()))
+    owner = np.repeat(np.arange(k), sizes)
+    ends = np.cumsum(sizes)
+    dist = np.linalg.norm(cloud.points[nbr] - positions[owner], axis=1)
+    # One matrix-vector product per keypoint, as for a single keypoint: a
+    # row-wise einsum sums some rows' dot products in another order.
+    cosang = np.empty(len(nbr))
+    for kp, lo, hi in zip(keypoints, ends - sizes, ends):
+        cosang[lo:hi] = cloud.normals[nbr[lo:hi]] @ cloud.normals[kp.index]
+    cosang = np.clip(cosang, -1.0, 1.0)
     # Soft (bilinear) assignment: hard bin edges make the histogram jump
     # when the support shifts by a fraction of a shell, which is exactly
     # what happens when the same physical feature is re-detected a
@@ -214,30 +237,31 @@ def describe(
     a0 = np.floor(ac).astype(np.int64)
     fs = sc - s0
     fa = ac - a0
+    base = owner * size
     bins, weights = [], []
     for ds, ws in ((0, 1.0 - fs), (1, fs)):
         s = np.clip(s0 + ds, 0, N_SHELLS - 1)
         for da, wa in ((0, 1.0 - fa), (1, fa)):
             a = np.clip(a0 + da, 0, N_ANGLE_BINS - 1)
-            bins.append(s * N_ANGLE_BINS + a)
+            bins.append(base + s * N_ANGLE_BINS + a)
             weights.append(ws * wa)
     if cloud.colors is not None:
         lum = cloud.colors[nbr] @ np.array([0.2126, 0.7152, 0.0722])
         lbin = np.minimum((lum * N_LUM_BINS).astype(np.int64), N_LUM_BINS - 1)
-        bins.append(N_SHELLS * N_ANGLE_BINS + lbin)
+        bins.append(base + N_SHELLS * N_ANGLE_BINS + lbin)
         weights.append(np.ones(len(nbr)))
-    # One pass over the blocks in the order above: each bin's terms are
-    # added one at a time, in that order, onto 0.0.
-    desc = np.bincount(np.concatenate(bins), np.concatenate(weights), minlength=size)
-    norm = np.linalg.norm(desc)
-    if norm > 0.0:
-        desc /= norm
+    # One pass over the blocks in the order above, each block across all
+    # keypoints: each bin's terms are added one at a time, in that order,
+    # onto 0.0.
+    desc = np.bincount(
+        np.concatenate(bins), np.concatenate(weights), minlength=k * size
+    ).reshape(k, size)
+    # Row by row: a norm along axis 1 would sum the squares in another order.
+    for row in desc:
+        norm = np.linalg.norm(row)
+        if norm > 0.0:
+            row /= norm
     return desc
-
-
-def _describe_all(cloud: PointCloud, keypoints: list[Keypoint]) -> np.ndarray:
-    tree = cKDTree(cloud.points)
-    return np.array([describe(cloud, kp, tree) for kp in keypoints])
 
 
 def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:

@@ -129,7 +129,11 @@ def integrate(vol: TsdfVolume, cloud: PointCloud, pose: RigidTransform) -> TsdfV
     if len(ids) == 0:
         return vol
     centers = vol.voxel_centers(vol.voxel_indices(ids))
-    dist, nearest = cKDTree(pts).query(centers)
+    # Each centre is answered alone, so the threads change no result. A
+    # distance_upper_bound would: it drops a point exactly at the bound, and
+    # it can return another point at the same distance, whose normal the
+    # signed distance would read.
+    dist, nearest = cKDTree(pts).query(centers, workers=-1)
     in_band = dist <= vol.truncation
     ids, centers, nearest = ids[in_band], centers[in_band], nearest[in_band]
     if len(ids) == 0:

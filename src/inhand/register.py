@@ -86,7 +86,6 @@ class Metascan:
             raise ValueError("voxel_size must be positive")
         self.voxel_size = float(voxel_size)
         self._points = np.empty((0, 3), dtype=np.float64)
-        self._frame_ids = np.empty(0, dtype=np.int64)
         self._index: cKDTree | None = None
 
     def __len__(self) -> int:
@@ -97,25 +96,16 @@ class Metascan:
         return self._points
 
     @property
-    def frame_ids(self) -> np.ndarray:
-        return self._frame_ids
-
-    @property
     def index(self) -> cKDTree:
         if self._index is None:
             self._index = cKDTree(self._points)
         return self._index
 
-    def append(self, cloud: PointCloud | np.ndarray, frame_index: int) -> None:
+    def append(self, cloud: PointCloud | np.ndarray) -> None:
         pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud)
         pts = pts.reshape(-1, 3).astype(np.float64)
         merged = np.vstack([self._points, pts])
-        ids = np.concatenate(
-            [self._frame_ids, np.full(len(pts), frame_index, dtype=np.int64)]
-        )
-        keep = voxel_downsample_indices(merged, self.voxel_size)
-        self._points = merged[keep]
-        self._frame_ids = ids[keep]
+        self._points = merged[voxel_downsample_indices(merged, self.voxel_size)]
         self._index = None
 
 
@@ -204,7 +194,7 @@ def refine_icp(
     pair_count = 0
     for iteration in range(config.icp_max_iters):
         moved = t.apply(pts)
-        dist, idx = metascan.index.query(moved)
+        dist, idx = metascan.index.query(moved, workers=-1)
         in_range = dist <= config.icp_max_dist
         pair_count = int(in_range.sum())
         if pair_count < 3:
@@ -329,7 +319,7 @@ def register_pair(
         world = result.transform.compose(world)
         icp_rms = result.rms_history[-1]
         counts["icp"] = result.pair_count
-    metascan.append(curr.object_cloud.transformed(world), curr.frame_index)
+    metascan.append(curr.object_cloud.transformed(world))
     return FramePose(curr.frame_index, world, sparse_rms, icp_rms, counts)
 
 
@@ -356,7 +346,7 @@ def run_sequence(
     metascan = Metascan()
     first = frames[0]
     identity = RigidTransform.identity()
-    metascan.append(first.object_cloud, first.frame_index)
+    metascan.append(first.object_cloud)
     poses = [
         FramePose(first.frame_index, identity, float("nan"), float("nan"), {})
     ]

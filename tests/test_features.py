@@ -1,5 +1,7 @@
 """Keypoints, descriptors, matching, and 2D-match sidecar loading."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,8 @@ from inhand.features import (
     N_SHELLS,
     CorrespondenceSet,
     Keypoint,
+    _describe_all,
     _neighbourhood_moments,
-    describe,
     describe_cloud,
     detect_iss_keypoints,
     load_feat2d,
@@ -262,7 +264,7 @@ class TestDescribe:
         nrm = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
         cloud = PointCloud(pts, normals=nrm)
         center = int(np.argmin(np.linalg.norm(pts, axis=1)))
-        d = describe(cloud, Keypoint(pts[center], 1.0, center))
+        (d,) = _describe_all(cloud, [Keypoint(pts[center], 1.0, center)])
         grid = d[:32].reshape(4, 8)
         # cos(angle) = 1 for every neighbor -> highest angle bin per shell.
         assert grid[:, :7].sum() == 0.0
@@ -274,22 +276,22 @@ class TestDescribe:
         moved = cloud.transformed(t)
         kps = detect_iss_keypoints(cloud)[:10]
         assert kps, "test needs at least one keypoint"
-        for kp in kps:
-            kp_moved = Keypoint(t.apply(kp.position), kp.saliency, kp.index)
-            d0 = describe(cloud, kp)
-            d1 = describe(moved, kp_moved)
-            assert np.linalg.norm(d0 - d1) < 1e-6
+        kps_moved = [Keypoint(t.apply(kp.position), kp.saliency, kp.index) for kp in kps]
+        d0 = _describe_all(cloud, kps)
+        d1 = _describe_all(moved, kps_moved)
+        assert np.linalg.norm(d0 - d1, axis=1).max() < 1e-6
 
     def test_no_neighbors_zero_descriptor(self):
         cloud = PointCloud(np.zeros((1, 3)), normals=np.array([[0.0, 0.0, 1.0]]))
-        d = describe(cloud, Keypoint(np.array([100.0, 0.0, 0.0]), 1.0, 0))
-        np.testing.assert_array_equal(d, np.zeros(32))
+        d = _describe_all(cloud, [Keypoint(np.array([100.0, 0.0, 0.0]), 1.0, 0)])
+        np.testing.assert_array_equal(d, np.zeros((1, 32)))
 
     def test_unit_norm_or_zero(self):
         cloud = blobby_cloud(seed=44, n=1200)
-        for kp in detect_iss_keypoints(cloud)[:8]:
-            d = describe(cloud, kp)
-            assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+        kps = detect_iss_keypoints(cloud)[:8]
+        assert kps, "test needs at least one keypoint"
+        norms = np.linalg.norm(_describe_all(cloud, kps), axis=1)
+        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_luminance_bins_appended_when_colored(self):
         rng = np.random.default_rng(45)
@@ -297,15 +299,17 @@ class TestDescribe:
         nrm = np.tile([0.0, 0.0, 1.0], (200, 1))
         col = rng.uniform(0, 1, (200, 3))
         cloud = PointCloud(pts, normals=nrm, colors=col)
-        d = describe(cloud, Keypoint(pts[0], 1.0, 0))
-        assert d.shape == (40,)
+        d = _describe_all(cloud, [Keypoint(pts[0], 1.0, 0)])
+        assert d.shape == (1, 40)
 
     def test_deterministic(self):
         cloud = blobby_cloud(seed=46, n=1000)
-        kp = detect_iss_keypoints(cloud)[0]
-        a = describe(cloud, kp)
-        b = describe(cloud, kp)
+        kps = detect_iss_keypoints(cloud)
+        a = _describe_all(cloud, kps)
+        b = _describe_all(cloud, kps)
         np.testing.assert_array_equal(a, b)
+        # A keypoint's descriptor does not depend on the others described with it.
+        np.testing.assert_array_equal(_describe_all(cloud, kps[-1:]), a[-1:])
 
 
 class TestMatch:
@@ -457,8 +461,9 @@ def keypoint_bytes(keypoints):
 @settings(max_examples=200, deadline=None)
 @given(cloud=iss_clouds())
 def test_moments_match_add_at_to_the_bit(cloud):
-    pairs = cKDTree(cloud.points).query_pairs(SALIENT_RADIUS, output_type="ndarray")
-    got = _neighbourhood_moments(cloud.points, pairs)
+    tree = cKDTree(cloud.points)
+    pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
+    got = _neighbourhood_moments(cloud.points, tree)
     for g, w in zip(got, add_at_moments(cloud.points, pairs), strict=True):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -469,13 +474,31 @@ def test_moments_keep_negative_zero_sums():
     # keeps -0.0 there, a plain bincount gives +0.0.  Point 1's x*y product
     # is -0.0 too, but einsum's second moment holds +0.0.
     pts = np.array([[-0.0, 1.0, 2.0], [0.0, -0.0, 50.0], [-0.0, 3.0, 2.5]])
-    pairs = cKDTree(pts).query_pairs(SALIENT_RADIUS, output_type="ndarray")
-    counts, s1, s2 = _neighbourhood_moments(pts, pairs)
+    tree = cKDTree(pts)
+    pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
+    counts, s1, s2 = _neighbourhood_moments(pts, tree)
     want = add_at_moments(pts, pairs)
     assert np.signbit(want[1][0, 0]) and np.signbit(want[1][1, 1])
     assert not np.signbit(want[2][1, 0, 1])
     for g, w in zip((counts, s1, s2), want, strict=True):
         assert g.tobytes() == w.tobytes()
+
+
+def test_detector_holds_few_term_arrays():
+    # The moment sums need one entry per term, n own terms and 2P pair
+    # terms; the index array and one reused weight buffer are two such
+    # arrays, and the peak must stay near them.
+    cloud = blobby_cloud(seed=52, n=3000)
+    pairs = cKDTree(cloud.points).query_pairs(SALIENT_RADIUS, output_type="ndarray")
+    term_array = 8 * (len(cloud) + 2 * len(pairs))
+    detect_iss_keypoints(cloud)
+    tracemalloc.start()
+    try:
+        detect_iss_keypoints(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * term_array
 
 
 @settings(max_examples=200, deadline=None)
@@ -490,10 +513,13 @@ def test_descriptor_matches_add_at_to_the_bit(cloud):
     tree = cKDTree(cloud.points)
     at_points = [Keypoint(p, 0.0, i) for i, p in enumerate(cloud.points[:12])]
     lonely = Keypoint(cloud.points[0] + 100.0, 0.0, 0)  # no neighbour in reach
-    for kp in add_at_iss(cloud) + at_points + [lonely]:
-        got = describe(cloud, kp, tree)
-        assert got.shape == (32 + (8 if cloud.colors is not None else 0),)
-        assert got.tobytes() == add_at_describe(cloud, kp, tree).tobytes()
+    keypoints = add_at_iss(cloud) + at_points + [lonely]
+    size = 32 + (8 if cloud.colors is not None else 0)
+    want = np.array([add_at_describe(cloud, kp, tree) for kp in keypoints])
+    got = _describe_all(cloud, keypoints)
+    assert got.shape == want.shape == (len(keypoints), size)
+    assert got.tobytes() == want.tobytes()
+    assert _describe_all(cloud, []).shape == (0, size)
 
 
 @pytest.mark.parametrize("coloured", [False, True])

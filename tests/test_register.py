@@ -131,7 +131,7 @@ class TestAlignSparse:
 class TestRefineIcp:
     def make_metascan(self, cloud=None, voxel=0.8):
         scan = Metascan(voxel_size=voxel)
-        scan.append(cloud if cloud is not None else blob_cloud(4000), 0)
+        scan.append(cloud if cloud is not None else blob_cloud(4000))
         return scan
 
     def test_recovers_two_mm_translation(self):
@@ -178,18 +178,18 @@ class TestMetascan:
     def test_keep_first_merge(self):
         scan = Metascan(voxel_size=2.0)
         first = np.array([[0.1, 0.1, 0.1], [5.0, 5.0, 5.0]])
-        scan.append(first, 0)
+        scan.append(first)
         # A near-duplicate in an occupied voxel is discarded; a point in a
         # fresh voxel is kept.
-        scan.append(np.array([[0.3, 0.2, 0.2], [9.0, 9.0, 9.0]]), 1)
+        scan.append(np.array([[0.3, 0.2, 0.2], [9.0, 9.0, 9.0]]))
         assert len(scan) == 3
         assert any(np.array_equal(p, first[0]) for p in scan.points)
-        np.testing.assert_array_equal(np.sort(scan.frame_ids), [0, 0, 1])
+        assert any(np.array_equal(p, [9.0, 9.0, 9.0]) for p in scan.points)
 
     def test_index_consistent_after_append(self):
         scan = Metascan()
-        scan.append(blob_cloud(500, seed=1), 0)
-        scan.append(blob_cloud(500, seed=2).points + 100.0, 1)
+        scan.append(blob_cloud(500, seed=1))
+        scan.append(blob_cloud(500, seed=2).points + 100.0)
         dist, idx = scan.index.query(scan.points)
         np.testing.assert_array_equal(idx, np.arange(len(scan)))
         assert np.all(dist == 0.0)
@@ -235,7 +235,7 @@ class TestRegisterPair:
         frames, _ = exact_sequence(n_frames=1)
         twin = SegmentedFrame(1, frames[0].object_cloud, frames[0].hand_pose)
         scan = Metascan()
-        scan.append(frames[0].object_cloud, 0)
+        scan.append(frames[0].object_cloud)
         pose = register_pair(frames[0], twin, scan, RigidTransform.identity())
         rot_err, trans_err = transform_gap(pose.world_from_frame, RigidTransform.identity())
         assert rot_err < 1e-6 and trans_err < 1e-6
@@ -246,7 +246,7 @@ class TestRegisterPair:
         poses = []
         for _ in range(2):
             scan = Metascan()
-            scan.append(frames[0].object_cloud, 0)
+            scan.append(frames[0].object_cloud)
             poses.append(
                 register_pair(frames[0], frames[1], scan, RigidTransform.identity())
             )
@@ -272,18 +272,17 @@ class TestRunSequence:
             assert trans_err < 1e-4
 
     def test_metascan_composition_consistency(self):
-        # Every metascan point of frame k, mapped back through the inverse
-        # of that frame's pose, must coincide with an original local point.
+        # Every metascan point, mapped back through the inverse of some
+        # frame's pose, must coincide with an original point of that frame.
         frames, _ = exact_sequence()
         result = run_sequence(frames)
         poses = {p.frame_index: p.world_from_frame for p in result.poses}
+        matched = np.zeros(len(result.metascan), dtype=bool)
         for k, frame in enumerate(frames):
-            sel = result.metascan.frame_ids == k
-            back = poses[k].inverse().apply(
-                result.metascan.points[sel]
-            )
+            back = poses[k].inverse().apply(result.metascan.points)
             dist, _ = cKDTree(frame.object_cloud.points).query(back)
-            assert np.all(dist < 1e-9)
+            matched |= dist < 1e-9
+        assert np.all(matched)
 
     def test_empty_sequence(self):
         with pytest.raises(EmptyInputError):
