@@ -83,13 +83,17 @@ def _sum_in_order(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
     ``np.bincount`` adds the terms one at a time in input order, like
     ``np.add.at``, but onto +0.0: the two differ only in a bin whose every
-    term is -0.0, which ``np.add.at`` sums to -0.0.
+    term is -0.0, which ``np.add.at`` sums to -0.0. Only the terms of the
+    bins that sum to 0.0 are copied for that check.
     """
     total = np.bincount(index, weights, minlength=n)
-    if np.any(total == 0.0):
-        only_neg_zero = np.ones(n, dtype=bool)
-        only_neg_zero[index[(weights != 0.0) | ~np.signbit(weights)]] = False
-        total[only_neg_zero] = -0.0
+    zero = total == 0.0
+    if np.any(zero):
+        in_zero = zero[index]
+        zero_index, zero_weights = index[in_zero], weights[in_zero]
+        del in_zero
+        zero[zero_index[(zero_weights != 0.0) | ~np.signbit(zero_weights)]] = False
+        total[zero] = -0.0
     return total
 
 
@@ -105,6 +109,8 @@ def _neighbourhood_moments(
 
     Only two arrays of one entry per term live while the sums run: the bin
     of each term, ``ii``, and one buffer that holds the current weights.
+    :func:`_sum_in_order`'s -0.0 check adds one byte per term and a copy
+    of the terms of the bins that sum to 0.0, if any.
     """
     n = len(pts)
     pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")

@@ -291,7 +291,7 @@ class TestDescribe:
         kps = detect_iss_keypoints(cloud)[:8]
         assert kps, "test needs at least one keypoint"
         norms = np.linalg.norm(_describe_all(cloud, kps), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
     def test_luminance_bins_appended_when_colored(self):
         rng = np.random.default_rng(45)
@@ -484,11 +484,25 @@ def test_moments_keep_negative_zero_sums():
         assert g.tobytes() == w.tobytes()
 
 
-def test_detector_holds_few_term_arrays():
+def _symmetric_lattice() -> PointCloud:
+    # Three layers of a 1 mm grid centred on x = 0 and y = 0: the points
+    # on those planes have neighbourhoods whose first moments sum to 0.0.
+    g = np.arange(-12.0, 12.5)
+    x, y = (a.ravel() for a in np.meshgrid(g, g))
+    pts = np.concatenate([np.column_stack([x, y, np.full(x.size, z)]) for z in (0.0, 1.0, 2.0)])
+    return PointCloud(pts, normals=np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [blobby_cloud(seed=52, n=3000), _symmetric_lattice()],
+    ids=["blob", "zero_sum_lattice"],
+)
+def test_detector_holds_few_term_arrays(cloud):
     # The moment sums need one entry per term, n own terms and 2P pair
     # terms; the index array and one reused weight buffer are two such
-    # arrays, and the peak must stay near them.
-    cloud = blobby_cloud(seed=52, n=3000)
+    # arrays, and the peak must stay near them, also when some first
+    # moments sum to 0.0 and the -0.0 check runs.
     pairs = cKDTree(cloud.points).query_pairs(SALIENT_RADIUS, output_type="ndarray")
     term_array = 8 * (len(cloud) + 2 * len(pairs))
     detect_iss_keypoints(cloud)
