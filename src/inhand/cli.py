@@ -6,7 +6,9 @@ turns a manifest into a fused mesh plus trajectory and report files, and
 The manifest describes the sequence and its working volume; the flags
 alone configure a run (registration terms, contact weight, output
 directory), and ``eval`` runs with the default registration settings.
-Set ``INHAND_LOG=INFO`` (or ``DEBUG``) for progress logging.
+The library logs only warnings; ``INHAND_LOG`` sets the level at which
+they show (default ``WARNING``; ``ERROR`` hides them), and a value that
+is no level name exits 2.
 
 Flags are checked before anything is written; a failure exits with the
 code of its error class (:mod:`inhand.errors` holds the table).
@@ -456,12 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("INHAND_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("INHAND_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise UsageError(f"INHAND_LOG={level!r} is not a log level name")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except InHandError as exc:
         prefix = f"{exc.stage} failed: " if exc.stage else ""

@@ -9,22 +9,19 @@ optional 8-bin luminance histogram when colors are present. A cloud is
 described once (:func:`describe_cloud`); :func:`match_feat3d` pairs two
 descriptions by mutual nearest neighbor with a Lowe-style ratio test.
 
-2D feature matches (e.g. from an external image matcher) arrive through a
-plain-text sidecar, one match per line: ``u v depth u' v' depth'`` with
-millimeter depths and ``#`` comments.
+2D feature matches (e.g. from an external image matcher) are pixel pairs
+with a depth on each side; :func:`load_feat2d` back-projects them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import MatchFileParseError
 from .geometry import CameraIntrinsics, PointCloud, _freeze, back_project_many
 
 CORRESPONDENCE_TAGS = ("feat2d", "feat3d", "contact", "detector")
@@ -66,37 +63,6 @@ class CorrespondenceSet:
         return len(self.source)
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    position: np.ndarray
-    saliency: float  # smallest scatter-matrix eigenvalue
-    index: int  # index of the supporting point in its cloud
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "position", _freeze(np.asarray(self.position, dtype=np.float64).reshape(3))
-        )
-
-
-def _sum_in_order(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Per-bin sums of ``weights``, as ``np.add.at`` onto each bin's first term.
-
-    ``np.bincount`` adds the terms one at a time in input order, like
-    ``np.add.at``, but onto +0.0: the two differ only in a bin whose every
-    term is -0.0, which ``np.add.at`` sums to -0.0. Only the terms of the
-    bins that sum to 0.0 are copied for that check.
-    """
-    total = np.bincount(index, weights, minlength=n)
-    zero = total == 0.0
-    if np.any(zero):
-        in_zero = zero[index]
-        zero_index, zero_weights = index[in_zero], weights[in_zero]
-        del in_zero
-        zero[zero_index[(zero_weights != 0.0) | ~np.signbit(zero_weights)]] = False
-        total[zero] = -0.0
-    return total
-
-
 def _neighbourhood_moments(
     pts: np.ndarray, tree: cKDTree
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,11 +72,14 @@ def _neighbourhood_moments(
     on ``pts``) finds within ``SALIENT_RADIUS``. A point's own term comes
     first, then its pair terms in pair order, first as ``i`` and then as
     ``j``: the order of ``np.add.at`` over the pairs onto the own terms.
+    ``np.bincount`` adds them one at a time in that order, but onto +0.0,
+    so a first moment whose every term is -0.0 sums to +0.0 here and to
+    -0.0 under ``np.add.at``. The covariance ``s2/c - mean mean^T`` cannot
+    tell: ``s2`` is never -0.0, and ``x - (+-0.0)`` has the same bits for
+    any ``x`` but -0.0.
 
     Only two arrays of one entry per term live while the sums run: the bin
     of each term, ``ii``, and one buffer that holds the current weights.
-    :func:`_sum_in_order`'s -0.0 check adds one byte per term and a copy
-    of the terms of the bins that sum to 0.0, if any.
     """
     n = len(pts)
     pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
@@ -129,10 +98,9 @@ def _neighbourhood_moments(
         return w
 
     counts = np.bincount(ii, minlength=n).astype(np.float64)
-    s1 = np.column_stack([_sum_in_order(ii, terms(column), n) for column in pts.T])
-    # Unlike the first moments, these sums start at +0.0: the own term that
-    # np.einsum("ni,nj->nij") gives is 0.0 + x*y, never -0.0. Each term is
-    # the neighbour's own product x*y, so it is gathered, not formed per term.
+    s1 = np.column_stack([np.bincount(ii, terms(column), minlength=n) for column in pts.T])
+    # Each term is the neighbour's own product x*y, so it is gathered, not
+    # formed per term.
     s2 = np.empty((n, 3, 3))
     for a in range(3):
         for b in range(a, 3):
@@ -142,14 +110,14 @@ def _neighbourhood_moments(
     return counts, s1, s2
 
 
-def detect_iss_keypoints(cloud: PointCloud) -> list[Keypoint]:
-    """ISS keypoints of a cloud (which must carry normals for description).
+def detect_iss_keypoints(cloud: PointCloud) -> np.ndarray:
+    """Cloud rows of the ISS keypoints (the cloud must carry normals).
 
     A point qualifies when at least ``MIN_NEIGHBORS`` points lie within
     ``SALIENT_RADIUS``, its scatter eigenvalues l1 >= l2 >= l3 satisfy
     l2/l1 < ``GAMMA21`` and l3/l2 < ``GAMMA32`` with l3 > 0, and its l3 is
-    maximal among neighbors within ``NONMAX_RADIUS``. Output is sorted by
-    position so the result is invariant under point reordering.
+    maximal among neighbors within ``NONMAX_RADIUS``. The rows are sorted
+    by position, so their points do not depend on the order of the cloud.
 
     The moment sums add each neighbourhood's terms in one fixed order, the
     order of ``np.add.at`` over the pairs of the position-sorted cloud
@@ -159,8 +127,6 @@ def detect_iss_keypoints(cloud: PointCloud) -> list[Keypoint]:
     if cloud.normals is None:
         raise ValueError("keypoint detection expects a cloud with normals")
     n = len(cloud)
-    if n == 0:
-        return []
     # Work in a canonical point order so floating-point accumulation (and
     # therefore the result) is invariant under input reordering.
     canon = np.lexsort((cloud.points[:, 2], cloud.points[:, 1], cloud.points[:, 0]))
@@ -181,21 +147,15 @@ def detect_iss_keypoints(cloud: PointCloud) -> list[Keypoint]:
             & (l3 / np.maximum(l2, 1e-300) < GAMMA32)
             & (l3 > 0.0)
         )
-    if not np.any(ok):
-        return []
     # Non-maximum suppression on l3, tie-broken by position so the outcome
     # does not depend on input order.
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], l3))] = np.arange(n)
-    keep = ok.copy()
-    nms_pairs = tree.query_pairs(NONMAX_RADIUS, output_type="ndarray")
-    if len(nms_pairs):
-        a, b = nms_pairs[:, 0], nms_pairs[:, 1]
-        both = ok[a] & ok[b]
-        a, b = a[both], b[both]
-        keep[np.where(rank[a] < rank[b], a, b)] = False
-    idx = np.nonzero(keep)[0]  # already in position order thanks to canon
-    return [Keypoint(pts[i], float(l3[i]), int(canon[i])) for i in idx]
+    a, b = tree.query_pairs(NONMAX_RADIUS, output_type="ndarray").T
+    both = ok[a] & ok[b]
+    a, b = a[both], b[both]
+    ok[np.where(rank[a] < rank[b], a, b)] = False  # the lower of each pair
+    return canon[ok]  # in position order, as canon is
 
 
 N_SHELLS = 4
@@ -203,21 +163,20 @@ N_ANGLE_BINS = 8
 N_LUM_BINS = 8
 
 
-def _describe_all(cloud: PointCloud, keypoints: list[Keypoint]) -> np.ndarray:
-    """L2-normalized local histogram descriptors ``(k, d)``, one per keypoint.
+def _describe_all(cloud: PointCloud, rows: np.ndarray) -> np.ndarray:
+    """L2-normalized local histogram descriptors ``(k, d)`` of the cloud rows.
 
     Bins neighbors within ``DESCRIBE_RADIUS`` by (radial shell, angle
     between the neighbor normal and the keypoint normal); appends a
-    luminance histogram when the cloud has colors. A keypoint with no
-    neighbors gets the all-zero descriptor.
+    luminance histogram when the cloud has colors.
     """
     if cloud.normals is None:
         raise ValueError("descriptor needs normals")
     size = N_SHELLS * N_ANGLE_BINS + (N_LUM_BINS if cloud.colors is not None else 0)
-    k = len(keypoints)
+    k = len(rows)
     if k == 0:
         return np.zeros((0, size))
-    positions = np.array([kp.position for kp in keypoints])
+    positions = cloud.points[rows]
     # Unsorted, each list keeps the order of a single-point query.
     nbrs = cKDTree(cloud.points).query_ball_point(
         positions, DESCRIBE_RADIUS, return_sorted=False, workers=-1
@@ -230,8 +189,8 @@ def _describe_all(cloud: PointCloud, keypoints: list[Keypoint]) -> np.ndarray:
     # One matrix-vector product per keypoint, as for a single keypoint: a
     # row-wise einsum sums some rows' dot products in another order.
     cosang = np.empty(len(nbr))
-    for kp, lo, hi in zip(keypoints, ends - sizes, ends):
-        cosang[lo:hi] = cloud.normals[nbr[lo:hi]] @ cloud.normals[kp.index]
+    for row, lo, hi in zip(rows, ends - sizes, ends):
+        cosang[lo:hi] = cloud.normals[nbr[lo:hi]] @ cloud.normals[row]
     cosang = np.clip(cosang, -1.0, 1.0)
     # Soft (bilinear) assignment: hard bin edges make the histogram jump
     # when the support shifts by a fraction of a shell, which is exactly
@@ -263,10 +222,9 @@ def _describe_all(cloud: PointCloud, keypoints: list[Keypoint]) -> np.ndarray:
         np.concatenate(bins), np.concatenate(weights), minlength=k * size
     ).reshape(k, size)
     # Row by row: a norm along axis 1 would sum the squares in another order.
+    # No row is zero, as each keypoint is its own neighbour.
     for row in desc:
-        norm = np.linalg.norm(row)
-        if norm > 0.0:
-            row /= norm
+        row /= np.linalg.norm(row)
     return desc
 
 
@@ -292,9 +250,8 @@ def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:
 
 def describe_cloud(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     """Read-only keypoint positions ``(k, 3)`` and their descriptors ``(k, d)``."""
-    keypoints = detect_iss_keypoints(cloud)
-    positions = np.array([kp.position for kp in keypoints]).reshape(-1, 3)
-    return _freeze(positions), _freeze(_describe_all(cloud, keypoints))
+    rows = detect_iss_keypoints(cloud)
+    return _freeze(cloud.points[rows]), _freeze(_describe_all(cloud, rows))
 
 
 def match_feat3d(source: tuple, target: tuple) -> CorrespondenceSet:
@@ -308,30 +265,6 @@ def match_feat3d(source: tuple, target: tuple) -> CorrespondenceSet:
     i = np.flatnonzero(fwd >= 0)
     i = i[bwd[fwd[i]] == i]
     return CorrespondenceSet(ps[i], pt[fwd[i]], "feat3d")
-
-
-def parse_feat2d_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a match sidecar: returns (pixel_pairs (N,4), src_depths, tgt_depths).
-
-    Each data line is ``u v depth u' v' depth'``; ``#`` starts a comment.
-    Malformed lines raise with the file name and their 1-based line number.
-    """
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            u, v, depth, u2, v2, depth2 = map(float, line.split())
-            if not np.isfinite([u, v, u2, v2]).all():
-                raise ValueError("non-finite pixel")
-        except ValueError:
-            raise MatchFileParseError(
-                f"{path}: expected u v depth u' v' depth', pixels finite, got {line!r}", lineno
-            ) from None
-        rows.append((u, v, u2, v2, depth, depth2))
-    table = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
-    return table[:, :4], table[:, 4], table[:, 5]
 
 
 def load_feat2d(

@@ -37,8 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .contact import PosedHand
-from .errors import FileFormatError, ManifestError
-from .features import parse_feat2d_file
+from .errors import FileFormatError, ManifestError, MatchFileParseError
 from .fusion import Probe, TriangleMesh, check_working_volume
 from .geometry import CameraIntrinsics, PointCloud, RigidTransform
 from .preprocess import DetectorBox, SegmentedFrame, estimate_normals
@@ -60,6 +59,7 @@ __all__ = [
     "save_detector_boxes",
     "load_detector_boxes",
     "save_feat2d",
+    "parse_feat2d_file",
     "save_ground_truth",
     "load_ground_truth",
     "save_manifest",
@@ -193,14 +193,18 @@ def _parse_ply_header(raw: bytes, path) -> tuple[str, list, bytes]:
         if not parts or parts[0] in ("comment", "obj_info"):
             continue
         if parts[0] == "format":
-            if parts[1] not in ("ascii", "binary_little_endian"):
-                raise FileFormatError(f"{path}: unsupported PLY format {parts[1]!r}")
+            if parts[1:2] not in (["ascii"], ["binary_little_endian"]):
+                raise FileFormatError(f"{path}: unsupported PLY format {line!r}")
             fmt = parts[1]
         elif parts[0] == "element":
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise FileFormatError(f"{path}: bad element line {line!r}")
             elements.append({"name": parts[1], "count": int(parts[2]), "props": []})
         elif parts[0] == "property":
             if not elements:
                 raise FileFormatError(f"{path}: property before any element")
+            if len(parts) != (5 if parts[1:2] == ["list"] else 3):
+                raise FileFormatError(f"{path}: bad property line {line!r}")
             if parts[1] == "list":
                 elements[-1]["props"].append(("list", parts[-1]))
             else:
@@ -335,9 +339,10 @@ def save_detector_boxes(boxes, path) -> None:
 
 
 def load_detector_boxes(path) -> tuple[DetectorBox, ...]:
+    """Boxes whose depths are finite and not negative; 0 marks no reading."""
     payload = _load_json(path, BOXES_SCHEMA)
     try:
-        return tuple(
+        boxes = tuple(
             DetectorBox(
                 b["label"],
                 int(b["x"]),
@@ -350,16 +355,45 @@ def load_detector_boxes(path) -> tuple[DetectorBox, ...]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad detector box ({exc})") from None
+    for b in boxes:
+        if not (np.isfinite(b.depth).all() and (b.depth >= 0.0).all()):
+            raise FileFormatError(f"{path}: {b.label} box depths must be finite and >= 0")
+    return boxes
 
 
 def save_feat2d(matches: tuple, path) -> None:
-    """Write a pixel-match sidecar readable by ``parse_feat2d_file``."""
+    """Write a pixel-match sidecar readable by :func:`parse_feat2d_file`."""
     pairs, src_d, tgt_d = matches
     lines = ["# u v depth u' v' depth'"]
     for (u, v, u2, v2), d, d2 in zip(pairs, src_d, tgt_d):
         fields = (float(u), float(v), float(d), float(u2), float(v2), float(d2))
         lines.append(" ".join(repr(x) for x in fields))
     write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+
+def parse_feat2d_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a match sidecar: returns (pixel_pairs (N,4), src_depths, tgt_depths).
+
+    Each data line is one match, ``u v depth u' v' depth'`` with depths in
+    millimeters; ``#`` starts a comment. Malformed lines raise with the
+    file name and their 1-based line number.
+    """
+    rows = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            u, v, depth, u2, v2, depth2 = map(float, line.split())
+            if not np.isfinite([u, v, u2, v2]).all():
+                raise ValueError("non-finite pixel")
+        except ValueError:
+            raise MatchFileParseError(
+                f"{path}: expected u v depth u' v' depth', pixels finite, got {line!r}", lineno
+            ) from None
+        rows.append((u, v, u2, v2, depth, depth2))
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
+    return table[:, :4], table[:, 4], table[:, 5]
 
 
 # --------------------------------------------------------------------------

@@ -242,6 +242,15 @@ def boxes_change_size(work):
     return bad.name
 
 
+def box_depth_infinite(work):
+    def infinite(payload):
+        payload["boxes"][0]["depth"][0][0] = float("inf")
+
+    bad = work / "frames" / "frame_003_boxes.json"
+    edit_json(bad, infinite)
+    return bad.name
+
+
 def edited_copy(seq_dir, tmp_path, mutate):
     """Copy the sequence directory and rewrite its manifest JSON."""
     work = tmp_path / "seq_copy"
@@ -440,6 +449,7 @@ class TestReconstruct:
             manifest_focal_length_not_a_number,
             truth_annotation_sides_differ,
             boxes_change_size,
+            box_depth_infinite,
         ):
             work = tmp_path / corrupt.__name__
             shutil.copytree(seq_dir, work)
@@ -645,6 +655,13 @@ class TestUsage:
         code = run_cli("reconstruct", tmp_path / "absent.json")
         assert code == 3
         assert "not found" in capsys.readouterr().err
+
+    def test_unknown_log_level_rejected(self, seq_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("INHAND_LOG", "verbose")
+        out = tmp_path / "out"
+        assert run_cli("reconstruct", seq_dir / "manifest.json", "--out", out) == 2
+        assert "INHAND_LOG='verbose'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_error_class_carries_an_exit_code(self):
         codes = {

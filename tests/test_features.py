@@ -1,4 +1,4 @@
-"""Keypoints, descriptors, matching, and 2D-match sidecar loading."""
+"""Keypoints, descriptors, matching, and 2D-match back-projection."""
 
 import tracemalloc
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from inhand.errors import MatchFileParseError
 from inhand.features import (
     GAMMA21,
     GAMMA32,
@@ -22,15 +21,14 @@ from inhand.features import (
     N_LUM_BINS,
     N_SHELLS,
     CorrespondenceSet,
-    Keypoint,
     _describe_all,
     _neighbourhood_moments,
     describe_cloud,
     detect_iss_keypoints,
     load_feat2d,
     match_feat3d,
-    parse_feat2d_file,
 )
+from inhand.fileio import parse_feat2d_file
 from inhand.geometry import (
     CameraIntrinsics,
     PointCloud,
@@ -103,10 +101,10 @@ def add_at_moments(pts, pairs):
 
 
 def add_at_iss(cloud):
-    """ISS keypoints with the moments summed by np.add.at."""
+    """Cloud rows of the ISS keypoints, with the moments summed by np.add.at."""
     n = len(cloud)
     if n == 0:
-        return []
+        return np.empty(0, dtype=np.int64)
     canon = np.lexsort((cloud.points[:, 2], cloud.points[:, 1], cloud.points[:, 0]))
     pts = cloud.points[canon]
     tree = cKDTree(pts)
@@ -127,7 +125,7 @@ def add_at_iss(cloud):
             & (l3 > 0.0)
         )
     if not np.any(ok):
-        return []
+        return np.empty(0, dtype=np.int64)
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], l3))] = np.arange(n)
     keep = ok.copy()
@@ -139,21 +137,20 @@ def add_at_iss(cloud):
         lower = np.where(rank[a] < rank[b], a, b)
         np.minimum.at(keep, lower, False)
     idx = np.nonzero(keep)[0]
-    return [Keypoint(pts[i], float(l3[i]), int(canon[i])) for i in idx]
+    return canon[idx]
 
 
-def add_at_describe(cloud, keypoint, tree):
-    """The shell/angle (and luminance) histogram summed by np.add.at."""
-    nbr = np.asarray(
-        tree.query_ball_point(keypoint.position, DESCRIBE_RADIUS), dtype=np.int64
-    )
+def add_at_describe(cloud, row, tree):
+    """The shell/angle (and luminance) histogram of a cloud row, summed by np.add.at."""
+    position = cloud.points[row]
+    nbr = np.asarray(tree.query_ball_point(position, DESCRIBE_RADIUS), dtype=np.int64)
     size = N_SHELLS * N_ANGLE_BINS + (N_LUM_BINS if cloud.colors is not None else 0)
     desc = np.zeros(size)
     if nbr.size == 0:
         return desc
-    rel = cloud.points[nbr] - keypoint.position
+    rel = cloud.points[nbr] - position
     dist = np.linalg.norm(rel, axis=1)
-    n_kp = cloud.normals[keypoint.index]
+    n_kp = cloud.normals[row]
     cosang = np.clip(cloud.normals[nbr] @ n_kp, -1.0, 1.0)
     sc = dist / (DESCRIBE_RADIUS / N_SHELLS) - 0.5
     ac = (cosang + 1.0) * 0.5 * N_ANGLE_BINS - 0.5
@@ -213,13 +210,16 @@ class TestDetect:
         xs, ys = np.meshgrid(np.arange(-15.0, 15.1, 1.0), np.arange(-15.0, 15.1, 1.0))
         pts = np.column_stack([xs.ravel(), ys.ravel(), np.full(xs.size, 500.0)])
         nrm = np.tile([0.0, 0.0, -1.0], (len(pts), 1))
-        assert detect_iss_keypoints(PointCloud(pts, normals=nrm)) == []
+        assert len(detect_iss_keypoints(PointCloud(pts, normals=nrm))) == 0
+
+    def test_empty_cloud_has_no_keypoints(self):
+        rows = detect_iss_keypoints(PointCloud(np.empty((0, 3)), normals=np.empty((0, 3))))
+        assert rows.shape == (0,)
 
     def test_cube_corners_detected(self):
         pts = cube_surface()
         nrm = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        kps = detect_iss_keypoints(PointCloud(pts, normals=nrm))
-        positions = np.array([kp.position for kp in kps])
+        positions = pts[detect_iss_keypoints(PointCloud(pts, normals=nrm))]
         assert len(positions) > 0
         corners = np.array([[sx * 10.0, sy * 10.0, sz * 10.0]
                             for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
@@ -231,8 +231,8 @@ class TestDetect:
         pts = cube_surface(pitch=2.0, side=12.0)
         pts = pts + rng.normal(scale=0.05, size=pts.shape)
         nrm = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        kps = detect_iss_keypoints(PointCloud(pts, normals=nrm))
-        got = {tuple(np.round(kp.position, 9)) for kp in kps}
+        rows = detect_iss_keypoints(PointCloud(pts, normals=nrm))
+        got = {tuple(np.round(p, 9)) for p in pts[rows]}
         want = brute_force_iss(
             pts, SALIENT_RADIUS, NONMAX_RADIUS, GAMMA21, GAMMA32, MIN_NEIGHBORS
         )
@@ -244,17 +244,9 @@ class TestDetect:
         rng = np.random.default_rng(41)
         perm = rng.permutation(len(cloud))
         shuffled = PointCloud(cloud.points[perm], normals=cloud.normals[perm])
-        a = np.array([kp.position for kp in detect_iss_keypoints(cloud)])
-        b = np.array([kp.position for kp in detect_iss_keypoints(shuffled)])
+        a = cloud.points[detect_iss_keypoints(cloud)]
+        b = shuffled.points[detect_iss_keypoints(shuffled)]
         np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_saliency_is_smallest_eigenvalue(self):
-        cloud = blobby_cloud(seed=42, n=1000)
-        for kp in detect_iss_keypoints(cloud)[:5]:
-            nbr = cloud.points[np.linalg.norm(cloud.points - kp.position, axis=1) <= 6.0]
-            c = nbr - nbr.mean(axis=0)
-            ev = np.linalg.eigvalsh(c.T @ c / len(nbr))
-            assert kp.saliency == pytest.approx(max(ev[0], 0.0), abs=1e-9)
 
 
 class TestDescribe:
@@ -264,7 +256,7 @@ class TestDescribe:
         nrm = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
         cloud = PointCloud(pts, normals=nrm)
         center = int(np.argmin(np.linalg.norm(pts, axis=1)))
-        (d,) = _describe_all(cloud, [Keypoint(pts[center], 1.0, center)])
+        (d,) = _describe_all(cloud, np.array([center]))
         grid = d[:32].reshape(4, 8)
         # cos(angle) = 1 for every neighbor -> highest angle bin per shell.
         assert grid[:, :7].sum() == 0.0
@@ -274,23 +266,17 @@ class TestDescribe:
         cloud = blobby_cloud(seed=43, n=2500)
         t = RigidTransform(rotation_about_axis((1, 2, 3), 1.1), np.array([40.0, -25.0, 60.0]))
         moved = cloud.transformed(t)
-        kps = detect_iss_keypoints(cloud)[:10]
-        assert kps, "test needs at least one keypoint"
-        kps_moved = [Keypoint(t.apply(kp.position), kp.saliency, kp.index) for kp in kps]
-        d0 = _describe_all(cloud, kps)
-        d1 = _describe_all(moved, kps_moved)
+        rows = detect_iss_keypoints(cloud)[:10]
+        assert len(rows), "test needs at least one keypoint"
+        d0 = _describe_all(cloud, rows)
+        d1 = _describe_all(moved, rows)
         assert np.linalg.norm(d0 - d1, axis=1).max() < 1e-6
-
-    def test_no_neighbors_zero_descriptor(self):
-        cloud = PointCloud(np.zeros((1, 3)), normals=np.array([[0.0, 0.0, 1.0]]))
-        d = _describe_all(cloud, [Keypoint(np.array([100.0, 0.0, 0.0]), 1.0, 0)])
-        np.testing.assert_array_equal(d, np.zeros((1, 32)))
 
     def test_unit_norm_or_zero(self):
         cloud = blobby_cloud(seed=44, n=1200)
-        kps = detect_iss_keypoints(cloud)[:8]
-        assert kps, "test needs at least one keypoint"
-        norms = np.linalg.norm(_describe_all(cloud, kps), axis=1)
+        rows = detect_iss_keypoints(cloud)[:8]
+        assert len(rows), "test needs at least one keypoint"
+        norms = np.linalg.norm(_describe_all(cloud, rows), axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
     def test_luminance_bins_appended_when_colored(self):
@@ -299,17 +285,17 @@ class TestDescribe:
         nrm = np.tile([0.0, 0.0, 1.0], (200, 1))
         col = rng.uniform(0, 1, (200, 3))
         cloud = PointCloud(pts, normals=nrm, colors=col)
-        d = _describe_all(cloud, [Keypoint(pts[0], 1.0, 0)])
+        d = _describe_all(cloud, np.array([0]))
         assert d.shape == (1, 40)
 
     def test_deterministic(self):
         cloud = blobby_cloud(seed=46, n=1000)
-        kps = detect_iss_keypoints(cloud)
-        a = _describe_all(cloud, kps)
-        b = _describe_all(cloud, kps)
+        rows = detect_iss_keypoints(cloud)
+        a = _describe_all(cloud, rows)
+        b = _describe_all(cloud, rows)
         np.testing.assert_array_equal(a, b)
         # A keypoint's descriptor does not depend on the others described with it.
-        np.testing.assert_array_equal(_describe_all(cloud, kps[-1:]), a[-1:])
+        np.testing.assert_array_equal(_describe_all(cloud, rows[-1:]), a[-1:])
 
 
 class TestMatch:
@@ -409,22 +395,6 @@ class TestFeat2d:
         cs = load_feat2d(pairs, [700.0, 0.0, 700.0], [700.0, 700.0, np.nan], INTR)
         assert len(cs) == 1
 
-    def test_parse_error_reports_line(self, tmp_path):
-        f = tmp_path / "bad.txt"
-        f.write_text("320 240 700 377 297 500\n1 2 3 4 5\n")
-        with pytest.raises(MatchFileParseError) as info:
-            parse_feat2d_file(f)
-        assert info.value.line_number == 2
-        assert "line 2" in str(info.value)
-
-    def test_non_numeric_field(self, tmp_path):
-        f = tmp_path / "bad2.txt"
-        for line in ("a b c d e f", "nan 240 700 377 297 500", "320 240 700 377 inf 500"):
-            f.write_text(line + "\n")
-            with pytest.raises(MatchFileParseError, match="bad2.txt") as info:
-                parse_feat2d_file(f)
-            assert info.value.line_number == 1
-
 
 # Bit-exact agreement with the np.add.at references above.
 
@@ -454,34 +424,38 @@ def iss_clouds(draw):
     return PointCloud(pts, normals=normals, colors=colors)
 
 
-def keypoint_bytes(keypoints):
-    return [(kp.position.tobytes(), kp.saliency, kp.index) for kp in keypoints]
-
-
 @settings(max_examples=200, deadline=None)
 @given(cloud=iss_clouds())
 def test_moments_match_add_at_to_the_bit(cloud):
     tree = cKDTree(cloud.points)
     pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
-    got = _neighbourhood_moments(cloud.points, tree)
-    for g, w in zip(got, add_at_moments(cloud.points, pairs), strict=True):
-        assert g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+    counts, s1, s2 = _neighbourhood_moments(cloud.points, tree)
+    want_counts, want_s1, want_s2 = add_at_moments(cloud.points, pairs)
+    assert counts.tobytes() == want_counts.tobytes()
+    assert s2.tobytes() == want_s2.tobytes()
+    # np.add.at sums a first moment whose every term is -0.0 to -0.0, while
+    # np.bincount starts at +0.0; adding 0.0 reads each -0.0 as +0.0.
+    assert s1.shape == want_s1.shape
+    assert s1.tobytes() == (want_s1 + 0.0).tobytes()
 
 
-def test_moments_keep_negative_zero_sums():
-    # Every term of point 0's x sum is -0.0, as is point 1's y sum: np.add.at
-    # keeps -0.0 there, a plain bincount gives +0.0.  Point 1's x*y product
-    # is -0.0 too, but einsum's second moment holds +0.0.
-    pts = np.array([[-0.0, 1.0, 2.0], [0.0, -0.0, 50.0], [-0.0, 3.0, 2.5]])
+def test_detector_ignores_the_sign_of_zero_sums():
+    # The cube's x = 0 face is written as -0.0, so np.add.at sums the x
+    # moment of the points inside that face to -0.0 and np.bincount to
+    # +0.0; the covariances, and with them the keypoints, are the same.
+    pts = cube_surface() + [10.0, 0.0, 0.0]
+    pts[pts[:, 0] == 0.0, 0] = -0.0
+    normals = pts - [10.0, 0.0, 0.0]
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cloud = PointCloud(pts, normals=normals)
     tree = cKDTree(pts)
-    pairs = tree.query_pairs(SALIENT_RADIUS, output_type="ndarray")
-    counts, s1, s2 = _neighbourhood_moments(pts, tree)
-    want = add_at_moments(pts, pairs)
-    assert np.signbit(want[1][0, 0]) and np.signbit(want[1][1, 1])
-    assert not np.signbit(want[2][1, 0, 1])
-    for g, w in zip((counts, s1, s2), want, strict=True):
-        assert g.tobytes() == w.tobytes()
+    s1 = add_at_moments(pts, tree.query_pairs(SALIENT_RADIUS, output_type="ndarray"))[1]
+    assert np.signbit(s1[s1 == 0.0]).sum() > 0
+    rows = detect_iss_keypoints(cloud)
+    assert rows.tobytes() == add_at_iss(cloud).tobytes()
+    corners = np.array([[x, y, z] for x in (0.0, 20.0) for y in (-10.0, 10.0) for z in (-10.0, 10.0)])
+    assert len(rows) == 8
+    assert cdist(corners, pts[rows]).min(axis=1).max() < 3.0
 
 
 def _symmetric_lattice() -> PointCloud:
@@ -501,8 +475,8 @@ def _symmetric_lattice() -> PointCloud:
 def test_detector_holds_few_term_arrays(cloud):
     # The moment sums need one entry per term, n own terms and 2P pair
     # terms; the index array and one reused weight buffer are two such
-    # arrays, and the peak must stay near them, also when some first
-    # moments sum to 0.0 and the -0.0 check runs.
+    # arrays, and the peak must stay near them, on a blob and on a lattice
+    # where some first moments sum to exactly 0.0.
     pairs = cKDTree(cloud.points).query_pairs(SALIENT_RADIUS, output_type="ndarray")
     term_array = 8 * (len(cloud) + 2 * len(pairs))
     detect_iss_keypoints(cloud)
@@ -518,22 +492,22 @@ def test_detector_holds_few_term_arrays(cloud):
 @settings(max_examples=200, deadline=None)
 @given(cloud=iss_clouds())
 def test_detector_matches_add_at_to_the_bit(cloud):
-    assert keypoint_bytes(detect_iss_keypoints(cloud)) == keypoint_bytes(add_at_iss(cloud))
+    rows, want = detect_iss_keypoints(cloud), add_at_iss(cloud)
+    assert rows.tobytes() == want.tobytes()
+    assert cloud.points[rows].tobytes() == cloud.points[want].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(cloud=iss_clouds())
 def test_descriptor_matches_add_at_to_the_bit(cloud):
     tree = cKDTree(cloud.points)
-    at_points = [Keypoint(p, 0.0, i) for i, p in enumerate(cloud.points[:12])]
-    lonely = Keypoint(cloud.points[0] + 100.0, 0.0, 0)  # no neighbour in reach
-    keypoints = add_at_iss(cloud) + at_points + [lonely]
+    rows = np.concatenate([add_at_iss(cloud), np.arange(min(12, len(cloud)))])
     size = 32 + (8 if cloud.colors is not None else 0)
-    want = np.array([add_at_describe(cloud, kp, tree) for kp in keypoints])
-    got = _describe_all(cloud, keypoints)
-    assert got.shape == want.shape == (len(keypoints), size)
+    want = np.array([add_at_describe(cloud, row, tree) for row in rows])
+    got = _describe_all(cloud, rows)
+    assert got.shape == want.shape == (len(rows), size)
     assert got.tobytes() == want.tobytes()
-    assert _describe_all(cloud, []).shape == (0, size)
+    assert _describe_all(cloud, rows[:0]).shape == (0, size)
 
 
 @pytest.mark.parametrize("coloured", [False, True])
@@ -543,8 +517,8 @@ def test_describe_cloud_matches_add_at_on_a_blob(coloured):
         rng = np.random.default_rng(48)
         cloud = PointCloud(cloud.points, cloud.normals, rng.uniform(0.0, 1.0, (3000, 3)))
     positions, descriptors = describe_cloud(cloud)
-    keypoints = add_at_iss(cloud)
-    assert len(keypoints) > 10
+    rows = add_at_iss(cloud)
+    assert len(rows) > 10
     tree = cKDTree(cloud.points)
-    assert np.array_equal(positions, [kp.position for kp in keypoints])
-    assert np.array_equal(descriptors, [add_at_describe(cloud, kp, tree) for kp in keypoints])
+    assert np.array_equal(positions, cloud.points[rows])
+    assert np.array_equal(descriptors, [add_at_describe(cloud, row, tree) for row in rows])

@@ -12,8 +12,7 @@ import pytest
 
 import inhand
 from inhand.contact import PosedHand
-from inhand.errors import FileFormatError, ManifestError
-from inhand.features import parse_feat2d_file
+from inhand.errors import FileFormatError, ManifestError, MatchFileParseError
 from inhand.fileio import (
     ManifestFrame,
     SequenceManifest,
@@ -22,6 +21,7 @@ from inhand.fileio import (
     load_ground_truth,
     load_hand_model,
     load_manifest,
+    parse_feat2d_file,
     read_ply,
     save_detector_boxes,
     save_feat2d,
@@ -179,6 +179,25 @@ class TestPlyErrors:
         with pytest.raises(FileFormatError, match=f"word.ply: bad {what} data"):
             read_ply(path)
 
+    @pytest.mark.parametrize(
+        "line, bad",
+        [
+            (b"element vertex 57", b"element vertex ten"),
+            (b"element vertex 57", b"element vertex"),
+            (b"element vertex 57", b"element vertex -4"),
+            (b"property float z", b"property float"),
+            (b"format binary_little_endian 1.0", b"format"),
+        ],
+    )
+    def test_rejects_malformed_header_line(self, tmp_path, line, bad):
+        path = tmp_path / "hdr.ply"
+        write_ply(path, float32_cloud(colors=False, normals=False), binary=True)
+        data = path.read_bytes()
+        assert data.count(line) == 1
+        path.write_bytes(data.replace(line, bad))
+        with pytest.raises(FileFormatError, match=f"hdr.ply: .* '{bad.decode()}'"):
+            read_ply(path)
+
     def test_requires_xyz(self, tmp_path):
         path = tmp_path / "uv.ply"
         path.write_text(
@@ -228,6 +247,15 @@ class TestSidecars:
             )
             assert np.array_equal(a.depth, b.depth)
 
+    @pytest.mark.parametrize("depth", [float("inf"), float("nan"), -1.0])
+    def test_detector_box_depth_checked(self, tmp_path, depth):
+        patch = np.zeros((3, 4))  # 0 is a pixel without a reading
+        patch[1, 2] = depth
+        path = tmp_path / "boxes.json"
+        save_detector_boxes((DetectorBox("thumb_tip", 10, 20, 4, 3, patch),), path)
+        with pytest.raises(FileFormatError, match="boxes.json: thumb_tip box depths"):
+            load_detector_boxes(path)
+
     def test_feat2d_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         matches = (
@@ -241,6 +269,24 @@ class TestSidecars:
         assert np.array_equal(pairs, matches[0])
         assert np.array_equal(src_d, matches[1])
         assert np.array_equal(tgt_d, matches[2])
+
+
+class TestFeat2d:
+    def test_parse_error_reports_line(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("320 240 700 377 297 500\n1 2 3 4 5\n")
+        with pytest.raises(MatchFileParseError) as info:
+            parse_feat2d_file(f)
+        assert info.value.line_number == 2
+        assert "line 2" in str(info.value)
+
+    def test_non_numeric_field(self, tmp_path):
+        f = tmp_path / "bad2.txt"
+        for line in ("a b c d e f", "nan 240 700 377 297 500", "320 240 700 377 inf 500"):
+            f.write_text(line + "\n")
+            with pytest.raises(MatchFileParseError, match="bad2.txt") as info:
+                parse_feat2d_file(f)
+            assert info.value.line_number == 1
 
 
 class TestGroundTruthFile:
