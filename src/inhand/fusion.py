@@ -83,6 +83,18 @@ def _find(keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos, found
 
 
+def _unique_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D integer array by one sort.
+
+    NumPy 2.4 answers ``np.unique`` and ``np.isin`` on integers through a
+    hash table, which is an order of magnitude slower than a sort here.
+    """
+    values = np.sort(values, axis=None)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def _candidate_voxels(vol: TsdfVolume, points: np.ndarray) -> np.ndarray:
     """Sorted unique linear ids of the voxels whose centers can lie within
     truncation of a point."""
@@ -97,7 +109,7 @@ def _candidate_voxels(vol: TsdfVolume, points: np.ndarray) -> np.ndarray:
     lo = base.min(axis=0) - r
     shape = base.max(axis=0) + r + 1 - lo
     strides = np.array([shape[1] * shape[2], shape[2], 1])
-    base_ids = np.unique((base - lo) @ strides)
+    base_ids = _unique_sorted((base - lo) @ strides)
     grid = np.zeros(shape, dtype=bool)
     grid.ravel()[(base_ids[:, None] + offs @ strides).ravel()] = True
     cand = np.argwhere(grid) + lo
@@ -190,7 +202,7 @@ class TriangleMesh:
         t = self.triangles
         e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         n = len(self.vertices)
-        keys = np.unique(e.min(axis=1) * n + e.max(axis=1))
+        keys = _unique_sorted(e.min(axis=1) * n + e.max(axis=1))
         return _freeze(np.column_stack(np.divmod(keys, n)))
 
 
@@ -205,11 +217,13 @@ def is_closed(mesh: TriangleMesh) -> bool:
     directed = np.vstack(
         [mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]], mesh.triangles[:, [2, 0]]]
     )
-    keys = directed[:, 0] * len(mesh.vertices) + directed[:, 1]
-    if len(np.unique(keys)) != len(keys):
+    keys = np.sort(directed[:, 0] * len(mesh.vertices) + directed[:, 1])
+    if np.any(keys[1:] == keys[:-1]):
         return False  # repeated directed edge: inconsistent winding
-    swapped = directed[:, 1] * len(mesh.vertices) + directed[:, 0]
-    return bool(np.all(np.isin(keys, swapped)))
+    # With no key repeated, every edge has its reverse exactly when the
+    # reversed keys are the same set.
+    swapped = np.sort(directed[:, 1] * len(mesh.vertices) + directed[:, 0])
+    return bool(np.array_equal(keys, swapped))
 
 
 def _vertex_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -229,11 +243,9 @@ def _prune_components(vertices, triangles):
     adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
     _, labels = connected_components(adj, directed=False)
     tri_labels = labels[triangles[:, 0]]
-    counts = np.bincount(tri_labels)
-    keep_labels = np.nonzero(counts >= MIN_COMPONENT_FRACTION * nt)[0]
-    keep = np.isin(tri_labels, keep_labels)
-    triangles = triangles[keep]
-    used = np.unique(triangles)
+    large = np.bincount(tri_labels) >= MIN_COMPONENT_FRACTION * nt
+    triangles = triangles[large[tri_labels]]
+    used = _unique_sorted(triangles)
     remap = np.full(nv, -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
     return vertices[used], remap[triangles]
@@ -259,22 +271,16 @@ def extract_mesh(vol: TsdfVolume) -> TriangleMesh:
     active = (case != 0) & (case != 255) & all_observed
     if not active.any():
         raise EmptyMeshError("no observed zero crossing in the volume")
-    ix, iy, iz = np.unravel_index(cells[active], (res,) * 3)
-    cell_case = case[active]
-
-    # Global id of each of the 12 cell edges: anchor grid point * 3 + axis.
-    anchor = EDGE_ANCHORS[:, :3]
+    # Global id of a cell edge: its anchor grid point's linear id * 3 + axis.
+    # The anchor's id is the cell's id plus the anchor offset's linear id.
+    anchor = EDGE_ANCHORS[:, :3].astype(np.int64)
+    anchor_ids = (anchor[:, 0] * res + anchor[:, 1]) * res + anchor[:, 2]
     axis = EDGE_ANCHORS[:, 3].astype(np.int64)
-    gx = ix[:, None] + anchor[None, :, 0]
-    gy = iy[:, None] + anchor[None, :, 1]
-    gz = iz[:, None] + anchor[None, :, 2]
-    edge_ids = ((gx * res + gy) * res + gz) * 3 + axis[None, :]
 
-    tri_edges = TRI_TABLE[cell_case]  # (cells, 16), -1 padded
-    valid = tri_edges >= 0
-    face_ids = np.take_along_axis(
-        edge_ids, np.where(valid, tri_edges, 0).astype(np.int64), axis=1
-    )[valid]
+    tri_edges = TRI_TABLE[case[active]]  # (cells, 16), -1 padded
+    rows, cols = np.nonzero(tri_edges >= 0)
+    edge = tri_edges[rows, cols]
+    face_ids = (cells[active][rows] + anchor_ids[edge]) * 3 + axis[edge]
     unique_ids, tri_flat = np.unique(face_ids, return_inverse=True)
     triangles = tri_flat.reshape(-1, 3)
 

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import ConvexHull, cKDTree
 
 from inhand._mc_tables import CORNER_OFFSETS, EDGE_ANCHORS, TRI_TABLE
 from inhand.errors import EmptyInputError, EmptyMeshError, OpenMeshError
 from inhand.fusion import (
+    MIN_COMPONENT_FRACTION,
     Probe,
     TriangleMesh,
     TsdfVolume,
@@ -392,6 +395,114 @@ def test_edges_match_row_unique(seed, n_vertices, n_triangles):
     assert mesh.edges.dtype == want.dtype
     assert mesh.edges.shape == want.shape
     assert np.array_equal(mesh.edges, want)
+
+
+def unique_isin_closed(mesh):
+    """``is_closed`` as it was before the sort: ``np.unique`` and ``np.isin``."""
+    if len(mesh.triangles) == 0:
+        return False
+    t = mesh.triangles
+    directed = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    keys = directed[:, 0] * len(mesh.vertices) + directed[:, 1]
+    if len(np.unique(keys)) != len(keys):
+        return False
+    swapped = directed[:, 1] * len(mesh.vertices) + directed[:, 0]
+    return bool(np.all(np.isin(keys, swapped)))
+
+
+def hull_triangles(seed, n_points):
+    """Random points and the outward-wound triangles of their convex hull.
+
+    The first ``4 + (n_points - 4) // 2`` points lie on the unit sphere, so
+    each is a hull vertex; the rest lie inside and are in no triangle.
+    """
+    pts = np.random.default_rng(seed).normal(size=(n_points, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[4 + (n_points - 4) // 2 :] *= 0.5
+    hull = ConvexHull(pts)
+    tri = hull.simplices.copy()
+    a, b, c = (pts[tri[:, i]] for i in range(3))
+    inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), hull.equations[:, :3]) < 0.0
+    tri[inward] = tri[inward][:, ::-1]
+    return pts, tri
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    surface=st.one_of(
+        st.just(None), st.tuples(st.integers(0, 2**32 - 1), st.integers(4, 60))
+    ),
+    edit=st.sampled_from(["none", "flip", "remove", "duplicate", "double"]),
+    data=st.data(),
+)
+def test_is_closed_matches_unique_isin(sphere_mesh, surface, edit, data):
+    if surface is None:
+        vertices, tri = sphere_mesh.vertices, sphere_mesh.triangles.copy()
+    else:
+        vertices, tri = hull_triangles(*surface)
+    k = data.draw(st.integers(0, len(tri) - 1), label="triangle")
+    if edit == "flip":
+        tri[k] = tri[k, ::-1]
+    elif edit == "remove":
+        tri = np.delete(tri, k, axis=0)
+    elif edit == "duplicate":
+        tri = np.insert(tri, data.draw(st.integers(0, len(tri))), tri[k], axis=0)
+    elif edit == "double":  # each directed edge twice, each with its reverse
+        tri = np.vstack([tri, tri])
+    mesh = TriangleMesh(vertices, tri)
+    assert is_closed(mesh) == unique_isin_closed(mesh) == (edit == "none")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(3, 8),
+    n_triangles=st.integers(0, 20),
+)
+def test_is_closed_matches_unique_isin_on_triangle_soups(seed, n_vertices, n_triangles):
+    rng = np.random.default_rng(seed)
+    triangles = np.argsort(rng.random((n_triangles, n_vertices)), axis=1)[:, :3]
+    mesh = TriangleMesh(rng.normal(size=(n_vertices, 3)), triangles)
+    assert is_closed(mesh) == unique_isin_closed(mesh)
+
+
+def isin_prune_components(vertices, triangles):
+    """``_prune_components`` as it was before the sort: ``np.isin`` and ``np.unique``."""
+    nv, nt = len(vertices), len(triangles)
+    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
+    _, labels = connected_components(adj, directed=False)
+    tri_labels = labels[triangles[:, 0]]
+    counts = np.bincount(tri_labels)
+    keep_labels = np.nonzero(counts >= MIN_COMPONENT_FRACTION * nt)[0]
+    triangles = triangles[np.isin(tri_labels, keep_labels)]
+    used = np.unique(triangles)
+    remap = np.full(nv, -1, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return vertices[used], remap[triangles]
+
+
+@settings(max_examples=60, deadline=None)
+@given(surfaces=st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.one_of(st.integers(4, 8), st.integers(100, 400))),
+    min_size=1,
+    max_size=6,
+))
+def test_prune_components_matches_isin(surfaces):
+    # Disjoint hulls: the small ones can fall below the size threshold of
+    # the large ones, and points inside a hull are in no triangle.
+    parts, offset = [], 0
+    vertices = []
+    for i, surface in enumerate(surfaces):
+        pts, tri = hull_triangles(*surface)
+        vertices.append(pts + 10.0 * i)
+        parts.append(tri + offset)
+        offset += len(pts)
+    vertices, triangles = np.vstack(vertices), np.vstack(parts)
+    got = _prune_components(vertices, triangles)
+    want = isin_prune_components(vertices, triangles)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestTriangleMesh:

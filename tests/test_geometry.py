@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from inhand.errors import (
     DegenerateConfigurationError,
@@ -229,6 +232,37 @@ class TestSolveWeightedRigid:
                 [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
                 [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
                 [1.0, 1.0, 0.0],
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        fortran=st.booleans(),
+        data=st.data(),
+    )
+    def test_no_weights_equal_unit_weights_to_the_bit(self, n, fortran, data):
+        coords = arrays(np.float64, (n, 3), elements=st.floats(-1e3, 1e3))
+        src, tgt = data.draw(coords), data.draw(coords)
+        if data.draw(st.booleans()):  # a well-posed problem: tgt = T(src) + noise
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            motion = RigidTransform(random_rotation(rng), rng.uniform(-50, 50, 3))
+            tgt = motion.apply(src) + rng.normal(scale=0.1, size=(n, 3))
+        if fortran:
+            src, tgt = np.asfortranarray(src), np.asfortranarray(tgt)
+
+        def outcome(*weights):
+            try:
+                t = solve_weighted_rigid(src, tgt, *weights)
+            except (UnderConstrainedError, DegenerateConfigurationError) as exc:
+                return type(exc), str(exc)
+            return t.rotation.tobytes(), t.translation.tobytes()
+
+        got = outcome()
+        assert got == outcome(np.ones(n))
+        if n < 3:
+            assert got == (
+                UnderConstrainedError,
+                f"need at least 3 positively weighted pairs, got {n}",
             )
 
     def test_collinear_is_degenerate(self):

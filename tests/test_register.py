@@ -15,6 +15,7 @@ from inhand.geometry import (
     RigidTransform,
     rotation_about_axis,
     rotation_angle_rad,
+    solve_weighted_rigid,
 )
 from inhand.preprocess import DetectorBox, SegmentedFrame
 from inhand.register import (
@@ -172,6 +173,52 @@ class TestRefineIcp:
     def test_empty_metascan(self):
         with pytest.raises(EmptyInputError):
             refine_icp(np.zeros((5, 3)), Metascan())
+
+
+def row_order_icp(source, metascan, config=RegistrationConfig()):
+    """``refine_icp`` as it was before the leaf-order query: one query of
+    the moved points in row order per iteration."""
+    pts = np.asarray(source, dtype=np.float64).reshape(-1, 3)
+    t = RigidTransform.identity()
+    history = []
+    prev_rms = None
+    pair_count = 0
+    for iteration in range(config.icp_max_iters):
+        moved = t.apply(pts)
+        dist, idx = metascan.index.query(moved)
+        in_range = dist <= config.icp_max_dist
+        pair_count = int(in_range.sum())
+        if pair_count < 3:
+            raise DivergenceError(f"{pair_count} pairs at iteration {iteration}")
+        targets = metascan.points[idx[in_range]]
+        delta = solve_weighted_rigid(moved[in_range], targets)
+        t = delta.compose(t)
+        res = t.apply(pts[in_range]) - targets
+        rms = math.sqrt(float(np.einsum("ij,ij->", res, res)) / pair_count)
+        history.append(rms)
+        if prev_rms is not None and abs(prev_rms - rms) < config.icp_convergence_eps:
+            break
+        prev_rms = rms
+    return t, tuple(history), pair_count
+
+
+@pytest.mark.parametrize("n_source", [3000, 12])
+def test_icp_matches_row_order_to_the_bit(n_source):
+    rng = np.random.default_rng(n_source)
+    scan = Metascan(voxel_size=0.8)
+    scan.append(blob_cloud(4000))
+    rows = rng.choice(len(scan), n_source, replace=False)  # a shuffled cloud
+    source = rigid((1.0, 2.0, 0.5), 1.5, (1.2, -0.8, 0.4)).apply(scan.points[rows])
+    # Rows beyond the 5 mm gate leave the pairs the solve sees out of order.
+    far = rng.choice(n_source, n_source // 10, replace=False)
+    source[far] *= 1.5
+    want_t, want_history, want_count = row_order_icp(source, scan)
+    got = refine_icp(source, scan)
+    assert len(want_history) > 2
+    assert got.transform.rotation.tobytes() == want_t.rotation.tobytes()
+    assert got.transform.translation.tobytes() == want_t.translation.tobytes()
+    assert got.rms_history == want_history
+    assert got.pair_count == want_count
 
 
 class TestMetascan:
