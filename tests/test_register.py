@@ -209,7 +209,8 @@ def test_icp_matches_row_order_to_the_bit(n_source):
     scan.append(blob_cloud(4000))
     rows = rng.choice(len(scan), n_source, replace=False)  # a shuffled cloud
     source = rigid((1.0, 2.0, 0.5), 1.5, (1.2, -0.8, 0.4)).apply(scan.points[rows])
-    # Rows beyond the 5 mm gate leave the pairs the solve sees out of order.
+    # A tenth of the rows lie beyond the 5 mm gate, so each solve sees a
+    # masked subset of the rows.
     far = rng.choice(n_source, n_source // 10, replace=False)
     source[far] *= 1.5
     want_t, want_history, want_count = row_order_icp(source, scan)
