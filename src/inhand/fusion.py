@@ -111,7 +111,11 @@ def _candidate_voxels(vol: TsdfVolume, points: np.ndarray) -> np.ndarray:
     strides = np.array([shape[1] * shape[2], shape[2], 1])
     base_ids = _unique_sorted((base - lo) @ strides)
     grid = np.zeros(shape, dtype=bool)
-    grid.ravel()[(base_ids[:, None] + offs @ strides).ravel()] = True
+    flat = grid.ravel()
+    # One offset at a time: a (bases, offsets) id matrix would take about
+    # 16 MB on a 13k-point frame.
+    for step in offs @ strides:
+        flat[base_ids + step] = True
     cand = np.argwhere(grid) + lo
     cand = cand[np.all((cand >= 0) & (cand < vol.resolution), axis=1)]
     return np.ravel_multi_index(cand.T, (vol.resolution,) * 3)

@@ -93,6 +93,9 @@ class SegmentedFrame:
     :attr:`features` and :attr:`contact` depend on this frame alone: each
     is computed on first use and cached, so every pair, gamma and energy
     configuration shares it; :func:`dataclasses.replace` starts a new cache.
+    :attr:`features` is computed on the main thread only: registration's
+    worker thread reads it once it is cached (see
+    :func:`inhand.register.run_sequence`).
     """
 
     frame_index: int

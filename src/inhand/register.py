@@ -8,12 +8,20 @@ frame's world pose and then refined by point-to-point ICP against the
 metascan — the running accumulation of every previously registered cloud.
 Keypoints, descriptors and contact states belong to one frame and are
 cached on it (:class:`SegmentedFrame`); a pair only matches them.
+
+:func:`run_sequence` overlaps the two halves of that work: while one
+worker thread registers a pair, the main thread describes the next frame.
+Only the main thread describes; the worker registers, reads only frames
+that are already described, and computes their contact states.  A pair
+whose next frame is already described (the last pair, or every sweep pass
+after the first) registers inline, on the main thread.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -346,6 +354,15 @@ def run_sequence(
     Frames whose registration diverges are skipped and the next frame is
     aligned against the last successfully registered one, over the same
     metascan.
+
+    Each pair registers on one worker thread while the main thread
+    describes the next frame (its ``features``).  Only the main thread
+    describes: the worker reads only frames that are already described and
+    computes their ``contact``, so no cached property is ever computed
+    from two threads.  When the next frame is already described, the pair
+    registers inline.  Poses, skips and the metascan are those of a serial
+    loop, bit for bit, and an error of a pair comes out before an error of
+    the next frame's description, as in that loop.
     """
     if not frames:
         raise EmptyInputError("no frames to register")
@@ -358,14 +375,30 @@ def run_sequence(
     ]
     skipped: list[int] = []
     prev, world_prev = first, identity
-    for curr in frames[1:]:
+
+    def attempt(prev, curr, world_prev):
         try:
-            pose = register_pair(prev, curr, metascan, world_prev, config, intrinsics)
+            return register_pair(prev, curr, metascan, world_prev, config, intrinsics)
         except (DivergenceError, DegenerateConfigurationError) as exc:
             log.warning("frame %d skipped: %s", curr.frame_index, exc)
-            skipped.append(curr.frame_index)
-            continue
-        poses.append(pose)
-        prev, world_prev = curr, pose.world_from_frame
-    return SequenceResult(tuple(poses), metascan, tuple(skipped))
+            return None
 
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for curr, nxt in zip(frames[1:], [*frames[2:], None]):
+            if nxt is None or "features" in vars(nxt):
+                pose = attempt(prev, curr, world_prev)
+            else:
+                curr.features, prev.features  # described here; the worker only reads them
+                pending = worker.submit(attempt, prev, curr, world_prev)
+                try:
+                    nxt.features
+                finally:
+                    # A pair's own error replaces a describe error: the
+                    # serial loop would have met it first.
+                    pose = pending.result()
+            if pose is None:
+                skipped.append(curr.frame_index)
+                continue
+            poses.append(pose)
+            prev, world_prev = curr, pose.world_from_frame
+    return SequenceResult(tuple(poses), metascan, tuple(skipped))

@@ -375,6 +375,48 @@ def test_candidate_voxels_match_unique_oracle(res, voxel_mm, data):
     np.testing.assert_array_equal(got, want)
 
 
+def matrix_candidate_voxels(vol, points):
+    """The previous ``_candidate_voxels``: marks every (base voxel, offset) id at once."""
+    reach = vol.truncation / vol.voxel_size + math.sqrt(3.0) / 2.0
+    r = int(math.ceil(reach))
+    axis = np.arange(-r, r + 1)
+    offs = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    offs = offs[np.linalg.norm(offs, axis=1) <= reach]
+    base = np.round((points - vol.origin) / vol.voxel_size).astype(np.int64)
+    lo = base.min(axis=0) - r
+    shape = base.max(axis=0) + r + 1 - lo
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    base_ids = np.unique((base - lo) @ strides)
+    grid = np.zeros(shape, dtype=bool)
+    grid.ravel()[(base_ids[:, None] + offs @ strides).ravel()] = True
+    cand = np.argwhere(grid) + lo
+    cand = cand[np.all((cand >= 0) & (cand < vol.resolution), axis=1)]
+    return np.ravel_multi_index(cand.T, (vol.resolution,) * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    res=st.integers(2, 24),
+    voxel_mm=st.sampled_from([0.5, 1.0, 2.5]),
+    data=st.data(),
+)
+def test_candidate_voxels_match_id_matrix_oracle(res, voxel_mm, data):
+    vol = TsdfVolume(center=(10.0, -5.0, 3.0), side_mm=res * voxel_mm, resolution=res)
+    half = vol.side_mm / 2.0
+    # Half the coordinates lie within r voxels inside a face of the volume,
+    # where the padded grid reaches past the volume and is clipped.
+    r = math.ceil(vol.truncation / vol.voxel_size + math.sqrt(3.0) / 2.0)
+    depth = st.floats(0.0, min(r * voxel_mm, half))
+    near_face = st.builds(lambda d, lo: (d - half) if lo else (half - d), depth, st.booleans())
+    offset = st.one_of(near_face, st.floats(-half, half))
+    pts = vol.center + np.array(
+        data.draw(st.lists(st.tuples(offset, offset, offset), min_size=1, max_size=60))
+    )
+    np.testing.assert_array_equal(
+        _candidate_voxels(vol, pts), matrix_candidate_voxels(vol, pts)
+    )
+
+
 def row_unique_edges(triangles):
     """Edges as they were built before the 1-D key: row-wise np.unique."""
     e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])

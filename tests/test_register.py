@@ -1,11 +1,13 @@
 """Sparse alignment, ICP refinement, and sequence registration."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from inhand import preprocess, register
 from inhand.contact import PosedHand
 from inhand.errors import DivergenceError, EmptyInputError, UnderConstrainedError
 from inhand.features import CorrespondenceSet
@@ -335,6 +337,123 @@ class TestRunSequence:
     def test_empty_sequence(self):
         with pytest.raises(EmptyInputError):
             run_sequence([])
+
+
+def serial_sequence(frames, config=RegistrationConfig()):
+    """The loop ``run_sequence`` overlaps: each pair registered, then the next."""
+    scan = Metascan()
+    scan.append(frames[0].object_cloud)
+    identity = RigidTransform.identity()
+    poses = [register.FramePose(frames[0].frame_index, identity, math.nan, math.nan, {})]
+    skipped = []
+    prev, world_prev = frames[0], identity
+    for curr in frames[1:]:
+        try:
+            pose = register_pair(prev, curr, scan, world_prev, config)
+        except DivergenceError:
+            skipped.append(curr.frame_index)
+            continue
+        poses.append(pose)
+        prev, world_prev = curr, pose.world_from_frame
+    return register.SequenceResult(tuple(poses), scan, tuple(skipped))
+
+
+def assert_same_registration(got, want):
+    assert got.skipped == want.skipped
+    assert len(got.poses) == len(want.poses)
+    for a, b in zip(got.poses, want.poses):
+        assert a.frame_index == b.frame_index
+        assert a.world_from_frame.rotation.tobytes() == b.world_from_frame.rotation.tobytes()
+        assert (
+            a.world_from_frame.translation.tobytes() == b.world_from_frame.translation.tobytes()
+        )
+        residuals = np.array([a.sparse_residual, a.icp_residual])
+        assert residuals.tobytes() == np.array([b.sparse_residual, b.icp_residual]).tobytes()
+        assert a.correspondence_counts == b.correspondence_counts
+    assert got.metascan.points.tobytes() == want.metascan.points.tobytes()
+
+
+def record_threads(monkeypatch, module, name, fail_on=None, error=None):
+    """Wrap ``module.name`` to record each call's thread; call ``fail_on`` raises ``error``."""
+    real = getattr(module, name)
+    threads = []
+
+    def wrapper(*args, **kwargs):
+        threads.append(threading.current_thread())
+        if len(threads) == fail_on:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return threads
+
+
+class TestOverlappedSequence:
+    """``run_sequence`` registers a pair on a worker while it describes the next frame."""
+
+    def test_fresh_and_described_frames_match_the_serial_loop(self):
+        want = serial_sequence(exact_sequence(n_frames=5)[0])
+        frames, _ = exact_sequence(n_frames=5)
+        assert_same_registration(run_sequence(frames), want)
+        # Now every frame is described, so every pair registers inline.
+        assert_same_registration(run_sequence(frames), want)
+
+    def test_each_frame_described_once_on_the_main_thread(self, monkeypatch):
+        main = threading.current_thread()
+        frames, _ = exact_sequence(n_frames=5)
+        described = record_threads(monkeypatch, preprocess, "describe_cloud")
+        pairs = record_threads(monkeypatch, register, "register_pair")
+        run_sequence(frames)
+        assert described == [main] * len(frames)
+        assert all("features" in vars(frame) for frame in frames)
+        # One worker registers each pair whose next frame it could overlap;
+        # the last pair has none and registers inline.
+        workers = set(pairs[:-1])
+        assert len(workers) == 1 and main not in workers
+        assert pairs[-1] is main
+        pairs.clear()
+        run_sequence(frames)
+        assert len(described) == len(frames)
+        assert pairs == [main] * (len(frames) - 1)
+
+    def test_divergence_on_the_worker_skips_the_frame(self, monkeypatch):
+        divergence = DivergenceError("forced on frame 2")
+        with monkeypatch.context() as patch:
+            record_threads(patch, register, "refine_icp", fail_on=2, error=divergence)
+            want = serial_sequence(exact_sequence(n_frames=5)[0])
+        icp = record_threads(monkeypatch, register, "refine_icp", fail_on=2, error=divergence)
+        got = run_sequence(exact_sequence(n_frames=5)[0])
+        assert icp[1] is not threading.current_thread()
+        assert got.skipped == (2,)
+        # Frame 3 registered against frame 1, as in the serial loop.
+        assert [p.frame_index for p in got.poses] == [0, 1, 3, 4]
+        assert_same_registration(got, want)
+
+    @pytest.mark.parametrize(
+        "failing, message",
+        [
+            ("pair", "pair failed"),
+            ("describe", "describe failed"),
+            # The serial loop registers a pair before it describes the next frame.
+            ("both", "pair failed"),
+        ],
+    )
+    def test_value_error_propagates_and_the_worker_ends(self, monkeypatch, failing, message):
+        frames, _ = exact_sequence(n_frames=5)
+        if failing in ("pair", "both"):
+            # Frame 2's pair registers on the worker while frame 3 is described.
+            record_threads(
+                monkeypatch, register, "refine_icp", fail_on=2, error=ValueError("pair failed")
+            )
+        if failing in ("describe", "both"):
+            record_threads(
+                monkeypatch, preprocess, "describe_cloud", fail_on=4,
+                error=ValueError("describe failed"),
+            )
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=message):
+            run_sequence(frames)
+        assert threading.active_count() == before
 
 
 def plane_depth_patch(box_x, box_y, size, rotation_deg, center=(0.0, 0.0, 500.0)):
