@@ -156,14 +156,13 @@ def cmd_synth(args) -> int:
 
     out = Path(args.out)
     (out / "frames").mkdir(parents=True, exist_ok=True)
-    binary = not args.ascii
     manifest_frames = []
     for frame in frames:
         stem = out / "frames" / f"frame_{frame.frame_index:03d}"
         object_path = stem.with_name(stem.name + "_object.ply")
         hand_path = stem.with_name(stem.name + "_hand.ply")
-        fileio.write_ply(object_path, frame.object_cloud, binary=binary)
-        fileio.write_ply(hand_path, PointCloud(frame.hand_pose.vertices), binary=binary)
+        fileio.write_ply(object_path, frame.object_cloud)
+        fileio.write_ply(hand_path, PointCloud(frame.hand_pose.vertices))
         feat2d_path = boxes_path = None
         if frame.feat2d_matches is not None:
             feat2d_path = stem.with_name(stem.name + "_feat2d.txt")
@@ -248,7 +247,7 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.manifest).resolve().parent if args.out is None else Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = {key: out / name for key, name in OUTPUT_NAMES.items()}
-    fileio.write_ply(outputs["mesh"], mesh, binary=True)
+    fileio.write_ply(outputs["mesh"], mesh)
     fileio.save_trajectory(result.poses, outputs["trajectory"])
 
     span = rotation_span_deg([p.world_from_frame for p in result.poses])
@@ -413,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--volume-side", type=_positive, default=350.0, help="mm, > 0, voxel <= 6 mm")
     add("--tsdf-resolution", type=_int_at_least(2), default=256, help="voxels/side, >= 2")
     add("--smooth-iterations", type=_count, default=3, help="smoothing passes, >= 0")
-    add("--ascii", action="store_true", help="write ASCII PLY files")
     add("--out", required=True, help="output sequence directory")
     add("--seed", type=_count, default=0, help="RNG seed, >= 0")
     synth.set_defaults(func=cmd_synth)

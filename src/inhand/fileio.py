@@ -11,13 +11,14 @@ A captured or generated sequence lives in a directory shaped like::
     frames/frame_001_feat2d.txt   optional per-frame pixel matches
     frames/frame_001_boxes.json   optional per-frame detector boxes
 
-PLY files use float32 x/y/z with optional float32 normals and uchar RGB,
-in ASCII or binary little-endian form; binary files round-trip
-bit-exactly.  JSON files carry a ``schema`` field so stale layouts fail
-loudly instead of half-loading; a document that does not fit its layout
-raises :class:`FileFormatError` (:class:`ManifestError` for the manifest)
-naming the file.  Ground truth is stored and read back as
-:class:`~inhand.synth.GroundTruth`, minus its generator-only fields.
+PLY files use float32 x/y/z with optional float32 normals and uchar RGB.
+They are written binary little-endian, which round-trips bit-exactly, and
+read in ASCII or binary little-endian form.  JSON files carry a
+``schema`` field so stale layouts fail loudly instead of half-loading; a
+document that does not fit its layout raises :class:`FileFormatError`
+(:class:`ManifestError` for the manifest) naming the file.  Ground truth
+is stored and read back as :class:`~inhand.synth.GroundTruth`, minus its
+generator-only fields.
 
 The manifest describes the sequence only.  How a run registers it (the
 contact weight and the terms switched on) and where its outputs go are
@@ -30,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,11 +76,15 @@ __all__ = [
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write bytes via a sibling temp file and rename, never a partial file."""
+    """Write bytes via a sibling temp file and rename, never a partial file.
+
+    The file gets the mode ``open(path, "wb")`` gives a new file.
+    """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".part")
+    tmp = os.path.join(os.path.dirname(path) or ".", f"tmp{os.urandom(8).hex()}.part")
+    fh = open(tmp, "xb")  # outside the try: another writer's file is not ours to unlink
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     finally:
@@ -123,8 +127,8 @@ _PLY_SCALARS = {
 }
 
 
-def write_ply(path, data: PointCloud | TriangleMesh, binary: bool = True) -> None:
-    """Write a point cloud or triangle mesh as PLY (binary LE by default)."""
+def write_ply(path, data: PointCloud | TriangleMesh) -> None:
+    """Write a point cloud or triangle mesh as binary little-endian PLY."""
     is_mesh = isinstance(data, TriangleMesh)
     vertices = data.points if isinstance(data, PointCloud) else data.vertices
     normals = data.normals
@@ -139,7 +143,7 @@ def write_ply(path, data: PointCloud | TriangleMesh, binary: bool = True) -> Non
         names += ["red", "green", "blue"]
         columns.append(np.clip(np.rint(colors * 255.0), 0, 255).astype("u1"))
 
-    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0"]
+    header = ["ply", "format binary_little_endian 1.0"]
     header.append(f"element vertex {len(vertices)}")
     for name in names:
         kind = "uchar" if name in ("red", "green", "blue") else "float"
@@ -157,27 +161,13 @@ def write_ply(path, data: PointCloud | TriangleMesh, binary: bool = True) -> Non
         for j, n in enumerate(block_names):
             table[n] = block[:, j]
 
-    out = ["\n".join(header).encode() + b"\n"]
-    if binary:
-        out.append(table.tobytes())
-        if is_mesh:
-            fdtype = np.dtype([("n", "u1"), ("v", "<i4", (3,))])
-            faces = np.empty(len(data.triangles), dtype=fdtype)
-            faces["n"] = 3
-            faces["v"] = data.triangles.astype("<i4")
-            out.append(faces.tobytes())
-    else:
-        lines = []
-        for row in table:
-            lines.append(
-                " ".join(
-                    str(int(row[n])) if n in ("red", "green", "blue") else f"{row[n]:.9g}"
-                    for n in names
-                )
-            )
-        for tri in data.triangles if is_mesh else ():
-            lines.append("3 " + " ".join(str(int(i)) for i in tri))
-        out.append(("\n".join(lines) + "\n").encode())
+    out = ["\n".join(header).encode() + b"\n", table.tobytes()]
+    if is_mesh:
+        fdtype = np.dtype([("n", "u1"), ("v", "<i4", (3,))])
+        faces = np.empty(len(data.triangles), dtype=fdtype)
+        faces["n"] = 3
+        faces["v"] = data.triangles.astype("<i4")
+        out.append(faces.tobytes())
     write_atomic(path, b"".join(out))
 
 
@@ -648,10 +638,11 @@ def _read_cloud(path) -> PointCloud:
 def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
     """Materialize every frame of the manifest for registration.
 
-    Object clouds missing stored normals get PCA-estimated ones.  Frames
-    without a hand file carry an empty hand, which never satisfies the
-    contact search; the reconstruct command refuses such frames up front
-    when the contact term is active.
+    An object cloud without points raises :class:`FileFormatError`; one
+    missing stored normals gets PCA-estimated ones.  Frames without a hand
+    file carry an empty hand, which never satisfies the contact search;
+    the reconstruct command refuses such frames up front when the contact
+    term is active.
     """
     model = None
     if manifest.hand_model is not None:
@@ -660,6 +651,8 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
     frames = []
     for mf in manifest.frames:
         cloud = _read_cloud(mf.object_path)
+        if len(cloud) == 0:
+            raise FileFormatError(f"{mf.object_path}: object cloud has no points")
         if cloud.normals is None:
             cloud = estimate_normals(cloud)
         if mf.hand_path is not None:

@@ -23,16 +23,18 @@ from .geometry import PointCloud, _freeze
 
 log = logging.getLogger(__name__)
 
+NORMAL_NEIGHBORS = 16
 
-def estimate_normals(cloud: PointCloud, k: int = 16) -> PointCloud:
-    """Per-point unit normals from PCA over the k nearest neighbors.
 
-    The normal is the eigenvector of the neighborhood covariance with the
-    smallest eigenvalue, flipped so that dot(normal, -position) >= 0, i.e.
-    facing the sensor at the origin.
+def estimate_normals(cloud: PointCloud) -> PointCloud:
+    """Per-point unit normals from PCA over each point's nearest neighbors.
+
+    A neighborhood is the :data:`NORMAL_NEIGHBORS` points nearest to a
+    point, the point itself included.  The normal is the eigenvector of
+    the neighborhood covariance with the smallest eigenvalue, flipped so
+    that dot(normal, -position) >= 0, i.e. facing the sensor at the origin.
     """
-    if k < 3:
-        raise ValueError("k must be at least 3")
+    k = NORMAL_NEIGHBORS
     n = len(cloud)
     if n < k:
         raise InsufficientPointsError(f"cloud has {n} points but k={k}")

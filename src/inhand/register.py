@@ -38,7 +38,6 @@ from .errors import (
 from .features import CorrespondenceSet, load_feat2d, match_feat3d
 from .geometry import (
     CameraIntrinsics,
-    PointCloud,
     RigidTransform,
     back_project_many,
     solve_weighted_rigid,
@@ -80,19 +79,19 @@ class RegistrationConfig:
         return self.gamma_t if tag in _GAMMA_TAGS else 1.0
 
 
+METASCAN_VOXEL_MM = 2.0
+
+
 class Metascan:
     """World-frame accumulation of all registered object clouds.
 
-    Every appended cloud is merged into a 2 mm voxel grid where the
-    earliest point in a voxel wins, so the structure grows by filling
-    previously unseen voxels only.  The kd-tree over the points is rebuilt
-    lazily after each append.
+    Every appended cloud is merged into a grid of voxels
+    :data:`METASCAN_VOXEL_MM` on a side where the earliest point in a voxel
+    wins, so the structure grows by filling previously unseen voxels only.
+    The kd-tree over the points is rebuilt lazily after each append.
     """
 
-    def __init__(self, voxel_size: float = 2.0):
-        if voxel_size <= 0.0:
-            raise ValueError("voxel_size must be positive")
-        self.voxel_size = float(voxel_size)
+    def __init__(self) -> None:
         self._points = np.empty((0, 3), dtype=np.float64)
         self._index: cKDTree | None = None
 
@@ -109,11 +108,10 @@ class Metascan:
             self._index = cKDTree(self._points)
         return self._index
 
-    def append(self, cloud: PointCloud | np.ndarray) -> None:
-        pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud)
-        pts = pts.reshape(-1, 3).astype(np.float64)
-        merged = np.vstack([self._points, pts])
-        self._points = merged[voxel_downsample_indices(merged, self.voxel_size)]
+    def append(self, points: np.ndarray) -> None:
+        """Merge ``(N, 3)`` float64 world-frame points."""
+        merged = np.vstack([self._points, points])
+        self._points = merged[voxel_downsample_indices(merged, METASCAN_VOXEL_MM)]
         self._index = None
 
 
@@ -180,13 +178,13 @@ def align_sparse(
 
 
 def refine_icp(
-    source: PointCloud | np.ndarray,
+    pts: np.ndarray,
     metascan: Metascan,
     config: RegistrationConfig = RegistrationConfig(),
 ) -> IcpResult:
-    """Point-to-point ICP of ``source`` against the metascan.
+    """Point-to-point ICP of the ``(N, 3)`` float64 ``pts`` against the metascan.
 
-    ``source`` must already carry the sparse alignment (world frame).
+    ``pts`` must already carry the sparse alignment (world frame).
     Each iteration pairs every source point with its nearest metascan
     point, keeps pairs within ``icp_max_dist``, solves for the rigid
     increment, and records the post-update RMS over those pairs.  Returns
@@ -194,8 +192,6 @@ def refine_icp(
     """
     if len(metascan) == 0:
         raise EmptyInputError("metascan is empty")
-    pts = source.points if isinstance(source, PointCloud) else np.asarray(source)
-    pts = pts.reshape(-1, 3).astype(np.float64)
     # Each point is answered alone, so the query order changes no result;
     # in the source's own kd-tree leaf order, neighbouring queries walk the
     # same branches of the metascan's tree, which is faster.
@@ -329,11 +325,11 @@ def register_pair(
     world = world_from_prev.compose(t_pair)
     icp_rms = float("nan")
     if config.use_icp and len(metascan) > 0:
-        result = refine_icp(curr.object_cloud.transformed(world), metascan, config)
+        result = refine_icp(world.apply(curr.object_cloud.points), metascan, config)
         world = result.transform.compose(world)
         icp_rms = result.rms_history[-1]
         counts["icp"] = result.pair_count
-    metascan.append(curr.object_cloud.transformed(world))
+    metascan.append(world.apply(curr.object_cloud.points))
     return FramePose(curr.frame_index, world, sparse_rms, icp_rms, counts)
 
 
@@ -369,7 +365,7 @@ def run_sequence(
     metascan = Metascan()
     first = frames[0]
     identity = RigidTransform.identity()
-    metascan.append(first.object_cloud)
+    metascan.append(first.object_cloud.points)
     poses = [
         FramePose(first.frame_index, identity, float("nan"), float("nan"), {})
     ]

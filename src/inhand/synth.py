@@ -67,9 +67,13 @@ _PIN_BULGE_T, _PIN_BULGE_WT = 0.62, 0.13  # axial center/width, fraction of heig
 _PIN_BULGE_PHI, _PIN_BULGE_WPHI = 0.0, 1.1  # azimuth center/half-width (rad)
 
 
-def _bump(t: np.ndarray, center: float, width: float) -> np.ndarray:
-    x = (t - center) / width
-    return np.where(np.abs(x) < 1.0, np.cos(0.5 * math.pi * x) ** 2, 0.0)
+def _bump(offset: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Raised cosine ``cos(pi/2 * offset/width)**2`` on ``|offset| < width`` and its slope."""
+    x = offset / width
+    inside = np.abs(x) < 1.0
+    bump = np.where(inside, np.cos(0.5 * math.pi * x) ** 2, 0.0)
+    slope = np.where(inside, -0.5 * math.pi / width * np.sin(math.pi * x), 0.0)
+    return bump, slope
 
 
 class _RevolvedSurface:
@@ -187,19 +191,11 @@ class _BulgedSurface(_RevolvedSurface):
         self.wphi = float(wphi)
 
     def _axial(self, z: np.ndarray):
-        x = (z - self.z0) / self.wz
-        inside = np.abs(x) < 1.0
-        bump = np.where(inside, np.cos(0.5 * math.pi * x) ** 2, 0.0)
-        slope = np.where(inside, -0.5 * math.pi / self.wz * np.sin(math.pi * x), 0.0)
-        return bump, slope
+        return _bump(z - self.z0, self.wz)
 
     def _azimuthal(self, phi: np.ndarray):
         delta = np.arctan2(np.sin(phi - self.phi0), np.cos(phi - self.phi0))
-        x = delta / self.wphi
-        inside = np.abs(x) < 1.0
-        bump = np.where(inside, np.cos(0.5 * math.pi * x) ** 2, 0.0)
-        slope = np.where(inside, -0.5 * math.pi / self.wphi * np.sin(math.pi * x), 0.0)
-        return bump, slope
+        return _bump(delta, self.wphi)
 
     def _lift(self, z: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """Radial displacement ``amp * Bz(z) * Bphi(phi)`` of the bulge."""
@@ -333,9 +329,9 @@ class SyntheticObjectSpec:
             return _RevolvedSurface(profile, z)
         head_d, body_d, h = self.dimensions
         t = np.linspace(0.0, 1.0, 3001)
-        r = (body_d / 2.0) * _bump(t, _PIN_BODY_T, _PIN_BODY_W) + (
+        r = (body_d / 2.0) * _bump(t - _PIN_BODY_T, _PIN_BODY_W)[0] + (
             head_d / 2.0
-        ) * _bump(t, _PIN_HEAD_T, _PIN_HEAD_W)
+        ) * _bump(t - _PIN_HEAD_T, _PIN_HEAD_W)[0]
         z = (t - 0.5) * h
         # Close the revolve with flat discs at both ends.
         return _BulgedSurface(
@@ -647,7 +643,7 @@ def add_texture_features(cloud: PointCloud, count: int, seed: int = 0) -> PointC
         w = np.exp(-d2[near] / (2.0 * (radius / 2.5) ** 2))
         pts[near] -= depth * w[:, None] * cloud.normals[a]
         colors[near] = _DENT_LUMINANCE[i % len(_DENT_LUMINANCE)]
-    dented = estimate_normals(PointCloud(pts), k=16)
+    dented = estimate_normals(PointCloud(pts))
     # Re-orient the recomputed normals against the analytic originals.
     flip = np.einsum("ij,ij->i", dented.normals, cloud.normals) < 0.0
     normals = dented.normals.copy()

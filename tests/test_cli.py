@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from inhand import cli, errors
@@ -130,32 +131,44 @@ def object_with_long_normals(work):
     return bad.name
 
 
+ASCII_TRIANGLE = (
+    "ply\nformat ascii 1.0\nelement vertex 3\n"
+    "property float x\nproperty float y\nproperty float z\n"
+    "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+    "0 0 500\n1 0 500\n0 1 500\n"
+)
+
+
 def hand_faces_cut_short(work):
     bad = work / "frames" / "frame_001_hand.ply"
-    mesh = TriangleMesh([[0, 0, 500], [1, 0, 500], [0, 1, 500]], [[0, 1, 2]])
-    write_ply(bad, mesh, binary=False)
-    bad.write_text(bad.read_text().rsplit("\n", 2)[0] + "\n")  # drop the face line
+    bad.write_text(ASCII_TRIANGLE)  # the face line is missing
     return bad.name
 
 
 def object_vertex_not_a_number(work):
     bad = work / "frames" / "frame_001_object.ply"
-    write_ply(bad, read_ply(bad), binary=False)
-    header, body = bad.read_text().split("end_header\n")
-    first, rest = body.split("\n", 1)
-    tokens = first.split()
-    tokens[2] = "abc"
-    bad.write_text(f"{header}end_header\n{' '.join(tokens)}\n{rest}")
+    rows = [" ".join(f"{v:.9g}" for v in p) for p in read_ply(bad).points]
+    rows[0] = rows[0].rsplit(" ", 1)[0] + " abc"
+    header = [
+        "ply",
+        "format ascii 1.0",
+        f"element vertex {len(rows)}",
+        *(f"property float {c}" for c in ("x", "y", "z")),
+        "end_header",
+    ]
+    bad.write_text("\n".join(header + rows) + "\n")
     return bad.name
 
 
 def hand_face_not_a_number(work):
     bad = work / "frames" / "frame_001_hand.ply"
-    mesh = TriangleMesh([[0, 0, 500], [1, 0, 500], [0, 1, 500]], [[0, 1, 2]])
-    write_ply(bad, mesh, binary=False)
-    text = bad.read_text()
-    assert text.endswith("\n3 0 1 2\n")
-    bad.write_text(text[: -len("2\n")] + "x\n")
+    bad.write_text(ASCII_TRIANGLE + "3 0 1 x\n")
+    return bad.name
+
+
+def object_without_points(work):
+    bad = work / "frames" / "frame_001_object.ply"
+    write_ply(bad, PointCloud(np.empty((0, 3)), normals=np.empty((0, 3))))
     return bad.name
 
 
@@ -436,6 +449,7 @@ class TestReconstruct:
             hand_faces_cut_short,
             object_vertex_not_a_number,
             hand_face_not_a_number,
+            object_without_points,
             feat2d_line_cut_short,
             truth_not_an_object,
             manifest_not_an_object,

@@ -202,7 +202,7 @@ def blobby_cloud(seed=0, n=3000):
     for bd in bump_dirs:
         r += 4.0 * np.exp(-((1.0 - dirs @ bd) / 0.02))
     pts = dirs * r[:, None]
-    return estimate_normals(PointCloud(pts + [0.0, 0.0, 700.0]), k=12)
+    return estimate_normals(PointCloud(pts + [0.0, 0.0, 700.0]))
 
 
 class TestDetect:

@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from inhand.fileio import (
     save_hand_model,
     save_manifest,
     save_trajectory,
+    write_atomic,
     write_ply,
 )
 from inhand.fusion import TriangleMesh
@@ -64,27 +66,19 @@ class TestPlyCloudRoundTrip:
     def test_binary_preserves_values_and_bytes(self, tmp_path):
         cloud = float32_cloud()
         path = tmp_path / "cloud.ply"
-        write_ply(path, cloud, binary=True)
+        write_ply(path, cloud)
         first = path.read_bytes()
         loaded = read_ply(path)
         assert np.array_equal(loaded.points, cloud.points)
         assert np.array_equal(loaded.normals, cloud.normals)
         assert np.array_equal(loaded.colors, cloud.colors)
-        write_ply(path, loaded, binary=True)
+        write_ply(path, loaded)
         assert path.read_bytes() == first
-
-    def test_ascii_preserves_values_closely(self, tmp_path):
-        cloud = float32_cloud(colors=False)
-        path = tmp_path / "cloud.ply"
-        write_ply(path, cloud, binary=False)
-        loaded = read_ply(path)
-        assert np.allclose(loaded.points, cloud.points, atol=1e-6)
-        assert np.allclose(loaded.normals, cloud.normals, atol=1e-6)
 
     def test_write_quantizes_to_float32(self, tmp_path):
         pts = np.array([[1.0 / 3.0, 2.0 / 7.0, 550.123456789]])
         path = tmp_path / "cloud.ply"
-        write_ply(path, PointCloud(pts), binary=True)
+        write_ply(path, PointCloud(pts))
         loaded = read_ply(path)
         assert np.array_equal(
             loaded.points, pts.astype(np.float32).astype(np.float64)
@@ -108,21 +102,44 @@ class TestPlyMeshRoundTrip:
 
     def test_binary_roundtrip_bit_exact(self, tmp_path):
         path = tmp_path / "mesh.ply"
-        write_ply(path, self.mesh(), binary=True)
+        write_ply(path, self.mesh())
         first = path.read_bytes()
         loaded = read_ply(path)
         assert isinstance(loaded, TriangleMesh)
         assert np.array_equal(loaded.vertices, self.mesh().vertices)
         assert np.array_equal(loaded.triangles, self.mesh().triangles)
-        write_ply(path, loaded, binary=True)
+        write_ply(path, loaded)
         assert path.read_bytes() == first
 
-    def test_ascii_roundtrip(self, tmp_path):
-        path = tmp_path / "mesh.ply"
-        write_ply(path, self.mesh(), binary=False)
-        loaded = read_ply(path)
-        assert np.allclose(loaded.vertices, self.mesh().vertices, atol=1e-6)
-        assert np.array_equal(loaded.triangles, self.mesh().triangles)
+
+def test_reads_ascii_vertices_normals_colors_and_faces(tmp_path):
+    header = (
+        "ply\nformat ascii 1.0\ncomment made by another tool\nelement vertex 3\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property float nx\nproperty float ny\nproperty float nz\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+    )
+    vertices = (
+        "0 0 500 0 0 -1 255 0 0\n"
+        "1.5 0 500 0 0 -1 0 255 0\n"
+        "0 -2.25 500.5 0 0.6 -0.8 0 0 51\n"
+    )
+    points = [[0.0, 0.0, 500.0], [1.5, 0.0, 500.0], [0.0, -2.25, 500.5]]
+    normals = [[0.0, 0.0, -1.0], [0.0, 0.0, -1.0], [0.0, 0.6, -0.8]]
+    path = tmp_path / "cloud.ply"
+    path.write_text(header + "end_header\n" + vertices)
+    cloud = read_ply(path)
+    assert isinstance(cloud, PointCloud)
+    assert np.array_equal(cloud.points, points)
+    assert np.array_equal(cloud.normals, normals)
+    assert np.array_equal(cloud.colors, np.array([[255, 0, 0], [0, 255, 0], [0, 0, 51]]) / 255.0)
+    face_element = "element face 1\nproperty list uchar int vertex_indices\n"
+    path.write_text(header + face_element + "end_header\n" + vertices + "3 0 2 1\n")
+    mesh = read_ply(path)
+    assert isinstance(mesh, TriangleMesh)
+    assert np.array_equal(mesh.vertices, points)
+    assert np.array_equal(mesh.normals, normals)
+    assert np.array_equal(mesh.triangles, [[0, 2, 1]])
 
 
 class TestPlyErrors:
@@ -191,7 +208,7 @@ class TestPlyErrors:
     )
     def test_rejects_malformed_header_line(self, tmp_path, line, bad):
         path = tmp_path / "hdr.ply"
-        write_ply(path, float32_cloud(colors=False, normals=False), binary=True)
+        write_ply(path, float32_cloud(colors=False, normals=False))
         data = path.read_bytes()
         assert data.count(line) == 1
         path.write_bytes(data.replace(line, bad))
@@ -512,6 +529,22 @@ class TestTrajectory:
         assert records[0]["sparse_rms"] is None
         assert records[1]["counts"] == {"feat3d": 7}
         assert records[1]["rotation"] == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_written_file_has_the_mode_of_a_plain_open(tmp_path, umask):
+    atomic, plain = tmp_path / "atomic.json", tmp_path / "plain.json"
+    old = os.umask(umask)
+    try:
+        write_atomic(atomic, b"{}\n")
+        with open(plain, "wb") as fh:
+            fh.write(b"{}\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(atomic.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert stat.S_IMODE(atomic.stat().st_mode) == 0o666 & ~umask
+    assert atomic.read_bytes() == b"{}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.json", "plain.json"]
 
 
 def test_fileio_does_not_load_register():

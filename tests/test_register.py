@@ -132,9 +132,9 @@ class TestAlignSparse:
 
 
 class TestRefineIcp:
-    def make_metascan(self, cloud=None, voxel=0.8):
-        scan = Metascan(voxel_size=voxel)
-        scan.append(cloud if cloud is not None else blob_cloud(4000))
+    def make_metascan(self):
+        scan = Metascan()
+        scan.append(blob_cloud(4000).points)
         return scan
 
     def test_recovers_two_mm_translation(self):
@@ -207,8 +207,8 @@ def row_order_icp(source, metascan, config=RegistrationConfig()):
 @pytest.mark.parametrize("n_source", [3000, 12])
 def test_icp_matches_row_order_to_the_bit(n_source):
     rng = np.random.default_rng(n_source)
-    scan = Metascan(voxel_size=0.8)
-    scan.append(blob_cloud(4000))
+    scan = Metascan()
+    scan.append(blob_cloud(8000).points)
     rows = rng.choice(len(scan), n_source, replace=False)  # a shuffled cloud
     source = rigid((1.0, 2.0, 0.5), 1.5, (1.2, -0.8, 0.4)).apply(scan.points[rows])
     # A tenth of the rows lie beyond the 5 mm gate, so each solve sees a
@@ -226,7 +226,7 @@ def test_icp_matches_row_order_to_the_bit(n_source):
 
 class TestMetascan:
     def test_keep_first_merge(self):
-        scan = Metascan(voxel_size=2.0)
+        scan = Metascan()
         first = np.array([[0.1, 0.1, 0.1], [5.0, 5.0, 5.0]])
         scan.append(first)
         # A near-duplicate in an occupied voxel is discarded; a point in a
@@ -238,7 +238,7 @@ class TestMetascan:
 
     def test_index_consistent_after_append(self):
         scan = Metascan()
-        scan.append(blob_cloud(500, seed=1))
+        scan.append(blob_cloud(500, seed=1).points)
         scan.append(blob_cloud(500, seed=2).points + 100.0)
         dist, idx = scan.index.query(scan.points)
         np.testing.assert_array_equal(idx, np.arange(len(scan)))
@@ -285,7 +285,7 @@ class TestRegisterPair:
         frames, _ = exact_sequence(n_frames=1)
         twin = SegmentedFrame(1, frames[0].object_cloud, frames[0].hand_pose)
         scan = Metascan()
-        scan.append(frames[0].object_cloud)
+        scan.append(frames[0].object_cloud.points)
         pose = register_pair(frames[0], twin, scan, RigidTransform.identity())
         rot_err, trans_err = transform_gap(pose.world_from_frame, RigidTransform.identity())
         assert rot_err < 1e-6 and trans_err < 1e-6
@@ -296,7 +296,7 @@ class TestRegisterPair:
         poses = []
         for _ in range(2):
             scan = Metascan()
-            scan.append(frames[0].object_cloud)
+            scan.append(frames[0].object_cloud.points)
             poses.append(
                 register_pair(frames[0], frames[1], scan, RigidTransform.identity())
             )
@@ -342,7 +342,7 @@ class TestRunSequence:
 def serial_sequence(frames, config=RegistrationConfig()):
     """The loop ``run_sequence`` overlaps: each pair registered, then the next."""
     scan = Metascan()
-    scan.append(frames[0].object_cloud)
+    scan.append(frames[0].object_cloud.points)
     identity = RigidTransform.identity()
     poses = [register.FramePose(frames[0].frame_index, identity, math.nan, math.nan, {})]
     skipped = []
