@@ -110,9 +110,12 @@ _gamma_grid = _flag(
 
 
 _SHAPES = {  # --shape: the SyntheticObjectSpec constructor and its dimension flags
-    "sphere": ("sphere", ("--diameter",)),
-    "bottle": ("capsule_bottle", ("--diameter", "--height")),
-    "pin": ("bowling_pin", ("--head-diameter", "--body-diameter", "--height")),
+    "sphere": (SyntheticObjectSpec.sphere, ("--diameter",)),
+    "bottle": (SyntheticObjectSpec.capsule_bottle, ("--diameter", "--height")),
+    "pin": (
+        SyntheticObjectSpec.bowling_pin,
+        ("--head-diameter", "--body-diameter", "--height"),
+    ),
 }
 
 
@@ -124,7 +127,7 @@ def _build_object(args) -> SyntheticObjectSpec:
         if value is None:
             raise UsageError(f"{flag} is required for --shape {args.shape}")
     try:
-        return getattr(SyntheticObjectSpec, constructor)(*values, args.density)
+        return constructor(*values, args.density)
     except ValueError as exc:
         raise UsageError(f"--shape {args.shape}: {exc}") from None
 

@@ -135,7 +135,6 @@ def detect_iss_keypoints(cloud: PointCloud) -> np.ndarray:
     counts, s1, s2 = _neighbourhood_moments(pts, tree)
     mean = s1 / counts[:, None]
     cov = s2 / counts[:, None, None] - np.einsum("ni,nj->nij", mean, mean)
-    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
     evals = np.linalg.eigvalsh(cov)  # ascending: l3, l2, l1
     l3, l2, l1 = evals[:, 0], evals[:, 1], evals[:, 2]
     l3 = np.maximum(l3, 0.0)
@@ -147,10 +146,11 @@ def detect_iss_keypoints(cloud: PointCloud) -> np.ndarray:
             & (l3 / np.maximum(l2, 1e-300) < GAMMA32)
             & (l3 > 0.0)
         )
-    # Non-maximum suppression on l3, tie-broken by position so the outcome
-    # does not depend on input order.
+    # Non-maximum suppression on l3. A stable sort breaks ties by row, and
+    # the rows are in position order, so the outcome does not depend on
+    # input order.
     rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], l3))] = np.arange(n)
+    rank[np.argsort(l3, kind="stable")] = np.arange(n)
     a, b = tree.query_pairs(NONMAX_RADIUS, output_type="ndarray").T
     both = ok[a] & ok[b]
     a, b = a[both], b[both]

@@ -37,7 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from .contact import PosedHand
-from .errors import FileFormatError, ManifestError, MatchFileParseError
+from .errors import (
+    DegenerateConfigurationError,
+    FileFormatError,
+    InsufficientPointsError,
+    ManifestError,
+    MatchFileParseError,
+)
 from .fusion import Probe, TriangleMesh, check_working_volume
 from .geometry import CameraIntrinsics, PointCloud, RigidTransform
 from .preprocess import DetectorBox, SegmentedFrame, estimate_normals
@@ -638,11 +644,11 @@ def _read_cloud(path) -> PointCloud:
 def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
     """Materialize every frame of the manifest for registration.
 
-    An object cloud without points raises :class:`FileFormatError`; one
-    missing stored normals gets PCA-estimated ones.  Frames without a hand
-    file carry an empty hand, which never satisfies the contact search;
-    the reconstruct command refuses such frames up front when the contact
-    term is active.
+    An object cloud missing stored normals gets PCA-estimated ones; one
+    without points, or too small or too thin for normals, raises
+    :class:`FileFormatError`.  Frames without a hand file carry an empty
+    hand, which never satisfies the contact search; the reconstruct
+    command refuses such frames up front when the contact term is active.
     """
     model = None
     if manifest.hand_model is not None:
@@ -654,7 +660,12 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
         if len(cloud) == 0:
             raise FileFormatError(f"{mf.object_path}: object cloud has no points")
         if cloud.normals is None:
-            cloud = estimate_normals(cloud)
+            try:
+                cloud = estimate_normals(cloud)
+            except (InsufficientPointsError, DegenerateConfigurationError) as exc:
+                raise FileFormatError(
+                    f"{mf.object_path}: cannot estimate normals ({exc})"
+                ) from None
         if mf.hand_path is not None:
             hand_points = _read_cloud(mf.hand_path).points
             labels, effectors = model

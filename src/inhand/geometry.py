@@ -149,14 +149,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def transformed(self, pose: RigidTransform) -> "PointCloud":
-        """Apply a rigid transform; normals are rotated, colors unchanged."""
-        return PointCloud(
-            pose.apply(self.points),
-            None if self.normals is None else self.normals @ pose.rotation.T,
-            self.colors,
-        )
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:

@@ -306,21 +306,12 @@ def register_pair(
     """Register ``curr`` against ``prev`` and refine against the metascan.
 
     On success the transformed object cloud is appended to the metascan.
-    An under-constrained sparse stage falls back to an identity increment
-    (ICP still runs); ICP divergence propagates so the caller can skip the
-    frame.
+    An under-constrained sparse stage and ICP divergence both propagate,
+    so the caller can skip the frame.
     """
     sets = build_correspondences(prev, curr, config, intrinsics)
     counts = {cs.tag: len(cs) for cs in sets}
-    try:
-        t_pair = align_sparse(sets, config)
-    except UnderConstrainedError as exc:
-        log.warning(
-            "frame %d: sparse stage under-constrained (%s); identity fallback",
-            curr.frame_index,
-            exc,
-        )
-        t_pair = RigidTransform.identity()
+    t_pair = align_sparse(sets, config)
     sparse_rms = _pair_rms(sets, t_pair)
     world = world_from_prev.compose(t_pair)
     icp_rms = float("nan")
@@ -347,9 +338,9 @@ def run_sequence(
 ) -> SequenceResult:
     """Register a whole sequence; frame 0 anchors the world frame.
 
-    Frames whose registration diverges are skipped and the next frame is
-    aligned against the last successfully registered one, over the same
-    metascan.
+    Frames whose sparse stage is under-constrained or whose registration
+    diverges are skipped, and the next frame is aligned against the last
+    successfully registered one, over the same metascan.
 
     Each pair registers on one worker thread while the main thread
     describes the next frame (its ``features``).  Only the main thread
@@ -375,7 +366,7 @@ def run_sequence(
     def attempt(prev, curr, world_prev):
         try:
             return register_pair(prev, curr, metascan, world_prev, config, intrinsics)
-        except (DivergenceError, DegenerateConfigurationError) as exc:
+        except (DivergenceError, DegenerateConfigurationError, UnderConstrainedError) as exc:
             log.warning("frame %d skipped: %s", curr.frame_index, exc)
             return None
 

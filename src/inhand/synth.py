@@ -586,7 +586,7 @@ def standard_probes(obj: SyntheticObjectSpec):
         z_body, z_head = obj.pin_probe_heights()
         surf = obj.surface()
         volume = float(np.trapezoid(math.pi * surf.r**2, surf.z))
-        volume += getattr(surf, "volume_correction", lambda: 0.0)()
+        volume += surf.volume_correction()
         probes = (
             Probe("height", "extent", axis=2),
             Probe("body_diameter", "slice_diameter", axis=2, position=cz + z_body),

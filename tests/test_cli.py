@@ -172,6 +172,19 @@ def object_without_points(work):
     return bad.name
 
 
+def object_too_small_for_normals(work):
+    bad = work / "frames" / "frame_001_object.ply"
+    write_ply(bad, PointCloud(read_ply(bad).points[:10]))  # fewer than k=16, no normals
+    return bad.name
+
+
+def object_collinear_without_normals(work):
+    bad = work / "frames" / "frame_001_object.ply"
+    line = np.column_stack([np.linspace(-10.0, 10.0, 20), np.zeros(20), np.full(20, 500.0)])
+    write_ply(bad, PointCloud(line))
+    return bad.name
+
+
 def feat2d_line_cut_short(work):
     bad = work / "frames" / "frame_001_feat2d.txt"
     bad.write_text("0 0 500 1 1 500\n1 2 3\n")
@@ -450,6 +463,8 @@ class TestReconstruct:
             object_vertex_not_a_number,
             hand_face_not_a_number,
             object_without_points,
+            object_too_small_for_normals,
+            object_collinear_without_normals,
             feat2d_line_cut_short,
             truth_not_an_object,
             manifest_not_an_object,

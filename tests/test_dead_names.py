@@ -1,4 +1,4 @@
-"""Every module-level name in ``src/inhand`` is used somewhere in ``src/inhand``."""
+"""Every module-level name and class member in ``src/inhand`` is used in ``src/inhand``."""
 
 import ast
 import tokenize
@@ -16,6 +16,15 @@ ALLOWED = {
     ("register", "sparse_energy"),
 }
 
+# The only methods, properties and dataclass fields no line of the package
+# refers to.
+ALLOWED_MEMBERS = {
+    # ROADMAP item 1 reports it.
+    ("contact", "ContactState.threshold_used"),
+    # ROADMAP item 1 reports it.
+    ("synth", "GroundTruth.pair_truth"),
+}
+
 
 def module_level_names(tree):
     """``(name, line)`` of each def, class and assignment target at module level."""
@@ -30,17 +39,56 @@ def module_level_names(tree):
                         yield name.id, name.lineno
 
 
-def test_every_module_level_name_is_used_in_the_package():
-    sources = sorted(SRC.glob("*.py"))
+def class_members(tree):
+    """``(class, member, line)`` of each method, property and annotated field.
+
+    Dunder methods are left out: Python calls them, not a line of the package.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield node.name, name, item.lineno
+
+
+def name_uses():
+    """Each name token of the package, mapped to the ``(module, line)`` of its uses."""
     used: dict[str, set[tuple[str, int]]] = {}
-    for path in sources:
+    for path in sorted(SRC.glob("*.py")):
         with tokenize.open(path) as fh:
             for token in tokenize.generate_tokens(fh.readline):
                 if token.type == tokenize.NAME:
                     used.setdefault(token.string, set()).add((path.stem, token.start[0]))
+    return used
+
+
+def parsed_sources():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), str(path))
+
+
+def test_every_module_level_name_is_used_in_the_package():
+    used = name_uses()
     unused = set()
-    for path in sources:
-        for name, line in module_level_names(ast.parse(path.read_text(), str(path))):
-            if not used.get(name, set()) - {(path.stem, line)}:
-                unused.add((path.stem, name))
+    for stem, tree in parsed_sources():
+        for name, line in module_level_names(tree):
+            if not used.get(name, set()) - {(stem, line)}:
+                unused.add((stem, name))
     assert unused == ALLOWED
+
+
+def test_every_class_member_is_used_in_the_package():
+    used = name_uses()
+    unused = set()
+    for stem, tree in parsed_sources():
+        for cls, name, line in class_members(tree):
+            if not used.get(name, set()) - {(stem, line)}:
+                unused.add((stem, f"{cls}.{name}"))
+    assert unused == ALLOWED_MEMBERS

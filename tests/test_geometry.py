@@ -290,15 +290,6 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((2, 3)), normals=np.array([[0.0, 0.0, 1.0]]))
 
-    def test_transform_rotates_normals(self):
-        cloud = PointCloud(
-            np.array([[1.0, 0.0, 0.0]]), normals=np.array([[1.0, 0.0, 0.0]])
-        )
-        t = RigidTransform(rotation_about_axis((0, 0, 1), np.pi / 2), np.array([0.0, 0.0, 5.0]))
-        moved = cloud.transformed(t)
-        np.testing.assert_allclose(moved.points, [[0.0, 1.0, 5.0]], atol=1e-12)
-        np.testing.assert_allclose(moved.normals, [[0.0, 1.0, 0.0]], atol=1e-12)
-
 
 class TestVoxelDownsample:
     def test_keeps_first_per_voxel(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from inhand import preprocess, register
+from inhand import metrics, preprocess, register
 from inhand.contact import PosedHand
 from inhand.errors import DivergenceError, EmptyInputError, UnderConstrainedError
 from inhand.features import CorrespondenceSet
@@ -256,7 +256,9 @@ def hand_on(cloud: PointCloud, seed=11, pad_size=45):
 
 
 def make_frame(index, motion, base_cloud, base_hand):
-    cloud = base_cloud.transformed(motion)
+    cloud = PointCloud(
+        motion.apply(base_cloud.points), normals=base_cloud.normals @ motion.rotation.T
+    )
     hand = PosedHand(
         motion.apply(base_hand.vertices), base_hand.bone_labels, base_hand.end_effectors
     )
@@ -337,6 +339,67 @@ class TestRunSequence:
     def test_empty_sequence(self):
         with pytest.raises(EmptyInputError):
             run_sequence([])
+
+
+def flat_sequence(n_frames, touching, deg_per_frame=3.0):
+    """Frames of a flat patch, which has no ISS keypoints, moving rigidly.
+
+    Frame k's hand lies on the patch when ``touching(k)``; otherwise it
+    hovers 100 mm off it and makes no contact, so a pair with that frame
+    has no effective sparse pair at all.
+    """
+    xs, ys = np.meshgrid(np.arange(-15.0, 15.1, 1.0), np.arange(-15.0, 15.1, 1.0))
+    pts = np.column_stack([xs.ravel(), ys.ravel(), np.full(xs.size, 500.0)])
+    base_cloud = PointCloud(pts, normals=np.tile([0.0, 0.0, -1.0], (len(pts), 1)))
+    base_hand = hand_on(base_cloud)
+    away = PosedHand(
+        base_hand.vertices + [0.0, 0.0, -100.0], base_hand.bone_labels, base_hand.end_effectors
+    )
+    frames, truth = [], []
+    for k in range(n_frames):
+        motion = rigid((0.0, 0.0, 1.0), deg_per_frame * k, (0.5 * k, -0.5 * k, 0.0))
+        frames.append(make_frame(k, motion, base_cloud, base_hand if touching(k) else away))
+        truth.append(motion.inverse())
+    return frames, truth
+
+
+class TestUnderConstrainedPair:
+    """A pair with fewer than 3 effective sparse pairs is skipped, not guessed."""
+
+    def test_every_frame_skipped_and_named(self, caplog):
+        frames, _ = flat_sequence(4, touching=lambda k: False)
+        with caplog.at_level("WARNING", logger="inhand.register"):
+            result = run_sequence(frames)
+        assert result.skipped == (1, 2, 3)
+        assert [p.frame_index for p in result.poses] == [0]
+        skips = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert len(skips) == 3
+        for k, message in zip((1, 2, 3), skips):
+            assert message.startswith(f"frame {k} skipped") and "effective pairs" in message
+
+    def test_reconstruct_refuses_a_sequence_that_registers_nothing(self):
+        frames, _ = flat_sequence(3, touching=lambda k: False)
+        with pytest.raises(DivergenceError):
+            metrics.reconstruct(
+                frames,
+                RegistrationConfig(),
+                None,
+                volume_center=(0.0, 0.0, 500.0),
+                side_mm=64.0,
+                resolution=16,
+                smooth_iterations=0,
+            )
+
+    def test_next_frame_registers_against_the_last_registered(self):
+        frames, truth = flat_sequence(4, touching=lambda k: k != 2)
+        # ICP would slide a flat patch along itself; the sparse stage alone
+        # pins each pose.
+        result = run_sequence(frames, RegistrationConfig(use_icp=False))
+        assert result.skipped == (2,)
+        assert [p.frame_index for p in result.poses] == [0, 1, 3]
+        # Frame 3's pose comes from its contact pairs with frame 1.
+        rot_err, trans_err = transform_gap(result.poses[-1].world_from_frame, truth[3])
+        assert rot_err < 1e-6 and trans_err < 1e-6
 
 
 def serial_sequence(frames, config=RegistrationConfig()):
