@@ -260,7 +260,9 @@ def extract_mesh(vol: TsdfVolume) -> TriangleMesh:
 
     Only cells whose eight corner voxels are all stored (observed) are
     polygonized; vertices are deduplicated across cells by global edge id
-    and linearly interpolated along the crossing edge.
+    and linearly interpolated along the crossing edge.  The mesh carries
+    no normals: :func:`laplacian_smooth` computes them for the vertices it
+    returns.
     """
     res = vol.resolution
     # Each observed voxel below the last slice on every axis anchors the
@@ -305,19 +307,21 @@ def extract_mesh(vol: TsdfVolume) -> TriangleMesh:
     vertices, triangles = _prune_components(vertices, triangles)
     if len(triangles) == 0:
         raise EmptyMeshError("all surface components fell below the size threshold")
-    return TriangleMesh(vertices, triangles, _vertex_normals(vertices, triangles))
+    return TriangleMesh(vertices, triangles)
 
 
 def laplacian_smooth(mesh: TriangleMesh, iterations: int) -> TriangleMesh:
-    """Uniform-weight Laplacian smoothing.
+    """Uniform-weight Laplacian smoothing, with the smoothed vertices' normals.
 
     Each iteration moves every vertex by ``v <- v + SMOOTH_LAMBDA *
-    (neighbor mean - v)``.
+    (neighbor mean - v)``.  The returned mesh carries the area-weighted
+    vertex normals of its own vertices, also after 0 iterations.
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     if iterations == 0:
-        return mesh
+        verts = mesh.vertices
+        return TriangleMesh(verts, mesh.triangles, _vertex_normals(verts, mesh.triangles))
     edges = mesh.edges
     degree = np.zeros(len(mesh.vertices))
     np.add.at(degree, edges[:, 0], 1.0)
@@ -330,10 +334,7 @@ def laplacian_smooth(mesh: TriangleMesh, iterations: int) -> TriangleMesh:
         np.add.at(acc, edges[:, 0], verts[edges[:, 1]])
         np.add.at(acc, edges[:, 1], verts[edges[:, 0]])
         verts += SMOOTH_LAMBDA * (acc / degree[:, None] - verts)
-    normals = None
-    if mesh.normals is not None:
-        normals = _vertex_normals(verts, mesh.triangles)
-    return TriangleMesh(verts, mesh.triangles, normals)
+    return TriangleMesh(verts, mesh.triangles, _vertex_normals(verts, mesh.triangles))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 :func:`reconstruct` is the one register -> fuse -> extract -> smooth
 pipeline and :func:`measure_probes` measures its mesh; the ``reconstruct``
-command and the gamma sweep both run through them.  Two instruments:
+command runs through them, and the gamma sweep through the same two
+halves of :func:`reconstruct`, registration and fusion.  Two instruments:
 
 * :func:`run_gamma_sweep` re-runs the full reconstruction pipeline across
   a grid of contact weights and scores each run by how far the fused
@@ -23,6 +24,7 @@ import csv
 import io
 import logging
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,19 +88,43 @@ def reconstruct(
     nothing beyond frame 0 this raises :class:`DivergenceError` instead of
     meshing a single view.
     """
+    result = _register(frames, config, intrinsics)
+    return result, _fuse(
+        frames, result, volume_center, side_mm, resolution, smooth_iterations
+    )
+
+
+def _register(
+    frames: Sequence[SegmentedFrame],
+    config: RegistrationConfig,
+    intrinsics: CameraIntrinsics | None,
+) -> SequenceResult:
+    """The registration half of :func:`reconstruct`."""
     result = run_sequence(frames, config, intrinsics)
     if len(frames) > 1 and len(result.poses) == 1:
         raise DivergenceError(
             "every frame pair failed to register; only frame "
             f"{result.poses[0].frame_index} has a pose"
         )
+    return result
+
+
+def _fuse(
+    frames: Sequence[SegmentedFrame],
+    result: SequenceResult,
+    volume_center,
+    side_mm: float,
+    resolution: int,
+    smooth_iterations: int,
+) -> TriangleMesh:
+    """The fusion half of :func:`reconstruct`: integrate, extract, smooth."""
     by_index = {f.frame_index: f for f in frames}
     volume = TsdfVolume(volume_center, side_mm, resolution)
     for pose in result.poses:
         volume = integrate(
             volume, by_index[pose.frame_index].object_cloud, pose.world_from_frame
         )
-    return result, laplacian_smooth(extract_mesh(volume), smooth_iterations)
+    return laplacian_smooth(extract_mesh(volume), smooth_iterations)
 
 
 def measure_probes(mesh: TriangleMesh, probes: Iterable[Probe]) -> dict[str, float]:
@@ -230,7 +256,16 @@ def run_gamma_sweep(
     A bad grid or gamma (:func:`sweep_configs`) fails before the first run.
     A pipeline failure at some gamma (no frame pair registered, say, or a
     single unmeasurable probe, e.g. volume of an open mesh) is recorded as
-    a NaN cell and the sweep continues.
+    a NaN cell and the sweep continues; any other error propagates once
+    the worker thread has stopped.
+
+    The main thread registers the first gamma, which describes every
+    frame, overlapping its pairs as :func:`run_sequence` does.  The later
+    gammas then register in grid order on one worker thread, which only
+    reads the cached features and may compute a frame's contact state,
+    while the main thread fuses and measures each gamma in grid order as
+    soon as its registration is done.  The cells are those of the serial
+    loop, bit for bit.
     """
     frames = list(frames)
     probes = tuple(probes)
@@ -248,15 +283,29 @@ def run_gamma_sweep(
         resolution=resolution,
         smooth_iterations=smooth_iterations,
     )
+    first = Future()
+    try:
+        first.set_result(_register(frames, configs[0], intrinsics))
+    except InHandError as exc:
+        first.set_exception(exc)
+    for frame in frames:
+        frame.features  # described here; the worker only reads them
     cells = []
-    for config in configs:
-        measured = _measure_at_gamma(frames, probes, config, intrinsics, volume)
-        cells.extend(
-            ProbeCell(
-                config.gamma_t, p.name, p.kind, float(expected[p.name]), measured[p.name]
+    worker = ThreadPoolExecutor(max_workers=1)
+    try:  # not ``with``: on an error, queued registrations are cancelled, not run
+        registrations = [first] + [
+            worker.submit(_register, frames, config, intrinsics) for config in configs[1:]
+        ]
+        for config, registration in zip(configs, registrations):
+            measured = _measure_at_gamma(frames, probes, config, registration, volume)
+            cells.extend(
+                ProbeCell(
+                    config.gamma_t, p.name, p.kind, float(expected[p.name]), measured[p.name]
+                )
+                for p in probes
             )
-            for p in probes
-        )
+    finally:
+        worker.shutdown(cancel_futures=True)
     return SweepResult(tuple(c.gamma_t for c in configs), tuple(cells))
 
 
@@ -264,12 +313,13 @@ def _measure_at_gamma(
     frames: list[SegmentedFrame],
     probes: tuple[Probe, ...],
     config: RegistrationConfig,
-    intrinsics: CameraIntrinsics | None,
+    registration: Future,
     volume: dict,
 ) -> dict[str, float]:
-    """Probe values for one pipeline run; failures come back as NaN."""
+    """Probe values for one pipeline run, once ``registration`` is done;
+    failures come back as NaN."""
     try:
-        _, mesh = reconstruct(frames, config, intrinsics, **volume)
+        mesh = _fuse(frames, registration.result(), **volume)
     except InHandError as exc:
         log.warning(
             "gamma %g: pipeline failed (%s); recording failed cells", config.gamma_t, exc

@@ -97,7 +97,10 @@ class SegmentedFrame:
     configuration shares it; :func:`dataclasses.replace` starts a new cache.
     :attr:`features` is computed on the main thread only: registration's
     worker thread reads it once it is cached (see
-    :func:`inhand.register.run_sequence`).
+    :func:`inhand.register.run_sequence`).  :attr:`contact` may be computed
+    on that worker thread or on the gamma sweep's worker thread
+    (:func:`inhand.metrics.run_gamma_sweep`), but never by two threads at
+    once.
     """
 
     frame_index: int

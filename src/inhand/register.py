@@ -13,8 +13,10 @@ cached on it (:class:`SegmentedFrame`); a pair only matches them.
 worker thread registers a pair, the main thread describes the next frame.
 Only the main thread describes; the worker registers, reads only frames
 that are already described, and computes their contact states.  A pair
-whose next frame is already described (the last pair, or every sweep pass
-after the first) registers inline, on the main thread.
+whose next frame is already described (the last pair, or every pair of a
+sweep's later gammas) registers inline, on the thread that called
+:func:`run_sequence`: the main thread, or the worker thread on which
+:func:`inhand.metrics.run_gamma_sweep` registers its later gammas.
 """
 
 from __future__ import annotations
@@ -347,9 +349,11 @@ def run_sequence(
     describes: the worker reads only frames that are already described and
     computes their ``contact``, so no cached property is ever computed
     from two threads.  When the next frame is already described, the pair
-    registers inline.  Poses, skips and the metascan are those of a serial
-    loop, bit for bit, and an error of a pair comes out before an error of
-    the next frame's description, as in that loop.
+    registers inline, on the calling thread; every pair of a gamma sweep's
+    later gammas does, on the sweep's worker thread.  Poses, skips and the
+    metascan are those of a serial loop, bit for bit, and an error of a
+    pair comes out before an error of the next frame's description, as in
+    that loop.
     """
     if not frames:
         raise EmptyInputError("no frames to register")

@@ -177,7 +177,8 @@ class TestExtractMesh:
         radial = sphere_mesh.vertices / np.linalg.norm(
             sphere_mesh.vertices, axis=1, keepdims=True
         )
-        assert np.einsum("ij,ij->i", sphere_mesh.normals, radial).min() > 0.9
+        normals = laplacian_smooth(sphere_mesh, 0).normals
+        assert np.einsum("ij,ij->i", normals, radial).min() > 0.9
         assert signed_volume(sphere_mesh) > 0.0
 
     def test_all_positive_raises(self):
@@ -353,7 +354,8 @@ class TestSparseAgainstDense:
         want = dense_extract_mesh(tsdf, weights, vol)
         assert got.vertices.tobytes() == want.vertices.tobytes()
         assert got.triangles.tobytes() == want.triangles.tobytes()
-        assert got.normals.tobytes() == want.normals.tobytes()
+        assert got.normals is None
+        assert laplacian_smooth(got, 0).normals.tobytes() == want.normals.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -593,6 +595,13 @@ class TestLaplacianSmooth:
     def test_zero_iterations_identity(self, sphere_mesh):
         out = laplacian_smooth(sphere_mesh, 0)
         np.testing.assert_array_equal(out.vertices, sphere_mesh.vertices)
+
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_normals_are_those_of_the_returned_vertices(self, sphere_mesh, iterations):
+        bare = TriangleMesh(sphere_mesh.vertices, sphere_mesh.triangles)
+        out = laplacian_smooth(bare, iterations)
+        want = _vertex_normals(out.vertices, out.triangles)
+        assert out.normals.tobytes() == want.tobytes()
 
     def test_noise_shrinks(self, sphere_mesh):
         rng = np.random.default_rng(5)

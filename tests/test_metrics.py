@@ -3,13 +3,14 @@
 import functools
 import math
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from inhand import contact, features, synth
-from inhand.errors import DivergenceError, EmptyInputError
+from inhand import contact, features, metrics, synth
+from inhand.errors import DivergenceError, EmptyInputError, InHandError
 from inhand.fusion import Probe
 from inhand.geometry import CameraIntrinsics
 from inhand.metrics import (
@@ -71,12 +72,50 @@ def sweep_fixture():
     return frames, truth, result
 
 
+def serial_sweep(frames, truth, gammas):
+    """The loop ``run_gamma_sweep`` overlaps: each gamma reconstructed, then measured."""
+    cells = []
+    for gamma in gammas:
+        try:
+            _, mesh = metrics.reconstruct(
+                frames, RegistrationConfig(gamma_t=gamma), None, **sweep_volume(truth)
+            )
+            measured = metrics.measure_probes(mesh, truth.probes)
+        except InHandError:
+            measured = {p.name: math.nan for p in truth.probes}
+        cells.extend(
+            ProbeCell(gamma, p.name, p.kind, float(truth.expected[p.name]), measured[p.name])
+            for p in truth.probes
+        )
+    return SweepResult(tuple(gammas), tuple(cells))
+
+
+def cell_bits(cells):
+    """Each cell with its measured value as raw float64 bytes, NaN included."""
+    return [
+        (c.gamma, c.probe, c.kind, c.expected, np.float64(c.measured).tobytes())
+        for c in cells
+    ]
+
+
+def registration_failing_at(gamma, error):
+    """``run_sequence`` that raises ``error`` for one gamma only."""
+
+    def run(frames, config, intrinsics):
+        if config.gamma_t == gamma:
+            raise error
+        return run_sequence(frames, config, intrinsics)
+
+    return run
+
+
 def count_calls(monkeypatch, original):
-    """Record each call to ``original`` in every inhand module that binds its name."""
+    """Record each call to ``original`` in every inhand module that binds its name,
+    as the calling thread's ident followed by the call's arguments."""
     calls = []
 
     def counted(*args):
-        calls.append(args)
+        calls.append((threading.get_ident(), *args))
         return original(*args)
 
     for name, module in list(sys.modules.items()):
@@ -247,8 +286,73 @@ class TestRunGammaSweep:
             **sweep_volume(truth),
         )
         clouds = sorted(id(f.object_cloud) for f in frames)
-        assert sorted(id(cloud) for cloud, in keypoint_calls) == clouds
-        assert sorted(id(cloud) for _, cloud in contact_calls) == clouds
+        assert sorted(id(cloud) for _, cloud in keypoint_calls) == clouds
+        assert sorted(id(cloud) for _, _, cloud in contact_calls) == clouds
+
+    def test_matches_the_serial_loop_to_the_bit(self, tmp_path):
+        frames, truth, result = sweep_fixture()
+        want = serial_sweep(frames, truth, result.gammas)
+        assert result.gammas == want.gammas
+        assert cell_bits(result.cells) == cell_bits(want.cells)
+        sweep_to_csv(result, tmp_path / "got.csv")
+        sweep_to_csv(want, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_frames_described_once_on_the_main_thread(self, monkeypatch):
+        frames = [replace(f) for f in sweep_fixture()[0]]
+        truth = sweep_fixture()[1]
+        described = count_calls(monkeypatch, features.describe_cloud)
+        registered = count_calls(monkeypatch, run_sequence)
+        run_gamma_sweep(
+            frames,
+            truth.probes,
+            truth.expected,
+            (0.0, 5.0, 15.0),
+            **sweep_volume(truth),
+        )
+        main = threading.main_thread().ident
+        assert sorted(id(cloud) for _, cloud in described) == sorted(
+            id(f.object_cloud) for f in frames
+        )
+        assert {ident for ident, _ in described} == {main}
+        # The first gamma registers on the main thread, the later ones on
+        # one worker.
+        assert [config.gamma_t for _, _, config, _ in registered] == [0.0, 5.0, 15.0]
+        threads = [ident for ident, *_ in registered]
+        assert threads[0] == main
+        assert threads[1] == threads[2] != main
+
+    def test_failed_middle_gamma_records_nan_and_the_sweep_goes_on(
+        self, monkeypatch, caplog
+    ):
+        frames, truth, fixture = sweep_fixture()
+        diverging = registration_failing_at(5.0, DivergenceError("scripted divergence"))
+        monkeypatch.setattr(metrics, "run_sequence", diverging)
+        result = run_gamma_sweep(
+            frames,
+            truth.probes,
+            truth.expected,
+            (0.0, 5.0, 15.0),
+            **sweep_volume(truth),
+        )
+        assert all(math.isnan(c.measured) for c in result.cells_at(5.0))
+        assert cell_bits(result.cells_at(15.0)) == cell_bits(fixture.cells_at(15.0))
+        assert "gamma 5: pipeline failed (scripted divergence)" in caplog.text
+
+    def test_worker_error_propagates_and_the_worker_stops(self, monkeypatch):
+        frames, truth, _ = sweep_fixture()
+        threads_before = threading.active_count()
+        failing = registration_failing_at(5.0, RuntimeError("registration bug"))
+        monkeypatch.setattr(metrics, "run_sequence", failing)
+        with pytest.raises(RuntimeError, match="registration bug"):
+            run_gamma_sweep(
+                frames,
+                truth.probes,
+                truth.expected,
+                (0.0, 5.0, 15.0),
+                **sweep_volume(truth),
+            )
+        assert threading.active_count() == threads_before
 
     def test_sweep_is_deterministic(self):
         frames, truth, result = sweep_fixture()
@@ -281,6 +385,7 @@ class TestRunGammaSweep:
             raise AssertionError("a gamma ran before the grid was checked")
 
         monkeypatch.setattr("inhand.metrics._measure_at_gamma", must_not_run)
+        monkeypatch.setattr("inhand.metrics.run_sequence", must_not_run)
         with pytest.raises(ValueError, match="finite"):
             run_gamma_sweep(
                 frames, truth.probes, truth.expected, (0.0, math.inf), **sweep_volume(truth)
