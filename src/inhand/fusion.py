@@ -381,29 +381,23 @@ def signed_volume(mesh: TriangleMesh) -> float:
     return float(np.einsum("ij,ij->", a, np.cross(b, c)) / 6.0)
 
 
-def measure_dimensions(mesh: TriangleMesh, probes) -> dict[str, float]:
-    """Evaluate named probes against the mesh; returns name -> millimeters/mm^3."""
+def measure_dimensions(mesh: TriangleMesh, probe: Probe) -> float:
+    """Evaluate one probe against the mesh, in millimeters or mm^3."""
     if len(mesh.vertices) == 0:
         raise EmptyInputError("cannot measure an empty mesh")
-    out: dict[str, float] = {}
-    for probe in probes:
-        if probe.kind == "extent":
-            coords = mesh.vertices[:, probe.axis]
-            out[probe.name] = float(coords.max() - coords.min())
-        elif probe.kind == "slice_diameter":
-            pts = _slice_points(mesh, probe.axis, probe.position)
-            if len(pts) < 2:
-                raise EmptyInputError(
-                    f"probe {probe.name!r}: slice plane misses the mesh"
-                )
-            if len(pts) > 400:
-                keep = np.delete(np.arange(3), probe.axis)
-                try:
-                    pts = pts[ConvexHull(pts[:, keep]).vertices]
-                except QhullError:
-                    pass  # nearly collinear slice: fall through to all pairs
-            diff = pts[:, None, :] - pts[None, :, :]
-            out[probe.name] = float(np.sqrt((diff**2).sum(-1)).max())
-        else:
-            out[probe.name] = signed_volume(mesh)
-    return out
+    if probe.kind == "extent":
+        coords = mesh.vertices[:, probe.axis]
+        return float(coords.max() - coords.min())
+    if probe.kind == "volume":
+        return signed_volume(mesh)
+    pts = _slice_points(mesh, probe.axis, probe.position)
+    if len(pts) < 2:
+        raise EmptyInputError(f"probe {probe.name!r}: slice plane misses the mesh")
+    if len(pts) > 400:
+        keep = np.delete(np.arange(3), probe.axis)
+        try:
+            pts = pts[ConvexHull(pts[:, keep]).vertices]
+        except QhullError:
+            pass  # nearly collinear slice: fall through to all pairs
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff**2).sum(-1)).max())

@@ -72,7 +72,7 @@ __all__ = [
 def reconstruct(
     frames: Sequence[SegmentedFrame],
     config: RegistrationConfig,
-    intrinsics: CameraIntrinsics | None,
+    intrinsics: CameraIntrinsics,
     *,
     volume_center,
     side_mm: float,
@@ -97,7 +97,7 @@ def reconstruct(
 def _register(
     frames: Sequence[SegmentedFrame],
     config: RegistrationConfig,
-    intrinsics: CameraIntrinsics | None,
+    intrinsics: CameraIntrinsics,
 ) -> SequenceResult:
     """The registration half of :func:`reconstruct`."""
     result = run_sequence(frames, config, intrinsics)
@@ -132,7 +132,7 @@ def measure_probes(mesh: TriangleMesh, probes: Iterable[Probe]) -> dict[str, flo
     out: dict[str, float] = {}
     for probe in probes:
         try:
-            out[probe.name] = float(measure_dimensions(mesh, [probe])[probe.name])
+            out[probe.name] = measure_dimensions(mesh, probe)
         except InHandError as exc:
             log.warning("probe %r failed (%s)", probe.name, exc)
             out[probe.name] = float("nan")
@@ -244,7 +244,7 @@ def run_gamma_sweep(
     side_mm: float,
     resolution: int,
     smooth_iterations: int,
-    intrinsics: CameraIntrinsics | None = None,
+    intrinsics: CameraIntrinsics,
 ) -> SweepResult:
     """Run the full pipeline once per gamma, in grid order, and measure the mesh.
 
@@ -259,13 +259,12 @@ def run_gamma_sweep(
     a NaN cell and the sweep continues; any other error propagates once
     the worker thread has stopped.
 
-    The main thread registers the first gamma, which describes every
-    frame, overlapping its pairs as :func:`run_sequence` does.  The later
-    gammas then register in grid order on one worker thread, which only
-    reads the cached features and may compute a frame's contact state,
+    The main thread registers the first gamma and describes every frame.
+    The later gammas then register in grid order on one worker thread,
     while the main thread fuses and measures each gamma in grid order as
-    soon as its registration is done.  The cells are those of the serial
-    loop, bit for bit.
+    soon as its registration is done.  Inside each registration, threads
+    divide the work as :func:`run_sequence` states.  The cells are those
+    of the serial loop, bit for bit.
     """
     frames = list(frames)
     probes = tuple(probes)
@@ -360,7 +359,7 @@ def compare_energies(
     frames: Sequence[SegmentedFrame],
     annotations,
     *,
-    intrinsics: CameraIntrinsics | None = None,
+    intrinsics: CameraIntrinsics,
 ) -> tuple[EnergyRow, ...]:
     """Score the four sparse-energy configurations on annotated pairs.
 
@@ -371,7 +370,7 @@ def compare_energies(
     configuration's errors over all annotated pairs.  ICP
     and fusion are deliberately excluded so the rows compare the sparse
     solves alone.  A configuration that cannot be solved on every pair
-    (no detector boxes or intrinsics, a dropped contact term, fewer than
+    (no detector boxes, a dropped contact term, fewer than
     three effective pairs) comes back marked unavailable.  The contact and
     detector sets carry the default ``gamma_t``.
     """

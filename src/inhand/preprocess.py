@@ -95,12 +95,8 @@ class SegmentedFrame:
     :attr:`features` and :attr:`contact` depend on this frame alone: each
     is computed on first use and cached, so every pair, gamma and energy
     configuration shares it; :func:`dataclasses.replace` starts a new cache.
-    :attr:`features` is computed on the main thread only: registration's
-    worker thread reads it once it is cached (see
-    :func:`inhand.register.run_sequence`).  :attr:`contact` may be computed
-    on that worker thread or on the gamma sweep's worker thread
-    (:func:`inhand.metrics.run_gamma_sweep`), but never by two threads at
-    once.
+    During registration, :func:`inhand.register.run_sequence` says which
+    thread computes each.
     """
 
     frame_index: int

@@ -8,15 +8,7 @@ frame's world pose and then refined by point-to-point ICP against the
 metascan — the running accumulation of every previously registered cloud.
 Keypoints, descriptors and contact states belong to one frame and are
 cached on it (:class:`SegmentedFrame`); a pair only matches them.
-
-:func:`run_sequence` overlaps the two halves of that work: while one
-worker thread registers a pair, the main thread describes the next frame.
-Only the main thread describes; the worker registers, reads only frames
-that are already described, and computes their contact states.  A pair
-whose next frame is already described (the last pair, or every pair of a
-sweep's later gammas) registers inline, on the thread that called
-:func:`run_sequence`: the main thread, or the worker thread on which
-:func:`inhand.metrics.run_gamma_sweep` registers its later gammas.
+:func:`run_sequence` states which thread does which part of that work.
 """
 
 from __future__ import annotations
@@ -261,7 +253,7 @@ def build_correspondences(
     prev: SegmentedFrame,
     curr: SegmentedFrame,
     config: RegistrationConfig,
-    intrinsics: CameraIntrinsics | None = None,
+    intrinsics: CameraIntrinsics,
 ) -> list[CorrespondenceSet]:
     """All sparse sets aligning ``curr`` (source) to ``prev`` (target).
 
@@ -269,18 +261,14 @@ def build_correspondences(
     contact set is left out when either frame has no contact state.
     """
     sets = [match_feat3d(curr.features, prev.features)]
-    if (
-        curr.feat2d_matches is not None
-        and intrinsics is not None
-        and prev.frame_index == curr.frame_index - 1
-    ):
+    if curr.feat2d_matches is not None and prev.frame_index == curr.frame_index - 1:
         pixel_pairs, src_d, tgt_d = curr.feat2d_matches
         sets.append(load_feat2d(pixel_pairs, src_d, tgt_d, intrinsics))
     if config.use_contact and config.gamma_t > 0.0 and curr.contact and prev.contact:
         sets.append(
             contact_correspondences(curr.hand_pose, prev.hand_pose, curr.contact, prev.contact)
         )
-    if config.use_detector and intrinsics is not None:
+    if config.use_detector:
         sets.append(detector_correspondences(curr, prev, intrinsics))
     return sets
 
@@ -302,8 +290,8 @@ def register_pair(
     curr: SegmentedFrame,
     metascan: Metascan,
     world_from_prev: RigidTransform,
-    config: RegistrationConfig = RegistrationConfig(),
-    intrinsics: CameraIntrinsics | None = None,
+    config: RegistrationConfig,
+    intrinsics: CameraIntrinsics,
 ) -> FramePose:
     """Register ``curr`` against ``prev`` and refine against the metascan.
 
@@ -335,8 +323,8 @@ class SequenceResult:
 
 def run_sequence(
     frames: list[SegmentedFrame],
-    config: RegistrationConfig = RegistrationConfig(),
-    intrinsics: CameraIntrinsics | None = None,
+    config: RegistrationConfig,
+    intrinsics: CameraIntrinsics,
 ) -> SequenceResult:
     """Register a whole sequence; frame 0 anchors the world frame.
 
@@ -344,16 +332,14 @@ def run_sequence(
     diverges are skipped, and the next frame is aligned against the last
     successfully registered one, over the same metascan.
 
-    Each pair registers on one worker thread while the main thread
-    describes the next frame (its ``features``).  Only the main thread
-    describes: the worker reads only frames that are already described and
-    computes their ``contact``, so no cached property is ever computed
-    from two threads.  When the next frame is already described, the pair
-    registers inline, on the calling thread; every pair of a gamma sweep's
-    later gammas does, on the sweep's worker thread.  Poses, skips and the
-    metascan are those of a serial loop, bit for bit, and an error of a
-    pair comes out before an error of the next frame's description, as in
-    that loop.
+    Threads: the calling thread describes (each frame's ``features``), and
+    one worker thread registers every pair and detects contact (each
+    frame's ``contact``), so no cached property of a frame is computed on
+    two threads.  The caller describes a pair's two frames, hands the pair
+    to the worker, and describes the next frame while the worker registers.
+    Poses, skips and the metascan are those of a serial loop, bit for bit,
+    and an error of a pair comes out before an error of the next frame's
+    description, as in that loop.
     """
     if not frames:
         raise EmptyInputError("no frames to register")
@@ -376,17 +362,15 @@ def run_sequence(
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         for curr, nxt in zip(frames[1:], [*frames[2:], None]):
-            if nxt is None or "features" in vars(nxt):
-                pose = attempt(prev, curr, world_prev)
-            else:
-                curr.features, prev.features  # described here; the worker only reads them
-                pending = worker.submit(attempt, prev, curr, world_prev)
-                try:
+            curr.features, prev.features  # described here; the worker only reads them
+            pending = worker.submit(attempt, prev, curr, world_prev)
+            try:
+                if nxt is not None:
                     nxt.features
-                finally:
-                    # A pair's own error replaces a describe error: the
-                    # serial loop would have met it first.
-                    pose = pending.result()
+            finally:
+                # A pair's own error replaces a describe error: the serial
+                # loop would have met it first.
+                pose = pending.result()
             if pose is None:
                 skipped.append(curr.frame_index)
                 continue

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from inhand.contact import ContactState, PosedHand, contact_correspondences, detect_contacts
 from inhand.errors import EmptyInputError, NoContactError
@@ -146,3 +149,50 @@ class TestContactCorrespondences:
         state = ContactState(hand0.end_effectors, 1.0)
         cs = contact_correspondences(hand1, hand0, state, state)
         np.testing.assert_allclose(t.inverse().apply(cs.source), cs.target, atol=1e-9)
+
+
+@st.composite
+def rigid_motions(draw):
+    """G: a uniform random rotation and a translation of up to 600 mm per axis."""
+    rotation = Rotation.random(random_state=draw(st.integers(0, 2**32 - 1)))
+    translation = draw(st.tuples(*[st.floats(-600.0, 600.0)] * 3))
+    return RigidTransform(rotation.as_matrix(), np.array(translation))
+
+
+def moved_hand(hand: PosedHand, g: RigidTransform) -> PosedHand:
+    return PosedHand(g.apply(hand.vertices), hand.bone_labels, hand.end_effectors)
+
+
+# Two frames of one grasp: in the source, finger A hovers 0.5 mm off the
+# plane and finger B 2.2 mm, so the search grows to 2.5 mm; the target is
+# another hand at 1.2 and 0.5 mm (1.5 mm), on the plane moved by MOTION.
+MOTION = RigidTransform(rotation_about_axis((0.3, 1.0, 0.2), 0.2), np.array([4.0, -2.0, 1.0]))
+SOURCE_CLOUD = plane_cloud()
+SOURCE_HAND = two_finger_hand()
+TARGET_CLOUD = PointCloud(MOTION.apply(SOURCE_CLOUD.points))
+TARGET_HAND = moved_hand(two_finger_hand(h_a=1.2, h_b=0.5), MOTION)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=rigid_motions())
+def test_contacts_commute_with_a_rigid_motion(g):
+    """Moving both frames by G keeps each contact state and the paired
+    vertex rows, and moves each pair by G (to roundoff: 1e-9 mm)."""
+    states = [
+        detect_contacts(hand, cloud)
+        for hand, cloud in ((SOURCE_HAND, SOURCE_CLOUD), (TARGET_HAND, TARGET_CLOUD))
+    ]
+    assert [s.threshold_used for s in states] == [2.5, 1.5]
+    source, target = moved_hand(SOURCE_HAND, g), moved_hand(TARGET_HAND, g)
+    moved_states = [
+        detect_contacts(source, PointCloud(g.apply(SOURCE_CLOUD.points))),
+        detect_contacts(target, PointCloud(g.apply(TARGET_CLOUD.points))),
+    ]
+    assert moved_states == states
+    cs = contact_correspondences(SOURCE_HAND, TARGET_HAND, *states)
+    moved = contact_correspondences(source, target, *moved_states)
+    rows = [int(np.flatnonzero((SOURCE_HAND.vertices == v).all(axis=1))[0]) for v in cs.source]
+    np.testing.assert_array_equal(moved.source, source.vertices[rows])
+    np.testing.assert_array_equal(moved.target, target.vertices[rows])
+    np.testing.assert_allclose(moved.source, g.apply(cs.source), rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(moved.target, g.apply(cs.target), rtol=0.0, atol=1e-9)

@@ -647,30 +647,27 @@ class TestMeasureDimensions:
             Probe("diameter", "slice_diameter", axis=2, position=0.0),
             Probe("volume", "volume"),
         ]
-        got = measure_dimensions(sphere_mesh, probes)
+        got = {p.name: measure_dimensions(sphere_mesh, p) for p in probes}
         assert got["height"] == pytest.approx(70.0, abs=2 * 1.25)
         assert got["diameter"] == pytest.approx(70.0, abs=2 * 1.25)
         assert got["volume"] == pytest.approx(4.0 / 3.0 * math.pi * 35.0**3, rel=0.02)
 
     def test_unit_sphere(self):
         mesh = extract_mesh(sphere_sdf_volume(radius=1.0, side=3.0, res=60))
-        got = measure_dimensions(
-            mesh,
-            [Probe("d", "slice_diameter", axis=1, position=0.0), Probe("v", "volume")],
+        diameter = measure_dimensions(mesh, Probe("d", "slice_diameter", axis=1, position=0.0))
+        assert diameter == pytest.approx(2.0, abs=0.02)
+        assert measure_dimensions(mesh, Probe("v", "volume")) == pytest.approx(
+            4.0 / 3.0 * math.pi, rel=0.02
         )
-        assert got["d"] == pytest.approx(2.0, abs=0.02)
-        assert got["v"] == pytest.approx(4.0 / 3.0 * math.pi, rel=0.02)
 
     def test_open_mesh_volume_probe(self):
         mesh = TriangleMesh(np.eye(3), [[0, 1, 2]])
         with pytest.raises(OpenMeshError):
-            measure_dimensions(mesh, [Probe("v", "volume")])
+            measure_dimensions(mesh, Probe("v", "volume"))
 
     def test_missed_slice(self, sphere_mesh):
         with pytest.raises(EmptyInputError):
-            measure_dimensions(
-                sphere_mesh, [Probe("d", "slice_diameter", axis=2, position=99.0)]
-            )
+            measure_dimensions(sphere_mesh, Probe("d", "slice_diameter", axis=2, position=99.0))
 
     def test_unknown_probe_kind(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,7 @@ def sweep_fixture():
         truth.expected,
         (0.0, 15.0),
         **sweep_volume(truth),
+        intrinsics=INTRINSICS,
     )
     return frames, truth, result
 
@@ -78,7 +79,7 @@ def serial_sweep(frames, truth, gammas):
     for gamma in gammas:
         try:
             _, mesh = metrics.reconstruct(
-                frames, RegistrationConfig(gamma_t=gamma), None, **sweep_volume(truth)
+                frames, RegistrationConfig(gamma_t=gamma), INTRINSICS, **sweep_volume(truth)
             )
             measured = metrics.measure_probes(mesh, truth.probes)
         except InHandError:
@@ -248,6 +249,7 @@ class TestRunGammaSweep:
             expected,
             (15.0,),
             **sweep_volume(truth),
+            intrinsics=INTRINSICS,
         )
         by_name = {c.probe: c for c in result.cells_at(15.0)}
         assert math.isnan(by_name["phantom"].measured)
@@ -267,6 +269,7 @@ class TestRunGammaSweep:
             truth.expected,
             (15.0,),
             **sweep_volume(truth),
+            intrinsics=INTRINSICS,
         )
         assert all(math.isnan(c.measured) for c in result.cells)
         assert math.isnan(dict(zip(result.gammas, result.normalized_errors))[15.0])
@@ -277,13 +280,14 @@ class TestRunGammaSweep:
         truth = sweep_fixture()[1]
         keypoint_calls = count_calls(monkeypatch, features.detect_iss_keypoints)
         contact_calls = count_calls(monkeypatch, contact.detect_contacts)
-        run_sequence(frames)
+        run_sequence(frames, RegistrationConfig(), INTRINSICS)
         run_gamma_sweep(
             frames,
             truth.probes,
             truth.expected,
             (0.0, 5.0, 15.0),
             **sweep_volume(truth),
+            intrinsics=INTRINSICS,
         )
         clouds = sorted(id(f.object_cloud) for f in frames)
         assert sorted(id(cloud) for _, cloud in keypoint_calls) == clouds
@@ -309,6 +313,7 @@ class TestRunGammaSweep:
             truth.expected,
             (0.0, 5.0, 15.0),
             **sweep_volume(truth),
+            intrinsics=INTRINSICS,
         )
         main = threading.main_thread().ident
         assert sorted(id(cloud) for _, cloud in described) == sorted(
@@ -334,6 +339,7 @@ class TestRunGammaSweep:
             truth.expected,
             (0.0, 5.0, 15.0),
             **sweep_volume(truth),
+            intrinsics=INTRINSICS,
         )
         assert all(math.isnan(c.measured) for c in result.cells_at(5.0))
         assert cell_bits(result.cells_at(15.0)) == cell_bits(fixture.cells_at(15.0))
@@ -351,6 +357,7 @@ class TestRunGammaSweep:
                 truth.expected,
                 (0.0, 5.0, 15.0),
                 **sweep_volume(truth),
+                intrinsics=INTRINSICS,
             )
         assert threading.active_count() == threads_before
 
@@ -362,21 +369,23 @@ class TestRunGammaSweep:
             truth.expected,
             (0.0, 15.0),
             **sweep_volume(truth),
+            intrinsics=INTRINSICS,
         )
         assert_results_identical(result, again)
 
     def test_rejects_bad_gamma_grids(self):
         frames, truth, _ = sweep_fixture()
         args = frames, truth.probes, truth.expected
+        kwargs = dict(sweep_volume(truth), intrinsics=INTRINSICS)
         with pytest.raises(ValueError, match="at least one gamma"):
-            run_gamma_sweep(*args, (), **sweep_volume(truth))
+            run_gamma_sweep(*args, (), **kwargs)
         with pytest.raises(ValueError, match="strictly increasing"):
-            run_gamma_sweep(*args, (15.0, 5.0), **sweep_volume(truth))
+            run_gamma_sweep(*args, (15.0, 5.0), **kwargs)
         with pytest.raises(ValueError, match="nonnegative"):
-            run_gamma_sweep(*args, (-1.0, 5.0), **sweep_volume(truth))
+            run_gamma_sweep(*args, (-1.0, 5.0), **kwargs)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
-                run_gamma_sweep(*args, (bad,), **sweep_volume(truth))
+                run_gamma_sweep(*args, (bad,), **kwargs)
 
     def test_bad_gamma_fails_before_any_gamma_runs(self, monkeypatch):
         frames, truth, _ = sweep_fixture()
@@ -388,7 +397,12 @@ class TestRunGammaSweep:
         monkeypatch.setattr("inhand.metrics.run_sequence", must_not_run)
         with pytest.raises(ValueError, match="finite"):
             run_gamma_sweep(
-                frames, truth.probes, truth.expected, (0.0, math.inf), **sweep_volume(truth)
+                frames,
+                truth.probes,
+                truth.expected,
+                (0.0, math.inf),
+                **sweep_volume(truth),
+                intrinsics=INTRINSICS,
             )
 
     def test_rejects_probes_without_ground_truth(self):
@@ -400,17 +414,28 @@ class TestRunGammaSweep:
                 truth.expected,
                 (15.0,),
                 **sweep_volume(truth),
+                intrinsics=INTRINSICS,
             )
 
     def test_rejects_empty_inputs(self):
         frames, truth, _ = sweep_fixture()
         with pytest.raises(EmptyInputError):
             run_gamma_sweep(
-                [], truth.probes, truth.expected, (15.0,), **sweep_volume(truth)
+                [],
+                truth.probes,
+                truth.expected,
+                (15.0,),
+                **sweep_volume(truth),
+                intrinsics=INTRINSICS,
             )
         with pytest.raises(EmptyInputError):
             run_gamma_sweep(
-                frames, (), truth.expected, (15.0,), **sweep_volume(truth)
+                frames,
+                (),
+                truth.expected,
+                (15.0,),
+                **sweep_volume(truth),
+                intrinsics=INTRINSICS,
             )
 
 
@@ -429,7 +454,10 @@ class TestCompareEnergies:
 
     def test_noiseless_contact_solve_is_exact(self):
         frames, truth = noiseless_sequence()
-        rows = {r.config: r for r in compare_energies(frames, truth.annotations)}
+        rows = {
+            r.config: r
+            for r in compare_energies(frames, truth.annotations, intrinsics=INTRINSICS)
+        }
         assert rows["contact"].mean < 1e-9
 
     def test_contact_beats_detector_under_noise(self):
@@ -443,24 +471,24 @@ class TestCompareEnergies:
 
     def test_missing_boxes_mark_detector_rows_unavailable(self):
         frames, truth = noiseless_sequence()
-        rows = {r.config: r for r in compare_energies(frames, truth.annotations)}
+        rows = {
+            r.config: r
+            for r in compare_energies(frames, truth.annotations, intrinsics=INTRINSICS)
+        }
         for config in ("detector", "detector+visual"):
             assert not rows[config].available
             assert math.isnan(rows[config].mean)
             assert rows[config].pair_count == 0
-
-    def test_boxes_without_intrinsics_stay_unavailable(self):
-        frames, truth = noisy_sequence_with_boxes()
-        rows = {r.config: r for r in compare_energies(frames, truth.annotations)}
-        assert not rows["detector"].available
-        assert rows["contact"].available
 
     def test_single_annotated_point_has_zero_stdev(self, monkeypatch):
         monkeypatch.setattr(synth, "ANNOTATIONS_PER_PAIR", 1)
         motion = MotionScript.tumble(4, 6.0, sigma=0.5, seed=5)
         frames, truth = generate_sequence(SMALL_SPHERE, motion, annotate_every=3)
         assert len(truth.annotations) == 1
-        rows = {r.config: r for r in compare_energies(frames, truth.annotations)}
+        rows = {
+            r.config: r
+            for r in compare_energies(frames, truth.annotations, intrinsics=INTRINSICS)
+        }
         assert rows["contact"].pair_count == 1
         assert rows["contact"].stdev == 0.0
 
@@ -489,14 +517,14 @@ class TestCompareEnergies:
     def test_requires_annotations(self):
         frames, _ = noiseless_sequence()
         with pytest.raises(EmptyInputError):
-            compare_energies(frames, [])
+            compare_energies(frames, [], intrinsics=INTRINSICS)
 
     def test_annotation_must_reference_known_frames(self):
         frames, truth = noiseless_sequence()
         ann = truth.annotations[0]
         bad = Annotation(97, 98, ann.points_a, ann.points_b)
         with pytest.raises(ValueError, match="missing frame"):
-            compare_energies(frames, [bad])
+            compare_energies(frames, [bad], intrinsics=INTRINSICS)
 
 
 class TestCsvOutput:
@@ -522,7 +550,7 @@ class TestCsvOutput:
 
     def test_energy_rows_one_per_config_statistic(self, tmp_path):
         frames, truth = noiseless_sequence()
-        rows = compare_energies(frames, truth.annotations)
+        rows = compare_energies(frames, truth.annotations, intrinsics=INTRINSICS)
         path = tmp_path / "energies.csv"
         energies_to_csv(rows, path)
         lines = path.read_text().strip().splitlines()

@@ -1,0 +1,116 @@
+"""Check that two source trees write the same bytes on the benchmark workloads.
+
+    python3 tools/same_outputs.py PARENT CHANGE [--seeds 1,2,3,4]
+
+PARENT and CHANGE are checkout roots.  For every workload of
+``perfbench/run.py`` and every seed, each tree generates the sequence with
+``inhand synth`` and the harness's flags (``--seed N --texture-seed N``),
+then runs the workload's command on it, as the harness does: from the
+tree's root, with its ``src`` first on the path and the harness's
+environment.  Both trees run in the same scratch paths, so the paths that
+the commands print or write agree.  The sequence directories, the output
+directories, the exit codes and each command's standard output and error
+must be the same byte for byte, once each tree's root is replaced by
+``<tree>`` in the messages.  Each difference is printed; the exit status
+is 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def load_harness():
+    """``perfbench/run.py`` as a module, for its workloads and environment."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_steps(harness, name: str, seed: int, seq: Path, out: Path) -> list[list[str]]:
+    """The ``inhand`` arguments of one workload at one seed: synth, then the command."""
+    workload = harness.WORKLOADS[name]
+    synth = ["synth", *harness.COMMON_SYNTH, *workload["synth"],
+             "--seed", str(seed), "--texture-seed", str(seed), "--out", str(seq)]
+    return [synth, [a.format(seq=seq, out=out) for a in workload["command"]]]
+
+
+def run_tree(harness, root: Path, steps: list[list[str]], work: Path, keep: Path) -> None:
+    """Run ``steps`` from ``root`` in ``work``, then move ``work`` to ``keep``.
+
+    Each step's exit code, standard output and standard error go to
+    ``keep/<command>.log``, with ``root`` written as ``<tree>``.
+    """
+    work.mkdir()
+    env = harness.child_env(root)
+    tree = str(root).encode()
+    logs = {}
+    for argv in steps:
+        proc = subprocess.run([sys.executable, "-m", "inhand.cli", *argv],
+                              cwd=root, env=env, capture_output=True)
+        logs[f"{argv[0]}.log"] = b"exit %d\n--- stdout\n%s--- stderr\n%s" % (
+            proc.returncode,
+            proc.stdout.replace(tree, b"<tree>"),
+            proc.stderr.replace(tree, b"<tree>"),
+        )
+    shutil.move(work, keep)
+    for name, log in logs.items():
+        (keep / name).write_bytes(log)
+
+
+def differences(a: Path, b: Path) -> list[str]:
+    """Relative paths of files that differ, or exist on one side only."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    found = [f"only in {side}: {p}" for side, only in (("parent", files_a - files_b),
+                                                        ("change", files_b - files_a))
+             for p in sorted(only)]
+    found += [f"differs: {p}" for p in sorted(files_a & files_b)
+              if (a / p).read_bytes() != (b / p).read_bytes()]
+    return found
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seeds", default="1,2,3,4",
+                        type=lambda s: [int(x) for x in s.split(",")])
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    harness = load_harness()
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        tmp = Path(tmp)
+        work = tmp / "run"
+        for name in sorted(harness.WORKLOADS):
+            for seed in args.seeds:
+                steps = workload_steps(harness, name, seed, work / "seq", work / "out")
+                for side, root in roots.items():
+                    run_tree(harness, root, steps, work, tmp / side)
+                found = differences(tmp / "parent", tmp / "change")
+                print(f"{name} seed {seed}: {'same' if not found else 'DIFFERENT'}")
+                for line in found:
+                    print(f"  {line}")
+                failed |= bool(found)
+                for side in roots:
+                    shutil.rmtree(tmp / side)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
