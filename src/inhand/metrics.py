@@ -24,7 +24,7 @@ import csv
 import io
 import logging
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,6 +48,7 @@ from .register import (
     SequenceResult,
     align_sparse,
     build_correspondences,
+    registrations,
     run_sequence,
 )
 
@@ -88,19 +89,15 @@ def reconstruct(
     nothing beyond frame 0 this raises :class:`DivergenceError` instead of
     meshing a single view.
     """
-    result = _register(frames, config, intrinsics)
+    result = _registered(frames, run_sequence(frames, config, intrinsics))
     return result, _fuse(
         frames, result, volume_center, side_mm, resolution, smooth_iterations
     )
 
 
-def _register(
-    frames: Sequence[SegmentedFrame],
-    config: RegistrationConfig,
-    intrinsics: CameraIntrinsics,
-) -> SequenceResult:
-    """The registration half of :func:`reconstruct`."""
-    result = run_sequence(frames, config, intrinsics)
+def _registered(frames: Sequence[SegmentedFrame], result: SequenceResult) -> SequenceResult:
+    """The registration half of :func:`reconstruct`: ``result``, unless it
+    registered nothing beyond frame 0."""
     if len(frames) > 1 and len(result.poses) == 1:
         raise DivergenceError(
             "every frame pair failed to register; only frame "
@@ -259,12 +256,10 @@ def run_gamma_sweep(
     a NaN cell and the sweep continues; any other error propagates once
     the worker thread has stopped.
 
-    The main thread registers the first gamma and describes every frame.
-    The later gammas then register in grid order on one worker thread,
-    while the main thread fuses and measures each gamma in grid order as
-    soon as its registration is done.  Inside each registration, threads
-    divide the work as :func:`run_sequence` states.  The cells are those
-    of the serial loop, bit for bit.
+    Every gamma registers through one :func:`registrations`, whose
+    docstring states the threads; the calling thread fuses and measures
+    each gamma in grid order as soon as its registration is done.  The
+    cells are those of the serial loop, bit for bit.
     """
     frames = list(frames)
     probes = tuple(probes)
@@ -282,20 +277,9 @@ def run_gamma_sweep(
         resolution=resolution,
         smooth_iterations=smooth_iterations,
     )
-    first = Future()
-    try:
-        first.set_result(_register(frames, configs[0], intrinsics))
-    except InHandError as exc:
-        first.set_exception(exc)
-    for frame in frames:
-        frame.features  # described here; the worker only reads them
     cells = []
-    worker = ThreadPoolExecutor(max_workers=1)
-    try:  # not ``with``: on an error, queued registrations are cancelled, not run
-        registrations = [first] + [
-            worker.submit(_register, frames, config, intrinsics) for config in configs[1:]
-        ]
-        for config, registration in zip(configs, registrations):
+    with registrations(frames, configs, intrinsics) as chains:
+        for config, registration in zip(configs, chains):
             measured = _measure_at_gamma(frames, probes, config, registration, volume)
             cells.extend(
                 ProbeCell(
@@ -303,8 +287,6 @@ def run_gamma_sweep(
                 )
                 for p in probes
             )
-    finally:
-        worker.shutdown(cancel_futures=True)
     return SweepResult(tuple(c.gamma_t for c in configs), tuple(cells))
 
 
@@ -318,7 +300,7 @@ def _measure_at_gamma(
     """Probe values for one pipeline run, once ``registration`` is done;
     failures come back as NaN."""
     try:
-        mesh = _fuse(frames, registration.result(), **volume)
+        mesh = _fuse(frames, _registered(frames, registration.result()), **volume)
     except InHandError as exc:
         log.warning(
             "gamma %g: pipeline failed (%s); recording failed cells", config.gamma_t, exc

@@ -95,7 +95,7 @@ class SegmentedFrame:
     :attr:`features` and :attr:`contact` depend on this frame alone: each
     is computed on first use and cached, so every pair, gamma and energy
     configuration shares it; :func:`dataclasses.replace` starts a new cache.
-    During registration, :func:`inhand.register.run_sequence` says which
+    During registration, :func:`inhand.register.registrations` says which
     thread computes each.
     """
 

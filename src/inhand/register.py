@@ -8,16 +8,17 @@ frame's world pose and then refined by point-to-point ICP against the
 metascan — the running accumulation of every previously registered cloud.
 Keypoints, descriptors and contact states belong to one frame and are
 cached on it (:class:`SegmentedFrame`); a pair only matches them.
-:func:`run_sequence` states which thread does which part of that work.
+:func:`registrations` states which thread does which part of that work.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -321,8 +322,74 @@ class SequenceResult:
     skipped: tuple[int, ...]
 
 
+@contextmanager
+def registrations(
+    frames: Sequence[SegmentedFrame],
+    configs: Sequence[RegistrationConfig],
+    intrinsics: CameraIntrinsics,
+) -> Iterator[tuple[Future, ...]]:
+    """Register ``frames`` once per config; yield each config's ``Future``.
+
+    A future resolves to that config's :class:`SequenceResult`, or raises
+    the first error of its serial pair loop.  Leaving the block cancels the
+    registrations not yet started and waits for the running one.
+
+    Threads: the calling thread describes every frame in order (each
+    frame's ``features``), and one worker thread registers every pair of
+    every config, config after config, and detects contact (each frame's
+    ``contact``), so no cached property of a frame is computed on two
+    threads.  A pair waits until its frame is described.  Poses, skips and
+    the metascan are those of the serial loop, bit for bit, and an error of
+    a pair comes out before an error of a later frame's description.
+    """
+    if not frames:
+        raise EmptyInputError("no frames to register")
+    described = [Future() for _ in frames]
+    worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        chains = tuple(
+            worker.submit(_register_chain, frames, described, config, intrinsics)
+            for config in configs
+        )
+        for frame, done in zip(frames, described):
+            try:
+                frame.features
+            except Exception as exc:
+                done.set_exception(exc)  # every chain stops at this frame
+                break
+            done.set_result(None)
+        yield chains
+    finally:
+        for done in described:  # no chain is left waiting on a frame
+            if not done.done():
+                done.set_exception(CancelledError("frame left undescribed"))
+        worker.shutdown(cancel_futures=True)
+
+
+def _register_chain(
+    frames, described: list[Future], config: RegistrationConfig, intrinsics: CameraIntrinsics
+) -> SequenceResult:
+    """One config's serial pair loop, on the worker of :func:`registrations`."""
+    prev, world_prev = frames[0], RigidTransform.identity()
+    metascan = Metascan()
+    metascan.append(prev.object_cloud.points)
+    poses = [FramePose(prev.frame_index, world_prev, float("nan"), float("nan"), {})]
+    skipped: list[int] = []
+    for curr, done in zip(frames[1:], described[1:]):
+        done.result()  # raises the error of this frame's description
+        try:
+            pose = register_pair(prev, curr, metascan, world_prev, config, intrinsics)
+        except (DivergenceError, DegenerateConfigurationError, UnderConstrainedError) as exc:
+            log.warning("frame %d skipped: %s", curr.frame_index, exc)
+            skipped.append(curr.frame_index)
+            continue
+        poses.append(pose)
+        prev, world_prev = curr, pose.world_from_frame
+    return SequenceResult(tuple(poses), metascan, tuple(skipped))
+
+
 def run_sequence(
-    frames: list[SegmentedFrame],
+    frames: Sequence[SegmentedFrame],
     config: RegistrationConfig,
     intrinsics: CameraIntrinsics,
 ) -> SequenceResult:
@@ -330,50 +397,8 @@ def run_sequence(
 
     Frames whose sparse stage is under-constrained or whose registration
     diverges are skipped, and the next frame is aligned against the last
-    successfully registered one, over the same metascan.
-
-    Threads: the calling thread describes (each frame's ``features``), and
-    one worker thread registers every pair and detects contact (each
-    frame's ``contact``), so no cached property of a frame is computed on
-    two threads.  The caller describes a pair's two frames, hands the pair
-    to the worker, and describes the next frame while the worker registers.
-    Poses, skips and the metascan are those of a serial loop, bit for bit,
-    and an error of a pair comes out before an error of the next frame's
-    description, as in that loop.
+    successfully registered one, over the same metascan.  Threads divide
+    the work as :func:`registrations` states.
     """
-    if not frames:
-        raise EmptyInputError("no frames to register")
-    metascan = Metascan()
-    first = frames[0]
-    identity = RigidTransform.identity()
-    metascan.append(first.object_cloud.points)
-    poses = [
-        FramePose(first.frame_index, identity, float("nan"), float("nan"), {})
-    ]
-    skipped: list[int] = []
-    prev, world_prev = first, identity
-
-    def attempt(prev, curr, world_prev):
-        try:
-            return register_pair(prev, curr, metascan, world_prev, config, intrinsics)
-        except (DivergenceError, DegenerateConfigurationError, UnderConstrainedError) as exc:
-            log.warning("frame %d skipped: %s", curr.frame_index, exc)
-            return None
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for curr, nxt in zip(frames[1:], [*frames[2:], None]):
-            curr.features, prev.features  # described here; the worker only reads them
-            pending = worker.submit(attempt, prev, curr, world_prev)
-            try:
-                if nxt is not None:
-                    nxt.features
-            finally:
-                # A pair's own error replaces a describe error: the serial
-                # loop would have met it first.
-                pose = pending.result()
-            if pose is None:
-                skipped.append(curr.frame_index)
-                continue
-            poses.append(pose)
-            prev, world_prev = curr, pose.world_from_frame
-    return SequenceResult(tuple(poses), metascan, tuple(skipped))
+    with registrations(frames, (config,), intrinsics) as (chain,):
+        return chain.result()

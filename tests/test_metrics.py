@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inhand import contact, features, metrics, synth
+from inhand import contact, features, metrics, preprocess, register, synth
 from inhand.errors import DivergenceError, EmptyInputError, InHandError
 from inhand.fusion import Probe
 from inhand.geometry import CameraIntrinsics
@@ -99,13 +99,25 @@ def cell_bits(cells):
     ]
 
 
-def registration_failing_at(gamma, error):
-    """``run_sequence`` that raises ``error`` for one gamma only."""
+def chain_failing_at(gamma, error):
+    """``register._register_chain`` that raises ``error`` for one gamma only."""
+    real = register._register_chain
 
-    def run(frames, config, intrinsics):
+    def run(frames, described, config, intrinsics):
         if config.gamma_t == gamma:
             raise error
-        return run_sequence(frames, config, intrinsics)
+        return real(frames, described, config, intrinsics)
+
+    return run
+
+
+def failing_for(real, failing, error):
+    """``real`` that raises ``error`` when ``failing(*args)`` holds."""
+
+    def run(*args):
+        if failing(*args):
+            raise error
+        return real(*args)
 
     return run
 
@@ -123,6 +135,12 @@ def count_calls(monkeypatch, original):
         if name.split(".")[0] == "inhand" and getattr(module, original.__name__, None) is original:
             monkeypatch.setattr(module, original.__name__, counted)
     return calls
+
+
+def own_thread_count():
+    """Live threads, less the short-lived helpers that a ``cKDTree`` query with
+    ``workers=-1`` starts and joins (scipy names them after ``_thread_func``)."""
+    return sum(not t.name.endswith("(_thread_func)") for t in threading.enumerate())
 
 
 def assert_results_identical(a, b):
@@ -306,7 +324,7 @@ class TestRunGammaSweep:
         frames = [replace(f) for f in sweep_fixture()[0]]
         truth = sweep_fixture()[1]
         described = count_calls(monkeypatch, features.describe_cloud)
-        registered = count_calls(monkeypatch, run_sequence)
+        pairs = count_calls(monkeypatch, register.register_pair)
         run_gamma_sweep(
             frames,
             truth.probes,
@@ -320,19 +338,19 @@ class TestRunGammaSweep:
             id(f.object_cloud) for f in frames
         )
         assert {ident for ident, _ in described} == {main}
-        # The first gamma registers on the main thread, the later ones on
-        # one worker.
-        assert [config.gamma_t for _, _, config, _ in registered] == [0.0, 5.0, 15.0]
-        threads = [ident for ident, *_ in registered]
-        assert threads[0] == main
-        assert threads[1] == threads[2] != main
+        # Every pair of every gamma, in grid order, registers on one thread
+        # that is not the caller's.
+        gammas = [config.gamma_t for _, _, _, _, _, config, _ in pairs]
+        assert gammas == [g for g in (0.0, 5.0, 15.0) for _ in frames[1:]]
+        threads = {ident for ident, *_ in pairs}
+        assert len(threads) == 1 and main not in threads
 
     def test_failed_middle_gamma_records_nan_and_the_sweep_goes_on(
         self, monkeypatch, caplog
     ):
         frames, truth, fixture = sweep_fixture()
-        diverging = registration_failing_at(5.0, DivergenceError("scripted divergence"))
-        monkeypatch.setattr(metrics, "run_sequence", diverging)
+        diverging = chain_failing_at(5.0, DivergenceError("scripted divergence"))
+        monkeypatch.setattr(register, "_register_chain", diverging)
         result = run_gamma_sweep(
             frames,
             truth.probes,
@@ -348,8 +366,8 @@ class TestRunGammaSweep:
     def test_worker_error_propagates_and_the_worker_stops(self, monkeypatch):
         frames, truth, _ = sweep_fixture()
         threads_before = threading.active_count()
-        failing = registration_failing_at(5.0, RuntimeError("registration bug"))
-        monkeypatch.setattr(metrics, "run_sequence", failing)
+        failing = chain_failing_at(5.0, RuntimeError("registration bug"))
+        monkeypatch.setattr(register, "_register_chain", failing)
         with pytest.raises(RuntimeError, match="registration bug"):
             run_gamma_sweep(
                 frames,
@@ -359,6 +377,74 @@ class TestRunGammaSweep:
                 **sweep_volume(truth),
                 intrinsics=INTRINSICS,
             )
+        assert threading.active_count() == threads_before
+
+    def test_every_gamma_registers_on_one_worker(self, monkeypatch):
+        frames, truth, fixture = sweep_fixture()
+        threads_before = own_thread_count()
+        running = []
+        real = register.register_pair
+
+        def counted(*args):
+            running.append(own_thread_count())
+            return real(*args)
+
+        monkeypatch.setattr(register, "register_pair", counted)
+        result = run_gamma_sweep(
+            frames,
+            truth.probes,
+            truth.expected,
+            (0.0, 5.0, 15.0),
+            **sweep_volume(truth),
+            intrinsics=INTRINSICS,
+        )
+        assert len(running) == 3 * (len(frames) - 1)
+        assert max(running) == threads_before + 1
+        assert threading.active_count() == threads_before
+        assert cell_bits(result.cells_at(15.0)) == cell_bits(fixture.cells_at(15.0))
+
+    @pytest.mark.parametrize(
+        "failing, message",
+        [
+            ("describe", "describe failed"),
+            # The first gamma registers frame 2's pair before it meets frame 3.
+            ("both", "pair failed"),
+        ],
+    )
+    def test_value_error_propagates_and_the_worker_ends(self, monkeypatch, failing, message):
+        frames = [replace(f) for f in sweep_fixture()[0]]
+        truth = sweep_fixture()[1]
+        frame_3 = frames[3].object_cloud
+        monkeypatch.setattr(
+            preprocess,
+            "describe_cloud",
+            failing_for(
+                preprocess.describe_cloud,
+                lambda cloud: cloud is frame_3,
+                ValueError("describe failed"),
+            ),
+        )
+        if failing == "both":
+            monkeypatch.setattr(
+                register,
+                "register_pair",
+                failing_for(
+                    register.register_pair,
+                    lambda prev, curr, *rest: curr.frame_index == frames[2].frame_index,
+                    ValueError("pair failed"),
+                ),
+            )
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match=message):
+            run_gamma_sweep(
+                frames,
+                truth.probes,
+                truth.expected,
+                (0.0, 5.0, 15.0),
+                **sweep_volume(truth),
+                intrinsics=INTRINSICS,
+            )
+        # The worker ended, so no gamma waits on frame 3 or any later frame.
         assert threading.active_count() == threads_before
 
     def test_sweep_is_deterministic(self):

@@ -31,6 +31,7 @@ from inhand.register import (
     detector_correspondences,
     refine_icp,
     register_pair,
+    registrations,
     run_sequence,
     sparse_energy,
 )
@@ -531,6 +532,28 @@ class TestOverlappedSequence:
         with pytest.raises(ValueError, match=message):
             run_sequence(frames, RegistrationConfig(), INTRINSICS)
         assert threading.active_count() == before
+
+    def test_every_config_registers_on_one_worker_as_its_own_serial_loop(self, monkeypatch):
+        configs = (RegistrationConfig(gamma_t=0.0), RegistrationConfig(use_icp=False))
+        wants = [serial_sequence(exact_sequence(n_frames=5)[0], c) for c in configs]
+        frames, _ = exact_sequence(n_frames=5)
+        pairs = record_threads(monkeypatch, register, "register_pair")
+        with registrations(frames, configs, INTRINSICS) as chains:
+            got = [chain.result() for chain in chains]
+        for result, want in zip(got, wants):
+            assert_same_registration(result, want)
+        assert len(pairs) == 2 * (len(frames) - 1)
+        assert len(set(pairs)) == 1 and threading.current_thread() not in pairs
+
+    def test_leaving_early_ends_the_worker(self):
+        frames, _ = exact_sequence(n_frames=5)
+        configs = [RegistrationConfig(gamma_t=g) for g in (0.0, 5.0, 15.0)]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="left early"):
+            with registrations(frames, configs, INTRINSICS) as chains:
+                raise RuntimeError("left early")
+        assert threading.active_count() == before
+        assert all(chain.done() for chain in chains)
 
 
 def plane_depth_patch(box_x, box_y, size, rotation_deg, center=(0.0, 0.0, 500.0)):
