@@ -49,7 +49,6 @@ from .register import (
     align_sparse,
     build_correspondences,
     registrations,
-    run_sequence,
 )
 
 log = logging.getLogger(__name__)
@@ -82,14 +81,15 @@ def reconstruct(
 ) -> tuple[SequenceResult, TriangleMesh]:
     """Register a sequence, fuse the registered frames, and mesh the volume.
 
-    The frames are registered by :func:`run_sequence` and integrated at
+    The frames are registered as :func:`run_sequence` does and integrated at
     their poses into a TSDF cube of ``side_mm`` and ``resolution`` voxels
     centred on ``volume_center``; the extracted mesh is smoothed for
     ``smooth_iterations``.  When a sequence of several frames registers
     nothing beyond frame 0 this raises :class:`DivergenceError` instead of
     meshing a single view.
     """
-    result = _registered(frames, run_sequence(frames, config, intrinsics))
+    with registrations(frames, (config,), intrinsics) as (registration,):
+        result = _registered(frames, registration.result())
     return result, _fuse(
         frames, result, volume_center, side_mm, resolution, smooth_iterations
     )

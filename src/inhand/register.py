@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator, Sequence
@@ -331,8 +331,9 @@ def registrations(
     """Register ``frames`` once per config; yield each config's ``Future``.
 
     A future resolves to that config's :class:`SequenceResult`, or raises
-    the first error of its serial pair loop.  Leaving the block cancels the
-    registrations not yet started and waits for the running one.
+    the first error of its :func:`run_sequence` pair loop.  Leaving the
+    block cancels the registrations not yet started and waits for the
+    running one.
 
     Threads: the calling thread describes every frame in order (each
     frame's ``features``), and one worker thread registers every pair of
@@ -347,29 +348,46 @@ def registrations(
     described = [Future() for _ in frames]
     worker = ThreadPoolExecutor(max_workers=1)
     try:
+        # The loop keeps run_sequence's name: the benchmark's tracer counts a
+        # registration's frames, skips and metascan on run_sequence spans.
         chains = tuple(
-            worker.submit(_register_chain, frames, described, config, intrinsics)
+            worker.submit(run_sequence, frames, config, intrinsics, described=described)
             for config in configs
         )
-        for frame, done in zip(frames, described):
+        for i, frame in enumerate(frames):
             try:
                 frame.features
-            except Exception as exc:
-                done.set_exception(exc)  # every chain stops at this frame
+            except BaseException as exc:
+                for done in described[i:]:  # every chain stops at this frame
+                    done.set_exception(exc)
+                if not isinstance(exc, Exception):
+                    raise
                 break
-            done.set_result(None)
+            described[i].set_result(None)
         yield chains
     finally:
-        for done in described:  # no chain is left waiting on a frame
-            if not done.done():
-                done.set_exception(CancelledError("frame left undescribed"))
         worker.shutdown(cancel_futures=True)
 
 
-def _register_chain(
-    frames, described: list[Future], config: RegistrationConfig, intrinsics: CameraIntrinsics
+def run_sequence(
+    frames: Sequence[SegmentedFrame],
+    config: RegistrationConfig,
+    intrinsics: CameraIntrinsics,
+    *,
+    described: Sequence[Future] | None = None,
 ) -> SequenceResult:
-    """One config's serial pair loop, on the worker of :func:`registrations`."""
+    """Register a whole sequence; frame 0 anchors the world frame.
+
+    Frames whose sparse stage is under-constrained or whose registration
+    diverges are skipped, and the next frame is aligned against the last
+    successfully registered one, over the same metascan.  Threads divide
+    the work as :func:`registrations` states.  That worker runs this
+    serial pair loop once per config, with ``described``: one future per
+    frame, resolved once the frame is described.
+    """
+    if described is None:
+        with registrations(frames, (config,), intrinsics) as (chain,):
+            return chain.result()
     prev, world_prev = frames[0], RigidTransform.identity()
     metascan = Metascan()
     metascan.append(prev.object_cloud.points)
@@ -386,19 +404,3 @@ def _register_chain(
         poses.append(pose)
         prev, world_prev = curr, pose.world_from_frame
     return SequenceResult(tuple(poses), metascan, tuple(skipped))
-
-
-def run_sequence(
-    frames: Sequence[SegmentedFrame],
-    config: RegistrationConfig,
-    intrinsics: CameraIntrinsics,
-) -> SequenceResult:
-    """Register a whole sequence; frame 0 anchors the world frame.
-
-    Frames whose sparse stage is under-constrained or whose registration
-    diverges are skipped, and the next frame is aligned against the last
-    successfully registered one, over the same metascan.  Threads divide
-    the work as :func:`registrations` states.
-    """
-    with registrations(frames, (config,), intrinsics) as (chain,):
-        return chain.result()

@@ -100,13 +100,13 @@ def cell_bits(cells):
 
 
 def chain_failing_at(gamma, error):
-    """``register._register_chain`` that raises ``error`` for one gamma only."""
-    real = register._register_chain
+    """The worker's ``register.run_sequence`` that raises ``error`` for one gamma only."""
+    real = register.run_sequence
 
-    def run(frames, described, config, intrinsics):
+    def run(frames, config, intrinsics, **kwargs):
         if config.gamma_t == gamma:
             raise error
-        return real(frames, described, config, intrinsics)
+        return real(frames, config, intrinsics, **kwargs)
 
     return run
 
@@ -350,7 +350,7 @@ class TestRunGammaSweep:
     ):
         frames, truth, fixture = sweep_fixture()
         diverging = chain_failing_at(5.0, DivergenceError("scripted divergence"))
-        monkeypatch.setattr(register, "_register_chain", diverging)
+        monkeypatch.setattr(register, "run_sequence", diverging)
         result = run_gamma_sweep(
             frames,
             truth.probes,
@@ -367,7 +367,7 @@ class TestRunGammaSweep:
         frames, truth, _ = sweep_fixture()
         threads_before = threading.active_count()
         failing = chain_failing_at(5.0, RuntimeError("registration bug"))
-        monkeypatch.setattr(register, "_register_chain", failing)
+        monkeypatch.setattr(register, "run_sequence", failing)
         with pytest.raises(RuntimeError, match="registration bug"):
             run_gamma_sweep(
                 frames,
@@ -480,7 +480,7 @@ class TestRunGammaSweep:
             raise AssertionError("a gamma ran before the grid was checked")
 
         monkeypatch.setattr("inhand.metrics._measure_at_gamma", must_not_run)
-        monkeypatch.setattr("inhand.metrics.run_sequence", must_not_run)
+        monkeypatch.setattr("inhand.metrics.registrations", must_not_run)
         with pytest.raises(ValueError, match="finite"):
             run_gamma_sweep(
                 frames,

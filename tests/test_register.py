@@ -2,7 +2,9 @@
 
 import functools
 import math
+import signal
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -465,6 +467,22 @@ def record_threads(monkeypatch, module, name, fail_on=None, error=None):
     return threads
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail the test with ``TimeoutError`` if the block still runs after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestOverlappedSequence:
     """``run_sequence`` registers every pair on a worker while it describes the next frame."""
 
@@ -512,6 +530,8 @@ class TestOverlappedSequence:
         [
             ("pair", "pair failed"),
             ("describe", "describe failed"),
+            # Frame 0 has no pair of its own: its error stops frame 1's.
+            ("first describe", "describe failed"),
             # The serial loop registers a pair before it describes the next frame.
             ("both", "pair failed"),
         ],
@@ -523,13 +543,14 @@ class TestOverlappedSequence:
             record_threads(
                 monkeypatch, register, "refine_icp", fail_on=2, error=ValueError("pair failed")
             )
-        if failing in ("describe", "both"):
+        if failing != "pair":
             record_threads(
-                monkeypatch, preprocess, "describe_cloud", fail_on=4,
+                monkeypatch, preprocess, "describe_cloud",
+                fail_on=1 if failing == "first describe" else 4,
                 error=ValueError("describe failed"),
             )
         before = threading.active_count()
-        with pytest.raises(ValueError, match=message):
+        with deadline(60), pytest.raises(ValueError, match=message):
             run_sequence(frames, RegistrationConfig(), INTRINSICS)
         assert threading.active_count() == before
 

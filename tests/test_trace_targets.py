@@ -52,7 +52,8 @@ COUNTERS = {
 }
 
 
-def test_traced_reconstruct_records_the_library_results(tmp_path):
+def traced_run(tmp_path, command, *args):
+    """Spans of ``command`` traced on a small synthetic sphere in ``tmp_path/seq``."""
     seq = tmp_path / "seq"
     code = cli.main([
         "synth", "--shape", "sphere", "--diameter", "30", "--density", "0.25",
@@ -67,12 +68,17 @@ def test_traced_reconstruct_records_the_library_results(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     child = subprocess.run(
         [sys.executable, str(TRACING), str(spans_path),
-         "reconstruct", str(seq / "manifest.json"), "--out", str(tmp_path / "out")],
+         command, str(seq / "manifest.json"), *args, "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
     trace = json.loads(spans_path.read_text())
     assert trace["exit_code"] == 0 and trace["missing"] == []
+    return seq, trace
+
+
+def test_traced_reconstruct_records_the_library_results(tmp_path):
+    seq, trace = traced_run(tmp_path, "reconstruct")
 
     assert set(COUNTERS) == set(load_tracing().AFTER)
     spans = trace["spans"]
@@ -84,3 +90,10 @@ def test_traced_reconstruct_records_the_library_results(tmp_path):
     frames = load_frames(load_manifest(seq / "manifest.json"))
     detected = [s["keypoints"] for s in spans if s["name"] == "features.detect_iss_keypoints"]
     assert sorted(detected) == sorted(len(f.features[0]) for f in frames)
+
+
+def test_traced_sweep_records_one_registration_per_gamma(tmp_path):
+    _, trace = traced_run(tmp_path, "eval", "--sweep-gammas", "0,15")
+    runs = [s for s in trace["spans"] if s["name"] == "register.run_sequence"]
+    assert len(runs) == 2
+    assert all(s["frames"] == 3 and s["metascan_points"] > 0 for s in runs)
