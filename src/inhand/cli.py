@@ -228,7 +228,7 @@ def cmd_reconstruct(args) -> int:
         use_detector=args.use_detector,
         use_icp=not args.no_icp,
     )
-    if config.use_contact and config.gamma_t > 0.0:
+    if config.contact_term_on:
         if handless := [f.index for f in manifest.frames if f.hand_path is None]:
             raise ManifestError(
                 f"{args.manifest}: frame {handless[0]} has no hand file; the contact "

@@ -231,8 +231,6 @@ def _describe_all(cloud: PointCloud, rows: np.ndarray) -> np.ndarray:
 def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:
     """Per-row nearest column passing the Lowe ratio test; -1 otherwise."""
     out = np.full(dmat.shape[0], -1, dtype=np.int64)
-    if dmat.shape[1] == 0:
-        return out
     best = np.argmin(dmat, axis=1)
     d1 = dmat[np.arange(len(best)), best]
     if dmat.shape[1] == 1:

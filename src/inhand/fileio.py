@@ -455,6 +455,8 @@ def load_ground_truth(path) -> GroundTruth:
         )
         if any(a.points_a.shape != a.points_b.shape for a in annotations):
             raise ValueError("an annotation pairs point lists of different lengths")
+        if any(len(a.points_a) == 0 for a in annotations):
+            raise ValueError("an annotation has no point pairs")
         expected = {str(k): float(v) for k, v in dict(payload["expected"]).items()}
         for p in probes:
             if not 0.0 < expected.get(p.name, math.nan) < math.inf:

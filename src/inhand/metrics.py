@@ -360,6 +360,8 @@ def compare_energies(
     annotations = list(annotations)
     if not annotations:
         raise EmptyInputError("sequence carries no annotated pairs")
+    if empty := [(a.frame_a, a.frame_b) for a in annotations if len(a.points_a) == 0]:
+        raise EmptyInputError(f"annotation of frames {empty[0]} has no point pairs")
     by_index = {f.frame_index: f for f in frames}
     config = RegistrationConfig(use_detector=True)
 

@@ -5,7 +5,8 @@ weighted least-squares problem over all available sparse correspondence
 sets (2D feature matches, 3D feature matches, hand-contact pairs, and
 optionally detector-box pairs).  The result is composed with the previous
 frame's world pose and then refined by point-to-point ICP against the
-metascan — the running accumulation of every previously registered cloud.
+metascan: an ``(M, 3)`` array of every previously registered cloud, which
+each chain's :func:`run_sequence` owns and merges into.
 Keypoints, descriptors and contact states belong to one frame and are
 cached on it (:class:`SegmentedFrame`); a pair only matches them.
 :func:`registrations` states which thread does which part of that work.
@@ -17,7 +18,7 @@ import logging
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
@@ -70,6 +71,11 @@ class RegistrationConfig:
         if not (math.isfinite(self.gamma_t) and self.gamma_t >= 0.0):
             raise ValueError(f"gamma_t must be finite and nonnegative, got {self.gamma_t}")
 
+    @property
+    def contact_term_on(self) -> bool:
+        """The contact term is on when ``use_contact`` is set and ``gamma_t > 0``."""
+        return self.use_contact and self.gamma_t > 0.0
+
     def set_weight(self, tag: str) -> float:
         return self.gamma_t if tag in _GAMMA_TAGS else 1.0
 
@@ -77,37 +83,13 @@ class RegistrationConfig:
 METASCAN_VOXEL_MM = 2.0
 
 
-class Metascan:
-    """World-frame accumulation of all registered object clouds.
+def merge_metascan(metascan: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``metascan`` with world-frame ``points`` merged in, as a new ``(M, 3)`` array.
 
-    Every appended cloud is merged into a grid of voxels
-    :data:`METASCAN_VOXEL_MM` on a side where the earliest point in a voxel
-    wins, so the structure grows by filling previously unseen voxels only.
-    The kd-tree over the points is rebuilt lazily after each append.
+    Each voxel :data:`METASCAN_VOXEL_MM` on a side keeps its earliest point.
     """
-
-    def __init__(self) -> None:
-        self._points = np.empty((0, 3), dtype=np.float64)
-        self._index: cKDTree | None = None
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points
-
-    @property
-    def index(self) -> cKDTree:
-        if self._index is None:
-            self._index = cKDTree(self._points)
-        return self._index
-
-    def append(self, points: np.ndarray) -> None:
-        """Merge ``(N, 3)`` float64 world-frame points."""
-        merged = np.vstack([self._points, points])
-        self._points = merged[voxel_downsample_indices(merged, METASCAN_VOXEL_MM)]
-        self._index = None
+    merged = np.vstack([metascan, points])
+    return merged[voxel_downsample_indices(merged, METASCAN_VOXEL_MM)]
 
 
 @dataclass(frozen=True)
@@ -118,7 +100,7 @@ class FramePose:
     world_from_frame: RigidTransform
     sparse_residual: float
     icp_residual: float
-    correspondence_counts: dict[str, int] = field(default_factory=dict)
+    correspondence_counts: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -174,16 +156,16 @@ def align_sparse(
 
 def refine_icp(
     pts: np.ndarray,
-    metascan: Metascan,
+    metascan: np.ndarray,
     config: RegistrationConfig = RegistrationConfig(),
 ) -> IcpResult:
     """Point-to-point ICP of the ``(N, 3)`` float64 ``pts`` against the metascan.
 
-    ``pts`` must already carry the sparse alignment (world frame).
-    Each iteration pairs every source point with its nearest metascan
-    point, keeps pairs within ``icp_max_dist``, solves for the rigid
-    increment, and records the post-update RMS over those pairs.  Returns
-    the accumulated incremental transform.
+    ``pts`` must already carry the sparse alignment (world frame).  One
+    kd-tree over the ``metascan`` array serves every iteration, which pairs
+    each source point with its nearest metascan point, keeps pairs within
+    ``icp_max_dist``, solves for the rigid increment, and records the
+    post-update RMS over those pairs.  Returns the accumulated transform.
     """
     if len(metascan) == 0:
         raise EmptyInputError("metascan is empty")
@@ -191,6 +173,7 @@ def refine_icp(
     # in the source's own kd-tree leaf order, neighbouring queries walk the
     # same branches of the metascan's tree, which is faster.
     order = cKDTree(pts).indices
+    index = cKDTree(metascan)
     dist = np.empty(len(pts))
     idx = np.empty(len(pts), dtype=np.intp)
     t = RigidTransform.identity()
@@ -199,7 +182,7 @@ def refine_icp(
     pair_count = 0
     for iteration in range(config.icp_max_iters):
         moved = t.apply(pts)
-        dist[order], idx[order] = metascan.index.query(moved[order], workers=-1)
+        dist[order], idx[order] = index.query(moved[order], workers=-1)
         in_range = dist <= config.icp_max_dist
         pair_count = int(in_range.sum())
         if pair_count < 3:
@@ -207,7 +190,7 @@ def refine_icp(
                 f"{pair_count} ICP pairs within {config.icp_max_dist} mm "
                 f"at iteration {iteration}"
             )
-        targets = metascan.points[idx[in_range]]
+        targets = metascan[idx[in_range]]
         delta = solve_weighted_rigid(moved[in_range], targets)
         t = delta.compose(t)
         res = t.apply(pts[in_range]) - targets
@@ -265,7 +248,7 @@ def build_correspondences(
     if curr.feat2d_matches is not None and prev.frame_index == curr.frame_index - 1:
         pixel_pairs, src_d, tgt_d = curr.feat2d_matches
         sets.append(load_feat2d(pixel_pairs, src_d, tgt_d, intrinsics))
-    if config.use_contact and config.gamma_t > 0.0 and curr.contact and prev.contact:
+    if config.contact_term_on and curr.contact and prev.contact:
         sets.append(
             contact_correspondences(curr.hand_pose, prev.hand_pose, curr.contact, prev.contact)
         )
@@ -289,14 +272,14 @@ def _pair_rms(sets: list[CorrespondenceSet], transform: RigidTransform) -> float
 def register_pair(
     prev: SegmentedFrame,
     curr: SegmentedFrame,
-    metascan: Metascan,
+    metascan: np.ndarray,
     world_from_prev: RigidTransform,
     config: RegistrationConfig,
     intrinsics: CameraIntrinsics,
 ) -> FramePose:
-    """Register ``curr`` against ``prev`` and refine against the metascan.
+    """Register ``curr`` against ``prev`` and refine against the ``metascan`` array.
 
-    On success the transformed object cloud is appended to the metascan.
+    Returns the pose and changes no argument; the caller merges the cloud.
     An under-constrained sparse stage and ICP divergence both propagate,
     so the caller can skip the frame.
     """
@@ -306,19 +289,20 @@ def register_pair(
     sparse_rms = _pair_rms(sets, t_pair)
     world = world_from_prev.compose(t_pair)
     icp_rms = float("nan")
-    if config.use_icp and len(metascan) > 0:
+    if config.use_icp:
         result = refine_icp(world.apply(curr.object_cloud.points), metascan, config)
         world = result.transform.compose(world)
         icp_rms = result.rms_history[-1]
         counts["icp"] = result.pair_count
-    metascan.append(world.apply(curr.object_cloud.points))
     return FramePose(curr.frame_index, world, sparse_rms, icp_rms, counts)
 
 
 @dataclass(frozen=True)
 class SequenceResult:
+    """One config's registration; ``metascan`` is :func:`run_sequence`'s array."""
+
     poses: tuple[FramePose, ...]
-    metascan: Metascan
+    metascan: np.ndarray
     skipped: tuple[int, ...]
 
 
@@ -339,9 +323,9 @@ def registrations(
     frame's ``features``), and one worker thread registers every pair of
     every config, config after config, and detects contact (each frame's
     ``contact``), so no cached property of a frame is computed on two
-    threads.  A pair waits until its frame is described.  Poses, skips and
-    the metascan are those of the serial loop, bit for bit, and an error of
-    a pair comes out before an error of a later frame's description.
+    threads.  A pair waits until its frame is described.  Each config's
+    :func:`run_sequence` owns its chain's poses, skips and metascan array.
+    An error of a pair comes out before one of a later frame's description.
     """
     if not frames:
         raise EmptyInputError("no frames to register")
@@ -374,23 +358,18 @@ def run_sequence(
     config: RegistrationConfig,
     intrinsics: CameraIntrinsics,
     *,
-    described: Sequence[Future] | None = None,
+    described: Sequence[Future],
 ) -> SequenceResult:
-    """Register a whole sequence; frame 0 anchors the world frame.
+    """The pair loop of one config that :func:`registrations` runs on its worker.
 
-    Frames whose sparse stage is under-constrained or whose registration
-    diverges are skipped, and the next frame is aligned against the last
-    successfully registered one, over the same metascan.  Threads divide
-    the work as :func:`registrations` states.  That worker runs this
-    serial pair loop once per config, with ``described``: one future per
-    frame, resolved once the frame is described.
+    ``described`` holds one future per frame, resolved once it is described.
+    Frame 0 anchors the world frame.  The loop owns the chain: the poses, the
+    skips and the metascan array, into which it merges each registered
+    frame's world-frame cloud.  An under-constrained or diverging frame is
+    skipped, and the next is aligned against the last registered one.
     """
-    if described is None:
-        with registrations(frames, (config,), intrinsics) as (chain,):
-            return chain.result()
     prev, world_prev = frames[0], RigidTransform.identity()
-    metascan = Metascan()
-    metascan.append(prev.object_cloud.points)
+    metascan = merge_metascan(np.empty((0, 3)), prev.object_cloud.points)
     poses = [FramePose(prev.frame_index, world_prev, float("nan"), float("nan"), {})]
     skipped: list[int] = []
     for curr, done in zip(frames[1:], described[1:]):
@@ -403,4 +382,5 @@ def run_sequence(
             continue
         poses.append(pose)
         prev, world_prev = curr, pose.world_from_frame
+        metascan = merge_metascan(metascan, world_prev.apply(curr.object_cloud.points))
     return SequenceResult(tuple(poses), metascan, tuple(skipped))

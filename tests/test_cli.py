@@ -262,6 +262,12 @@ def truth_annotation_sides_differ(work):
     return "ground_truth.json"
 
 
+def annotation_without_points(work):
+    blank = {"points_a": [], "points_b": []}
+    edit_json(work / "ground_truth.json", lambda p: p["annotations"][0].update(blank))
+    return "ground_truth.json"
+
+
 def boxes_change_size(work):
     bad = work / "frames" / "frame_003_boxes.json"
     edit_json(bad, lambda p: p["boxes"][0].update(width=1, depth=[[500.0]], height=1))
@@ -477,6 +483,7 @@ class TestReconstruct:
             manifest_voxels_too_large,
             manifest_focal_length_not_a_number,
             truth_annotation_sides_differ,
+            annotation_without_points,
             boxes_change_size,
             box_depth_infinite,
         ):

@@ -1,4 +1,4 @@
-"""Every module-level name and class member in ``src/inhand`` is used in ``src/inhand``."""
+"""Every module-level name in ``src/inhand`` is used there, and every class member read."""
 
 import ast
 import tokenize
@@ -17,12 +17,16 @@ ALLOWED = {
 }
 
 # The only methods, properties and dataclass fields no line of the package
-# refers to.
+# reads as an attribute.
 ALLOWED_MEMBERS = {
     # ROADMAP item 1 reports it.
     ("contact", "ContactState.threshold_used"),
     # ROADMAP item 1 reports it.
     ("synth", "GroundTruth.pair_truth"),
+    # Only the benchmark's tracer and the tests read it.
+    ("register", "SequenceResult.metascan"),
+    # test_synth checks the frames against this reference sample.
+    ("synth", "GroundTruth.canonical_cloud"),
 }
 
 
@@ -40,7 +44,7 @@ def module_level_names(tree):
 
 
 def class_members(tree):
-    """``(class, member, line)`` of each method, property and annotated field.
+    """``(class, member)`` of each method, property and annotated field.
 
     Dunder methods are left out: Python calls them, not a line of the package.
     """
@@ -55,7 +59,7 @@ def class_members(tree):
             else:
                 continue
             if not (name.startswith("__") and name.endswith("__")):
-                yield node.name, name, item.lineno
+                yield node.name, name
 
 
 def name_uses():
@@ -74,6 +78,21 @@ def parsed_sources():
         yield path.stem, ast.parse(path.read_text(), str(path))
 
 
+def attribute_reads():
+    """Each name the package reads as an attribute, as in ``obj.name``.
+
+    A write (``obj.name = ...``), a keyword argument or a local variable of
+    the same name is not a read, so a field that is only ever written counts
+    as unused.
+    """
+    return {
+        node.attr
+        for _, tree in parsed_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_module_level_name_is_used_in_the_package():
     used = name_uses()
     unused = set()
@@ -85,10 +104,11 @@ def test_every_module_level_name_is_used_in_the_package():
 
 
 def test_every_class_member_is_used_in_the_package():
-    used = name_uses()
-    unused = set()
-    for stem, tree in parsed_sources():
-        for cls, name, line in class_members(tree):
-            if not used.get(name, set()) - {(stem, line)}:
-                unused.add((stem, f"{cls}.{name}"))
+    reads = attribute_reads()
+    unused = {
+        (stem, f"{cls}.{name}")
+        for stem, tree in parsed_sources()
+        for cls, name in class_members(tree)
+        if name not in reads
+    }
     assert unused == ALLOWED_MEMBERS

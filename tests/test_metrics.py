@@ -26,7 +26,7 @@ from inhand.register import (
     RegistrationConfig,
     align_sparse,
     build_correspondences,
-    run_sequence,
+    registrations,
 )
 from inhand.synth import (
     Annotation,
@@ -298,7 +298,8 @@ class TestRunGammaSweep:
         truth = sweep_fixture()[1]
         keypoint_calls = count_calls(monkeypatch, features.detect_iss_keypoints)
         contact_calls = count_calls(monkeypatch, contact.detect_contacts)
-        run_sequence(frames, RegistrationConfig(), INTRINSICS)
+        with registrations(frames, (RegistrationConfig(),), INTRINSICS) as (chain,):
+            chain.result()
         run_gamma_sweep(
             frames,
             truth.probes,
@@ -604,6 +605,13 @@ class TestCompareEnergies:
         frames, _ = noiseless_sequence()
         with pytest.raises(EmptyInputError):
             compare_energies(frames, [], intrinsics=INTRINSICS)
+
+    def test_annotation_without_points_refused(self):
+        frames, truth = noiseless_sequence()
+        ann = truth.annotations[0]
+        blank = Annotation(ann.frame_a, ann.frame_b, np.empty((0, 3)), np.empty((0, 3)))
+        with pytest.raises(EmptyInputError, match="no point pairs"):
+            compare_energies(frames, [*truth.annotations, blank], intrinsics=INTRINSICS)
 
     def test_annotation_must_reference_known_frames(self):
         frames, truth = noiseless_sequence()

@@ -27,18 +27,24 @@ from inhand.geometry import (
 )
 from inhand.preprocess import DetectorBox, SegmentedFrame
 from inhand.register import (
-    Metascan,
     RegistrationConfig,
     align_sparse,
     detector_correspondences,
+    merge_metascan,
     refine_icp,
     register_pair,
     registrations,
-    run_sequence,
     sparse_energy,
 )
 
 INTRINSICS = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
+NO_POINTS = np.empty((0, 3))
+
+
+def register_all(frames, config):
+    """``frames`` registered under the one ``config``, as ``registrations`` does it."""
+    with registrations(frames, (config,), INTRINSICS) as (chain,):
+        return chain.result()
 
 
 def blob_cloud(n=1500, seed=3, radius=30.0):
@@ -140,14 +146,12 @@ class TestAlignSparse:
 
 class TestRefineIcp:
     def make_metascan(self):
-        scan = Metascan()
-        scan.append(blob_cloud(4000).points)
-        return scan
+        return merge_metascan(NO_POINTS, blob_cloud(4000).points)
 
     def test_recovers_two_mm_translation(self):
         scan = self.make_metascan()
         shift = np.array([2.0, 0.0, 0.0])
-        result = refine_icp(scan.points + shift, scan)
+        result = refine_icp(scan + shift, scan)
         assert len(result.rms_history) < 20
         err = np.linalg.norm(result.transform.translation + shift)
         assert err < 1e-3
@@ -155,7 +159,7 @@ class TestRefineIcp:
 
     def test_identity_on_exact_overlap(self):
         scan = self.make_metascan()
-        result = refine_icp(scan.points.copy(), scan)
+        result = refine_icp(scan.copy(), scan)
         assert result.rms_history[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(result.transform.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(result.transform.translation, 0.0, atol=1e-12)
@@ -164,7 +168,7 @@ class TestRefineIcp:
         # Far enough that every source point is > 5 mm from the metascan.
         scan = self.make_metascan()
         with pytest.raises(DivergenceError):
-            refine_icp(scan.points + np.array([150.0, 0.0, 0.0]), scan)
+            refine_icp(scan + np.array([150.0, 0.0, 0.0]), scan)
 
     def test_rms_non_increasing(self):
         scan = self.make_metascan()
@@ -175,31 +179,32 @@ class TestRefineIcp:
                 rotation_about_axis(axis, math.radians(rng.uniform(0, 2.0))),
                 rng.uniform(-1.5, 1.5, size=3),
             )
-            result = refine_icp(t.apply(scan.points), scan)
+            result = refine_icp(t.apply(scan), scan)
             diffs = np.diff(result.rms_history)
             assert np.all(diffs <= 1e-9)
 
     def test_empty_metascan(self):
         with pytest.raises(EmptyInputError):
-            refine_icp(np.zeros((5, 3)), Metascan())
+            refine_icp(np.zeros((5, 3)), NO_POINTS)
 
 
 def row_order_icp(source, metascan, config=RegistrationConfig()):
     """``refine_icp`` as it was before the leaf-order query: one query of
     the moved points in row order per iteration."""
     pts = np.asarray(source, dtype=np.float64).reshape(-1, 3)
+    index = cKDTree(metascan)
     t = RigidTransform.identity()
     history = []
     prev_rms = None
     pair_count = 0
     for iteration in range(config.icp_max_iters):
         moved = t.apply(pts)
-        dist, idx = metascan.index.query(moved)
+        dist, idx = index.query(moved)
         in_range = dist <= config.icp_max_dist
         pair_count = int(in_range.sum())
         if pair_count < 3:
             raise DivergenceError(f"{pair_count} pairs at iteration {iteration}")
-        targets = metascan.points[idx[in_range]]
+        targets = metascan[idx[in_range]]
         delta = solve_weighted_rigid(moved[in_range], targets)
         t = delta.compose(t)
         res = t.apply(pts[in_range]) - targets
@@ -214,10 +219,9 @@ def row_order_icp(source, metascan, config=RegistrationConfig()):
 @pytest.mark.parametrize("n_source", [3000, 12])
 def test_icp_matches_row_order_to_the_bit(n_source):
     rng = np.random.default_rng(n_source)
-    scan = Metascan()
-    scan.append(blob_cloud(8000).points)
+    scan = merge_metascan(NO_POINTS, blob_cloud(8000).points)
     rows = rng.choice(len(scan), n_source, replace=False)  # a shuffled cloud
-    source = rigid((1.0, 2.0, 0.5), 1.5, (1.2, -0.8, 0.4)).apply(scan.points[rows])
+    source = rigid((1.0, 2.0, 0.5), 1.5, (1.2, -0.8, 0.4)).apply(scan[rows])
     # A tenth of the rows lie beyond the 5 mm gate, so each solve sees a
     # masked subset of the rows.
     far = rng.choice(n_source, n_source // 10, replace=False)
@@ -233,23 +237,14 @@ def test_icp_matches_row_order_to_the_bit(n_source):
 
 class TestMetascan:
     def test_keep_first_merge(self):
-        scan = Metascan()
         first = np.array([[0.1, 0.1, 0.1], [5.0, 5.0, 5.0]])
-        scan.append(first)
+        scan = merge_metascan(NO_POINTS, first)
         # A near-duplicate in an occupied voxel is discarded; a point in a
         # fresh voxel is kept.
-        scan.append(np.array([[0.3, 0.2, 0.2], [9.0, 9.0, 9.0]]))
+        scan = merge_metascan(scan, np.array([[0.3, 0.2, 0.2], [9.0, 9.0, 9.0]]))
         assert len(scan) == 3
-        assert any(np.array_equal(p, first[0]) for p in scan.points)
-        assert any(np.array_equal(p, [9.0, 9.0, 9.0]) for p in scan.points)
-
-    def test_index_consistent_after_append(self):
-        scan = Metascan()
-        scan.append(blob_cloud(500, seed=1).points)
-        scan.append(blob_cloud(500, seed=2).points + 100.0)
-        dist, idx = scan.index.query(scan.points)
-        np.testing.assert_array_equal(idx, np.arange(len(scan)))
-        assert np.all(dist == 0.0)
+        assert any(np.array_equal(p, first[0]) for p in scan)
+        assert any(np.array_equal(p, [9.0, 9.0, 9.0]) for p in scan)
 
 
 def hand_on(cloud: PointCloud, seed=11, pad_size=45):
@@ -293,8 +288,7 @@ class TestRegisterPair:
     def test_identical_frames_give_identity(self):
         frames, _ = exact_sequence(n_frames=1)
         twin = SegmentedFrame(1, frames[0].object_cloud, frames[0].hand_pose)
-        scan = Metascan()
-        scan.append(frames[0].object_cloud.points)
+        scan = merge_metascan(NO_POINTS, frames[0].object_cloud.points)
         pose = register_pair(
             frames[0], twin, scan, RigidTransform.identity(), RegistrationConfig(), INTRINSICS
         )
@@ -306,8 +300,7 @@ class TestRegisterPair:
         frames, _ = exact_sequence(n_frames=2)
         poses = []
         for _ in range(2):
-            scan = Metascan()
-            scan.append(frames[0].object_cloud.points)
+            scan = merge_metascan(NO_POINTS, frames[0].object_cloud.points)
             poses.append(
                 register_pair(
                     frames[0],
@@ -325,11 +318,20 @@ class TestRegisterPair:
         )
         assert a.correspondence_counts == b.correspondence_counts
 
+    def test_leaves_the_metascan_as_it_was(self):
+        frames, _ = exact_sequence(n_frames=2)
+        scan = merge_metascan(NO_POINTS, frames[0].object_cloud.points)
+        before = scan.copy()
+        register_pair(
+            frames[0], frames[1], scan, RigidTransform.identity(), RegistrationConfig(), INTRINSICS
+        )
+        assert scan.shape == before.shape and scan.tobytes() == before.tobytes()
+
 
 class TestRunSequence:
     def test_exact_motion_recovered(self):
         frames, truth = exact_sequence()
-        result = run_sequence(frames, RegistrationConfig(), INTRINSICS)
+        result = register_all(frames, RegistrationConfig())
         assert result.skipped == ()
         assert len(result.poses) == len(frames)
         for pose, expected in zip(result.poses, truth):
@@ -343,18 +345,18 @@ class TestRunSequence:
         # Every metascan point, mapped back through the inverse of some
         # frame's pose, must coincide with an original point of that frame.
         frames, _ = exact_sequence()
-        result = run_sequence(frames, RegistrationConfig(), INTRINSICS)
+        result = register_all(frames, RegistrationConfig())
         poses = {p.frame_index: p.world_from_frame for p in result.poses}
         matched = np.zeros(len(result.metascan), dtype=bool)
         for k, frame in enumerate(frames):
-            back = poses[k].inverse().apply(result.metascan.points)
+            back = poses[k].inverse().apply(result.metascan)
             dist, _ = cKDTree(frame.object_cloud.points).query(back)
             matched |= dist < 1e-9
         assert np.all(matched)
 
     def test_empty_sequence(self):
         with pytest.raises(EmptyInputError):
-            run_sequence([], RegistrationConfig(), INTRINSICS)
+            register_all([], RegistrationConfig())
 
 
 def flat_sequence(n_frames, touching, deg_per_frame=3.0):
@@ -385,7 +387,7 @@ class TestUnderConstrainedPair:
     def test_every_frame_skipped_and_named(self, caplog):
         frames, _ = flat_sequence(4, touching=lambda k: False)
         with caplog.at_level("WARNING", logger="inhand.register"):
-            result = run_sequence(frames, RegistrationConfig(), INTRINSICS)
+            result = register_all(frames, RegistrationConfig())
         assert result.skipped == (1, 2, 3)
         assert [p.frame_index for p in result.poses] == [0]
         skips = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
@@ -410,7 +412,7 @@ class TestUnderConstrainedPair:
         frames, truth = flat_sequence(4, touching=lambda k: k != 2)
         # ICP would slide a flat patch along itself; the sparse stage alone
         # pins each pose.
-        result = run_sequence(frames, RegistrationConfig(use_icp=False), INTRINSICS)
+        result = register_all(frames, RegistrationConfig(use_icp=False))
         assert result.skipped == (2,)
         assert [p.frame_index for p in result.poses] == [0, 1, 3]
         # Frame 3's pose comes from its contact pairs with frame 1.
@@ -420,8 +422,7 @@ class TestUnderConstrainedPair:
 
 def serial_sequence(frames, config):
     """The loop ``run_sequence`` overlaps: each pair registered, then the next."""
-    scan = Metascan()
-    scan.append(frames[0].object_cloud.points)
+    scan = merge_metascan(NO_POINTS, frames[0].object_cloud.points)
     identity = RigidTransform.identity()
     poses = [register.FramePose(frames[0].frame_index, identity, math.nan, math.nan, {})]
     skipped = []
@@ -434,6 +435,7 @@ def serial_sequence(frames, config):
             continue
         poses.append(pose)
         prev, world_prev = curr, pose.world_from_frame
+        scan = merge_metascan(scan, world_prev.apply(curr.object_cloud.points))
     return register.SequenceResult(tuple(poses), scan, tuple(skipped))
 
 
@@ -449,7 +451,7 @@ def assert_same_registration(got, want):
         residuals = np.array([a.sparse_residual, a.icp_residual])
         assert residuals.tobytes() == np.array([b.sparse_residual, b.icp_residual]).tobytes()
         assert a.correspondence_counts == b.correspondence_counts
-    assert got.metascan.points.tobytes() == want.metascan.points.tobytes()
+    assert got.metascan.tobytes() == want.metascan.tobytes()
 
 
 def record_threads(monkeypatch, module, name, fail_on=None, error=None):
@@ -484,29 +486,29 @@ def deadline(seconds):
 
 
 class TestOverlappedSequence:
-    """``run_sequence`` registers every pair on a worker while it describes the next frame."""
+    """``registrations`` registers every pair on a worker while it describes the next frame."""
 
     def test_fresh_and_described_frames_match_the_serial_loop(self):
         want = serial_sequence(exact_sequence(n_frames=5)[0], RegistrationConfig())
         frames, _ = exact_sequence(n_frames=5)
-        assert_same_registration(run_sequence(frames, RegistrationConfig(), INTRINSICS), want)
+        assert_same_registration(register_all(frames, RegistrationConfig()), want)
         # Now every frame is described, so the worker's pairs overlap no
         # description.
-        assert_same_registration(run_sequence(frames, RegistrationConfig(), INTRINSICS), want)
+        assert_same_registration(register_all(frames, RegistrationConfig()), want)
 
     def test_each_frame_described_once_on_the_main_thread(self, monkeypatch):
         main = threading.current_thread()
         frames, _ = exact_sequence(n_frames=5)
         described = record_threads(monkeypatch, preprocess, "describe_cloud")
         pairs = record_threads(monkeypatch, register, "register_pair")
-        run_sequence(frames, RegistrationConfig(), INTRINSICS)
+        register_all(frames, RegistrationConfig())
         assert described == [main] * len(frames)
         assert all("features" in vars(frame) for frame in frames)
         # One worker, not the caller, registers every pair, the last included.
         assert len(pairs) == len(frames) - 1
         assert len(set(pairs)) == 1 and main not in pairs
         pairs.clear()
-        run_sequence(frames, RegistrationConfig(), INTRINSICS)
+        register_all(frames, RegistrationConfig())
         assert len(described) == len(frames)
         # Described frames take the same path.
         assert len(pairs) == len(frames) - 1
@@ -518,7 +520,7 @@ class TestOverlappedSequence:
             record_threads(patch, register, "refine_icp", fail_on=2, error=divergence)
             want = serial_sequence(exact_sequence(n_frames=5)[0], RegistrationConfig())
         icp = record_threads(monkeypatch, register, "refine_icp", fail_on=2, error=divergence)
-        got = run_sequence(exact_sequence(n_frames=5)[0], RegistrationConfig(), INTRINSICS)
+        got = register_all(exact_sequence(n_frames=5)[0], RegistrationConfig())
         assert icp[1] is not threading.current_thread()
         assert got.skipped == (2,)
         # Frame 3 registered against frame 1, as in the serial loop.
@@ -551,7 +553,7 @@ class TestOverlappedSequence:
             )
         before = threading.active_count()
         with deadline(60), pytest.raises(ValueError, match=message):
-            run_sequence(frames, RegistrationConfig(), INTRINSICS)
+            register_all(frames, RegistrationConfig())
         assert threading.active_count() == before
 
     def test_every_config_registers_on_one_worker_as_its_own_serial_loop(self, monkeypatch):
@@ -717,7 +719,7 @@ NO_ICP = RegistrationConfig(use_icp=False)
 
 @functools.cache
 def unmoved_sequence():
-    return run_sequence(exact_sequence(n_frames=5)[0], NO_ICP, INTRINSICS)
+    return register_all(exact_sequence(n_frames=5)[0], NO_ICP)
 
 
 @settings(max_examples=25, deadline=None)
@@ -727,7 +729,7 @@ def test_run_sequence_without_icp_commutes_with_a_rigid_motion(g):
         make_frame(f.frame_index, g, f.object_cloud, f.hand_pose)
         for f in exact_sequence(n_frames=5)[0]
     ]
-    got = run_sequence(frames, NO_ICP, INTRINSICS)
+    got = register_all(frames, NO_ICP)
     unmoved = unmoved_sequence()
     assert got.skipped == unmoved.skipped == ()
     assert [p.frame_index for p in got.poses] == [p.frame_index for p in unmoved.poses]
