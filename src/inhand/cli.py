@@ -270,6 +270,10 @@ def cmd_reconstruct(args) -> int:
         "mean_sparse_rms": _nanmean(p.sparse_residual for p in result.poses),
         "mean_icp_rms": _nanmean(p.icp_residual for p in result.poses),
         "correspondence_counts": counts,
+        "icp": {
+            "iterations": sum(p.icp_iterations for p in result.poses),
+            "not_converged": sum(p.icp_converged is False for p in result.poses),
+        },
         "mesh": {
             "vertices": len(mesh.vertices),
             "triangles": len(mesh.triangles),

@@ -701,7 +701,8 @@ def save_trajectory(poses, path) -> None:
     """Write one JSON record per registered frame (JSON Lines).
 
     ``poses`` are :class:`~inhand.register.FramePose` records; a NaN
-    residual (no pairs, or no ICP) is written as ``null``.
+    residual (no pairs, or no ICP) is written as ``null``, and so is
+    ``icp_converged`` where no ICP ran.
     """
 
     def num(x: float):
@@ -715,6 +716,8 @@ def save_trajectory(poses, path) -> None:
                 "translation": [float(v) for v in p.world_from_frame.translation],
                 "sparse_rms": num(p.sparse_residual),
                 "icp_rms": num(p.icp_residual),
+                "icp_iterations": p.icp_iterations,
+                "icp_converged": p.icp_converged,
                 "counts": dict(p.correspondence_counts),
             }
         )

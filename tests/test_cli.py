@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -19,7 +20,7 @@ from inhand.fileio import (
     write_ply,
 )
 from inhand.fusion import TriangleMesh
-from inhand.geometry import PointCloud
+from inhand.geometry import PointCloud, RigidTransform, rotation_angle_rad
 
 
 def run_cli(*argv) -> int:
@@ -408,6 +409,13 @@ class TestReconstruct:
         assert report["skipped"] == []
         assert report["correspondence_counts"]["contact"] > 0
         assert report["mesh"]["vertices"] == len(mesh.vertices)
+        # Frame 0 anchors the world and runs no ICP.
+        assert (records[0]["icp_iterations"], records[0]["icp_converged"]) == (0, None)
+        assert all(r["icp_iterations"] >= 2 and r["icp_converged"] for r in records[1:])
+        assert report["icp"] == {
+            "iterations": sum(r["icp_iterations"] for r in records),
+            "not_converged": 0,
+        }
 
     def test_accurate_when_contacts_enabled(self, recon_dir):
         report = json.loads((recon_dir / "report.json").read_text())
@@ -415,6 +423,29 @@ class TestReconstruct:
         assert report["ground_truth"]["span_agreement"] > 0.5
         diameter = report["dimensions"]["diameter"]
         assert abs(diameter["measured"] - diameter["expected"]) < 2.0
+
+    def test_short_sphere_scan_keeps_its_scripted_poses(self, tmp_path):
+        # Only the contact pairs fix the pose of a sphere.  Point-to-point
+        # ICP after them spun this scan to a 127.7 deg span (agreement
+        # 0.141) and 123 deg of error; now the worst frame is off by
+        # 0.0047 deg and 0.008 mm.  The mesh is not asserted: 18 deg of
+        # views at the right poses leave a hole, so its volume is unmeasurable.
+        seq, out = tmp_path / "seq", tmp_path / "out"
+        assert synth_sphere(seq, frames=4) == 0
+        assert run_cli("reconstruct", seq / "manifest.json", "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["registered"] == 4
+        assert report["ground_truth"]["span_agreement"] >= 0.99
+        assert report["ground_truth"]["collapse_suspected"] is False
+        truth = load_ground_truth(seq / "ground_truth.json")
+        for line in (out / "trajectory.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            k = record["frame"]
+            pose = RigidTransform(np.reshape(record["rotation"], (3, 3)), record["translation"])
+            want = truth.pair_truth(0, k)
+            assert math.degrees(rotation_angle_rad(pose.rotation @ want.rotation.T)) < 0.05
+            centre = truth.motions[k].apply(np.asarray(truth.center))
+            assert np.linalg.norm(pose.apply(centre) - want.apply(centre)) < 0.1
 
     def test_no_contact_suspects_collapse(self, seq_dir, tmp_path):
         out = tmp_path / "collapse"
@@ -555,6 +586,8 @@ class TestReconstruct:
         ]
         assert len(records) == 6
         assert all(r["icp_rms"] is None for r in records)
+        assert all(r["icp_iterations"] == 0 and r["icp_converged"] is None for r in records)
+        assert report["icp"] == {"iterations": 0, "not_converged": 0}
 
 
 class TestEval:
