@@ -196,43 +196,34 @@ def project(points, intrinsics: CameraIntrinsics) -> np.ndarray:
     return uv
 
 
-def solve_weighted_rigid(source, target, weights=None) -> RigidTransform:
+def solve_weighted_rigid(source, target, weights) -> RigidTransform:
     """Weighted least-squares rigid alignment (Kabsch/Umeyama, no scale).
 
     Returns the global minimizer of ``sum_i w_i * ||T(s_i) - t_i||^2``.
     The weighted cross-covariance is decomposed by SVD and the reflection
     case is repaired by flipping the sign of the last singular direction.
-    Without ``weights`` every pair has weight 1, and the result is the same
-    to the bit as with ``np.ones(n)``: a product by 1.0 is exact.
     """
     src = np.ascontiguousarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.ascontiguousarray(target, dtype=np.float64).reshape(-1, 3)
     if src.shape != tgt.shape:
         raise ValueError("source and target must have matching shapes")
-    if weights is None:
-        def weigh(a):
-            return a
-        wsum = len(src)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.shape != (len(src),):
-            raise ValueError("weights must be one scalar per pair")
-        if w.size and w.min() < 0.0:
-            raise ValueError("weights must be nonnegative")
-        effective = w > 0.0
-        src, tgt, w = src[effective], tgt[effective], w[effective]
-        def weigh(a):
-            return w[:, None] * a
-        wsum = w.sum()
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if w.shape != (len(src),):
+        raise ValueError("weights must be one scalar per pair")
+    if w.size and w.min() < 0.0:
+        raise ValueError("weights must be nonnegative")
+    effective = w > 0.0
+    src, tgt, w = src[effective], tgt[effective], w[effective]
     if len(src) < 3:
         raise UnderConstrainedError(
             f"need at least 3 positively weighted pairs, got {len(src)}"
         )
-    mu_s = weigh(src).sum(axis=0) / wsum
-    mu_t = weigh(tgt).sum(axis=0) / wsum
+    wsum = w.sum()
+    mu_s = (w[:, None] * src).sum(axis=0) / wsum
+    mu_t = (w[:, None] * tgt).sum(axis=0) / wsum
     ds = src - mu_s
     dt = tgt - mu_t
-    h = weigh(ds).T @ dt
+    h = (w[:, None] * ds).T @ dt
     u, s, vt = np.linalg.svd(h)
     # Collinear or coincident sources leave the rotation about the residual
     # axis undetermined: the second singular value collapses.

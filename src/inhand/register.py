@@ -197,8 +197,6 @@ def align_sparse(
     base = np.concatenate([np.full(len(cs), config.set_weight(cs.tag)) for cs in used])
     robust = np.concatenate([np.full(len(cs), cs.tag not in _GAMMA_TAGS) for cs in used])
     t = solve_weighted_rigid(source, target, base)
-    if not robust.any():
-        return t
     weights = base.copy()
     for _ in range(ROBUST_ROUNDS):
         res = t.apply(source[robust]) - target[robust]
@@ -232,19 +230,13 @@ def refine_icp(
         raise EmptyInputError("metascan is empty")
     if cloud.normals is None:
         raise ValueError("point-to-plane ICP needs the cloud's normals")
-    # Each point is answered alone, so the query order changes no pair; in
-    # the source's own kd-tree leaf order, neighbouring queries walk the
-    # same branches of the metascan's tree, which is faster.  The normals
-    # are gathered in that order only for the rows in range.
-    order = cKDTree(cloud.points).indices
-    pts = cloud.points[order]
     index = cKDTree(metascan)
     t = start
     history: list[float] = []
     converged = False
     pair_count = 0
     for iteration in range(config.icp_max_iters):
-        moved = t.apply(pts)
+        moved = t.apply(cloud.points)
         dist, idx = index.query(moved, workers=-1)
         in_range = dist <= config.icp_max_dist
         pair_count = int(np.count_nonzero(in_range))
@@ -261,9 +253,9 @@ def refine_icp(
             break
         if iteration == config.icp_max_iters - 1:
             break  # a step now would leave the returned pose without its RMS
-        rows = slice(None) if pair_count == len(pts) else in_range
+        rows = slice(None) if pair_count == len(cloud.points) else in_range
         moved, idx = moved[rows], idx[rows]
-        world_normals = cloud.normals[order[rows]] @ t.rotation.T
+        world_normals = cloud.normals[rows] @ t.rotation.T
         # n . (p - q): each pair's distance along the normal to its target.
         residual = np.einsum("ij,ij->i", moved, world_normals)
         for axis in range(3):

@@ -317,7 +317,7 @@ class TestMatch:
         # source = moved, target = original
         matches = match_feat3d(describe_cloud(moved), describe_cloud(cloud))
         assert len(matches) >= 10
-        est = solve_weighted_rigid(matches.source, matches.target)
+        est = solve_weighted_rigid(matches.source, matches.target, np.ones(len(matches)))
         # est maps moved -> original, i.e. the inverse of t.
         inv = t.inverse()
         assert np.abs(est.rotation - inv.rotation).max() < 0.02

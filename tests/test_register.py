@@ -23,6 +23,7 @@ from inhand.geometry import (
     RigidTransform,
     rotation_about_axis,
     rotation_angle_rad,
+    solve_weighted_rigid,
     voxel_downsample_indices,
 )
 from inhand.preprocess import DetectorBox, SegmentedFrame, estimate_normals
@@ -125,6 +126,19 @@ class TestAlignSparse:
             e_got = sparse_energy(sets, got, gamma)
             for candidate in (motion_a, motion_b, RigidTransform.identity()):
                 assert e_got <= sparse_energy(sets, candidate, gamma) + 1e-9
+
+    def test_contact_alone_is_one_weighted_solve(self):
+        # With no visual pair the robust rounds reweigh nothing.
+        rng = np.random.default_rng(3)
+        _, contact = make_pair_sets(rng, rigid((0.2, 1.0, -0.4), 12.0, (4.0, -1.0, 2.5)))
+        noisy = CorrespondenceSet(
+            contact.source, contact.target + rng.normal(scale=0.5, size=contact.target.shape),
+            "contact",
+        )
+        got = align_sparse([noisy], RegistrationConfig(gamma_t=15.0))
+        want = solve_weighted_rigid(noisy.source, noisy.target, np.full(len(noisy), 15.0))
+        assert got.rotation.tobytes() == want.rotation.tobytes()
+        assert got.translation.tobytes() == want.translation.tobytes()
 
     def test_all_sets_empty(self):
         empty = CorrespondenceSet(np.empty((0, 3)), np.empty((0, 3)), "contact")
@@ -237,6 +251,39 @@ class TestRefineIcp:
         assert result.converged
         rot_err, trans_err = transform_gap(result.transform, RigidTransform.identity())
         assert rot_err < 1e-4 and trans_err < 1e-3
+
+
+@functools.cache
+def stretched_blob_and_contact():
+    """``TestRefineIcp``'s stretched blob and two contact pads lying on it."""
+    scan = blob_scan(np.array([1.0, 0.75, 0.55]))
+    hand = hand_on(scan)
+    return scan, CorrespondenceSet(hand.vertices, hand.vertices, "contact")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    turn=st.floats(-2.0, 2.0),
+    shift=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+)
+def test_refine_icp_ignores_the_row_order_of_the_cloud(seed, turn, shift):
+    # Each point's nearest metascan point is found alone, so the rows' order
+    # moves the pose only through the order of the sums.
+    scan, contact = stretched_blob_and_contact()
+    order = np.random.default_rng(seed).permutation(len(scan.points))
+    shuffled = PointCloud(scan.points[order], normals=scan.normals[order])
+    start = rigid((0.3, 1.0, 0.2), turn, shift)
+    want = refine_icp(scan, scan.points, start=start, contact=contact)
+    got = refine_icp(shuffled, scan.points, start=start, contact=contact)
+    # The arccos of rotation_angle_rad cannot resolve 1e-9 deg.
+    turn_deg = np.degrees(
+        Rotation.from_matrix(got.transform.rotation @ want.transform.rotation.T).magnitude()
+    )
+    assert turn_deg < 1e-9
+    assert np.linalg.norm(got.transform.translation - want.transform.translation) < 1e-9
+    assert len(got.rms_history) == len(want.rms_history)
+    assert got.converged == want.converged
 
 
 def cylinder_cloud(n=3000, seed=5, radius=30.0, height=80.0):

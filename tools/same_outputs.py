@@ -12,13 +12,16 @@ the commands print or write agree.  The sequence directories, the output
 directories, the exit codes and each command's standard output and error
 must be the same byte for byte, once each tree's root is replaced by
 ``<tree>`` in the messages.  Each difference is printed; the exit status
-is 1 if there is any, else 0.
+is 1 if there is any, else 0.  A ``.json``, ``.jsonl`` or ``.csv`` file
+whose text is the same once every number is masked is sized: the largest
+absolute and relative differences of its numbers follow its line.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -68,15 +71,45 @@ def run_tree(harness, root: Path, steps: list[list[str]], work: Path, keep: Path
         (keep / name).write_bytes(log)
 
 
+def number_gap(a: bytes, b: bytes) -> tuple[float, float] | None:
+    """The largest absolute and relative difference between the numbers of
+    two texts, or None unless the texts are the same once every number is
+    masked.  A pair's relative difference is ``|x - y| / max(|x|, |y|)``."""
+    number = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+    if number.sub(b"#", a) != number.sub(b"#", b):
+        return None
+    absolute = relative = 0.0
+    for x, y in zip(map(float, number.findall(a)), map(float, number.findall(b))):
+        gap = abs(x - y)
+        absolute = max(absolute, gap)
+        if gap:
+            relative = max(relative, gap / max(abs(x), abs(y)))
+    return absolute, relative
+
+
 def differences(a: Path, b: Path) -> list[str]:
-    """Relative paths of files that differ, or exist on one side only."""
+    """Relative paths of files that differ, or exist on one side only.
+
+    A differing ``.json``, ``.jsonl`` or ``.csv`` file whose text differs
+    only in its numbers is followed by a line with their largest absolute
+    and relative difference.
+    """
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     found = [f"only in {side}: {p}" for side, only in (("parent", files_a - files_b),
                                                         ("change", files_b - files_a))
              for p in sorted(only)]
-    found += [f"differs: {p}" for p in sorted(files_a & files_b)
-              if (a / p).read_bytes() != (b / p).read_bytes()]
+    for p in sorted(files_a & files_b):
+        bytes_a, bytes_b = (a / p).read_bytes(), (b / p).read_bytes()
+        if bytes_a == bytes_b:
+            continue
+        found.append(f"differs: {p}")
+        if p.suffix not in {".json", ".jsonl", ".csv"}:
+            continue
+        gap = number_gap(bytes_a, bytes_b)
+        if gap is not None:
+            found.append(f"  numbers only: largest absolute difference {gap[0]:.3g}, "
+                         f"relative {gap[1]:.3g}")
     return found
 
 
