@@ -82,8 +82,7 @@ def detect_contacts(hand: PosedHand, object_cloud: PointCloud) -> ContactState:
     effector_bones = sorted(hand.end_effectors)
     bone_dists = {}
     for b in effector_bones:
-        vi = hand.bone_vertex_indices(b)
-        bone_dists[b] = tree.query(hand.vertices[vi])[0] if len(vi) else np.empty(0)
+        bone_dists[b] = tree.query(hand.vertices[hand.bone_vertex_indices(b)])[0]
     threshold = START_THRESHOLD
     while threshold <= THRESHOLD_CAP + 1e-12:
         bones = [

@@ -174,8 +174,6 @@ def _describe_all(cloud: PointCloud, rows: np.ndarray) -> np.ndarray:
         raise ValueError("descriptor needs normals")
     size = N_SHELLS * N_ANGLE_BINS + (N_LUM_BINS if cloud.colors is not None else 0)
     k = len(rows)
-    if k == 0:
-        return np.zeros((0, size))
     positions = cloud.points[rows]
     # Unsorted, each list keeps the order of a single-point query.
     nbrs = cKDTree(cloud.points).query_ball_point(
@@ -217,10 +215,10 @@ def _describe_all(cloud: PointCloud, rows: np.ndarray) -> np.ndarray:
         weights.append(np.ones(len(nbr)))
     # One pass over the blocks in the order above, each block across all
     # keypoints: each bin's terms are added one at a time, in that order,
-    # onto 0.0.
+    # onto 0.0.  With no keypoints there are no bins, and bincount answers int64.
     desc = np.bincount(
         np.concatenate(bins), np.concatenate(weights), minlength=k * size
-    ).reshape(k, size)
+    ).reshape(k, size).astype(np.float64, copy=False)
     # Row by row: a norm along axis 1 would sum the squares in another order.
     # No row is zero, as each keypoint is its own neighbour.
     for row in desc:
@@ -238,10 +236,9 @@ def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:
         return out
     part = np.partition(dmat, 1, axis=1)
     d2 = part[:, 1]
+    # d2 == 0 means duplicate descriptors: ambiguous, reject.
     with np.errstate(divide="ignore", invalid="ignore"):
-        passed = np.where(d2 > 0.0, d1 / d2 < ratio, d1 == 0.0)
-    # d1 == d2 == 0 means duplicate descriptors: ambiguous, reject.
-    passed &= ~((d1 == 0.0) & (d2 == 0.0))
+        passed = (d2 > 0.0) & (d1 / d2 < ratio)
     out[passed] = best[passed]
     return out
 
@@ -284,8 +281,6 @@ def load_feat2d(
     with np.errstate(invalid="ignore"):
         valid = np.isfinite(sd) & np.isfinite(td) & (sd > 0.0) & (td > 0.0)
     pp, sd, td = pp[valid], sd[valid], td[valid]
-    if len(pp) == 0:
-        return CorrespondenceSet(np.empty((0, 3)), np.empty((0, 3)), "feat2d")
     src = back_project_many(pp[:, :2], sd, intrinsics)
     tgt = back_project_many(pp[:, 2:], td, intrinsics)
     return CorrespondenceSet(src, tgt, "feat2d")

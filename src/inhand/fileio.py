@@ -647,7 +647,8 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
     """Materialize every frame of the manifest for registration.
 
     An object cloud missing stored normals gets PCA-estimated ones; one
-    without points, or too small or too thin for normals, raises
+    without points, too small or too thin for normals, or with colors where
+    the first frame's cloud has none or the reverse, raises
     :class:`FileFormatError`.  Frames without a hand file carry an empty
     hand, which never satisfies the contact search; the reconstruct
     command refuses such frames up front when the contact term is active.
@@ -661,6 +662,11 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
         cloud = _read_cloud(mf.object_path)
         if len(cloud) == 0:
             raise FileFormatError(f"{mf.object_path}: object cloud has no points")
+        if frames and (cloud.colors is None) != (frames[0].object_cloud.colors is None):
+            raise FileFormatError(
+                f"{mf.object_path}: {'lacks' if cloud.colors is None else 'has'} colors, "
+                f"unlike {manifest.frames[0].object_path}"
+            )
         if cloud.normals is None:
             try:
                 cloud = estimate_normals(cloud)

@@ -131,8 +131,6 @@ def integrate(vol: TsdfVolume, cloud: PointCloud, pose: RigidTransform) -> TsdfV
     """
     if cloud.normals is None:
         raise ValueError("integration needs per-point normals")
-    if len(cloud.points) == 0:
-        return vol
     pts = pose.apply(cloud.points)
     nrm = cloud.normals @ pose.rotation.T
     lo = vol.center - vol.side_mm / 2.0
@@ -142,8 +140,6 @@ def integrate(vol: TsdfVolume, cloud: PointCloud, pose: RigidTransform) -> TsdfV
     if len(pts) == 0:
         return vol
     ids = _candidate_voxels(vol, pts)
-    if len(ids) == 0:
-        return vol
     centers = vol.voxel_centers(vol.voxel_indices(ids))
     # Each centre is answered alone, so the threads change no result. A
     # distance_upper_bound would: it drops a point exactly at the bound, and
@@ -319,9 +315,6 @@ def laplacian_smooth(mesh: TriangleMesh, iterations: int) -> TriangleMesh:
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
-    if iterations == 0:
-        verts = mesh.vertices
-        return TriangleMesh(verts, mesh.triangles, _vertex_normals(verts, mesh.triangles))
     edges = mesh.edges
     degree = np.zeros(len(mesh.vertices))
     np.add.at(degree, edges[:, 0], 1.0)
@@ -370,7 +363,7 @@ def _slice_points(mesh: TriangleMesh, axis: int, position: float) -> np.ndarray:
     t = da / (da - db)
     pts = a + t[:, None] * (b - a)
     exact = mesh.vertices[np.abs(mesh.vertices[:, axis] - position) == 0.0]
-    return np.vstack([pts, exact]) if len(exact) else pts
+    return np.vstack([pts, exact])
 
 
 def signed_volume(mesh: TriangleMesh) -> float:
@@ -393,11 +386,11 @@ def measure_dimensions(mesh: TriangleMesh, probe: Probe) -> float:
     pts = _slice_points(mesh, probe.axis, probe.position)
     if len(pts) < 2:
         raise EmptyInputError(f"probe {probe.name!r}: slice plane misses the mesh")
-    if len(pts) > 400:
-        keep = np.delete(np.arange(3), probe.axis)
-        try:
-            pts = pts[ConvexHull(pts[:, keep]).vertices]
-        except QhullError:
-            pass  # nearly collinear slice: fall through to all pairs
+    # The farthest pair lies on the slice's hull.
+    keep = np.delete(np.arange(3), probe.axis)
+    try:
+        pts = pts[ConvexHull(pts[:, keep]).vertices]
+    except QhullError:
+        pass  # nearly collinear slice: fall through to all pairs
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((diff**2).sum(-1)).max())

@@ -8,6 +8,7 @@ optional RGB colors in ``[0, 1]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,9 +65,15 @@ def rotation_about_axis(axis, angle_rad: float) -> np.ndarray:
 
 
 def rotation_angle_rad(rotation: np.ndarray) -> float:
-    """Geodesic angle of a rotation matrix, in radians."""
-    tr = float(np.trace(np.asarray(rotation, dtype=np.float64)))
-    return float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
+    """Geodesic angle of a rotation matrix, in radians.
+
+    The sine is half the norm of the axial vector of ``R - R^T`` and the
+    cosine is ``(trace - 1) / 2``; their ``atan2`` resolves turns far below
+    the 1e-8 rad that the arccos of the cosine alone reads as 0.
+    """
+    r = np.asarray(rotation, dtype=np.float64)
+    axial = (r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1])
+    return math.atan2(0.5 * math.hypot(*axial), (np.trace(r) - 1.0) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -94,10 +101,7 @@ class RigidTransform:
 
     def apply(self, points) -> np.ndarray:
         """Transform a single point ``(3,)`` or a stack ``(N, 3)``."""
-        p = np.asarray(points, dtype=np.float64)
-        if p.ndim == 1:
-            return self.rotation @ p + self.translation
-        return p @ self.rotation.T + self.translation
+        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Return the transform applying ``other`` first, then ``self``."""

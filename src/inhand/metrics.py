@@ -89,21 +89,10 @@ def reconstruct(
     meshing a single view.
     """
     with registrations(frames, (config,), intrinsics) as (registration,):
-        result = _registered(frames, registration.result())
+        result = registration.result()
     return result, _fuse(
         frames, result, volume_center, side_mm, resolution, smooth_iterations
     )
-
-
-def _registered(frames: Sequence[SegmentedFrame], result: SequenceResult) -> SequenceResult:
-    """The registration half of :func:`reconstruct`: ``result``, unless it
-    registered nothing beyond frame 0."""
-    if len(frames) > 1 and len(result.poses) == 1:
-        raise DivergenceError(
-            "every frame pair failed to register; only frame "
-            f"{result.poses[0].frame_index} has a pose"
-        )
-    return result
 
 
 def _fuse(
@@ -114,7 +103,16 @@ def _fuse(
     resolution: int,
     smooth_iterations: int,
 ) -> TriangleMesh:
-    """The fusion half of :func:`reconstruct`: integrate, extract, smooth."""
+    """The fusion half of :func:`reconstruct`: integrate, extract, smooth.
+
+    A sequence of several frames that registered nothing beyond frame 0
+    raises :class:`DivergenceError` instead of meshing a single view.
+    """
+    if len(frames) > 1 and len(result.poses) == 1:
+        raise DivergenceError(
+            "every frame pair failed to register; only frame "
+            f"{result.poses[0].frame_index} has a pose"
+        )
     by_index = {f.frame_index: f for f in frames}
     volume = TsdfVolume(volume_center, side_mm, resolution)
     for pose in result.poses:
@@ -300,7 +298,7 @@ def _measure_at_gamma(
     """Probe values for one pipeline run, once ``registration`` is done;
     failures come back as NaN."""
     try:
-        mesh = _fuse(frames, _registered(frames, registration.result()), **volume)
+        mesh = _fuse(frames, registration.result(), **volume)
     except InHandError as exc:
         log.warning(
             "gamma %g: pipeline failed (%s); recording failed cells", config.gamma_t, exc

@@ -369,8 +369,6 @@ def detector_correspondences(
             raise ValueError(f"detector boxes for {label!r} differ in size")
         valid = (bs.depth > 0.0) & (bt.depth > 0.0)
         rows, cols = np.nonzero(valid)
-        if len(rows) == 0:
-            continue
         src_px = np.column_stack([bs.x + cols, bs.y + rows]).astype(np.float64)
         tgt_px = np.column_stack([bt.x + cols, bt.y + rows]).astype(np.float64)
         src_pts.append(back_project_many(src_px, bs.depth[rows, cols], intrinsics))
@@ -408,8 +406,6 @@ def _pair_rms(sets: list[CorrespondenceSet], transform: RigidTransform) -> float
     """Unweighted RMS residual over the union of all pairs."""
     total, count = 0.0, 0
     for cs in sets:
-        if len(cs) == 0:
-            continue
         res = transform.apply(cs.source) - cs.target
         total += float(np.einsum("ij,ij->", res, res))
         count += len(cs)

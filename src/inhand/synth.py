@@ -77,9 +77,21 @@ def _bump(offset: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _RevolvedSurface:
-    """Surface of revolution about z, given a dense (r(z), z) profile."""
+    """Surface of revolution about z from a dense (r(z), z) profile, with one
+    shallow cosine-lobe bulge on its flank.
 
-    def __init__(self, profile_r: np.ndarray, profile_z: np.ndarray):
+    The bulge displaces the radius by ``amp * Bz(z) * Bphi(phi)`` where
+    both factors are raised-cosine bumps (axial center/width ``z0``/``wz``,
+    azimuthal center/half-width ``phi0``/``wphi`` in radians).  At the
+    default ``amp`` of 0 it is a plain surface of revolution.  ``sample``
+    and ``project`` both return points on the displaced surface with its
+    exact outward normals.  Where the bulge vanishes at both a query and
+    its foot, ``project`` returns exactly the plain revolved surface's point
+    and normal.
+    """
+
+    def __init__(self, profile_r: np.ndarray, profile_z: np.ndarray, amp: float = 0.0,
+                 z0: float = 0.0, wz: float = 1.0, phi0: float = 0.0, wphi: float = 1.0):
         self.r = np.asarray(profile_r, dtype=np.float64)
         self.z = np.asarray(profile_z, dtype=np.float64)
         dr = np.diff(self.r)
@@ -90,36 +102,25 @@ class _RevolvedSurface:
         # Outward 2D profile normal per segment: (dz, -dr), normalized.
         with np.errstate(invalid="ignore", divide="ignore"):
             self.seg_normal = np.column_stack([dz, -dr]) / self.seg_len[:, None]
+        self.amp = float(amp)
+        self.z0 = float(z0)
+        self.wz = float(wz)
+        self.phi0 = float(phi0)
+        self.wphi = float(wphi)
 
     @property
     def area(self) -> float:
         return float(self.seg_area.sum())
 
-    def _sample_params(self, n: int, rng: np.random.Generator):
-        """Area-uniform draws of (segment, radius, z, azimuth)."""
+    def sample(self, n: int, rng: np.random.Generator):
+        """Area-uniform draws over the base profile, displaced by the bulge."""
         probs = self.seg_area / self.seg_area.sum()
         seg = rng.choice(len(probs), size=n, p=probs)
         t = rng.uniform(size=n)
         rho = self.r[seg] + t * (self.r[seg + 1] - self.r[seg])
         z = self.z[seg] + t * (self.z[seg + 1] - self.z[seg])
         phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        return seg, rho, z, phi
-
-    def sample(self, n: int, rng: np.random.Generator):
-        seg, rho, z, phi = self._sample_params(n, rng)
-        cos_p, sin_p = np.cos(phi), np.sin(phi)
-        pts = np.column_stack([rho * cos_p, rho * sin_p, z])
-        nr = self.seg_normal[seg, 0]
-        nz = self.seg_normal[seg, 1]
-        normals = np.column_stack([nr * cos_p, nr * sin_p, nz])
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        return pts, normals
-
-    def project(self, points: np.ndarray):
-        """Closest surface point and outward normal for each query point."""
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        return self._revolve(pts, rho, *self._profile_foot(rho, pts[:, 2]))
+        return self._displaced(seg, rho, z, phi)
 
     def _profile_foot(self, rho: np.ndarray, z: np.ndarray):
         """Closest profile segment and (r, z) foot for each (rho, z) query.
@@ -155,40 +156,6 @@ class _RevolvedSurface:
         order = np.lexsort((seg, dist2, qi))
         best = order[np.diff(qi[order], prepend=-1) != 0]
         return seg[best], foot[best, 0], foot[best, 1]
-
-    def _revolve(self, pts, rho, seg, foot_r, foot_z):
-        """Sweep profile feet around z along each query's own azimuth."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cos_p = np.where(rho > 1e-12, pts[:, 0] / rho, 1.0)
-            sin_p = np.where(rho > 1e-12, pts[:, 1] / rho, 0.0)
-        surf = np.column_stack([foot_r * cos_p, foot_r * sin_p, foot_z])
-        nr = self.seg_normal[seg, 0]
-        nz = self.seg_normal[seg, 1]
-        normals = np.column_stack([nr * cos_p, nr * sin_p, nz])
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        return surf, normals
-
-
-class _BulgedSurface(_RevolvedSurface):
-    """Revolved surface with one shallow cosine-lobe bulge on its flank.
-
-    The bulge displaces the radius by ``amp * Bz(z) * Bphi(phi)`` where
-    both factors are raised-cosine bumps (axial center/width ``z0``/``wz``,
-    azimuthal center/half-width ``phi0``/``wphi`` in radians).  ``sample``
-    and ``project`` both return points on the displaced surface with its
-    exact outward normals.  Where the bulge vanishes at both a query and
-    its foot, ``project`` returns exactly what the plain revolved surface
-    would.
-    """
-
-    def __init__(self, profile_r, profile_z, amp: float, z0: float, wz: float,
-                 phi0: float, wphi: float):
-        super().__init__(profile_r, profile_z)
-        self.amp = float(amp)
-        self.z0 = float(z0)
-        self.wz = float(wz)
-        self.phi0 = float(phi0)
-        self.wphi = float(wphi)
 
     def _axial(self, z: np.ndarray):
         return _bump(z - self.z0, self.wz)
@@ -229,11 +196,8 @@ class _BulgedSurface(_RevolvedSurface):
         normals = np.where(length > 1e-12, normals / np.maximum(length, 1e-300), fallback)
         return pts, normals
 
-    def sample(self, n: int, rng: np.random.Generator):
-        return self._displaced(*self._sample_params(n, rng))
-
     def project(self, points: np.ndarray):
-        """Surface point and outward normal on the bulged surface per query.
+        """Surface point and outward normal per query.
 
         The bulge is taken off at the query's own (z, phi), the result is
         projected onto the base profile, and the bulge is put back at the
@@ -245,12 +209,19 @@ class _BulgedSurface(_RevolvedSurface):
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         base_rho = np.maximum(rho - self._lift(pts[:, 2], phi), 0.0)
         seg, foot_r, foot_z = self._profile_foot(base_rho, pts[:, 2])
-        surf, normals = self._revolve(pts, rho, seg, foot_r, foot_z)
+        # Sweep the feet around z along each query's own azimuth.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cos_p = np.where(rho > 1e-12, pts[:, 0] / rho, 1.0)
+            sin_p = np.where(rho > 1e-12, pts[:, 1] / rho, 0.0)
+        surf = np.column_stack([foot_r * cos_p, foot_r * sin_p, foot_z])
+        nr = self.seg_normal[seg, 0]
+        nz = self.seg_normal[seg, 1]
+        normals = np.column_stack([nr * cos_p, nr * sin_p, nz])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         lobe = self._lift(foot_z, phi) != 0.0
-        if lobe.any():
-            surf[lobe], normals[lobe] = self._displaced(
-                seg[lobe], foot_r[lobe], foot_z[lobe], phi[lobe]
-            )
+        surf[lobe], normals[lobe] = self._displaced(
+            seg[lobe], foot_r[lobe], foot_z[lobe], phi[lobe]
+        )
         return surf, normals
 
     def volume_correction(self) -> float:
@@ -334,7 +305,7 @@ class SyntheticObjectSpec:
         ) * _bump(t - _PIN_HEAD_T, _PIN_HEAD_W)[0]
         z = (t - 0.5) * h
         # Close the revolve with flat discs at both ends.
-        return _BulgedSurface(
+        return _RevolvedSurface(
             np.concatenate([[0.0], r, [0.0]]),
             np.concatenate([[z[0]], z, [z[-1]]]),
             amp=_PIN_BULGE_AMP_REL * body_d / 2.0,
@@ -534,54 +505,27 @@ def _occluded(points: np.ndarray, pad_vertices: np.ndarray, view_dir: np.ndarray
     scale = max(np.abs(points).max(initial=0.0), np.abs(pad_vertices).max())
     reach = radius + 1e-6 * scale
     near = np.flatnonzero(pad_tree.query(flat, distance_upper_bound=reach)[0] < np.inf)
-    # Blocks of points bound the pairs held at once when every pair is a
-    # candidate (a radius wider than the object).
-    for start in range(0, len(near), 1024):
-        block = near[start : start + 1024]
-        pairs = cKDTree(flat[block]).sparse_distance_matrix(
-            pad_tree, reach, output_type="ndarray"
-        )
-        rows = block[pairs["i"]]
-        d = points[rows] - pad_vertices[pairs["j"]]
-        # matmul takes a one-row product through a dot product, which rounds
-        # differently from the matrix-vector product of more rows.  Give each
-        # pair the kernel that the all-pairs (block, pads, 3) product used.
-        if len(pad_vertices) == 1:
-            along = (d[:, None, :] @ view_dir)[:, 0]
-        elif len(d) == 1:
-            along = (np.vstack([d, d]) @ view_dir)[:1]
-        else:
-            along = d @ view_dir
-        lat2 = np.einsum("ij,ij->i", d, d) - along**2
-        out[rows[(lat2 < r2) & (along > 0.0)]] = True
+    pairs = cKDTree(flat[near]).sparse_distance_matrix(pad_tree, reach, output_type="ndarray")
+    rows = near[pairs["i"]]
+    d = points[rows] - pad_vertices[pairs["j"]]
+    # matmul takes a one-row product through a dot product, which rounds
+    # differently from the matrix-vector product of more rows.  Give each
+    # pair the kernel that the all-pairs (points, pads, 3) product used.
+    if len(pad_vertices) == 1:
+        along = (d[:, None, :] @ view_dir)[:, 0]
+    elif len(d) == 1:
+        along = (np.vstack([d, d]) @ view_dir)[:1]
+    else:
+        along = d @ view_dir
+    lat2 = np.einsum("ij,ij->i", d, d) - along**2
+    out[rows[(lat2 < r2) & (along > 0.0)]] = True
     return out
 
 
 def standard_probes(obj: SyntheticObjectSpec):
     """Dimension probes for a reconstructed mesh of this object, plus truth."""
     cz = float(DEFAULT_CENTER[2])
-    if obj.shape == "sphere":
-        d = obj.dimensions[0]
-        probes = (
-            Probe("height", "extent", axis=2),
-            Probe("diameter", "slice_diameter", axis=2, position=cz),
-            Probe("volume", "volume"),
-        )
-        expected = {"height": d, "diameter": d, "volume": math.pi * d**3 / 6.0}
-    elif obj.shape == "capsule_bottle":
-        d, h = obj.dimensions
-        r = d / 2.0
-        probes = (
-            Probe("height", "extent", axis=2),
-            Probe("diameter", "slice_diameter", axis=2, position=cz),
-            Probe("volume", "volume"),
-        )
-        expected = {
-            "height": h,
-            "diameter": d,
-            "volume": math.pi * r**2 * (h - 2.0 * r) + 4.0 / 3.0 * math.pi * r**3,
-        }
-    else:
+    if obj.shape == "bowling_pin":
         head_d, body_d, h = obj.dimensions
         z_body, z_head = obj.pin_probe_heights()
         surf = obj.surface()
@@ -599,7 +543,20 @@ def standard_probes(obj: SyntheticObjectSpec):
             "head_diameter": head_d,
             "volume": volume,
         }
-    return probes, expected
+        return probes, expected
+    # A sphere's dimensions are its diameter alone, which is also its height.
+    d, h = obj.dimensions[0], obj.dimensions[-1]
+    r = d / 2.0
+    if obj.shape == "sphere":
+        volume = math.pi * d**3 / 6.0
+    else:
+        volume = math.pi * r**2 * (h - 2.0 * r) + 4.0 / 3.0 * math.pi * r**3
+    probes = (
+        Probe("height", "extent", axis=2),
+        Probe("diameter", "slice_diameter", axis=2, position=cz),
+        Probe("volume", "volume"),
+    )
+    return probes, {"height": h, "diameter": d, "volume": volume}
 
 
 # Luminance values painted onto successive dents. They cycle through

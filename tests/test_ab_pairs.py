@@ -10,6 +10,20 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
 PARENT_RSS = [112.0, 111.8, 112.2, 111.9, 112.1, 112.0, 111.7, 112.3, 111.9, 112.0]
 
 
+def make_tree(root):
+    """A checkout root with what the harness runs, a bytecode cache and old outputs."""
+    for name, data in (
+        ("src/inhand/cli.py", f"# {root.name}\n".encode()),
+        ("src/inhand/__pycache__/cli.cpython-311.pyc", b"stale"),
+        ("perfbench/run.py", b"# harness\n"),
+        ("perfbench/out/pin-reconstruct-seed5/result.json", b"{}"),
+        ("BENCHMARK.json", b"{}"),
+    ):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+    return root
+
+
 def load_tool():
     spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
@@ -66,11 +80,38 @@ def test_alternates_sides_and_fails_on_an_incorrect_run(
 
     monkeypatch.setattr(tool, "compile_tree", compiled.append)
     monkeypatch.setattr(tool, "run_harness", fake_run)
-    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent, change = make_tree(tmp_path / "parent"), make_tree(tmp_path / "change")
     argv = [str(parent), str(change), "--workload", "bottle-sweep", "--seed", "5", "--pairs", "4"]
     assert tool.main(argv) == status
-    assert compiled == [parent, change]
+    assert [root.name for root in compiled] == ["parent", "change"]
     assert order == ["parent", "change", "change", "parent"] * 2
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["all_correct"] is correct
     assert summary["values"]["change"]["peak_rss_mb"] == [rss - 2.0 for rss in PARENT_RSS[:4]]
+
+
+def test_runs_fresh_copies_and_deletes_them(monkeypatch, tmp_path):
+    tool = load_tool()
+    trees = [make_tree(tmp_path / "parent"), make_tree(tmp_path / "change")]
+    compiled, files = [], {}
+
+    def fake_run(root, workload, seed):
+        files[root] = {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()
+        }
+        return {"correct": True, "metrics": {}}
+
+    monkeypatch.setattr(tool, "compile_tree", compiled.append)
+    monkeypatch.setattr(tool, "run_harness", fake_run)
+    argv = [*map(str, trees), "--workload", "bottle-sweep", "--seed", "5", "--pairs", "1"]
+    assert tool.main(argv) == 0
+    assert list(files) == compiled
+    for copy, tree in zip(compiled, trees):
+        assert copy.name == tree.name and not copy.is_relative_to(tmp_path)
+        assert files[copy] == {
+            "src/inhand/cli.py": (tree / "src/inhand/cli.py").read_bytes(),
+            "perfbench/run.py": b"# harness\n",
+            "BENCHMARK.json": b"{}",
+        }
+        assert not copy.exists()

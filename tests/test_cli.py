@@ -527,6 +527,18 @@ class TestReconstruct:
             assert name in capsys.readouterr().err, corrupt.__name__
             assert not out.exists(), corrupt.__name__
 
+    def test_object_cloud_without_the_first_frames_colors_refused(self, tmp_path, capsys):
+        seq = tmp_path / "textured"
+        assert synth_sphere(seq, frames=3, extra=("--texture-count", "10")) == 0
+        bad = seq / "frames" / "frame_001_object.ply"
+        cloud = read_ply(bad)
+        assert cloud.colors is not None
+        write_ply(bad, PointCloud(cloud.points, normals=cloud.normals))
+        code = run_cli("reconstruct", seq / "manifest.json", "--out", tmp_path / "out")
+        assert code == 3
+        assert "frame_001_object.ply: lacks colors" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_frame_index_refused(self, seq_dir, tmp_path, capsys):
         def relabel(payload):
             payload["frames"][2]["index"] = 1

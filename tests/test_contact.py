@@ -93,6 +93,12 @@ class TestDetectContacts:
         assert "palm" not in state.contact_bones
         assert state.contact_bones == frozenset({"thumb_tip", "index_tip"})
 
+    def test_end_effector_without_vertices_never_qualifies(self):
+        cloud = plane_cloud()
+        base = two_finger_hand()
+        hand = PosedHand(base.vertices, base.bone_labels, base.end_effectors | {"pinky_tip"})
+        assert detect_contacts(hand, cloud) == detect_contacts(base, cloud)
+
     def test_threshold_on_grid(self):
         cloud = plane_cloud()
         for h_b in (0.5, 1.2, 3.4, 6.0):

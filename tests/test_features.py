@@ -399,6 +399,7 @@ class TestFeat2d:
         )
         cs = load_feat2d(pairs, [700.0, 0.0, 700.0], [700.0, 700.0, np.nan], INTR)
         assert len(cs) == 1
+        assert len(load_feat2d(pairs, [700.0, 0.0, 700.0], [np.nan] * 3, INTR)) == 0
 
 
 # Bit-exact agreement with the np.add.at references above.
@@ -512,7 +513,8 @@ def test_descriptor_matches_add_at_to_the_bit(cloud):
     got = _describe_all(cloud, rows)
     assert got.shape == want.shape == (len(rows), size)
     assert got.tobytes() == want.tobytes()
-    assert _describe_all(cloud, rows[:0]).shape == (0, size)
+    none = _describe_all(cloud, rows[:0])
+    assert none.shape == (0, size) and none.dtype == np.float64
 
 
 @pytest.mark.parametrize("coloured", [False, True])

@@ -505,6 +505,20 @@ class TestLoadFrames:
         with pytest.raises(FileFormatError, match="f1_boxes.json: box 'thumb' is not 3x4"):
             load_frames(boxed)
 
+    def test_object_cloud_whose_colors_differ_from_the_first_rejected(self, tmp_path):
+        manifest, original = write_sequence_dir(tmp_path)
+
+        def paint(k):
+            cloud = original[k].object_cloud
+            grey = np.full((len(cloud), 3), 0.5)
+            write_ply(manifest.frames[k].object_path, PointCloud(cloud.points, cloud.normals, grey))
+
+        paint(1)
+        with pytest.raises(FileFormatError, match="f1_object.ply: has colors, unlike .*f0_"):
+            load_frames(manifest)
+        paint(0)
+        assert load_frames(manifest)[1].object_cloud.colors is not None
+
     def test_mesh_as_object_cloud_rejected(self, tmp_path):
         manifest, _ = write_sequence_dir(tmp_path)
         mesh = TriangleMesh(

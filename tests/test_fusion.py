@@ -19,6 +19,7 @@ from inhand.fusion import (
     TsdfVolume,
     _candidate_voxels,
     _prune_components,
+    _slice_points,
     _vertex_normals,
     euler_characteristic,
     extract_mesh,
@@ -651,6 +652,15 @@ class TestMeasureDimensions:
         assert got["height"] == pytest.approx(70.0, abs=2 * 1.25)
         assert got["diameter"] == pytest.approx(70.0, abs=2 * 1.25)
         assert got["volume"] == pytest.approx(4.0 / 3.0 * math.pi * 35.0**3, rel=0.02)
+
+    @pytest.mark.parametrize("position", [-34.0, -28.0, -25.0, 26.0, 32.5])
+    def test_small_slice_diameter_is_the_all_pairs_maximum(self, sphere_mesh, position):
+        pts = _slice_points(sphere_mesh, 2, position)
+        assert 2 <= len(pts) <= 400
+        diff = pts[:, None, :] - pts[None, :, :]
+        want = float(np.sqrt((diff**2).sum(-1)).max())
+        probe = Probe("d", "slice_diameter", axis=2, position=position)
+        assert measure_dimensions(sphere_mesh, probe).hex() == want.hex()
 
     def test_unit_sphere(self):
         mesh = extract_mesh(sphere_sdf_volume(radius=1.0, side=3.0, res=60))

@@ -1,5 +1,7 @@
 """Core geometry: transforms, back-projection, weighted alignment."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from inhand.geometry import (
     back_project_many,
     project,
     rotation_about_axis,
+    rotation_angle_rad,
     solve_weighted_rigid,
     voxel_downsample_indices,
 )
@@ -44,6 +47,14 @@ class TestRigidTransform:
         t = RigidTransform.identity()
         p = np.array([1.0, -2.0, 3.0])
         np.testing.assert_array_equal(t.apply(p), p)
+
+    def test_apply_of_one_point(self):
+        rng = np.random.default_rng(11)
+        t = RigidTransform(random_rotation(rng), rng.normal(size=3) * 100.0)
+        p = rng.normal(size=3) * 100.0
+        got = t.apply(p)
+        assert got.shape == (3,)
+        assert np.linalg.norm(got - (t.rotation @ p + t.translation)) < 1e-12
 
     def test_compose_rotations_about_z(self):
         # Rz(30 deg) o Rz(60 deg) = Rz(90 deg):
@@ -95,6 +106,15 @@ class TestRigidTransform:
             t = t.compose(step)
         r = t.rotation
         assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("deg", [1e-9, 1e-6, 1e-5, 90.0, 180.0])
+def test_rotation_angle_reads_back_small_and_half_turns(deg):
+    rng = np.random.default_rng(12)
+    angle = math.radians(deg)
+    for _ in range(20):
+        got = rotation_angle_rad(rotation_about_axis(rng.normal(size=3), angle))
+        assert abs(got - angle) <= 1e-12 * angle
 
 
 class TestBackProject:

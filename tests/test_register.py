@@ -276,11 +276,7 @@ def test_refine_icp_ignores_the_row_order_of_the_cloud(seed, turn, shift):
     start = rigid((0.3, 1.0, 0.2), turn, shift)
     want = refine_icp(scan, scan.points, start=start, contact=contact)
     got = refine_icp(shuffled, scan.points, start=start, contact=contact)
-    # The arccos of rotation_angle_rad cannot resolve 1e-9 deg.
-    turn_deg = np.degrees(
-        Rotation.from_matrix(got.transform.rotation @ want.transform.rotation.T).magnitude()
-    )
-    assert turn_deg < 1e-9
+    assert transform_gap(got.transform, want.transform)[0] < 1e-9
     assert np.linalg.norm(got.transform.translation - want.transform.translation) < 1e-9
     assert len(got.rms_history) == len(want.rms_history)
     assert got.converged == want.converged
@@ -351,6 +347,15 @@ def exact_sequence(n_frames=4, deg_per_frame=4.0):
         frames.append(make_frame(k, motion, base_cloud, base_hand))
         truth.append(motion.inverse())
     return frames, truth
+
+
+def test_pair_rms_adds_nothing_for_an_empty_set():
+    visual, contact = make_pair_sets(np.random.default_rng(4), rigid((0, 0, 1), 3.0, (1, 0, 0)))
+    empty = CorrespondenceSet(NO_POINTS, NO_POINTS, "feat2d")
+    start = RigidTransform.identity()
+    want = register._pair_rms([visual, contact], start)
+    assert register._pair_rms([empty, visual, empty, contact], start) == want > 0.0
+    assert math.isnan(register._pair_rms([empty], start))
 
 
 class TestRegisterPair:
@@ -669,14 +674,14 @@ def plane_depth_patch(box_x, box_y, size, rotation_deg, center=(0.0, 0.0, 500.0)
 
 
 class TestDetectorCorrespondences:
-    def frame_with_box(self, index, box):
+    def frame_with_box(self, index, *boxes):
         cloud = PointCloud(np.zeros((1, 3)))
         hand = PosedHand(
             np.zeros((90, 3)),
             ("thumb_tip",) * 45 + ("index_tip",) * 45,
             frozenset({"thumb_tip", "index_tip"}),
         )
-        return SegmentedFrame(index, cloud, hand, detector_boxes=(box,))
+        return SegmentedFrame(index, cloud, hand, detector_boxes=boxes)
 
     def test_identical_boxes_zero_displacement(self):
         depth = np.full((8, 8), 500.0)
@@ -704,6 +709,16 @@ class TestDetectorCorrespondences:
         prev = self.frame_with_box(0, DetectorBox("thumb", 50, 50, 4, 4, depth_a))
         curr = self.frame_with_box(1, DetectorBox("thumb", 50, 50, 4, 4, depth_b))
         assert len(detector_correspondences(curr, prev, INTRINSICS)) == 12
+
+    def test_shared_label_without_valid_depths_adds_nothing(self):
+        depth = np.full((4, 4), 500.0)
+        blank = DetectorBox("index", 50, 50, 4, 4, np.zeros((4, 4)))
+        thumb = DetectorBox("thumb", 50, 50, 4, 4, depth)
+        prev, curr = self.frame_with_box(0, blank, thumb), self.frame_with_box(1, blank, thumb)
+        assert len(detector_correspondences(curr, prev, INTRINSICS)) == 16
+        prev, curr = self.frame_with_box(0, blank), self.frame_with_box(1, blank)
+        none = detector_correspondences(curr, prev, INTRINSICS)
+        assert len(none) == 0 and none.tag == "detector"
 
     def test_no_shared_labels(self):
         depth = np.full((4, 4), 500.0)

@@ -98,15 +98,9 @@ class TestObjectSpec:
         assert np.allclose(radii, 35.0, atol=1e-9)
         assert np.allclose(normals, pts / 35.0, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            SyntheticObjectSpec.capsule_bottle(diameter=60.0, height=120.0),
-            SyntheticObjectSpec.bowling_pin(head_diameter=50.0, body_diameter=82.0, height=150.0),
-        ],
-    )
-    def test_revolved_samples_lie_on_surface(self, spec):
-        surface = spec.surface()
+    @pytest.mark.parametrize("name", ["bottle", "pin", "stepped"])
+    def test_revolved_samples_lie_on_surface(self, name):
+        surface = PROFILE_SURFACES[name]
         pts, normals = surface.sample(500, np.random.default_rng(1))
         foot, foot_normals = surface.project(pts)
         assert np.linalg.norm(pts - foot, axis=1).max() < 1e-6

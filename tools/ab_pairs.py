@@ -2,10 +2,14 @@
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload W --seed N [--pairs 10]
 
-PARENT and CHANGE are checkout roots.  Both trees are byte-compiled first
-(``python -m compileall -q src perfbench``), so neither side pays for a
-missing bytecode cache.  Each pair runs ``python3 perfbench/run.py
---workload W --seed N --seconds 10`` once from each tree's root; the
+PARENT and CHANGE are checkout roots.  Each side runs from a fresh copy of
+its tree's ``src``, ``perfbench`` and ``BENCHMARK.json`` in a temporary
+directory, without ``__pycache__`` directories or ``perfbench/out``, so
+neither side measures bytecode or outputs left behind by earlier runs.
+Both copies are byte-compiled first (``python -m compileall -q src
+perfbench``), so neither side pays for a missing bytecode cache, and both
+are deleted at exit.  Each pair runs ``python3 perfbench/run.py
+--workload W --seed N --seconds 10`` once from each copy's root; the
 parent runs first in odd pairs and the change first in even ones.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
@@ -22,9 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -40,6 +46,16 @@ def end_to_end_metrics() -> dict[str, str]:
 def side_order(pair: int) -> tuple[str, str]:
     """Which side runs first in the 1-based ``pair``."""
     return ("parent", "change") if pair % 2 else ("change", "parent")
+
+
+def fresh_copy(root: Path, copy: Path) -> Path:
+    """``copy`` made to hold what the harness runs from ``root``, without
+    bytecode caches or earlier harness outputs."""
+    shutil.copytree(root / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(root / "perfbench", copy / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__", "out"))
+    shutil.copy2(root / "BENCHMARK.json", copy / "BENCHMARK.json")
+    return copy
 
 
 def compile_tree(root: Path) -> None:
@@ -110,16 +126,18 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     metrics = end_to_end_metrics()
-    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for root in roots.values():
-        compile_tree(root)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for pair in range(1, args.pairs + 1):
-        for side in side_order(pair):
-            runs[side].append(run_harness(roots[side], args.workload, args.seed))
-        shown = "  ".join(f"{name} {value(runs['parent'][-1], name):.4f} -> "
-                          f"{value(runs['change'][-1], name):.4f}" for name in metrics)
-        print(f"pair {pair} ({side_order(pair)[0]} first): {shown}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as scratch:
+        roots = {side: fresh_copy(tree.resolve(), Path(scratch) / side)
+                 for side, tree in (("parent", args.parent), ("change", args.change))}
+        for root in roots.values():
+            compile_tree(root)
+        for pair in range(1, args.pairs + 1):
+            for side in side_order(pair):
+                runs[side].append(run_harness(roots[side], args.workload, args.seed))
+            shown = "  ".join(f"{name} {value(runs['parent'][-1], name):.4f} -> "
+                              f"{value(runs['change'][-1], name):.4f}" for name in metrics)
+            print(f"pair {pair} ({side_order(pair)[0]} first): {shown}", flush=True)
 
     values = {side: {name: [value(r, name) for r in side_runs] for name in metrics}
               for side, side_runs in runs.items()}
