@@ -57,7 +57,10 @@ DEFAULT_INTRINSICS = CameraIntrinsics(525.0, 525.0, 319.5, 239.5, 640, 480)
 
 # Rotation-span agreement (min of est/truth and truth/est) below which a
 # reconstruction is flagged as collapsed: the estimated trajectory either
-# barely moved or thrashed far beyond the scripted motion.
+# barely moved or thrashed far beyond the scripted motion.  A scripted
+# motion that does not turn has no span to agree with, so the report
+# writes null for both fields; the per-frame pose error against truth
+# (ROADMAP item 1) is what will judge such scans.
 SPAN_AGREEMENT_THRESHOLD = 0.3
 
 # File name of each reconstruct output; they go to ``--out``, or next to
@@ -283,13 +286,14 @@ def cmd_reconstruct(args) -> int:
     }
     if truth is not None:
         truth_span = rotation_span_deg(truth.motions)
-        agreement = (
-            min(span / truth_span, truth_span / span) if truth_span and span else 0.0
-        )
+        agreement = collapsed = None
+        if truth_span:
+            agreement = min(span / truth_span, truth_span / span) if span else 0.0
+            collapsed = agreement < SPAN_AGREEMENT_THRESHOLD
         report["ground_truth"] = {
             "rotation_span_deg": truth_span,
             "span_agreement": agreement,
-            "collapse_suspected": agreement < SPAN_AGREEMENT_THRESHOLD,
+            "collapse_suspected": collapsed,
         }
         report["dimensions"] = _measure_report(mesh, truth)
     fileio.save_json(outputs["report"], report)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,28 +54,6 @@ MANIFEST_SCHEMA = "inhand-manifest/2"
 HAND_SCHEMA = "inhand-hand/1"
 BOXES_SCHEMA = "inhand-boxes/1"
 TRUTH_SCHEMA = "inhand-truth/1"
-
-__all__ = [
-    "MANIFEST_SCHEMA",
-    "ManifestFrame",
-    "SequenceManifest",
-    "read_ply",
-    "write_ply",
-    "save_hand_model",
-    "load_hand_model",
-    "save_detector_boxes",
-    "load_detector_boxes",
-    "save_feat2d",
-    "parse_feat2d_file",
-    "save_ground_truth",
-    "load_ground_truth",
-    "save_manifest",
-    "load_manifest",
-    "load_frames",
-    "save_trajectory",
-    "save_json",
-    "write_atomic",
-]
 
 
 # --------------------------------------------------------------------------
@@ -178,13 +157,12 @@ def write_ply(path, data: PointCloud | TriangleMesh) -> None:
 
 
 def _parse_ply_header(raw: bytes, path) -> tuple[str, list, bytes]:
-    marker = b"end_header\n"
-    cut = raw.find(marker)
-    if not raw.startswith(b"ply") or cut < 0:
+    end = re.search(rb"end_header\r?\n", raw)
+    if not raw.startswith(b"ply") or end is None:
         raise FileFormatError(f"{path}: not a PLY file")
     fmt = None
     elements: list[dict] = []
-    for line in raw[:cut].decode("ascii", errors="replace").splitlines()[1:]:
+    for line in raw[: end.start()].decode("ascii", errors="replace").splitlines()[1:]:
         parts = line.split()
         if not parts or parts[0] in ("comment", "obj_info"):
             continue
@@ -214,7 +192,7 @@ def _parse_ply_header(raw: bytes, path) -> tuple[str, list, bytes]:
             raise FileFormatError(f"{path}: unexpected header line {line!r}")
     if fmt is None:
         raise FileFormatError(f"{path}: missing format line")
-    return fmt, elements, raw[cut + len(marker):]
+    return fmt, elements, raw[end.end() :]
 
 
 def _ascii_table(tokens, cursor, count, width, dtype, path, what) -> np.ndarray:

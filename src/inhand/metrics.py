@@ -53,22 +53,6 @@ from .register import (
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "ProbeCell",
-    "SweepResult",
-    "EnergyRow",
-    "reconstruct",
-    "measure_probes",
-    "normalized_mean_error",
-    "rotation_span_deg",
-    "sweep_configs",
-    "run_gamma_sweep",
-    "compare_energies",
-    "sweep_to_csv",
-    "energies_to_csv",
-]
-
-
 def reconstruct(
     frames: Sequence[SegmentedFrame],
     config: RegistrationConfig,
@@ -148,85 +132,48 @@ def rotation_span_deg(poses: Sequence[RigidTransform]) -> float:
 
 
 @dataclass(frozen=True)
-class ProbeCell:
-    """One (gamma, probe) measurement against the fused mesh.
-
-    ``measured`` is NaN when the pipeline or the probe failed at this
-    cell; the absolute error then propagates as NaN too.
-    """
-
-    gamma: float
-    probe: str
-    kind: str
-    expected: float
-    measured: float
-
-    def __post_init__(self) -> None:
-        if self.expected <= 0.0:
-            raise ValueError(f"probe {self.probe!r}: expected value must be positive")
-
-    @property
-    def error(self) -> float:
-        """Absolute measurement error in the probe's own units."""
-        return abs(self.measured - self.expected)
-
-    @property
-    def normalized_error(self) -> float:
-        """Absolute error divided by the ground-truth value."""
-        return self.error / self.expected
-
-
-def normalized_mean_error(cells: Iterable[ProbeCell]) -> float:
-    """Mean of ``|measured - expected| / expected`` over millimeter probes.
-
-    Volume probes are excluded from the average: a cubic-unit error would
-    swamp the linear probes, so only length-like probes are pooled and
-    volume cells remain available in the raw table.  Returns NaN when any
-    pooled cell failed or when no length probes are present.
-    """
-    values = [c.normalized_error for c in cells if c.kind != "volume"]
-    if not values:
-        return float("nan")
-    return float(np.mean(values))
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    """Dimension errors across a grid of contact weights.
+    """Dimension errors across a grid of contact weights, one row per gamma.
 
-    ``cells`` holds one entry per (gamma, probe); ``normalized_errors``
-    derives, per gamma, the normalized mean over that gamma's length
-    probes from those cells.
+    ``measured[i]`` maps each probe's name to its value at ``gammas[i]``,
+    NaN where the pipeline or the probe failed there; ``expected`` holds
+    each probe's ground-truth value.
     """
 
     gammas: tuple[float, ...]
-    cells: tuple[ProbeCell, ...]
-
-    def __post_init__(self) -> None:
-        if not self.gammas:
-            raise ValueError("a sweep needs at least one gamma")
-        if any(b <= a for a, b in zip(self.gammas, self.gammas[1:])):
-            raise ValueError("gamma values must be strictly increasing")
-        known = set(self.gammas)
-        if any(c.gamma not in known for c in self.cells):
-            raise ValueError("cell gamma not in the gamma grid")
+    probes: tuple[Probe, ...]
+    expected: dict[str, float]
+    measured: tuple[dict[str, float], ...]
 
     @property
     def normalized_errors(self) -> tuple[float, ...]:
-        """Per gamma, :func:`normalized_mean_error` over that gamma's cells."""
-        return tuple(normalized_mean_error(self.cells_at(g)) for g in self.gammas)
+        """Per gamma, the mean of ``|measured - expected| / expected`` over
+        the millimeter probes.
 
-    def cells_at(self, gamma: float) -> tuple[ProbeCell, ...]:
-        """All probe cells measured at one gamma."""
-        gamma = float(gamma)
-        return tuple(c for c in self.cells if c.gamma == gamma)
+        Volume probes are excluded from the average: a cubic-unit error would
+        swamp the linear probes, so only length-like probes are pooled and
+        volume values remain available in the raw table.  A gamma's mean is
+        NaN when any pooled value failed or when no length probes are present.
+        """
+        lengths = [p.name for p in self.probes if p.kind != "volume"]
+        expected = self.expected
+        return tuple(
+            float(np.mean([abs(row[n] - expected[n]) / expected[n] for n in lengths]))
+            if lengths
+            else float("nan")
+            for row in self.measured
+        )
 
 
 def sweep_configs(gammas: Sequence[float]) -> tuple[RegistrationConfig, ...]:
-    """Each gamma's registration config; ``ValueError`` for a grid that
-    :class:`SweepResult` or a gamma that :class:`RegistrationConfig` rejects."""
-    grid = SweepResult(tuple(float(g) for g in gammas), ())
-    return tuple(RegistrationConfig(gamma_t=g) for g in grid.gammas)
+    """Each gamma's registration config; ``ValueError`` for an empty or not
+    strictly increasing grid, or a gamma that :class:`RegistrationConfig` rejects."""
+    gammas = [float(g) for g in gammas]
+    if not gammas:
+        raise ValueError("a sweep needs at least one gamma")
+    if any(b <= a for a, b in zip(gammas, gammas[1:])):
+        raise ValueError("gamma values must be strictly increasing")
+    return tuple(RegistrationConfig(gamma_t=g) for g in gammas)
 
 
 def run_gamma_sweep(
@@ -248,16 +195,17 @@ def run_gamma_sweep(
     keywords name as :func:`reconstruct` does, and probe measurement
     against the ``expected`` ground-truth dimensions; the frames' features
     and contact states, cached on the frames, are shared by every gamma.
-    A bad grid or gamma (:func:`sweep_configs`) fails before the first run.
+    A bad grid or gamma (:func:`sweep_configs`), or a probe without a
+    finite, positive expected value, fails before the first run.
     A pipeline failure at some gamma (no frame pair registered, say, or a
     single unmeasurable probe, e.g. volume of an open mesh) is recorded as
-    a NaN cell and the sweep continues; any other error propagates once
-    the worker thread has stopped.
+    NaN in that gamma's row and the sweep continues; any other error
+    propagates once the worker thread has stopped.
 
     Every gamma registers through one :func:`registrations`, whose
     docstring states the threads; the calling thread fuses and measures
     each gamma in grid order as soon as its registration is done.  The
-    cells are those of the serial loop, bit for bit.
+    rows are those of the serial loop, bit for bit.
     """
     frames = list(frames)
     probes = tuple(probes)
@@ -266,8 +214,9 @@ def run_gamma_sweep(
     if not probes:
         raise EmptyInputError("no probes to measure")
     configs = sweep_configs(gammas)
-    if missing := [p.name for p in probes if p.name not in expected]:
-        raise ValueError(f"no ground-truth value for probes: {', '.join(missing)}")
+    bad = [p.name for p in probes if not 0.0 < expected.get(p.name, math.nan) < math.inf]
+    if bad:
+        raise ValueError(f"no finite, positive ground-truth value for probes: {', '.join(bad)}")
 
     volume = dict(
         volume_center=volume_center,
@@ -275,17 +224,17 @@ def run_gamma_sweep(
         resolution=resolution,
         smooth_iterations=smooth_iterations,
     )
-    cells = []
     with registrations(frames, configs, intrinsics) as chains:
-        for config, registration in zip(configs, chains):
-            measured = _measure_at_gamma(frames, probes, config, registration, volume)
-            cells.extend(
-                ProbeCell(
-                    config.gamma_t, p.name, p.kind, float(expected[p.name]), measured[p.name]
-                )
-                for p in probes
-            )
-    return SweepResult(tuple(c.gamma_t for c in configs), tuple(cells))
+        measured = tuple(
+            _measure_at_gamma(frames, probes, config, registration, volume)
+            for config, registration in zip(configs, chains)
+        )
+    return SweepResult(
+        tuple(c.gamma_t for c in configs),
+        probes,
+        {p.name: float(expected[p.name]) for p in probes},
+        measured,
+    )
 
 
 def _measure_at_gamma(
@@ -349,10 +298,11 @@ def compare_energies(
     ``(a, b)``; a row is the mean and standard deviation of its
     configuration's errors over all annotated pairs.  ICP
     and fusion are deliberately excluded so the rows compare the sparse
-    solves alone.  A configuration that cannot be solved on every pair
-    (no detector boxes, a dropped contact term, fewer than
-    three effective pairs) comes back marked unavailable.  The contact and
-    detector sets carry the default ``gamma_t``.
+    solves alone.  Each pair's correspondence sets are built once.  A
+    configuration that cannot be solved on every pair (no detector boxes,
+    a dropped contact term, fewer than three effective pairs) comes back
+    marked unavailable, and its solves stop at the first such pair.  The
+    contact and detector sets carry the default ``gamma_t``.
     """
     frames = list(frames)
     annotations = list(annotations)
@@ -362,45 +312,41 @@ def compare_energies(
         raise EmptyInputError(f"annotation of frames {empty[0]} has no point pairs")
     by_index = {f.frame_index: f for f in frames}
     config = RegistrationConfig(use_detector=True)
-
-    # Per config: the point errors of each annotated pair.
-    errors: dict[str, list[np.ndarray]] = {name: [] for name, _, _ in _ENERGY_CONFIGS}
-    usable = {name: True for name, _, _ in _ENERGY_CONFIGS}
+    pairs = []
     for ann in annotations:
         try:
             prev, curr = by_index[ann.frame_a], by_index[ann.frame_b]
         except KeyError as exc:
             raise ValueError(f"annotation references missing frame {exc}") from None
-        sets = build_correspondences(prev, curr, config, intrinsics)
-        present = {cs.tag for cs in sets if len(cs) > 0}
-        for name, anchor, tags in _ENERGY_CONFIGS:
+        pairs.append((ann, build_correspondences(prev, curr, config, intrinsics)))
+
+    rows = []
+    for name, anchor, tags in _ENERGY_CONFIGS:
+        errors = []
+        for ann, sets in pairs:
             chosen = [cs for cs in sets if cs.tag in tags]
             try:
-                if anchor not in present:
+                if not any(cs.tag == anchor and len(cs) > 0 for cs in chosen):
                     raise UnderConstrainedError(f"no {anchor} correspondences")
                 pair_transform = align_sparse(chosen, config)
             except UnderConstrainedError as exc:
-                if usable[name]:
-                    log.warning(
-                        "config %r unavailable: frames (%d, %d): %s",
-                        name,
-                        ann.frame_a,
-                        ann.frame_b,
-                        exc,
-                    )
-                usable[name] = False
-                continue
-            errors[name].append(
+                log.warning(
+                    "config %r unavailable: frames (%d, %d): %s",
+                    name,
+                    ann.frame_a,
+                    ann.frame_b,
+                    exc,
+                )
+                rows.append(EnergyRow(name, float("nan"), float("nan"), 0, False))
+                break
+            errors.append(
                 np.linalg.norm(ann.points_a - pair_transform.apply(ann.points_b), axis=1)
             )
-
-    rows = []
-    for name, _, _ in _ENERGY_CONFIGS:
-        if not usable[name]:
-            rows.append(EnergyRow(name, float("nan"), float("nan"), 0, False))
-            continue
-        pooled = np.concatenate(errors[name])
-        rows.append(EnergyRow(name, float(pooled.mean()), float(pooled.std()), len(pooled)))
+        else:
+            pooled = np.concatenate(errors)
+            rows.append(
+                EnergyRow(name, float(pooled.mean()), float(pooled.std()), len(pooled))
+            )
     return tuple(rows)
 
 
@@ -419,16 +365,18 @@ def sweep_to_csv(result: SweepResult, path) -> None:
             "normalized_mean_error",
         ]
     )
-    for gamma, norm in zip(result.gammas, result.normalized_errors):
-        for cell in result.cells_at(gamma):
+    rows = zip(result.gammas, result.measured, result.normalized_errors)
+    for gamma, measured, norm in rows:
+        for probe in result.probes:
+            expected, value = result.expected[probe.name], measured[probe.name]
             writer.writerow(
                 [
                     repr(gamma),
-                    cell.probe,
-                    cell.kind,
-                    repr(cell.expected),
-                    repr(cell.measured),
-                    repr(cell.error),
+                    probe.name,
+                    probe.kind,
+                    repr(expected),
+                    repr(value),
+                    repr(abs(value - expected)),
                     repr(norm),
                 ]
             )

@@ -447,6 +447,26 @@ class TestReconstruct:
             centre = truth.motions[k].apply(np.asarray(truth.center))
             assert np.linalg.norm(pose.apply(centre) - want.apply(centre)) < 0.1
 
+    def test_scan_that_does_not_turn_has_no_span_agreement(self, tmp_path, capsys):
+        # The truth's span is 0, so no agreement ratio exists; an estimated
+        # span of a hundredth of a degree is not a collapse.
+        seq, out = tmp_path / "seq", tmp_path / "out"
+        assert run_cli(
+            "synth", "--shape", "sphere", "--diameter", "40", "--density", "0.3",
+            "--frames", "3", "--deg-per-frame", "0", "--texture-count", "8",
+            "--volume-side", "120", "--tsdf-resolution", "40", "--out", seq,
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("reconstruct", seq / "manifest.json", "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["registered"] == 3
+        assert report["ground_truth"] == {
+            "rotation_span_deg": 0.0,
+            "span_agreement": None,
+            "collapse_suspected": None,
+        }
+        assert "collapsed" not in capsys.readouterr().out
+
     def test_no_contact_suspects_collapse(self, seq_dir, tmp_path):
         out = tmp_path / "collapse"
         code = run_cli(

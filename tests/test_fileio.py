@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -112,18 +113,24 @@ class TestPlyMeshRoundTrip:
         assert path.read_bytes() == first
 
 
+# An ASCII PLY as another tool might write it: its header up to the face
+# element, and its three vertex lines.
+ASCII_HEADER = (
+    "ply\nformat ascii 1.0\ncomment made by another tool\nelement vertex 3\n"
+    "property float x\nproperty float y\nproperty float z\n"
+    "property float nx\nproperty float ny\nproperty float nz\n"
+    "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+)
+ASCII_VERTICES = (
+    "0 0 500 0 0 -1 255 0 0\n"
+    "1.5 0 500 0 0 -1 0 255 0\n"
+    "0 -2.25 500.5 0 0.6 -0.8 0 0 51\n"
+)
+ASCII_FACE_ELEMENT = "element face 1\nproperty list uchar int vertex_indices\n"
+
+
 def test_reads_ascii_vertices_normals_colors_and_faces(tmp_path):
-    header = (
-        "ply\nformat ascii 1.0\ncomment made by another tool\nelement vertex 3\n"
-        "property float x\nproperty float y\nproperty float z\n"
-        "property float nx\nproperty float ny\nproperty float nz\n"
-        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-    )
-    vertices = (
-        "0 0 500 0 0 -1 255 0 0\n"
-        "1.5 0 500 0 0 -1 0 255 0\n"
-        "0 -2.25 500.5 0 0.6 -0.8 0 0 51\n"
-    )
+    header, vertices = ASCII_HEADER, ASCII_VERTICES
     points = [[0.0, 0.0, 500.0], [1.5, 0.0, 500.0], [0.0, -2.25, 500.5]]
     normals = [[0.0, 0.0, -1.0], [0.0, 0.0, -1.0], [0.0, 0.6, -0.8]]
     path = tmp_path / "cloud.ply"
@@ -133,13 +140,40 @@ def test_reads_ascii_vertices_normals_colors_and_faces(tmp_path):
     assert np.array_equal(cloud.points, points)
     assert np.array_equal(cloud.normals, normals)
     assert np.array_equal(cloud.colors, np.array([[255, 0, 0], [0, 255, 0], [0, 0, 51]]) / 255.0)
-    face_element = "element face 1\nproperty list uchar int vertex_indices\n"
-    path.write_text(header + face_element + "end_header\n" + vertices + "3 0 2 1\n")
+    path.write_text(header + ASCII_FACE_ELEMENT + "end_header\n" + vertices + "3 0 2 1\n")
     mesh = read_ply(path)
     assert isinstance(mesh, TriangleMesh)
     assert np.array_equal(mesh.vertices, points)
     assert np.array_equal(mesh.normals, normals)
     assert np.array_equal(mesh.triangles, [[0, 2, 1]])
+
+
+def crlf_header(raw: bytes) -> bytes:
+    """``raw`` with every line of its PLY header ended by CRLF instead of LF."""
+    head, body = raw.split(b"end_header\n", 1)
+    return head.replace(b"\n", b"\r\n") + b"end_header\r\n" + body
+
+
+def test_crlf_header_reads_as_its_lf_form(tmp_path):
+    ascii_mesh = (
+        ASCII_HEADER + ASCII_FACE_ELEMENT + "end_header\n" + ASCII_VERTICES + "3 0 2 1\n"
+    )
+    lf = tmp_path / "lf.ply"
+    forms = {
+        "ascii": (ascii_mesh.encode(), ascii_mesh.replace("\n", "\r\n").encode()),
+    }
+    for name, data in (("cloud", float32_cloud()), ("mesh", TestPlyMeshRoundTrip().mesh())):
+        write_ply(lf, data)
+        forms[name] = (lf.read_bytes(), crlf_header(lf.read_bytes()))
+    for name, (lf_bytes, crlf_bytes) in forms.items():
+        assert b"\r\n" in crlf_bytes, name
+        lf.write_bytes(lf_bytes)
+        (tmp_path / "crlf.ply").write_bytes(crlf_bytes)
+        want, got = read_ply(lf), read_ply(tmp_path / "crlf.ply")
+        assert type(got) is type(want), name
+        for field in fields(want):
+            a, b = getattr(want, field.name), getattr(got, field.name)
+            assert (a is None and b is None) or np.array_equal(a, b), (name, field.name)
 
 
 class TestPlyErrors:

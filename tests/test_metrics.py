@@ -14,12 +14,11 @@ from inhand.errors import DivergenceError, EmptyInputError, InHandError
 from inhand.fusion import Probe
 from inhand.geometry import CameraIntrinsics
 from inhand.metrics import (
-    ProbeCell,
     SweepResult,
     compare_energies,
     energies_to_csv,
-    normalized_mean_error,
     run_gamma_sweep,
+    sweep_configs,
     sweep_to_csv,
 )
 from inhand.register import (
@@ -75,28 +74,49 @@ def sweep_fixture():
 
 def serial_sweep(frames, truth, gammas):
     """The loop ``run_gamma_sweep`` overlaps: each gamma reconstructed, then measured."""
-    cells = []
+    rows = []
     for gamma in gammas:
         try:
             _, mesh = metrics.reconstruct(
                 frames, RegistrationConfig(gamma_t=gamma), INTRINSICS, **sweep_volume(truth)
             )
-            measured = metrics.measure_probes(mesh, truth.probes)
+            rows.append(metrics.measure_probes(mesh, truth.probes))
         except InHandError:
-            measured = {p.name: math.nan for p in truth.probes}
-        cells.extend(
-            ProbeCell(gamma, p.name, p.kind, float(truth.expected[p.name]), measured[p.name])
-            for p in truth.probes
-        )
-    return SweepResult(tuple(gammas), tuple(cells))
+            rows.append({p.name: math.nan for p in truth.probes})
+    expected = {p.name: float(truth.expected[p.name]) for p in truth.probes}
+    return SweepResult(tuple(gammas), truth.probes, expected, tuple(rows))
 
 
-def cell_bits(cells):
-    """Each cell with its measured value as raw float64 bytes, NaN included."""
-    return [
-        (c.gamma, c.probe, c.kind, c.expected, np.float64(c.measured).tobytes())
-        for c in cells
-    ]
+def measured_bits(result):
+    """Per gamma, each probe's measured value as raw float64 bytes, NaN included."""
+    return {
+        gamma: [(name, np.float64(value).tobytes()) for name, value in row.items()]
+        for gamma, row in zip(result.gammas, result.measured)
+    }
+
+
+def float_bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+PROBES = (
+    Probe("height", "extent"),
+    Probe("diameter", "slice_diameter", axis=2, position=0.0),
+    Probe("volume", "volume"),
+)
+
+
+def hand_built(measured, probes=None):
+    """A ``SweepResult`` at gammas 0, 15, ... with one row per entry of
+    ``measured``, over ``probes`` (default ``PROBES``)."""
+    probes = PROBES if probes is None else probes
+    expected = {"height": 30.0, "diameter": 30.0, "volume": 100.0}
+    return SweepResult(
+        tuple(15.0 * i for i in range(len(measured))),
+        probes,
+        {p.name: expected[p.name] for p in probes},
+        tuple(measured),
+    )
 
 
 def chain_failing_at(gamma, error):
@@ -144,104 +164,65 @@ def own_thread_count():
 
 
 def assert_results_identical(a, b):
-    assert a.gammas == b.gammas
-    for x, y in zip(a.normalized_errors, b.normalized_errors):
-        assert (math.isnan(x) and math.isnan(y)) or x == y
-    assert len(a.cells) == len(b.cells)
-    for ca, cb in zip(a.cells, b.cells):
-        assert (ca.gamma, ca.probe, ca.kind, ca.expected) == (
-            cb.gamma,
-            cb.probe,
-            cb.kind,
-            cb.expected,
-        )
-        assert (math.isnan(ca.measured) and math.isnan(cb.measured)) or (
-            ca.measured == cb.measured
-        )
-
-
-class TestProbeCell:
-    def test_error_is_absolute_difference(self):
-        cell = ProbeCell(15.0, "diameter", "slice_diameter", 30.0, 28.5)
-        assert cell.error == pytest.approx(1.5)
-        assert cell.normalized_error == pytest.approx(0.05)
-
-    def test_failed_measurement_propagates_nan(self):
-        cell = ProbeCell(0.0, "volume", "volume", 100.0, float("nan"))
-        assert math.isnan(cell.error)
-        assert math.isnan(cell.normalized_error)
-
-    def test_expected_value_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            ProbeCell(0.0, "height", "extent", 0.0, 1.0)
+    assert (a.gammas, a.probes, a.expected) == (b.gammas, b.probes, b.expected)
+    assert float_bits(a.normalized_errors) == float_bits(b.normalized_errors)
+    assert measured_bits(a) == measured_bits(b)
 
 
 class TestNormalizedMeanError:
     def test_averages_normalized_length_errors(self):
-        cells = [
-            ProbeCell(0.0, "height", "extent", 30.0, 33.0),
-            ProbeCell(0.0, "diameter", "slice_diameter", 30.0, 36.0),
-        ]
-        assert normalized_mean_error(cells) == pytest.approx(0.15)
+        result = hand_built(
+            [{"height": 33.0, "diameter": 36.0}, {"height": 30.3, "diameter": 30.0}],
+            probes=PROBES[:2],
+        )
+        assert result.normalized_errors == (pytest.approx(0.15), pytest.approx(0.005))
 
     def test_volume_probes_are_excluded(self):
-        cells = [
-            ProbeCell(0.0, "height", "extent", 30.0, 33.0),
-            ProbeCell(0.0, "diameter", "slice_diameter", 30.0, 36.0),
-            ProbeCell(0.0, "volume", "volume", 100.0, 900.0),
-        ]
-        assert normalized_mean_error(cells) == pytest.approx(0.15)
+        result = hand_built([{"height": 33.0, "diameter": 36.0, "volume": 900.0}])
+        assert result.normalized_errors == (pytest.approx(0.15),)
 
     def test_no_length_probes_gives_nan(self):
-        assert math.isnan(normalized_mean_error([]))
-        only_volume = [ProbeCell(0.0, "volume", "volume", 100.0, 101.0)]
-        assert math.isnan(normalized_mean_error(only_volume))
+        assert math.isnan(hand_built([{}], probes=()).normalized_errors[0])
+        only_volume = hand_built([{"volume": 101.0}], probes=PROBES[2:])
+        assert math.isnan(only_volume.normalized_errors[0])
 
     def test_failed_length_cell_poisons_the_mean(self):
-        cells = [
-            ProbeCell(0.0, "height", "extent", 30.0, 33.0),
-            ProbeCell(0.0, "diameter", "slice_diameter", 30.0, float("nan")),
-        ]
-        assert math.isnan(normalized_mean_error(cells))
+        result = hand_built([{"height": 33.0, "diameter": float("nan"), "volume": 100.0}])
+        assert math.isnan(result.normalized_errors[0])
 
 
 class TestSweepResult:
-    def good_cells(self):
-        return (
-            ProbeCell(0.0, "height", "extent", 30.0, 33.0),
-            ProbeCell(15.0, "height", "extent", 30.0, 30.3),
-        )
+    def csv_rows(self, result, tmp_path):
+        sweep_to_csv(result, tmp_path / "sweep.csv")
+        return (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+
+    def test_error_is_absolute_difference(self, tmp_path):
+        result = hand_built([{"height": 28.5}], probes=PROBES[:1])
+        assert self.csv_rows(result, tmp_path) == ["0.0,height,extent,30.0,28.5,1.5,0.05"]
+        assert result.normalized_errors == (pytest.approx(0.05),)
+
+    def test_failed_measurement_propagates_nan(self, tmp_path):
+        result = hand_built([{"height": 30.0, "diameter": 30.0, "volume": float("nan")}])
+        assert self.csv_rows(result, tmp_path)[2] == "0.0,volume,volume,100.0,nan,nan,0.0"
 
     def test_gammas_must_strictly_increase(self):
-        cells = self.good_cells()
         with pytest.raises(ValueError, match="strictly increasing"):
-            SweepResult((15.0, 0.0), cells)
+            sweep_configs((15.0, 0.0))
         with pytest.raises(ValueError, match="strictly increasing"):
-            SweepResult((0.0, 0.0), cells)
+            sweep_configs((0.0, 0.0))
 
     def test_needs_at_least_one_gamma(self):
         with pytest.raises(ValueError, match="at least one gamma"):
-            SweepResult((), ())
-
-    def test_cells_must_belong_to_the_grid(self):
-        stray = (ProbeCell(7.0, "height", "extent", 30.0, 33.0),)
-        with pytest.raises(ValueError, match="grid"):
-            SweepResult((0.0,), stray)
-
-    def test_lookup_helpers(self):
-        cells = self.good_cells()
-        result = SweepResult((0.0, 15.0), cells)
-        assert [c.gamma for c in result.cells_at(0.0)] == [0.0]
-        assert result.normalized_errors == (pytest.approx(0.1), pytest.approx(0.01))
+            sweep_configs(())
 
 
 class TestRunGammaSweep:
     def test_one_cell_per_gamma_and_probe(self):
         _, truth, result = sweep_fixture()
         assert result.gammas == (0.0, 15.0)
-        assert len(result.cells) == 2 * len(truth.probes)
-        seen = {(c.gamma, c.probe) for c in result.cells}
-        assert len(seen) == len(result.cells)
+        assert result.probes == truth.probes
+        assert len(result.measured) == 2
+        assert all(list(row) == [p.name for p in truth.probes] for row in result.measured)
 
     def test_contact_weight_shrinks_dimension_error(self):
         _, _, result = sweep_fixture()
@@ -249,11 +230,10 @@ class TestRunGammaSweep:
         assert errors[15.0] < errors[0.0]
 
     def test_failed_volume_cell_recorded_and_sweep_continues(self):
-        _, _, result = sweep_fixture()
-        volume_at_zero = [c for c in result.cells_at(0.0) if c.kind == "volume"]
-        assert math.isnan(volume_at_zero[0].measured)
-        lengths_at_15 = [c for c in result.cells_at(15.0) if c.kind != "volume"]
-        assert all(math.isfinite(c.measured) for c in lengths_at_15)
+        _, truth, result = sweep_fixture()
+        at_zero, at_15 = result.measured
+        assert [math.isnan(at_zero[p.name]) for p in truth.probes if p.kind == "volume"] == [True]
+        assert all(math.isfinite(at_15[p.name]) for p in truth.probes if p.kind != "volume")
 
     def test_unmeasurable_probe_fails_its_cell_only(self):
         frames, truth, _ = sweep_fixture()
@@ -269,9 +249,9 @@ class TestRunGammaSweep:
             **sweep_volume(truth),
             intrinsics=INTRINSICS,
         )
-        by_name = {c.probe: c for c in result.cells_at(15.0)}
-        assert math.isnan(by_name["phantom"].measured)
-        assert math.isfinite(by_name["height"].measured)
+        (by_name,) = result.measured
+        assert math.isnan(by_name["phantom"])
+        assert math.isfinite(by_name["height"])
         assert math.isnan(dict(zip(result.gammas, result.normalized_errors))[15.0])
 
     def test_no_registered_pair_fails_every_cell(self, monkeypatch):
@@ -289,7 +269,7 @@ class TestRunGammaSweep:
             **sweep_volume(truth),
             intrinsics=INTRINSICS,
         )
-        assert all(math.isnan(c.measured) for c in result.cells)
+        assert all(math.isnan(v) for row in result.measured for v in row.values())
         assert math.isnan(dict(zip(result.gammas, result.normalized_errors))[15.0])
 
     def test_each_frame_is_detected_once(self, monkeypatch):
@@ -316,7 +296,8 @@ class TestRunGammaSweep:
         frames, truth, result = sweep_fixture()
         want = serial_sweep(frames, truth, result.gammas)
         assert result.gammas == want.gammas
-        assert cell_bits(result.cells) == cell_bits(want.cells)
+        assert measured_bits(result) == measured_bits(want)
+        assert float_bits(result.normalized_errors) == float_bits(want.normalized_errors)
         sweep_to_csv(result, tmp_path / "got.csv")
         sweep_to_csv(want, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -360,8 +341,8 @@ class TestRunGammaSweep:
             **sweep_volume(truth),
             intrinsics=INTRINSICS,
         )
-        assert all(math.isnan(c.measured) for c in result.cells_at(5.0))
-        assert cell_bits(result.cells_at(15.0)) == cell_bits(fixture.cells_at(15.0))
+        assert all(math.isnan(v) for v in result.measured[1].values())
+        assert measured_bits(result)[15.0] == measured_bits(fixture)[15.0]
         assert "gamma 5: pipeline failed (scripted divergence)" in caplog.text
 
     def test_worker_error_propagates_and_the_worker_stops(self, monkeypatch):
@@ -402,7 +383,7 @@ class TestRunGammaSweep:
         assert len(running) == 3 * (len(frames) - 1)
         assert max(running) == threads_before + 1
         assert threading.active_count() == threads_before
-        assert cell_bits(result.cells_at(15.0)) == cell_bits(fixture.cells_at(15.0))
+        assert measured_bits(result)[15.0] == measured_bits(fixture)[15.0]
 
     @pytest.mark.parametrize(
         "failing, message",
@@ -488,6 +469,23 @@ class TestRunGammaSweep:
                 truth.probes,
                 truth.expected,
                 (0.0, math.inf),
+                **sweep_volume(truth),
+                intrinsics=INTRINSICS,
+            )
+
+    def test_zero_expected_value_fails_before_any_gamma_runs(self, monkeypatch):
+        frames, truth, _ = sweep_fixture()
+
+        def must_not_run(*args):
+            raise AssertionError("a pair registered before the expected values were checked")
+
+        monkeypatch.setattr(register, "register_pair", must_not_run)
+        with pytest.raises(ValueError, match="positive ground-truth value for probes: height"):
+            run_gamma_sweep(
+                frames,
+                truth.probes,
+                dict(truth.expected, height=0.0),
+                (0.0, 15.0),
                 **sweep_volume(truth),
                 intrinsics=INTRINSICS,
             )
@@ -630,7 +628,7 @@ class TestCsvOutput:
         header = lines[0].split(",")
         assert header[:3] == ["gamma", "probe", "kind"]
         body = [line.split(",") for line in lines[1:]]
-        assert len(body) == len(result.cells)
+        assert len(body) == len(result.gammas) * len(result.probes)
         for gamma in result.gammas:
             rows = [r for r in body if float(r[0]) == gamma]
             ratios = [
