@@ -223,20 +223,28 @@ def _measure_report(mesh, truth: GroundTruth) -> dict:
     return dimensions
 
 
+def _require_files(args, manifest, field: str, term: str, hint: str) -> None:
+    """:class:`ManifestError` naming the first frame without the ``field``
+    file that the ``term`` reads, with a ``hint`` on how to leave it out."""
+    if missing := [f.index for f in manifest.frames if getattr(f, field) is None]:
+        raise ManifestError(
+            f"{args.manifest}: frame {missing[0]} has no {field.removesuffix('_path')} "
+            f"file; the {term} needs it ({hint})"
+        )
+
+
 def cmd_reconstruct(args) -> int:
+    try:
+        config = RegistrationConfig(
+            gamma_t=args.gamma_t, use_detector=args.use_detector, use_icp=not args.no_icp
+        )
+    except ValueError as exc:
+        raise UsageError(f"--use-detector with --gamma-t 0: {exc}") from None
     manifest = fileio.load_manifest(args.manifest)
-    config = RegistrationConfig(
-        gamma_t=args.gamma_t,
-        use_contact=not args.no_contact,
-        use_detector=args.use_detector,
-        use_icp=not args.no_icp,
-    )
     if config.contact_term_on:
-        if handless := [f.index for f in manifest.frames if f.hand_path is None]:
-            raise ManifestError(
-                f"{args.manifest}: frame {handless[0]} has no hand file; the contact "
-                "term needs hand data (pass --no-contact or --gamma-t 0)"
-            )
+        _require_files(args, manifest, "hand_path", "contact term", "pass --gamma-t 0")
+    if config.use_detector:
+        _require_files(args, manifest, "boxes_path", "detector term", "drop --use-detector")
     truth_path = manifest.ground_truth
     truth = None if truth_path is None else fileio.load_ground_truth(truth_path)
     frames = fileio.load_frames(manifest)
@@ -267,7 +275,7 @@ def cmd_reconstruct(args) -> int:
         "skipped": list(result.skipped),
         "config": {
             k: getattr(config, k)
-            for k in ("gamma_t", "use_contact", "use_detector", "use_icp")
+            for k in ("gamma_t", "use_detector", "use_icp")
         },
         "rotation_span_deg": span,
         "mean_sparse_rms": _nanmean(p.sparse_residual for p in result.poses),
@@ -337,8 +345,11 @@ def cmd_eval(args) -> int:
     if manifest.ground_truth is None:
         raise ManifestError(f"{args.manifest}: eval needs a ground_truth entry")
     truth = fileio.load_ground_truth(manifest.ground_truth)
-    if args.sweep_gammas is not None and not truth.probes:
-        raise FileFormatError(f"{manifest.ground_truth}: no probes for --sweep-gammas")
+    if args.sweep_gammas is not None:
+        if not truth.probes:
+            raise FileFormatError(f"{manifest.ground_truth}: no probes for --sweep-gammas")
+        if max(args.sweep_gammas) > 0.0:
+            _require_files(args, manifest, "hand_path", "contact term", "sweep gamma 0 alone")
     if args.compare_energies:
         if not truth.annotations:
             raise FileFormatError(
@@ -433,11 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--gamma-t",
         type=_gamma,
         default=RegistrationConfig.gamma_t,
-        help=f"contact weight, finite and >= 0 (default {RegistrationConfig.gamma_t:g})",
+        help="contact and detector weight, finite and >= 0; 0 drops the contact term "
+        f"(default {RegistrationConfig.gamma_t:g})",
     )
-    rec.add_argument("--no-contact", action="store_true", help="drop the contact term")
     rec.add_argument(
-        "--use-detector", action="store_true", help="add detector-box correspondences"
+        "--use-detector", action="store_true", help="add detector-box pairs; needs --gamma-t > 0"
     )
     rec.add_argument("--no-icp", action="store_true", help="skip ICP refinement")
     rec.add_argument(

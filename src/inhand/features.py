@@ -111,7 +111,7 @@ def _neighbourhood_moments(
 
 
 def detect_iss_keypoints(cloud: PointCloud) -> np.ndarray:
-    """Cloud rows of the ISS keypoints (the cloud must carry normals).
+    """Cloud rows of the ISS keypoints.
 
     A point qualifies when at least ``MIN_NEIGHBORS`` points lie within
     ``SALIENT_RADIUS``, its scatter eigenvalues l1 >= l2 >= l3 satisfy
@@ -124,8 +124,6 @@ def detect_iss_keypoints(cloud: PointCloud) -> np.ndarray:
     (see :func:`_neighbourhood_moments`). That makes the result
     reproducible to the bit and independent of the input order.
     """
-    if cloud.normals is None:
-        raise ValueError("keypoint detection expects a cloud with normals")
     n = len(cloud)
     # Work in a canonical point order so floating-point accumulation (and
     # therefore the result) is invariant under input reordering.

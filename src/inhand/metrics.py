@@ -30,7 +30,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, EmptyInputError, InHandError, UnderConstrainedError
+from .errors import (
+    DegenerateConfigurationError,
+    DivergenceError,
+    EmptyInputError,
+    InHandError,
+    UnderConstrainedError,
+)
 from .fileio import write_atomic
 from .fusion import (
     Probe,
@@ -300,9 +306,9 @@ def compare_energies(
     and fusion are deliberately excluded so the rows compare the sparse
     solves alone.  Each pair's correspondence sets are built once.  A
     configuration that cannot be solved on every pair (no detector boxes,
-    a dropped contact term, fewer than three effective pairs) comes back
-    marked unavailable, and its solves stop at the first such pair.  The
-    contact and detector sets carry the default ``gamma_t``.
+    a dropped contact term, fewer than three effective pairs, collinear
+    pairs) comes back marked unavailable, and its solves stop at the first
+    such pair.  The contact and detector sets carry the default ``gamma_t``.
     """
     frames = list(frames)
     annotations = list(annotations)
@@ -329,7 +335,7 @@ def compare_energies(
                 if not any(cs.tag == anchor and len(cs) > 0 for cs in chosen):
                     raise UnderConstrainedError(f"no {anchor} correspondences")
                 pair_transform = align_sparse(chosen, config)
-            except UnderConstrainedError as exc:
+            except (UnderConstrainedError, DegenerateConfigurationError) as exc:
                 log.warning(
                     "config %r unavailable: frames (%d, %d): %s",
                     name,

@@ -65,13 +65,14 @@ WEAK_DIRECTION_RATIO = 30.0
 class RegistrationConfig:
     """The settings of one registration run, as the command line gives them.
 
-    ``use_contact`` / ``use_detector`` / ``use_icp`` switch whole terms on
-    or off for ablation runs.  ``gamma_t`` weighs the contact pairs in both
-    stages.  In the sparse stage each contact (or detector) pair has weight
-    ``gamma_t`` and each visual pair weight 1.  In ICP each term enters with
-    its weight over its pair count, so ``gamma_t`` is the contact term's
-    weight relative to the dense term's 1.  The method's constants are not
-    settings:
+    ``gamma_t`` weighs the contact pairs in both stages; at 0 the contact
+    term is off.  ``use_detector`` adds the detector pairs, which
+    ``gamma_t`` weighs too, so it needs ``gamma_t > 0``; ``use_icp``
+    switches ICP on or off.  In the sparse stage each contact (or detector)
+    pair has weight ``gamma_t`` and each visual pair weight 1.  In ICP each
+    term enters with its weight over its pair count, so ``gamma_t`` is the
+    contact term's weight relative to the dense term's 1.  The method's
+    constants are not settings:
 
     * the ICP limits below;
     * the sparse stage's ``ROBUST_ROUNDS`` (10) reweighted solves with the
@@ -87,7 +88,6 @@ class RegistrationConfig:
     """
 
     gamma_t: float = 15.0
-    use_contact: bool = True
     use_detector: bool = False
     use_icp: bool = True
 
@@ -98,11 +98,13 @@ class RegistrationConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma_t) and self.gamma_t >= 0.0):
             raise ValueError(f"gamma_t must be finite and nonnegative, got {self.gamma_t}")
+        if self.use_detector and not self.contact_term_on:
+            raise ValueError("detector pairs carry weight gamma_t, so they need gamma_t > 0")
 
     @property
     def contact_term_on(self) -> bool:
-        """The contact term is on when ``use_contact`` is set and ``gamma_t > 0``."""
-        return self.use_contact and self.gamma_t > 0.0
+        """The contact term is on when ``gamma_t > 0``."""
+        return self.gamma_t > 0.0
 
     def set_weight(self, tag: str) -> float:
         return self.gamma_t if tag in _GAMMA_TAGS else 1.0

@@ -256,56 +256,62 @@ class _SphereSurface:
 
 @dataclass(frozen=True)
 class SyntheticObjectSpec:
-    """Parametric scan target: shape name, dimensions (mm), sample density."""
+    """Scan target: its surface about the origin (mm), the probes that measure
+    it at ``DEFAULT_CENTER`` with their true values (every dimension the
+    constructors take is one), and its sample density in points per mm^2."""
 
-    shape: str
-    dimensions: tuple[float, ...]
-    density: float = 1.0  # points per mm^2
+    surface: _RevolvedSurface | _SphereSurface
+    probes: tuple[Probe, ...]
+    expected: dict[str, float]
+    density: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.shape not in ("sphere", "capsule_bottle", "bowling_pin"):
-            raise ValueError(f"unknown shape {self.shape!r}")
-        if any(d <= 0.0 for d in self.dimensions) or self.density <= 0.0:
+        if any(v <= 0.0 for v in self.expected.values()) or self.density <= 0.0:
             raise ValueError("dimensions and density must be positive")
 
     @classmethod
+    def _round(cls, surface, diameter: float, height: float, volume: float, density: float):
+        """An object measured by its height, volume and one diameter at its center."""
+        probes = (
+            Probe("height", "extent", axis=2),
+            Probe("diameter", "slice_diameter", axis=2, position=float(DEFAULT_CENTER[2])),
+            Probe("volume", "volume"),
+        )
+        return cls(surface, probes, {"height": height, "diameter": diameter, "volume": volume},
+                   density)
+
+    @classmethod
     def sphere(cls, diameter: float = 70.0, density: float = 1.0):
-        return cls("sphere", (float(diameter),), density)
+        d = float(diameter)
+        return cls._round(_SphereSurface(d / 2.0), d, d, math.pi * d**3 / 6.0, density)
 
     @classmethod
     def capsule_bottle(cls, diameter: float, height: float, density: float = 1.0):
         if height <= diameter:
             raise ValueError("capsule height must exceed its diameter")
-        return cls("capsule_bottle", (float(diameter), float(height)), density)
+        d, h = float(diameter), float(height)
+        r = d / 2.0
+        z = np.linspace(-h / 2.0, h / 2.0, 3001)
+        cap = np.clip(np.abs(z) - (h / 2.0 - r), 0.0, r)
+        surface = _RevolvedSurface(np.sqrt(np.maximum(r**2 - cap**2, 0.0)), z)
+        volume = math.pi * r**2 * (h - 2.0 * r) + 4.0 / 3.0 * math.pi * r**3
+        return cls._round(surface, d, h, volume, density)
 
     @classmethod
     def bowling_pin(
         cls, head_diameter: float, body_diameter: float, height: float, density: float = 1.0
     ):
+        """A pin whose body and head diameters are probed at their maxima."""
         if not head_diameter < body_diameter < height:
             raise ValueError("expected head diameter < body diameter < height")
-        return cls(
-            "bowling_pin", (float(head_diameter), float(body_diameter), float(height)), density
-        )
-
-    def surface(self):
-        if self.shape == "sphere":
-            return _SphereSurface(self.dimensions[0] / 2.0)
-        if self.shape == "capsule_bottle":
-            d, h = self.dimensions
-            r = d / 2.0
-            z = np.linspace(-h / 2.0, h / 2.0, 3001)
-            cap = np.clip(np.abs(z) - (h / 2.0 - r), 0.0, r)
-            profile = np.sqrt(np.maximum(r**2 - cap**2, 0.0))
-            return _RevolvedSurface(profile, z)
-        head_d, body_d, h = self.dimensions
+        head_d, body_d, h = float(head_diameter), float(body_diameter), float(height)
         t = np.linspace(0.0, 1.0, 3001)
         r = (body_d / 2.0) * _bump(t - _PIN_BODY_T, _PIN_BODY_W)[0] + (
             head_d / 2.0
         ) * _bump(t - _PIN_HEAD_T, _PIN_HEAD_W)[0]
         z = (t - 0.5) * h
         # Close the revolve with flat discs at both ends.
-        return _RevolvedSurface(
+        surface = _RevolvedSurface(
             np.concatenate([[0.0], r, [0.0]]),
             np.concatenate([[z[0]], z, [z[-1]]]),
             amp=_PIN_BULGE_AMP_REL * body_d / 2.0,
@@ -314,13 +320,20 @@ class SyntheticObjectSpec:
             phi0=_PIN_BULGE_PHI,
             wphi=_PIN_BULGE_WPHI,
         )
-
-    def pin_probe_heights(self) -> tuple[float, float]:
-        """Object-local z of the body and head diameter maxima."""
-        if self.shape != "bowling_pin":
-            raise ValueError("only bowling pins have body/head probes")
-        h = self.dimensions[2]
-        return (_PIN_BODY_T - 0.5) * h, (_PIN_HEAD_T - 0.5) * h
+        cz = float(DEFAULT_CENTER[2])
+        probes = (
+            Probe("height", "extent", axis=2),
+            Probe("body_diameter", "slice_diameter", axis=2,
+                  position=cz + (_PIN_BODY_T - 0.5) * h),
+            Probe("head_diameter", "slice_diameter", axis=2,
+                  position=cz + (_PIN_HEAD_T - 0.5) * h),
+            Probe("volume", "volume"),
+        )
+        volume = float(np.trapezoid(math.pi * surface.r**2, surface.z))
+        volume += surface.volume_correction()
+        expected = {"height": h, "body_diameter": body_d, "head_diameter": head_d,
+                    "volume": volume}
+        return cls(surface, probes, expected, density)
 
 
 # The hand: two rigid fingertip pads gripping the object by its ends.
@@ -366,15 +379,14 @@ def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_hand(obj: SyntheticObjectSpec) -> PosedHand:
     """Canonical PosedHand: one pad on each pole, conformed to the surface."""
-    surface = obj.surface()
     disc = _hex_disc(PAD_RADIUS_MM, PAD_SPACING_MM)
     verts, labels = [], []
     for label, pole in zip(HAND_LABELS, (1.0, -1.0)):
-        anchor, n = surface.project(np.array([[0.0, 0.0, pole * 1e6]]))
+        anchor, n = obj.surface.project(np.array([[0.0, 0.0, pole * 1e6]]))
         anchor, n = anchor[0], n[0]
         u, v = _tangent_basis(n)
         raw = anchor[None, :] + disc[:, :1] * u[None, :] + disc[:, 1:] * v[None, :]
-        surf_pts, surf_n = surface.project(raw)
+        surf_pts, surf_n = obj.surface.project(raw)
         pad = surf_pts + PAD_STANDOFF_MM * surf_n + DEFAULT_CENTER
         verts.append(pad)
         labels.extend([label] * len(pad))
@@ -522,43 +534,6 @@ def _occluded(points: np.ndarray, pad_vertices: np.ndarray, view_dir: np.ndarray
     return out
 
 
-def standard_probes(obj: SyntheticObjectSpec):
-    """Dimension probes for a reconstructed mesh of this object, plus truth."""
-    cz = float(DEFAULT_CENTER[2])
-    if obj.shape == "bowling_pin":
-        head_d, body_d, h = obj.dimensions
-        z_body, z_head = obj.pin_probe_heights()
-        surf = obj.surface()
-        volume = float(np.trapezoid(math.pi * surf.r**2, surf.z))
-        volume += surf.volume_correction()
-        probes = (
-            Probe("height", "extent", axis=2),
-            Probe("body_diameter", "slice_diameter", axis=2, position=cz + z_body),
-            Probe("head_diameter", "slice_diameter", axis=2, position=cz + z_head),
-            Probe("volume", "volume"),
-        )
-        expected = {
-            "height": h,
-            "body_diameter": body_d,
-            "head_diameter": head_d,
-            "volume": volume,
-        }
-        return probes, expected
-    # A sphere's dimensions are its diameter alone, which is also its height.
-    d, h = obj.dimensions[0], obj.dimensions[-1]
-    r = d / 2.0
-    if obj.shape == "sphere":
-        volume = math.pi * d**3 / 6.0
-    else:
-        volume = math.pi * r**2 * (h - 2.0 * r) + 4.0 / 3.0 * math.pi * r**3
-    probes = (
-        Probe("height", "extent", axis=2),
-        Probe("diameter", "slice_diameter", axis=2, position=cz),
-        Probe("volume", "volume"),
-    )
-    return probes, {"height": h, "diameter": d, "volume": volume}
-
-
 # Luminance values painted onto successive dents. They cycle through
 # histogram-separated levels well away from the 0.55 base gray, so any
 # two nearby dents land in different luminance bins of the descriptor.
@@ -627,9 +602,8 @@ def generate_sequence(
     if hand_sigma < 0.0:
         raise ValueError("hand_sigma must be nonnegative")
     rng = np.random.default_rng(motion.seed)
-    surface = obj.surface()
-    n = max(int(round(surface.area * obj.density)), 800)
-    local_pts, local_nrm = surface.sample(n, rng)
+    n = max(int(round(obj.surface.area * obj.density)), 800)
+    local_pts, local_nrm = obj.surface.sample(n, rng)
     canonical = PointCloud(local_pts + DEFAULT_CENTER, normals=local_nrm)
     if texture_count:
         canonical = add_texture_features(canonical, texture_count, texture_seed)
@@ -665,13 +639,12 @@ def generate_sequence(
         visible_indices.append(idx)
 
     annotations = _make_annotations(canonical, hand_canonical, motion, rng, annotate_every)
-    probes, expected = standard_probes(obj)
     truth = GroundTruth(
         center=tuple(float(c) for c in DEFAULT_CENTER),
         sigma=motion.sigma,
         motions=tuple(motion.transforms),
-        probes=probes,
-        expected=expected,
+        probes=obj.probes,
+        expected=dict(obj.expected),
         annotations=annotations,
         visible_indices=tuple(visible_indices),
         canonical_cloud=canonical,

@@ -470,12 +470,23 @@ class TestReconstruct:
     def test_no_contact_suspects_collapse(self, seq_dir, tmp_path):
         out = tmp_path / "collapse"
         code = run_cli(
-            "reconstruct", seq_dir / "manifest.json", "--no-contact", "--out", out
+            "reconstruct", seq_dir / "manifest.json", "--gamma-t", "0", "--out", out
         )
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["use_contact"] is False
+        assert report["config"]["gamma_t"] == 0.0
+        assert "contact" not in report["correspondence_counts"]
         assert report["ground_truth"]["collapse_suspected"] is True
+
+    def test_detector_at_gamma_zero_refused_before_any_output(self, seq_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(
+            "reconstruct", seq_dir / "manifest.json", "--gamma-t", "0", "--use-detector",
+            "--out", out,
+        )
+        assert code == 2
+        assert "--use-detector" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_registered_pair_fails_without_mesh(
         self, seq_dir, tmp_path, monkeypatch, capsys
@@ -498,7 +509,19 @@ class TestReconstruct:
         code = run_cli("reconstruct", work / "manifest.json")
         assert code == 3
         err = capsys.readouterr().err
-        assert "frame 2" in err and "--no-contact" in err
+        assert "frame 2" in err and "--gamma-t 0" in err
+
+    def test_frame_without_boxes_refused_for_the_detector(self, seq_dir, tmp_path, capsys):
+        def drop_boxes(payload):
+            payload["frames"][1]["detector_boxes"] = None
+
+        work = edited_copy(seq_dir, tmp_path, drop_boxes)
+        out = work / "out"
+        code = run_cli("reconstruct", work / "manifest.json", "--use-detector", "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "frame 1" in err and "--use-detector" in err
+        assert not out.exists()
 
     def test_volume_missing_object_fails_meshing(self, seq_dir, tmp_path, capsys):
         def move_volume(payload):
@@ -608,7 +631,6 @@ class TestReconstruct:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"] == {
             "gamma_t": 5.0,
-            "use_contact": True,
             "use_detector": True,
             "use_icp": False,
         }
@@ -678,6 +700,24 @@ class TestEval:
             r["config"]: float(r["value"]) for r in rows if r["statistic"] == "mean"
         }
         assert means["contact"] <= means["detector"]
+
+    def test_sweep_with_contact_refuses_frames_without_hands(self, seq_dir, tmp_path, capsys):
+        def drop_hands(payload):
+            payload["hand_model"] = None
+            for frame in payload["frames"]:
+                frame["hand"] = None
+
+        work = edited_copy(seq_dir, tmp_path, drop_hands)
+        out = tmp_path / "sweep"
+        code = run_cli("eval", work / "manifest.json", "--sweep-gammas", "0,15", "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "frame 0" in err and "gamma 0" in err
+        assert not out.exists()
+        code = run_cli("eval", work / "manifest.json", "--sweep-gammas", "0", "--out", out)
+        assert code == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            assert {r["gamma"] for r in csv.DictReader(fh)} == {"0.0"}
 
     def test_empty_gamma_list_rejected(self, seq_dir, capsys):
         err = argparse_rejects(capsys, "eval", seq_dir / "manifest.json", "--sweep-gammas", ",")

@@ -565,6 +565,27 @@ class TestCompareEnergies:
             assert math.isnan(rows[config].mean)
             assert rows[config].pair_count == 0
 
+    def test_collinear_detector_pairs_mark_the_detector_row_unavailable(self):
+        # Each frame keeps depth on one pixel row of its first box only, so
+        # its detector points lie on one line and the detector-only solve is
+        # degenerate; the visual pairs still fix the other solves.
+        frames, truth = noisy_sequence_with_boxes()
+        lined = []
+        for frame in frames:
+            first, *rest = frame.detector_boxes
+            depth = np.zeros_like(first.depth)
+            depth[5] = 500.0
+            boxes = [replace(first, depth=depth)]
+            boxes += [replace(box, depth=np.zeros_like(box.depth)) for box in rest]
+            lined.append(replace(frame, detector_boxes=tuple(boxes)))
+        rows = {
+            r.config: r
+            for r in compare_energies(lined, truth.annotations, intrinsics=INTRINSICS)
+        }
+        assert not rows["detector"].available
+        assert math.isnan(rows["detector"].mean)
+        assert all(rows[c].available for c in ("contact+visual", "contact", "detector+visual"))
+
     def test_single_annotated_point_has_zero_stdev(self, monkeypatch):
         monkeypatch.setattr(synth, "ANNOTATIONS_PER_PAIR", 1)
         motion = MotionScript.tumble(4, 6.0, sigma=0.5, seed=5)

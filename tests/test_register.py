@@ -88,6 +88,12 @@ class TestRegistrationConfig:
         with pytest.raises(TypeError):
             RegistrationConfig(icp_max_dist=2.5)
 
+    def test_detector_needs_a_positive_gamma(self):
+        # gamma_t weighs the detector pairs, so at 0 they would count for nothing.
+        with pytest.raises(ValueError, match="gamma_t > 0"):
+            RegistrationConfig(gamma_t=0.0, use_detector=True)
+        assert RegistrationConfig(gamma_t=0.5, use_detector=True).contact_term_on
+
 
 class TestAlignSparse:
     def test_contact_alone_recovers_motion(self):

@@ -28,7 +28,6 @@ from inhand.synth import (
     attach_feat2d,
     build_hand,
     generate_sequence,
-    standard_probes,
 )
 
 INTRINSICS = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
@@ -73,10 +72,6 @@ def noiseless_tumble_sphere():
 
 
 class TestObjectSpec:
-    def test_unknown_shape_rejected(self):
-        with pytest.raises(ValueError):
-            SyntheticObjectSpec("cube", (10.0,))
-
     def test_nonpositive_dimensions_rejected(self):
         with pytest.raises(ValueError):
             SyntheticObjectSpec.sphere(-70.0)
@@ -92,7 +87,7 @@ class TestObjectSpec:
             SyntheticObjectSpec.bowling_pin(head_diameter=90.0, body_diameter=82.0, height=150.0)
 
     def test_sphere_samples_at_exact_radius(self):
-        surface = SyntheticObjectSpec.sphere(70.0).surface()
+        surface = SyntheticObjectSpec.sphere(70.0).surface
         pts, normals = surface.sample(2000, np.random.default_rng(0))
         radii = np.linalg.norm(pts, axis=1)
         assert np.allclose(radii, 35.0, atol=1e-9)
@@ -109,8 +104,10 @@ class TestObjectSpec:
 
     def test_pin_probe_heights_hit_diameter_maxima(self):
         spec = SyntheticObjectSpec.bowling_pin(head_diameter=50.0, body_diameter=82.0, height=150.0)
-        z_body, z_head = spec.pin_probe_heights()
-        surface = spec.surface()
+        positions = {p.name: p.position for p in spec.probes if p.kind == "slice_diameter"}
+        z_body = positions["body_diameter"] - DEFAULT_CENTER[2]
+        z_head = positions["head_diameter"] - DEFAULT_CENTER[2]
+        surface = spec.surface
         body_band = np.abs(surface.z - z_body) < 1.0
         head_band = np.abs(surface.z - z_head) < 1.0
         assert abs(surface.r[body_band].max() - 41.0) < 1e-6
@@ -122,7 +119,7 @@ class TestObjectSpec:
             SyntheticObjectSpec.capsule_bottle(diameter=60.0, height=120.0),
             SyntheticObjectSpec.bowling_pin(head_diameter=50.0, body_diameter=82.0, height=150.0),
         ):
-            assert spec.surface().area > 0.0
+            assert spec.surface.area > 0.0
 
 
 class TestBuildHand:
@@ -145,7 +142,7 @@ class TestBuildHand:
     def test_standoff_on_revolved_surface(self):
         spec = SyntheticObjectSpec.bowling_pin(head_diameter=50.0, body_diameter=82.0, height=150.0)
         hand = build_hand(spec)
-        surface = spec.surface()
+        surface = spec.surface
         foot, _ = surface.project(hand.vertices - DEFAULT_CENTER)
         gaps = np.linalg.norm(hand.vertices - DEFAULT_CENTER - foot, axis=1)
         assert np.allclose(gaps, 0.5, atol=1e-6)
@@ -418,20 +415,22 @@ class TestAttachDetectorBoxes:
 
 class TestStandardProbes:
     def test_sphere_probes(self):
-        probes, expected = standard_probes(SyntheticObjectSpec.sphere(70.0))
+        spec = SyntheticObjectSpec.sphere(70.0)
+        probes, expected = spec.probes, spec.expected
         assert {p.name for p in probes} == {"height", "diameter", "volume"}
         assert expected["diameter"] == 70.0
         assert abs(expected["volume"] - math.pi * 70.0**3 / 6.0) < 1e-9
 
     def test_pin_probes(self):
         spec = SyntheticObjectSpec.bowling_pin(head_diameter=50.0, body_diameter=82.0, height=150.0)
-        probes, expected = standard_probes(spec)
+        probes, expected = spec.probes, spec.expected
         assert {p.name for p in probes} == {"height", "body_diameter", "head_diameter", "volume"}
         assert expected["body_diameter"] == 82.0
         assert expected["head_diameter"] == 50.0
         # Less than the bounding cylinder over the body diameter.
         assert 0.0 < expected["volume"] < math.pi * 41.0**2 * 150.0
-        z_body, z_head = spec.pin_probe_heights()
+        z_body = (synth._PIN_BODY_T - 0.5) * 150.0
+        z_head = (synth._PIN_HEAD_T - 0.5) * 150.0
         positions = {p.name: p.position for p in probes if p.kind == "slice_diameter"}
         assert positions["body_diameter"] == pytest.approx(DEFAULT_CENTER[2] + z_body)
         assert positions["head_diameter"] == pytest.approx(DEFAULT_CENTER[2] + z_head)
@@ -516,7 +515,7 @@ def test_occluded_matches_all_pairs(seed, n_points, n_pads, view_dir, radius, n_
 def test_occluded_matches_all_pairs_on_generated_pads():
     obj = SyntheticObjectSpec.bowling_pin(head_diameter=50.0, body_diameter=82.0, height=150.0)
     pads = build_hand(obj).vertices
-    local, normals = obj.surface().sample(20000, np.random.default_rng(3))
+    local, normals = obj.surface.sample(20000, np.random.default_rng(3))
     points = local + DEFAULT_CENTER
     for view_dir in MotionScript.tumble(4, 6.0).view_dirs:
         facing = points[normals @ view_dir < 0.0]
@@ -571,8 +570,8 @@ def test_nearest_to_matches_full_ranking_on_generated_hand():
 PROFILE_SURFACES = {
     "pin": SyntheticObjectSpec.bowling_pin(
         head_diameter=50.0, body_diameter=82.0, height=150.0
-    ).surface(),
-    "bottle": SyntheticObjectSpec.capsule_bottle(diameter=60.0, height=120.0).surface(),
+    ).surface,
+    "bottle": SyntheticObjectSpec.capsule_bottle(diameter=60.0, height=120.0).surface,
     # A coarse stepped profile: near (15, -38) the closest segment is the
     # bottom disc, whose ends lie much farther away than the step corner.
     "stepped": synth._RevolvedSurface(
