@@ -6,7 +6,9 @@ a voxel that no cloud has come near is absent.  Registered clouds are
 integrated by updating all voxels within the truncation band of any
 point: the signed distance of a voxel is the projection of its offset
 from the nearest point onto that point's normal, so the zero level set
-tracks the observed surface.  The mesh is pulled out with the classic
+tracks the observed surface.  The search for that point stops at the
+truncation distance, and a tie between two points resolves as the
+unbounded search does.  The mesh is pulled out with the classic
 256-case marching-cubes tables over cells whose eight corners have all
 been observed.
 """
@@ -24,7 +26,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from ._mc_tables import CORNER_OFFSETS, EDGE_ANCHORS, TRI_TABLE
 from .errors import EmptyInputError, EmptyMeshError, OpenMeshError
-from .geometry import PointCloud, RigidTransform, _freeze
+from .geometry import PointCloud, RigidTransform, _freeze, nearest_within
 
 # Truncation band half-width, in voxels.
 TRUNCATION_VOXELS = 3.0
@@ -66,6 +68,12 @@ class TsdfVolume:
         self.keys = np.empty(0, dtype=np.int64)
         self.tsdf = np.empty(0, dtype=np.float64)
         self.weights = np.empty(0, dtype=np.float64)
+
+    def copy(self) -> TsdfVolume:
+        """A volume of the same cube that holds its own copy of the stored voxels."""
+        out = TsdfVolume(self.center, self.side_mm, self.resolution)
+        out.keys, out.tsdf, out.weights = self.keys.copy(), self.tsdf.copy(), self.weights.copy()
+        return out
 
     def voxel_centers(self, indices: np.ndarray) -> np.ndarray:
         return self.origin + np.asarray(indices, dtype=np.float64) * self.voxel_size
@@ -127,7 +135,10 @@ def integrate(vol: TsdfVolume, cloud: PointCloud, pose: RigidTransform) -> TsdfV
     Every voxel center within the truncation distance of some transformed
     point gets the signed distance ``dot(center - nearest point, nearest
     normal)``, clamped to the truncation band.  Points outside the volume
-    are ignored; the increment weight is 1.
+    are ignored; the increment weight is 1.  The nearest-point search of a
+    candidate centre stops at the truncation distance
+    (:func:`~inhand.geometry.nearest_within`); a centre with two points at
+    the same nearest distance reads the one the unbounded search returns.
     """
     if cloud.normals is None:
         raise ValueError("integration needs per-point normals")
@@ -141,11 +152,8 @@ def integrate(vol: TsdfVolume, cloud: PointCloud, pose: RigidTransform) -> TsdfV
         return vol
     ids = _candidate_voxels(vol, pts)
     centers = vol.voxel_centers(vol.voxel_indices(ids))
-    # Each centre is answered alone, so the threads change no result. A
-    # distance_upper_bound would: it drops a point exactly at the bound, and
-    # it can return another point at the same distance, whose normal the
-    # signed distance would read.
-    dist, nearest = cKDTree(pts).query(centers, workers=-1)
+    # Each centre is answered alone, so the threads change no result.
+    dist, nearest = nearest_within(cKDTree(pts), centers, vol.truncation)
     in_band = dist <= vol.truncation
     ids, centers, nearest = ids[in_band], centers[in_band], nearest[in_band]
     if len(ids) == 0:
@@ -155,11 +163,12 @@ def integrate(vol: TsdfVolume, cloud: PointCloud, pose: RigidTransform) -> TsdfV
     # Newly observed voxels enter with the free-space placeholder +1 and
     # weight 0, so the average starts from the new sample alone.
     pos, found = _find(vol.keys, ids)
-    new = pos[~found]
-    vol.keys = np.insert(vol.keys, new, ids[~found])
-    vol.tsdf = np.insert(vol.tsdf, new, 1.0)
-    vol.weights = np.insert(vol.weights, new, 0.0)
-    at = np.searchsorted(vol.keys, ids)
+    missing = ~found
+    vol.keys = np.insert(vol.keys, pos[missing], ids[missing])
+    vol.tsdf = np.insert(vol.tsdf, pos[missing], 1.0)
+    vol.weights = np.insert(vol.weights, pos[missing], 0.0)
+    # The ids are sorted, so each moved up by the new ids inserted before it.
+    at = pos + np.cumsum(missing) - missing
     w_old = vol.weights[at]
     w_new = w_old + 1.0
     vol.tsdf[at] = (vol.tsdf[at] * w_old + sd) / w_new
@@ -229,9 +238,12 @@ def is_closed(mesh: TriangleMesh) -> bool:
 def _vertex_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     a, b, c = (vertices[triangles[:, i]] for i in range(3))
     face_n = np.cross(b - a, c - a)  # area-weighted
-    out = np.zeros_like(vertices)
-    for i in range(3):
-        np.add.at(out, triangles[:, i], face_n)
+    # The faces of the first corners, then the second, then the third: the
+    # order of np.add.at over the corners onto zeros, so the sums keep its bits.
+    corners = triangles.T.ravel()
+    out = np.column_stack(
+        [np.bincount(corners, np.tile(column, 3), minlength=len(vertices)) for column in face_n.T]
+    )
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     return out / np.where(norms > 0.0, norms, 1.0)
 
@@ -315,18 +327,22 @@ def laplacian_smooth(mesh: TriangleMesh, iterations: int) -> TriangleMesh:
     """
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
-    edges = mesh.edges
-    degree = np.zeros(len(mesh.vertices))
-    np.add.at(degree, edges[:, 0], 1.0)
-    np.add.at(degree, edges[:, 1], 1.0)
+    n = len(mesh.vertices)
+    # Each edge's low end gathers its high end, then each high end its low
+    # end: the order of np.add.at over the two columns onto zeros, so the
+    # sums keep its bits.
+    ends = mesh.edges.T.ravel()
+    others = mesh.edges[:, ::-1].T.ravel()
+    degree = np.bincount(ends, minlength=n).astype(np.float64)
     if np.any(degree == 0):
         raise ValueError("smoothing needs every vertex connected to an edge")
     verts = mesh.vertices.copy()
     for _ in range(iterations):
-        acc = np.zeros_like(verts)
-        np.add.at(acc, edges[:, 0], verts[edges[:, 1]])
-        np.add.at(acc, edges[:, 1], verts[edges[:, 0]])
+        acc = np.column_stack(
+            [np.bincount(ends, verts[others, k], minlength=n) for k in range(3)]
+        )
         verts += SMOOTH_LAMBDA * (acc / degree[:, None] - verts)
+    del ends, others  # before the normals' arrays
     return TriangleMesh(verts, mesh.triangles, _vertex_normals(verts, mesh.triangles))
 
 

@@ -80,20 +80,28 @@ def reconstruct(
     """
     with registrations(frames, (config,), intrinsics) as (registration,):
         result = registration.result()
-    return result, _fuse(
-        frames, result, volume_center, side_mm, resolution, smooth_iterations
-    )
+    volume = _first_frame_volume(frames, volume_center, side_mm, resolution)
+    return result, _fuse(frames, result, volume, smooth_iterations)
+
+
+def _first_frame_volume(
+    frames: Sequence[SegmentedFrame], volume_center, side_mm: float, resolution: int
+) -> TsdfVolume:
+    """The TSDF cube that :func:`reconstruct` fuses into, holding frame 0 at
+    the identity, the pose at which every registration chain anchors it."""
+    volume = TsdfVolume(volume_center, side_mm, resolution)
+    return integrate(volume, frames[0].object_cloud, RigidTransform.identity())
 
 
 def _fuse(
     frames: Sequence[SegmentedFrame],
     result: SequenceResult,
-    volume_center,
-    side_mm: float,
-    resolution: int,
+    volume: TsdfVolume,
     smooth_iterations: int,
 ) -> TriangleMesh:
-    """The fusion half of :func:`reconstruct`: integrate, extract, smooth.
+    """The fusion half of :func:`reconstruct`: integrate every registered
+    frame after frame 0 into ``volume``, which holds frame 0
+    (:func:`_first_frame_volume`), then extract and smooth.
 
     A sequence of several frames that registered nothing beyond frame 0
     raises :class:`DivergenceError` instead of meshing a single view.
@@ -104,8 +112,7 @@ def _fuse(
             f"{result.poses[0].frame_index} has a pose"
         )
     by_index = {f.frame_index: f for f in frames}
-    volume = TsdfVolume(volume_center, side_mm, resolution)
-    for pose in result.poses:
+    for pose in result.poses[1:]:
         volume = integrate(
             volume, by_index[pose.frame_index].object_cloud, pose.world_from_frame
         )
@@ -210,8 +217,10 @@ def run_gamma_sweep(
 
     Every gamma registers through one :func:`registrations`, whose
     docstring states the threads; the calling thread fuses and measures
-    each gamma in grid order as soon as its registration is done.  The
-    rows are those of the serial loop, bit for bit.
+    each gamma in grid order as soon as its registration is done.  Every
+    chain anchors frame 0 at the identity, so frame 0 is fused once, and
+    each gamma fuses its other frames into its own copy of that volume.
+    The rows are those of the serial loop, bit for bit.
     """
     frames = list(frames)
     probes = tuple(probes)
@@ -224,15 +233,10 @@ def run_gamma_sweep(
     if bad:
         raise ValueError(f"no finite, positive ground-truth value for probes: {', '.join(bad)}")
 
-    volume = dict(
-        volume_center=volume_center,
-        side_mm=side_mm,
-        resolution=resolution,
-        smooth_iterations=smooth_iterations,
-    )
     with registrations(frames, configs, intrinsics) as chains:
+        first = _first_frame_volume(frames, volume_center, side_mm, resolution)
         measured = tuple(
-            _measure_at_gamma(frames, probes, config, registration, volume)
+            _measure_at_gamma(frames, probes, config, registration, first, smooth_iterations)
             for config, registration in zip(configs, chains)
         )
     return SweepResult(
@@ -248,12 +252,14 @@ def _measure_at_gamma(
     probes: tuple[Probe, ...],
     config: RegistrationConfig,
     registration: Future,
-    volume: dict,
+    first: TsdfVolume,
+    smooth_iterations: int,
 ) -> dict[str, float]:
-    """Probe values for one pipeline run, once ``registration`` is done;
-    failures come back as NaN."""
+    """Probe values for one pipeline run, once ``registration`` is done, fused
+    into a copy of the volume ``first`` that holds frame 0; failures come
+    back as NaN."""
     try:
-        mesh = _fuse(frames, registration.result(), **volume)
+        mesh = _fuse(frames, registration.result(), first.copy(), smooth_iterations)
     except InHandError as exc:
         log.warning(
             "gamma %g: pipeline failed (%s); recording failed cells", config.gamma_t, exc

@@ -38,6 +38,7 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     back_project_many,
+    nearest_within,
     rotation_about_axis,
     solve_weighted_rigid,
     voxel_downsample_indices,
@@ -221,7 +222,9 @@ def refine_icp(
     ``start`` is the world pose from the sparse stage; ``contact`` pairs
     frame points with world points and enters every solve as point-to-point
     rows of weight ``gamma_t``.  Each iteration pairs every point with its
-    nearest metascan point, keeps pairs within ``icp_max_dist``, records
+    nearest metascan point, keeps pairs within ``icp_max_dist`` (the search
+    stops there, and a tie resolves as the unbounded search does; see
+    :func:`~inhand.geometry.nearest_within`), records
     their RMS distance, and stops once that changed by less than
     ``icp_convergence_eps`` or after ``icp_max_iters`` records; otherwise it
     takes one Gauss-Newton step of :func:`_point_to_plane_step` on the
@@ -239,7 +242,7 @@ def refine_icp(
     pair_count = 0
     for iteration in range(config.icp_max_iters):
         moved = t.apply(cloud.points)
-        dist, idx = index.query(moved, workers=-1)
+        dist, idx = nearest_within(index, moved, config.icp_max_dist)
         in_range = dist <= config.icp_max_dist
         pair_count = int(np.count_nonzero(in_range))
         if pair_count < 3:

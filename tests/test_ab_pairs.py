@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -115,3 +117,53 @@ def test_runs_fresh_copies_and_deletes_them(monkeypatch, tmp_path):
             "BENCHMARK.json": b"{}",
         }
         assert not copy.exists()
+
+
+def test_reads_the_median_child_cpu_time_of_each_harness_run(monkeypatch, tmp_path):
+    tool = load_tool()
+    root = make_tree(tmp_path / "change")
+
+    def fake_harness(argv, cwd, **kwargs):
+        assert argv[1:] == ["perfbench/run.py", "--workload", "bottle-sweep", "--seed", "5",
+                            "--seconds", tool.SECONDS]
+        record = {"repetitions": [{"cpu_s": c} for c in (3.0, 1.0, 10.0, 2.0)]}
+        out = cwd / "perfbench/out/bottle-sweep-seed5"
+        out.mkdir(parents=True)
+        (out / "result.json").write_text(json.dumps(record))
+        line = json.dumps({"correct": True, "metrics": {}})
+        return subprocess.CompletedProcess(argv, 0, stdout=f"log\n{line}\n", stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_harness)
+    run = tool.run_harness(root, "bottle-sweep", 5)
+    assert run["correct"] and run["cpu_s"] == 2.5
+    # Another workload's record, or none, gives no CPU time.
+    assert math.isnan(tool.child_cpu_s(root, "pin-reconstruct", 5))
+    assert math.isnan(tool.child_cpu_s(root, "bottle-sweep", 6))
+
+
+def test_reports_cpu_time_quartiles_without_judging_them(monkeypatch, capsys, tmp_path):
+    tool = load_tool()
+    parent_cpu = [4.0, 4.4, 4.2, 4.6]
+
+    def fake_run(root, workload, seed):
+        side = root.name
+        pair = sum(len(v) for v in seen.values()) // 2
+        seen.setdefault(side, []).append(pair)
+        cpu = parent_cpu[pair] - (1.0 if side == "change" else 0.0)
+        metrics = {name: {"value": 1.0} for name in tool.end_to_end_metrics()}
+        return {"correct": True, "metrics": metrics, "cpu_s": cpu}
+
+    seen = {}
+    monkeypatch.setattr(tool, "compile_tree", lambda root: None)
+    monkeypatch.setattr(tool, "run_harness", fake_run)
+    trees = [make_tree(tmp_path / "parent"), make_tree(tmp_path / "change")]
+    argv = [*map(str, trees), "--workload", "bottle-sweep", "--seed", "5", "--pairs", "4"]
+    assert tool.main(argv) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["cpu_s"]["values"] == {
+        "parent": parent_cpu, "change": [c - 1.0 for c in parent_cpu]}
+    assert summary["cpu_s"]["quartiles"]["parent"] == pytest.approx([4.15, 4.3, 4.45])
+    assert summary["cpu_s"]["quartiles"]["change"] == pytest.approx([3.15, 3.3, 3.45])
+    assert "cpu_s" not in summary["verdicts"]
+    assert any(line.startswith("  cpu_s (") and "not judged" in line for line in lines)

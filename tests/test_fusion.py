@@ -14,6 +14,7 @@ from inhand._mc_tables import CORNER_OFFSETS, EDGE_ANCHORS, TRI_TABLE
 from inhand.errors import EmptyInputError, EmptyMeshError, OpenMeshError
 from inhand.fusion import (
     MIN_COMPONENT_FRACTION,
+    SMOOTH_LAMBDA,
     Probe,
     TriangleMesh,
     TsdfVolume,
@@ -330,7 +331,39 @@ def overlapping_sphere_poses():
     ]
 
 
+def lattice_shell_cloud(radius=6.0, step=0.5):
+    """The points of a ``step`` lattice within half a step of a sphere, with
+    radial normals: a voxel centre of a ``step`` grid offset by half a step
+    often has several nearest points at one distance, with other normals."""
+    axis = step * np.arange(-math.ceil(radius / step) - 1, math.ceil(radius / step) + 2)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    shell = grid[np.abs(np.linalg.norm(grid, axis=1) - radius) <= step / 2.0]
+    return PointCloud(shell, normals=shell / np.linalg.norm(shell, axis=1, keepdims=True))
+
+
 class TestSparseAgainstDense:
+    def test_integrate_is_the_dense_one_where_nearest_points_tie(self):
+        # 0.5 mm voxels whose centres sit a quarter voxel off the lattice.
+        vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=30.0, resolution=60)
+        tsdf = np.ones((60, 60, 60))
+        weights = np.zeros((60, 60, 60))
+        cloud = lattice_shell_cloud()
+        rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        poses = [
+            RigidTransform.identity(),
+            RigidTransform(rz, np.array([0.5, 0.0, 0.0])),
+            RigidTransform(np.eye(3), np.array([0.0, -1.0, 1.5])),
+        ]
+        centers = vol.voxel_centers(vol.voxel_indices(_candidate_voxels(vol, cloud.points)))
+        dist, _ = cKDTree(cloud.points).query(centers, k=2)
+        assert np.any((dist[:, 0] == dist[:, 1]) & (dist[:, 0] <= vol.truncation))
+        for pose in poses:
+            integrate(vol, cloud, pose)
+            dense_integrate(tsdf, weights, vol, cloud, pose)
+            np.testing.assert_array_equal(vol.keys, np.flatnonzero(weights > 0.0))
+            assert vol.tsdf.tobytes() == tsdf.ravel()[vol.keys].tobytes()
+            assert vol.weights.tobytes() == weights.ravel()[vol.keys].tobytes()
+
     def test_integrate_stores_exactly_the_observed_voxels(self):
         vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=60)
         tsdf = np.ones((60, 60, 60))
@@ -590,6 +623,62 @@ def flat_grid_mesh(n=8, spacing=5.0):
             tris.append([a, b, d])
             tris.append([a, d, c])
     return TriangleMesh(verts, np.array(tris))
+
+
+def add_at_vertex_normals(vertices, triangles):
+    """The area-weighted vertex normals summed with ``np.add.at``, corner by corner."""
+    a, b, c = (vertices[triangles[:, i]] for i in range(3))
+    face_n = np.cross(b - a, c - a)
+    out = np.zeros_like(vertices)
+    for i in range(3):
+        np.add.at(out, triangles[:, i], face_n)
+    norms = np.linalg.norm(out, axis=1, keepdims=True)
+    return out / np.where(norms > 0.0, norms, 1.0)
+
+
+def add_at_smooth(mesh, iterations):
+    """Laplacian smoothing with the degree and neighbour sums of ``np.add.at``."""
+    edges = mesh.edges
+    degree = np.zeros(len(mesh.vertices))
+    np.add.at(degree, edges[:, 0], 1.0)
+    np.add.at(degree, edges[:, 1], 1.0)
+    verts = mesh.vertices.copy()
+    for _ in range(iterations):
+        acc = np.zeros_like(verts)
+        np.add.at(acc, edges[:, 0], verts[edges[:, 1]])
+        np.add.at(acc, edges[:, 1], verts[edges[:, 0]])
+        verts += SMOOTH_LAMBDA * (acc / degree[:, None] - verts)
+    return verts, add_at_vertex_normals(verts, mesh.triangles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(3, 40),
+    extra_triangles=st.integers(0, 60),
+    on_grid=st.booleans(),
+    iterations=st.integers(0, 3),
+)
+def test_mesh_sums_are_those_of_add_at(seed, n_vertices, extra_triangles, on_grid, iterations):
+    rng = np.random.default_rng(seed)
+    # Coarse grid coordinates give flat and repeated faces, so zero and
+    # negative-zero normal sums occur.
+    if on_grid:
+        vertices = rng.integers(-2, 3, size=(n_vertices, 3)).astype(float)
+    else:
+        vertices = rng.normal(scale=10.0, size=(n_vertices, 3))
+    # Triangles over runs of three consecutive vertices connect every vertex
+    # to an edge.
+    cover = [(i, (i + 1) % n_vertices, (i + 2) % n_vertices) for i in range(0, n_vertices, 2)]
+    extra = [rng.choice(n_vertices, 3, replace=False) for _ in range(extra_triangles)]
+    mesh = TriangleMesh(vertices, np.array(cover + extra).reshape(-1, 3))
+    assert _vertex_normals(vertices, mesh.triangles).tobytes() == (
+        add_at_vertex_normals(vertices, mesh.triangles).tobytes()
+    )
+    got = laplacian_smooth(mesh, iterations)
+    want_vertices, want_normals = add_at_smooth(mesh, iterations)
+    assert got.vertices.tobytes() == want_vertices.tobytes()
+    assert got.normals.tobytes() == want_normals.tobytes()
 
 
 class TestLaplacianSmooth:

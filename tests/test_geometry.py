@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from inhand.errors import (
     DegenerateConfigurationError,
@@ -15,6 +18,7 @@ from inhand.geometry import (
     PointCloud,
     RigidTransform,
     back_project_many,
+    nearest_within,
     project,
     rotation_about_axis,
     rotation_angle_rad,
@@ -297,3 +301,47 @@ class TestVoxelDownsample:
         a = voxel_downsample_indices(pts, 2.0)
         b = voxel_downsample_indices(pts, 2.0)
         np.testing.assert_array_equal(a, b)
+
+
+def lattice_tree_and_queries(seed):
+    """A kd-tree over 300 points of a 0.5 mm lattice, repeats included, and
+    400 queries on the 0.25 mm lattice: many queries have several nearest
+    points at one distance, and many lie exactly 0.5, 0.75 or 1 mm from one."""
+    rng = np.random.default_rng(seed)
+    tree = cKDTree(0.5 * rng.integers(-8, 9, size=(300, 3)).astype(float))
+    return tree, 0.25 * rng.integers(-36, 37, size=(400, 3)).astype(float)
+
+
+class TestNearestWithin:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.sampled_from([0.25, 0.5, math.sqrt(0.5), 0.75, 1.0, 1.5]),
+    )
+    def test_unbounded_answer_within_the_radius_and_inf_beyond(self, seed, radius):
+        tree, queries = lattice_tree_and_queries(seed)
+        dist, index = nearest_within(tree, queries, radius)
+        want_dist, want_index = tree.query(queries)
+        kept = want_dist <= radius
+        assert dist[kept].tobytes() == want_dist[kept].tobytes()
+        np.testing.assert_array_equal(index[kept], want_index[kept])
+        assert np.isinf(dist[~kept]).all()
+        assert (index[~kept] == tree.n).all()
+
+    def test_lattice_has_what_a_bound_alone_gets_wrong(self):
+        # The cases the test above must meet: answers exactly at the radius,
+        # and ties that a bounded k=2 query orders otherwise than the
+        # unbounded search.
+        tree, queries = lattice_tree_and_queries(0)
+        want_dist, want_index = tree.query(queries)
+        assert np.any(want_dist == 1.0)
+        dist, index = tree.query(queries, k=2, distance_upper_bound=np.nextafter(1.0, np.inf))
+        assert np.any((dist[:, 0] <= 1.0) & (index[:, 0] != want_index))
+
+    def test_empty_queries_and_a_one_point_tree(self):
+        tree = cKDTree(np.zeros((1, 3)))
+        dist, index = nearest_within(tree, np.empty((0, 3)), 1.0)
+        assert dist.shape == index.shape == (0,)
+        dist, index = nearest_within(tree, np.array([[0.6, 0.0, 0.0], [2.0, 0.0, 0.0]]), 1.0)
+        np.testing.assert_array_equal(dist, [0.6, np.inf])
+        np.testing.assert_array_equal(index, [0, 1])

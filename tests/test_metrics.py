@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inhand import contact, features, metrics, preprocess, register, synth
+from inhand import contact, features, fusion, metrics, preprocess, register, synth
 from inhand.errors import DivergenceError, EmptyInputError, InHandError
 from inhand.fusion import Probe
 from inhand.geometry import CameraIntrinsics
@@ -301,6 +301,27 @@ class TestRunGammaSweep:
         sweep_to_csv(result, tmp_path / "got.csv")
         sweep_to_csv(want, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_frame_zero_is_fused_once_per_sweep(self, monkeypatch):
+        frames, truth, _ = sweep_fixture()
+        gammas = (0.0, 5.0, 15.0)
+        fused = count_calls(monkeypatch, fusion.integrate)
+        result = run_gamma_sweep(
+            frames,
+            truth.probes,
+            truth.expected,
+            gammas,
+            **sweep_volume(truth),
+            intrinsics=INTRINSICS,
+        )
+        # Every frame registers at every gamma, and frame 0 is fused once.
+        assert len(fused) == 1 + len(gammas) * (len(frames) - 1)
+        clouds = [id(cloud) for _, _, cloud, _ in fused]
+        assert clouds == [id(f.object_cloud) for f in frames] + 2 * [
+            id(f.object_cloud) for f in frames[1:]
+        ]
+        monkeypatch.undo()
+        assert_results_identical(result, serial_sweep(frames, truth, gammas))
 
     def test_frames_described_once_on_the_main_thread(self, monkeypatch):
         frames = [replace(f) for f in sweep_fixture()[0]]

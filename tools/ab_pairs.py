@@ -16,9 +16,12 @@ For every end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 quartiles, the pairs the change won (a tie counts for neither side), and
 whether the gain rule holds: the change won at least 9 in 10 pairs, and
 the gap between the medians, in the metric's better direction, is larger
-than the parent's interquartile range.  The last line of standard output
-is the JSON of every run's values.  The exit status is 1 if any run is
-not ``correct``, else 0.
+than the parent's interquartile range.  Beside them, unjudged, it prints
+both sides' quartiles of each run's child CPU time: the median ``cpu_s``
+over the run's repetitions, read from the ``result.json`` that the run
+left in its copy.  CPU time counts the work of every thread, so it moves
+less with the host's load than ``wall_s`` does.  The last line of
+standard output is the JSON of every run's values.  The exit status is 1 if any run is not ``correct``, else 0.
 """
 
 from __future__ import annotations
@@ -77,7 +80,18 @@ def run_harness(root: Path, workload: str, seed: int) -> dict:
         sys.stderr.write(proc.stderr)
         return {"correct": False, "metrics": {}}
     result["correct"] = result.get("correct") is True and proc.returncode == 0
+    result["cpu_s"] = child_cpu_s(root, workload, seed)
     return result
+
+
+def child_cpu_s(root: Path, workload: str, seed: int) -> float:
+    """The median child ``cpu_s`` over the repetitions that the harness in
+    ``root`` recorded for ``workload`` and ``seed``; NaN if it recorded none."""
+    path = root / "perfbench" / "out" / f"{workload}-seed{seed}" / "result.json"
+    try:
+        return statistics.median(r["cpu_s"] for r in json.loads(path.read_text())["repetitions"])
+    except (OSError, ValueError, KeyError, TypeError, statistics.StatisticsError):
+        return math.nan
 
 
 def value(run: dict, name: str) -> float:
@@ -155,12 +169,21 @@ def main(argv=None) -> int:
               f"{v['change_quartiles'][2]:.4f}]; change won {v['wins']} of {v['pairs']}; "
               f"median gap {v['median_gap']:.4f} against parent IQR {v['parent_iqr']:.4f}; "
               f"gain rule {'holds' if v['holds'] else 'does not hold'}")
+    cpu = {side: [r.get("cpu_s", math.nan) for r in side_runs] for side, side_runs in runs.items()}
+    cpu_summary = {}
+    if any(math.isnan(v) for v in cpu["parent"] + cpu["change"]):
+        print("  cpu_s: a run recorded no CPU time")
+    else:
+        cpu_summary = {side: quartiles(v) for side, v in cpu.items()}
+        print("  cpu_s (median child CPU time of each run; not judged): " + ", ".join(
+            f"{side} {q[1]:.4f} [{q[0]:.4f}, {q[2]:.4f}]" for side, q in cpu_summary.items()))
     incorrect = [f"{side} run {i + 1}" for side, side_runs in runs.items()
                  for i, r in enumerate(side_runs) if not r["correct"]]
     for what in incorrect:
         print(f"  not correct: {what}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "values": values,
-                      "verdicts": verdicts, "all_correct": not incorrect}))
+                      "verdicts": verdicts, "cpu_s": {"values": cpu, "quartiles": cpu_summary},
+                      "all_correct": not incorrect}))
     return 1 if incorrect else 0
 
 
