@@ -2,12 +2,16 @@
 
 Keypoints are Intrinsic Shape Signatures: points whose local scatter
 eigenvalues are sufficiently anisotropic, surviving non-maximum
-suppression on the smallest eigenvalue. The descriptor is a rigid-motion
-invariant histogram over a spherical support: 4 radial shells x 8 bins of
-the angle between neighbor normals and the keypoint normal, plus an
-optional 8-bin luminance histogram when colors are present. A cloud is
-described once (:func:`describe_cloud`); :func:`match_feat3d` pairs two
-descriptions by mutual nearest neighbor with a Lowe-style ratio test.
+suppression on the smallest eigenvalue. :func:`describe_cloud` detects
+them on a spread subsample of the cloud, which keeps no two points within
+``DETECT_SPACING_MM`` of each other (about a fifth of a scanned frame),
+and describes each against the whole cloud. The descriptor is a
+rigid-motion invariant histogram over a spherical support: 4 radial
+shells x 8 bins of the angle between neighbor normals and the keypoint
+normal, plus an optional 8-bin luminance histogram when colors are
+present. A cloud is described once (:func:`describe_cloud`);
+:func:`match_feat3d` pairs two descriptions by mutual nearest neighbor
+with a Lowe-style ratio test.
 
 2D feature matches (e.g. from an external image matcher) are pixel pairs
 with a depth on each side; :func:`load_feat2d` back-projects them.
@@ -34,6 +38,8 @@ NONMAX_RADIUS = 4.0
 GAMMA21 = 0.975
 GAMMA32 = 0.975
 MIN_NEIGHBORS = 10
+# No two points of the subsample that ISS runs on lie within this distance.
+DETECT_SPACING_MM = 1.5
 # Descriptor support radius and the Lowe ratio of the matcher.
 DESCRIBE_RADIUS = 8.0
 MATCH_RATIO = 0.8
@@ -161,12 +167,13 @@ N_ANGLE_BINS = 8
 N_LUM_BINS = 8
 
 
-def _describe_all(cloud: PointCloud, rows: np.ndarray) -> np.ndarray:
+def _describe_all(cloud: PointCloud, rows: np.ndarray, tree: cKDTree) -> np.ndarray:
     """L2-normalized local histogram descriptors ``(k, d)`` of the cloud rows.
 
-    Bins neighbors within ``DESCRIBE_RADIUS`` by (radial shell, angle
-    between the neighbor normal and the keypoint normal); appends a
-    luminance histogram when the cloud has colors.
+    Bins neighbors within ``DESCRIBE_RADIUS``, found in ``tree`` (built on
+    ``cloud.points``), by (radial shell, angle between the neighbor normal
+    and the keypoint normal); appends a luminance histogram when the cloud
+    has colors.
     """
     if cloud.normals is None:
         raise ValueError("descriptor needs normals")
@@ -174,7 +181,7 @@ def _describe_all(cloud: PointCloud, rows: np.ndarray) -> np.ndarray:
     k = len(rows)
     positions = cloud.points[rows]
     # Unsorted, each list keeps the order of a single-point query.
-    nbrs = cKDTree(cloud.points).query_ball_point(
+    nbrs = tree.query_ball_point(
         positions, DESCRIBE_RADIUS, return_sorted=False, workers=-1
     )
     sizes = np.fromiter(map(len, nbrs), dtype=np.int64, count=k)
@@ -241,10 +248,45 @@ def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:
     return out
 
 
+def _spread_subsample(cloud: PointCloud, tree: cKDTree) -> np.ndarray:
+    """Ascending cloud rows of the points with no higher-priority point
+    within ``DETECT_SPACING_MM``; ``tree`` is built on ``cloud.points``.
+
+    A point's priority is its rank by squared distance to the centroid,
+    ties broken by position, under Knuth's multiplicative hash. The hash is
+    a bijection of [0, 2**32), so no two points share a priority, and it
+    scatters neighbouring ranks, so the kept points spread over the surface
+    instead of gathering on the shells nearest the centroid. The centroid
+    is summed over the position-sorted cloud, so the kept points do not
+    depend on the order of the cloud, and they follow a rigid motion of it
+    up to rounding.
+    """
+    pts = cloud.points
+    n = len(pts)
+    canon = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+    centroid = pts[canon].sum(axis=0) / max(n, 1)  # the mean; an empty cloud has none
+    d2 = np.square(pts - centroid).sum(axis=1)
+    rank = np.empty(n, dtype=np.int64)
+    # A stable sort of the position-ordered points breaks ties by position.
+    rank[canon[np.argsort(d2[canon], kind="stable")]] = np.arange(n)
+    priority = rank * 2654435761 % 2**32
+    a, b = tree.query_pairs(DETECT_SPACING_MM, output_type="ndarray").T
+    keep = np.ones(n, dtype=bool)
+    keep[np.where(priority[a] < priority[b], a, b)] = False  # the lower of each pair
+    return np.flatnonzero(keep)
+
+
 def describe_cloud(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only keypoint positions ``(k, 3)`` and their descriptors ``(k, d)``."""
-    rows = detect_iss_keypoints(cloud)
-    return _freeze(cloud.points[rows]), _freeze(_describe_all(cloud, rows))
+    """Read-only keypoint positions ``(k, 3)`` and their descriptors ``(k, d)``.
+
+    The keypoints are the ISS keypoints of the spread subsample
+    (:func:`_spread_subsample`), in position order; each is described
+    against the whole cloud.
+    """
+    tree = cKDTree(cloud.points)
+    spread = _spread_subsample(cloud, tree)
+    rows = spread[detect_iss_keypoints(PointCloud(cloud.points[spread]))]
+    return _freeze(cloud.points[rows]), _freeze(_describe_all(cloud, rows, tree))
 
 
 def match_feat3d(source: tuple, target: tuple) -> CorrespondenceSet:

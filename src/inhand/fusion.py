@@ -275,7 +275,12 @@ def extract_mesh(vol: TsdfVolume) -> TriangleMesh:
     res = vol.resolution
     # Each observed voxel below the last slice on every axis anchors the
     # cell it is the low corner of; sorted keys visit cells in C order.
-    cells = vol.keys[np.all(vol.voxel_indices(vol.keys) < res - 1, axis=1)]
+    # With key (i * res + j) * res + k the tests read k and j.  A cell on
+    # the last i slice needs keys of res**3 and above, which no volume
+    # stores, so it is never all observed.
+    inner = vol.keys % res < res - 1
+    inner &= vol.keys % (res * res) < (res - 1) * res
+    cells = vol.keys[inner]
     case = np.zeros(len(cells), dtype=np.int32)
     all_observed = np.ones(len(cells), dtype=bool)
     for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
@@ -295,6 +300,7 @@ def extract_mesh(vol: TsdfVolume) -> TriangleMesh:
     rows, cols = np.nonzero(tri_edges >= 0)
     edge = tri_edges[rows, cols]
     face_ids = (cells[active][rows] + anchor_ids[edge]) * 3 + axis[edge]
+    del tri_edges, rows, cols, edge  # before the sort's own arrays
     unique_ids, tri_flat = np.unique(face_ids, return_inverse=True)
     triangles = tri_flat.reshape(-1, 3)
 

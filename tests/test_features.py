@@ -13,6 +13,7 @@ from inhand.features import (
     GAMMA21,
     GAMMA32,
     DESCRIBE_RADIUS,
+    DETECT_SPACING_MM,
     MATCH_RATIO,
     MIN_NEIGHBORS,
     NONMAX_RADIUS,
@@ -23,6 +24,7 @@ from inhand.features import (
     CorrespondenceSet,
     _describe_all,
     _neighbourhood_moments,
+    _spread_subsample,
     describe_cloud,
     detect_iss_keypoints,
     load_feat2d,
@@ -173,6 +175,34 @@ def add_at_describe(cloud, row, tree):
     return desc
 
 
+def spread_reference(cloud):
+    """Rows of the spread subsample, by its definition and a test of every pair.
+
+    The centroid adds the points one at a time in position order; a point's
+    rank sorts (squared distance to the centroid, x, y, z), and its priority
+    is ``(rank * 2654435761) % 2**32``.  A point is dropped when a point of
+    higher priority lies within ``DETECT_SPACING_MM``.
+    """
+    pts = cloud.points
+    n = len(pts)
+    centroid = np.zeros(3)
+    for point in sorted(map(tuple, pts)):
+        centroid = centroid + point
+    centroid = centroid / max(n, 1)
+    dx, dy, dz = (pts - centroid).T
+    d2 = dx * dx + dy * dy + dz * dz
+    priority = np.empty(n, dtype=np.int64)
+    for rank, i in enumerate(sorted(range(n), key=lambda i: (d2[i], *pts[i]))):
+        priority[i] = (rank * 2654435761) % 2**32
+    keep = []
+    for i in range(n):
+        dx, dy, dz = (pts - pts[i]).T
+        near = dx * dx + dy * dy + dz * dz <= DETECT_SPACING_MM * DETECT_SPACING_MM
+        if not np.any(near & (priority > priority[i])):
+            keep.append(i)
+    return np.array(keep, dtype=np.int64)
+
+
 def cube_surface(pitch=1.0, side=20.0):
     """Grid sample of a cube surface centered at the origin."""
     half = side / 2.0
@@ -261,7 +291,7 @@ class TestDescribe:
         nrm = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
         cloud = PointCloud(pts, normals=nrm)
         center = int(np.argmin(np.linalg.norm(pts, axis=1)))
-        (d,) = _describe_all(cloud, np.array([center]))
+        (d,) = _describe_all(cloud, np.array([center]), cKDTree(cloud.points))
         grid = d[:32].reshape(4, 8)
         # cos(angle) = 1 for every neighbor -> highest angle bin per shell.
         assert grid[:, :7].sum() == 0.0
@@ -273,15 +303,15 @@ class TestDescribe:
         moved = move(cloud, t)
         rows = detect_iss_keypoints(cloud)[:10]
         assert len(rows), "test needs at least one keypoint"
-        d0 = _describe_all(cloud, rows)
-        d1 = _describe_all(moved, rows)
+        d0 = _describe_all(cloud, rows, cKDTree(cloud.points))
+        d1 = _describe_all(moved, rows, cKDTree(moved.points))
         assert np.linalg.norm(d0 - d1, axis=1).max() < 1e-6
 
     def test_unit_norm_or_zero(self):
         cloud = blobby_cloud(seed=44, n=1200)
         rows = detect_iss_keypoints(cloud)[:8]
         assert len(rows), "test needs at least one keypoint"
-        norms = np.linalg.norm(_describe_all(cloud, rows), axis=1)
+        norms = np.linalg.norm(_describe_all(cloud, rows, cKDTree(cloud.points)), axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
     def test_luminance_bins_appended_when_colored(self):
@@ -290,17 +320,18 @@ class TestDescribe:
         nrm = np.tile([0.0, 0.0, 1.0], (200, 1))
         col = rng.uniform(0, 1, (200, 3))
         cloud = PointCloud(pts, normals=nrm, colors=col)
-        d = _describe_all(cloud, np.array([0]))
+        d = _describe_all(cloud, np.array([0]), cKDTree(cloud.points))
         assert d.shape == (1, 40)
 
     def test_deterministic(self):
         cloud = blobby_cloud(seed=46, n=1000)
         rows = detect_iss_keypoints(cloud)
-        a = _describe_all(cloud, rows)
-        b = _describe_all(cloud, rows)
+        a = _describe_all(cloud, rows, cKDTree(cloud.points))
+        b = _describe_all(cloud, rows, cKDTree(cloud.points))
         np.testing.assert_array_equal(a, b)
         # A keypoint's descriptor does not depend on the others described with it.
-        np.testing.assert_array_equal(_describe_all(cloud, rows[-1:]), a[-1:])
+        last = _describe_all(cloud, rows[-1:], cKDTree(cloud.points))
+        np.testing.assert_array_equal(last, a[-1:])
 
 
 class TestMatch:
@@ -510,22 +541,75 @@ def test_descriptor_matches_add_at_to_the_bit(cloud):
     rows = np.concatenate([add_at_iss(cloud), np.arange(min(12, len(cloud)))])
     size = 32 + (8 if cloud.colors is not None else 0)
     want = np.array([add_at_describe(cloud, row, tree) for row in rows])
-    got = _describe_all(cloud, rows)
+    got = _describe_all(cloud, rows, tree)
     assert got.shape == want.shape == (len(rows), size)
     assert got.tobytes() == want.tobytes()
-    none = _describe_all(cloud, rows[:0])
+    none = _describe_all(cloud, rows[:0], tree)
     assert none.shape == (0, size) and none.dtype == np.float64
 
 
 @pytest.mark.parametrize("coloured", [False, True])
 def test_describe_cloud_matches_add_at_on_a_blob(coloured):
+    # ISS on the spread subsample, each keypoint described against the whole cloud.
     cloud = blobby_cloud(seed=47, n=3000)
     if coloured:
         rng = np.random.default_rng(48)
         cloud = PointCloud(cloud.points, cloud.normals, rng.uniform(0.0, 1.0, (3000, 3)))
     positions, descriptors = describe_cloud(cloud)
-    rows = add_at_iss(cloud)
+    spread = spread_reference(cloud)
+    rows = spread[add_at_iss(PointCloud(cloud.points[spread]))]
     assert len(rows) > 10
     tree = cKDTree(cloud.points)
     assert np.array_equal(positions, cloud.points[rows])
     assert np.array_equal(descriptors, [add_at_describe(cloud, row, tree) for row in rows])
+
+
+# The spread subsample.
+
+
+@st.composite
+def lattice_clouds(draw):
+    """Clouds on a 0.5 mm lattice, where many pairs lie exactly
+    ``DETECT_SPACING_MM`` apart, with repeated points added, whose ranks
+    tie; at the origin or 550 mm from it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    scale = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    pts = np.round(rng.normal(scale=scale, size=(n, 3)) * 2.0) / 2.0
+    pts = np.vstack([pts, pts[rng.integers(0, n, size=draw(st.integers(0, 30)))]])
+    pts += draw(st.sampled_from([np.zeros(3), np.array([0.0, 0.0, 550.0])]))
+    return PointCloud(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=lattice_clouds())
+def test_spread_subsample_matches_the_pairwise_definition(cloud):
+    rows = _spread_subsample(cloud, cKDTree(cloud.points))
+    assert rows.tobytes() == spread_reference(cloud).tobytes()
+
+
+def test_describe_cloud_ignores_row_order():
+    cloud = blobby_cloud(seed=53, n=3000)
+    perm = np.random.default_rng(54).permutation(len(cloud))
+    shuffled = PointCloud(cloud.points[perm], normals=cloud.normals[perm])
+    (positions, descriptors), (got_positions, got_descriptors) = (
+        describe_cloud(cloud), describe_cloud(shuffled)
+    )
+    assert len(positions) > 10
+    assert got_positions.tobytes() == positions.tobytes()
+    np.testing.assert_allclose(got_descriptors, descriptors, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "axis, angle, shift",
+    [((0, 0, 1), 0.0, (600.0, 0.0, 0.0)),
+     ((1, 2, 3), 1.1, (0.0, 0.0, 0.0)),
+     ((-2, 1, 0), 2.5, (-300.0, 400.0, 300.0))],
+    ids=["shift", "turn", "both"],
+)
+def test_spread_subsample_follows_a_rigid_motion(axis, angle, shift):
+    cloud = blobby_cloud(seed=55, n=3000)
+    moved = move(cloud, RigidTransform(rotation_about_axis(axis, angle), np.array(shift)))
+    rows = _spread_subsample(cloud, cKDTree(cloud.points))
+    assert 0 < len(rows) < len(cloud)
+    assert np.array_equal(_spread_subsample(moved, cKDTree(moved.points)), rows)

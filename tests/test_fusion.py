@@ -1,6 +1,7 @@
 """TSDF integration, marching-cubes extraction, smoothing, measurement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,21 @@ class TestExtractMesh:
         assert is_closed(mesh)
         assert euler_characteristic(mesh) == 2
 
+    def test_peak_memory_of_a_fused_sphere(self):
+        # A fused volume stores a shell of voxels.  The face ids hold one
+        # int64 per triangle corner; the extraction's peak, which lies in
+        # the component pruning, must stay within 15 such arrays.
+        vol = TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=100.0, resolution=96)
+        integrate(vol, sphere_cloud(), RigidTransform.identity())
+        face_id_array = 8 * 3 * len(extract_mesh(vol).triangles)
+        tracemalloc.start()
+        try:
+            extract_mesh(vol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15 * face_id_array
+
 
 # Dense reference: the volume as two full float64 grids, tsdf initialized
 # to +1 and weights to 0, as fusion kept it before storage became sparse.
@@ -390,6 +406,17 @@ class TestSparseAgainstDense:
         assert got.triangles.tobytes() == want.triangles.tobytes()
         assert got.normals is None
         assert laplacian_smooth(got, 0).normals.tobytes() == want.normals.tobytes()
+
+    def test_extracted_mesh_is_the_dense_one_at_the_volume_faces(self):
+        # Zero crossings in every slice.  A cell anchored on a last slice
+        # has no far corners; the voxels its key offsets wrap to must not
+        # stand in for them.
+        tsdf = np.random.default_rng(7).uniform(-1.0, 1.0, (6, 6, 6))
+        vol = observe_all(TsdfVolume(center=(0.0, 0.0, 0.0), side_mm=12.0, resolution=6), tsdf)
+        got = extract_mesh(vol)
+        want = dense_extract_mesh(tsdf, np.ones_like(tsdf), vol)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.triangles.tobytes() == want.triangles.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

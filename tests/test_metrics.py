@@ -276,6 +276,7 @@ class TestRunGammaSweep:
         # replace() copies the frames without their cached per-frame data.
         frames = [replace(f) for f in sweep_fixture()[0]]
         truth = sweep_fixture()[1]
+        subsample_calls = count_calls(monkeypatch, features._spread_subsample)
         keypoint_calls = count_calls(monkeypatch, features.detect_iss_keypoints)
         contact_calls = count_calls(monkeypatch, contact.detect_contacts)
         with registrations(frames, (RegistrationConfig(),), INTRINSICS) as (chain,):
@@ -289,7 +290,9 @@ class TestRunGammaSweep:
             intrinsics=INTRINSICS,
         )
         clouds = sorted(id(f.object_cloud) for f in frames)
-        assert sorted(id(cloud) for _, cloud in keypoint_calls) == clouds
+        # ISS runs on each frame's subsample, built from the frame's cloud.
+        assert sorted(id(cloud) for _, cloud, _ in subsample_calls) == clouds
+        assert len(keypoint_calls) == len(frames)
         assert sorted(id(cloud) for _, _, cloud in contact_calls) == clouds
 
     def test_matches_the_serial_loop_to_the_bit(self, tmp_path):
