@@ -4,12 +4,15 @@ Keypoints are Intrinsic Shape Signatures: points whose local scatter
 eigenvalues are sufficiently anisotropic, surviving non-maximum
 suppression on the smallest eigenvalue. :func:`describe_cloud` detects
 them on a spread subsample of the cloud, which keeps no two points within
-``DETECT_SPACING_MM`` of each other (about a fifth of a scanned frame),
-and describes each against the whole cloud. The descriptor is a
-rigid-motion invariant histogram over a spherical support: 4 radial
-shells x 8 bins of the angle between neighbor normals and the keypoint
-normal, plus an optional 8-bin luminance histogram when colors are
-present. A cloud is described once (:func:`describe_cloud`);
+``SPREAD_SPACING_MM`` of each other (about a fifth of a scanned frame),
+and describes each against the whole cloud. It also returns the
+subsample's rows, which are the points a frame fuses: the TSDF measures a
+voxel along its nearest point's normal, so a thinner sample of a smooth
+surface moves it little (:func:`inhand.metrics.reconstruct`). The
+descriptor is a rigid-motion invariant histogram over a spherical
+support: 4 radial shells x 8 bins of the angle between neighbor normals
+and the keypoint normal, plus an optional 8-bin luminance histogram when
+colors are present. A cloud is described once (:func:`describe_cloud`);
 :func:`match_feat3d` pairs two descriptions by mutual nearest neighbor
 with a Lowe-style ratio test.
 
@@ -38,8 +41,9 @@ NONMAX_RADIUS = 4.0
 GAMMA21 = 0.975
 GAMMA32 = 0.975
 MIN_NEIGHBORS = 10
-# No two points of the subsample that ISS runs on lie within this distance.
-DETECT_SPACING_MM = 1.5
+# No two points of the spread subsample, which ISS runs on and fusion
+# integrates, lie within this distance.
+SPREAD_SPACING_MM = 1.5
 # Descriptor support radius and the Lowe ratio of the matcher.
 DESCRIBE_RADIUS = 8.0
 MATCH_RATIO = 0.8
@@ -250,7 +254,7 @@ def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:
 
 def _spread_subsample(cloud: PointCloud, tree: cKDTree) -> np.ndarray:
     """Ascending cloud rows of the points with no higher-priority point
-    within ``DETECT_SPACING_MM``; ``tree`` is built on ``cloud.points``.
+    within ``SPREAD_SPACING_MM``; ``tree`` is built on ``cloud.points``.
 
     A point's priority is its rank by squared distance to the centroid,
     ties broken by position, under Knuth's multiplicative hash. The hash is
@@ -270,27 +274,33 @@ def _spread_subsample(cloud: PointCloud, tree: cKDTree) -> np.ndarray:
     # A stable sort of the position-ordered points breaks ties by position.
     rank[canon[np.argsort(d2[canon], kind="stable")]] = np.arange(n)
     priority = rank * 2654435761 % 2**32
-    a, b = tree.query_pairs(DETECT_SPACING_MM, output_type="ndarray").T
+    a, b = tree.query_pairs(SPREAD_SPACING_MM, output_type="ndarray").T
     keep = np.ones(n, dtype=bool)
     keep[np.where(priority[a] < priority[b], a, b)] = False  # the lower of each pair
     return np.flatnonzero(keep)
 
 
-def describe_cloud(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only keypoint positions ``(k, 3)`` and their descriptors ``(k, d)``.
+def describe_cloud(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only keypoint positions ``(k, 3)``, their descriptors ``(k, d)``,
+    and the ascending cloud rows of the spread subsample.
 
     The keypoints are the ISS keypoints of the spread subsample
     (:func:`_spread_subsample`), in position order; each is described
-    against the whole cloud.
+    against the whole cloud.  One kd-tree of the whole cloud serves both.
     """
     tree = cKDTree(cloud.points)
     spread = _spread_subsample(cloud, tree)
     rows = spread[detect_iss_keypoints(PointCloud(cloud.points[spread]))]
-    return _freeze(cloud.points[rows]), _freeze(_describe_all(cloud, rows, tree))
+    return (
+        _freeze(cloud.points[rows]),
+        _freeze(_describe_all(cloud, rows, tree)),
+        _freeze(spread),
+    )
 
 
 def match_feat3d(source: tuple, target: tuple) -> CorrespondenceSet:
-    """Mutual-NN matches (tag ``feat3d``) of two :func:`describe_cloud` results."""
+    """Mutual-NN matches (tag ``feat3d``) of two ``(positions, descriptors)``
+    pairs, the keypoints that :func:`describe_cloud` returns."""
     (ps, ds), (pt, dt) = source, target
     if len(ps) == 0 or len(pt) == 0:
         return CorrespondenceSet(np.empty((0, 3)), np.empty((0, 3)), "feat3d")

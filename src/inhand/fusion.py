@@ -6,11 +6,14 @@ a voxel that no cloud has come near is absent.  Registered clouds are
 integrated by updating all voxels within the truncation band of any
 point: the signed distance of a voxel is the projection of its offset
 from the nearest point onto that point's normal, so the zero level set
-tracks the observed surface.  The search for that point stops at the
-truncation distance, and a tie between two points resolves as the
-unbounded search does.  The mesh is pulled out with the classic
-256-case marching-cubes tables over cells whose eight corners have all
-been observed.
+tracks the observed surface.  Because the distance is measured along
+the normal, not to the point, a thinner sample of a smooth surface moves
+it little: the reconstruction pipeline integrates each frame's spread
+subsample, about a fifth of its points (:func:`inhand.metrics.reconstruct`).
+The search for the nearest point stops at the truncation distance, and a
+tie between two points resolves as the unbounded search does.  The mesh
+is pulled out with the classic 256-case marching-cubes tables over cells
+whose eight corners have all been observed.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from ._mc_tables import CORNER_OFFSETS, EDGE_ANCHORS, TRI_TABLE
@@ -248,13 +249,31 @@ def _vertex_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return out / np.where(norms > 0.0, norms, 1.0)
 
 
+def _component_labels(triangles: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Per vertex, the smallest vertex id of its connected component.
+
+    Minimum-label propagation with pointer jumping: each round hooks the
+    labels of a triangle's three corners onto the smallest of them, then
+    follows labels to their fixed point.  Labels only fall and a label
+    never exceeds its vertex id, so they form a forest whose roots are the
+    components' smallest ids once every triangle's corners agree.
+    """
+    label = np.arange(n_vertices)
+    corners = triangles.T.ravel()
+    while True:
+        ends = label[corners].reshape(3, -1)
+        lowest = ends.min(axis=0)
+        if (ends == lowest).all():
+            return label
+        np.minimum.at(label, ends.ravel(), np.tile(lowest, 3))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
 def _prune_components(vertices, triangles):
     """Drop connected components below ``MIN_COMPONENT_FRACTION`` of the triangles."""
     nv, nt = len(vertices), len(triangles)
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    adj = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
-    _, labels = connected_components(adj, directed=False)
-    tri_labels = labels[triangles[:, 0]]
+    tri_labels = _component_labels(triangles, nv)[triangles[:, 0]]
     large = np.bincount(tri_labels) >= MIN_COMPONENT_FRACTION * nt
     triangles = triangles[large[tri_labels]]
     used = _unique_sorted(triangles)

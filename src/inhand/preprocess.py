@@ -3,8 +3,9 @@
 Input frames are camera-space clouds already segmented into object and
 hand parts. Clouds without stored normals get them from local PCA
 oriented toward the sensor origin; points outside the TSDF cube are
-dropped at integration, not here. A frame computes its own 3D features
-and contact state once, for every pair it takes part in.
+dropped at integration, not here. A frame computes its own 3D features,
+the spread subsample that fusion integrates, and its contact state once,
+for every pair and gamma it takes part in.
 """
 
 from __future__ import annotations
@@ -92,11 +93,14 @@ class SegmentedFrame:
     tuple ``(pixel_pairs (N, 4), source_depths (N,), target_depths (N,))``;
     ``detector_boxes`` is a tuple of :class:`DetectorBox`.
 
-    :attr:`features` and :attr:`contact` depend on this frame alone: each
-    is computed on first use and cached, so every pair, gamma and energy
-    configuration shares it; :func:`dataclasses.replace` starts a new cache.
-    During registration, :func:`inhand.register.registrations` says which
-    thread computes each.
+    :attr:`features`, :attr:`spread_rows` and :attr:`contact` depend on
+    this frame alone: each is computed on first use and cached, so every
+    pair, gamma and energy configuration shares it;
+    :func:`dataclasses.replace` starts a new cache.  :attr:`features` and
+    :attr:`spread_rows` come from one :func:`describe_cloud` call, so the
+    thread that describes a frame also computes its rows.  During
+    registration, :func:`inhand.register.registrations` says which thread
+    computes each.
     """
 
     frame_index: int
@@ -106,9 +110,23 @@ class SegmentedFrame:
     detector_boxes: tuple[DetectorBox, ...] | None = None
 
     @cached_property
+    def _described(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return describe_cloud(self.object_cloud)
+
+    @property
     def features(self) -> tuple[np.ndarray, np.ndarray]:
         """Keypoint positions and descriptors of the object cloud."""
-        return describe_cloud(self.object_cloud)
+        return self._described[:2]
+
+    @property
+    def spread_rows(self) -> np.ndarray:
+        """Ascending rows of the object cloud's spread subsample, no two
+        within ``SPREAD_SPACING_MM``: ISS detects :attr:`features` on them,
+        and fusion integrates them, because a TSDF that measures along the
+        nearest point's normal loses little by it
+        (:func:`inhand.metrics.reconstruct`).  Registration uses the whole
+        cloud."""
+        return self._described[2]
 
     @cached_property
     def contact(self) -> ContactState | None:

@@ -13,7 +13,7 @@ from inhand.features import (
     GAMMA21,
     GAMMA32,
     DESCRIBE_RADIUS,
-    DETECT_SPACING_MM,
+    SPREAD_SPACING_MM,
     MATCH_RATIO,
     MIN_NEIGHBORS,
     NONMAX_RADIUS,
@@ -181,7 +181,7 @@ def spread_reference(cloud):
     The centroid adds the points one at a time in position order; a point's
     rank sorts (squared distance to the centroid, x, y, z), and its priority
     is ``(rank * 2654435761) % 2**32``.  A point is dropped when a point of
-    higher priority lies within ``DETECT_SPACING_MM``.
+    higher priority lies within ``SPREAD_SPACING_MM``.
     """
     pts = cloud.points
     n = len(pts)
@@ -197,7 +197,7 @@ def spread_reference(cloud):
     keep = []
     for i in range(n):
         dx, dy, dz = (pts - pts[i]).T
-        near = dx * dx + dy * dy + dz * dz <= DETECT_SPACING_MM * DETECT_SPACING_MM
+        near = dx * dx + dy * dy + dz * dz <= SPREAD_SPACING_MM * SPREAD_SPACING_MM
         if not np.any(near & (priority > priority[i])):
             keep.append(i)
     return np.array(keep, dtype=np.int64)
@@ -238,6 +238,12 @@ def blobby_cloud(seed=0, n=3000):
 def move(cloud, pose):
     """``cloud`` under the rigid ``pose``, its normals rotated with it."""
     return PointCloud(pose.apply(cloud.points), normals=cloud.normals @ pose.rotation.T)
+
+
+def keypoints(cloud):
+    """The keypoint positions and descriptors of :func:`describe_cloud`."""
+    positions, descriptors, _ = describe_cloud(cloud)
+    return positions, descriptors
 
 
 class TestDetect:
@@ -337,7 +343,7 @@ class TestDescribe:
 class TestMatch:
     def test_self_match_is_identity(self):
         cloud = blobby_cloud(seed=47, n=2500)
-        matches = match_feat3d(describe_cloud(cloud), describe_cloud(cloud))
+        matches = match_feat3d(keypoints(cloud), keypoints(cloud))
         assert len(matches) > 0
         np.testing.assert_allclose(matches.source, matches.target, atol=1e-12)
 
@@ -346,7 +352,7 @@ class TestMatch:
         t = RigidTransform(rotation_about_axis((0, 1, 0), np.deg2rad(6.0)), np.array([2.0, 1.0, -3.0]))
         moved = move(cloud, t)
         # source = moved, target = original
-        matches = match_feat3d(describe_cloud(moved), describe_cloud(cloud))
+        matches = match_feat3d(keypoints(moved), keypoints(cloud))
         assert len(matches) >= 10
         est = solve_weighted_rigid(matches.source, matches.target, np.ones(len(matches)))
         # est maps moved -> original, i.e. the inverse of t.
@@ -370,7 +376,7 @@ class TestMatch:
             (base - center) @ r.T + center + rng.normal(scale=0.5, size=base.shape),
             normals=dirs @ r.T,
         )
-        matches = match_feat3d(describe_cloud(f1), describe_cloud(f0))
+        matches = match_feat3d(keypoints(f1), keypoints(f0))
         if len(matches) >= 3:
             displacement = np.linalg.norm(matches.source - matches.target, axis=1)
             true_motion = 2 * 35.0 * np.sin(np.deg2rad(3.0))  # max surface shift ~3.7 mm
@@ -391,8 +397,8 @@ class TestMatch:
     def test_swap_symmetry(self):
         a = blobby_cloud(seed=50, n=2000)
         b = move(a, RigidTransform(rotation_about_axis((1, 0, 0), 0.05), np.array([1.0, 0.0, 0.0])))
-        ab = match_feat3d(describe_cloud(a), describe_cloud(b))
-        ba = match_feat3d(describe_cloud(b), describe_cloud(a))
+        ab = match_feat3d(keypoints(a), keypoints(b))
+        ba = match_feat3d(keypoints(b), keypoints(a))
         fwd = {(tuple(s), tuple(t)) for s, t in zip(np.round(ab.source, 9), np.round(ab.target, 9))}
         rev = {(tuple(t), tuple(s)) for s, t in zip(np.round(ba.source, 9), np.round(ba.target, 9))}
         assert fwd == rev
@@ -555,8 +561,9 @@ def test_describe_cloud_matches_add_at_on_a_blob(coloured):
     if coloured:
         rng = np.random.default_rng(48)
         cloud = PointCloud(cloud.points, cloud.normals, rng.uniform(0.0, 1.0, (3000, 3)))
-    positions, descriptors = describe_cloud(cloud)
+    positions, descriptors, got_spread = describe_cloud(cloud)
     spread = spread_reference(cloud)
+    assert got_spread.tobytes() == spread.tobytes()
     rows = spread[add_at_iss(PointCloud(cloud.points[spread]))]
     assert len(rows) > 10
     tree = cKDTree(cloud.points)
@@ -570,7 +577,7 @@ def test_describe_cloud_matches_add_at_on_a_blob(coloured):
 @st.composite
 def lattice_clouds(draw):
     """Clouds on a 0.5 mm lattice, where many pairs lie exactly
-    ``DETECT_SPACING_MM`` apart, with repeated points added, whose ranks
+    ``SPREAD_SPACING_MM`` apart, with repeated points added, whose ranks
     tie; at the origin or 550 mm from it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 300))
@@ -592,10 +599,12 @@ def test_describe_cloud_ignores_row_order():
     cloud = blobby_cloud(seed=53, n=3000)
     perm = np.random.default_rng(54).permutation(len(cloud))
     shuffled = PointCloud(cloud.points[perm], normals=cloud.normals[perm])
-    (positions, descriptors), (got_positions, got_descriptors) = (
+    (positions, descriptors, spread), (got_positions, got_descriptors, got_spread) = (
         describe_cloud(cloud), describe_cloud(shuffled)
     )
     assert len(positions) > 10
+    # The same points, in the shuffled cloud's rows.
+    assert np.array_equal(np.sort(perm[got_spread]), spread)
     assert got_positions.tobytes() == positions.tobytes()
     np.testing.assert_allclose(got_descriptors, descriptors, rtol=0, atol=1e-12)
 

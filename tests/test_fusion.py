@@ -610,6 +610,38 @@ def test_prune_components_matches_isin(surfaces):
     assert got[1].tobytes() == want[1].tobytes()
 
 
+@pytest.mark.parametrize("order", ["along", "against", "shuffled"])
+def test_prune_components_keeps_a_long_chain_among_many_small_ones(order):
+    # A strip of 3000 triangles, whose vertex ids run along it, against it
+    # or at random, beside 400 lone triangles (dropped) and 20 closed fans
+    # of 50 triangles (kept, at 1 % of 4400): 421 components, and one of
+    # them has to carry its smallest id along 1500 edges.
+    rng = np.random.default_rng(61)
+    strip = np.arange(3000)[:, None] + np.array([0, 1, 2])
+    strip[1::2] = strip[1::2][:, ::-1]
+    lone = 3002 + 3 * np.arange(400)[:, None] + np.array([0, 1, 2])
+    hub = 4202 + 51 * np.arange(20)[:, None, None]
+    rim = hub + 1 + np.arange(50)[:, None]
+    fans = np.concatenate(
+        [np.broadcast_to(hub, rim.shape), rim, hub + 1 + (np.arange(1, 51) % 50)[:, None]],
+        axis=2,
+    ).reshape(-1, 3)
+    triangles = np.vstack([strip, lone, fans])
+    nv = triangles.max() + 1
+    relabel = {
+        "along": np.arange(nv),
+        "against": np.arange(nv)[::-1].copy(),
+        "shuffled": rng.permutation(nv),
+    }[order]
+    triangles = relabel[triangles][rng.permutation(len(triangles))]
+    vertices = rng.normal(size=(nv, 3))
+    got = _prune_components(vertices, triangles)
+    want = isin_prune_components(vertices, triangles)
+    assert len(got[1]) == 3000 + 20 * 50
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestTriangleMesh:
     def test_edges_cached_read_only_and_row_unique(self, sphere_mesh):
         assert sphere_mesh.edges is sphere_mesh.edges

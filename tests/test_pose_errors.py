@@ -51,7 +51,30 @@ def test_a_tree_against_itself_reads_the_same_errors(monkeypatch, capsys):
     runs = json.loads(lines[-1])["runs"]["tiny"]
     assert runs["parent"] == runs["change"]
     assert runs["parent"]["failed"] is None
-    assert all(math.isfinite(runs["parent"][key]) for key in ("axial_deg", "rot_deg", "trans_mm"))
+    assert all(math.isfinite(runs["parent"][key])
+               for key in ("axial_deg", "rot_deg", "trans_mm", "dim_err_max_mm"))
+    assert " dim_mm " in lines[0] and " volume_pct " in lines[0]
+
+
+def test_reads_the_mesh_errors_of_the_report():
+    tool = load_tool()
+    truth = {"probes": [{"name": "height", "kind": "extent"},
+                        {"name": "diameter", "kind": "slice_diameter"},
+                        {"name": "volume", "kind": "volume"}]}
+    report = {"dimensions": {
+        "height": {"measured": 30.25, "expected": 30.0, "abs_error": 0.25},
+        "diameter": {"measured": 29.5, "expected": 30.0, "abs_error": 0.5},
+        "volume": {"measured": 990.0, "expected": 1000.0, "abs_error": 10.0},
+    }}
+    closed = tool.mesh_errors(report, truth)
+    assert closed == {"dim_err_max_mm": 0.5, "volume_err_pct": -1.0}
+    poses = {"axial_deg": 0.01, "rot_deg": 0.02, "trans_mm": 0.003, "failed": None}
+    assert tool.describe({**poses, **closed}).endswith(" dim_mm 0.50 volume_pct -1.000")
+    report["dimensions"]["volume"].update(measured=None, abs_error=None)
+    report["dimensions"]["height"].update(measured=None, abs_error=None)
+    opened = tool.mesh_errors(report, truth)
+    assert opened == {"dim_err_max_mm": 0.5, "volume_err_pct": None}
+    assert tool.describe({**poses, **opened}).endswith(" dim_mm 0.50 volume_pct open")
 
 
 def test_a_failing_run_fails_the_tool(monkeypatch, capsys, tmp_path):

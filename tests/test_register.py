@@ -583,7 +583,10 @@ class TestOverlappedSequence:
         pairs = record_threads(monkeypatch, register, "register_pair")
         register_all(frames, RegistrationConfig())
         assert described == [main] * len(frames)
-        assert all("features" in vars(frame) for frame in frames)
+        # Each frame keeps what it was described with, its spread rows too.
+        for frame in frames:
+            frame.features, frame.spread_rows
+        assert len(described) == len(frames)
         # One worker, not the caller, registers every pair, the last included.
         assert len(pairs) == len(frames) - 1
         assert len(set(pairs)) == 1 and main not in pairs

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from inhand import synth
 from inhand.contact import detect_contacts
 from inhand.errors import DegenerateMotionError
-from inhand.features import describe_cloud, load_feat2d, match_feat3d
+from inhand.features import load_feat2d, match_feat3d
 from inhand.geometry import (
     CameraIntrinsics,
     RigidTransform,
@@ -326,9 +326,7 @@ class TestAddTextureFeatures:
         frames, truth = generate_sequence(
             obj, rotation_pair_script(deg=6.0, sigma=0.0), texture_count=20, texture_seed=3
         )
-        matches = match_feat3d(
-            describe_cloud(frames[1].object_cloud), describe_cloud(frames[0].object_cloud)
-        )
+        matches = match_feat3d(frames[1].features, frames[0].features)
         assert len(matches) >= 10
         recovered = solve_weighted_rigid(
             matches.source, matches.target, np.ones(len(matches))

@@ -14,10 +14,14 @@ reconstruct`` on it at the default settings, from the tree's root with its
 ``perfbench/poses.py`` scores the trajectory against the sequence's ground
 truth.  Each sequence prints both trees' maximum axial (twist about the
 axis of revolution), rotation and translation error over the frames, and
-the change in axial error.  A run fails when a command exits non-zero or a
-frame is left unregistered; the mesh is not judged, so a scan that does
-not turn all the way round still scores.  The last line of standard output
-is the JSON of every run; the exit status is 1 if any run failed, else 0.
+the change in axial error.  Beside them it prints the mesh's errors from
+``report.json``: the largest absolute error of the length probes in mm
+(``dim_mm``), and the signed volume error in percent of the true volume
+(``volume_pct``), or ``open`` when the mesh is not closed and the volume
+cannot be measured.  A run fails when a command exits non-zero or a frame
+is left unregistered; the mesh is not judged, so a scan that does not
+turn all the way round still scores.  The last line of standard output is
+the JSON of every run; the exit status is 1 if any run failed, else 0.
 """
 
 from __future__ import annotations
@@ -72,13 +76,34 @@ def run_tree(harness, root: Path, synth: list[str], work: Path) -> dict:
     if missing:
         return {"failed": f"frames {missing} not registered"}
     errors = frame_errors(trajectory, truth)
-    return {**{name: max(getattr(e, name) for e in errors) for name in ERRORS}, "failed": None}
+    return {**{name: max(getattr(e, name) for e in errors) for name in ERRORS},
+            **mesh_errors(json.loads((out / "report.json").read_text()), truth),
+            "failed": None}
+
+
+def mesh_errors(report: dict, truth: dict) -> dict:
+    """The largest length-probe error in mm and the signed volume error in
+    percent of ``report``'s mesh; None where no such probe was measured.
+    Every synthetic shape has one volume probe."""
+    kinds = {p["name"]: p["kind"] for p in truth["probes"]}
+    rows = report["dimensions"]
+    lengths = [row["abs_error"] for name, row in rows.items()
+               if kinds[name] != "volume" and row["abs_error"] is not None]
+    volume = next(row for name, row in rows.items() if kinds[name] == "volume")
+    return {
+        "dim_err_max_mm": max(lengths, default=None),
+        "volume_err_pct": None if volume["measured"] is None
+        else 100.0 * (volume["measured"] - volume["expected"]) / volume["expected"],
+    }
 
 
 def describe(run: dict) -> str:
     if run["failed"]:
         return f"FAILED: {run['failed']}"
-    return " ".join(f"{name} {run[name]:.4f}" for name in ERRORS)
+    dim, volume = run["dim_err_max_mm"], run["volume_err_pct"]
+    return " ".join([*(f"{name} {run[name]:.4f}" for name in ERRORS),
+                     "dim_mm " + ("none" if dim is None else f"{dim:.2f}"),
+                     "volume_pct " + ("open" if volume is None else f"{volume:+.3f}")])
 
 
 def parse_args(argv):
