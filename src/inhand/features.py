@@ -5,10 +5,9 @@ eigenvalues are sufficiently anisotropic, surviving non-maximum
 suppression on the smallest eigenvalue. :func:`describe_cloud` detects
 them on a spread subsample of the cloud, which keeps no two points within
 ``SPREAD_SPACING_MM`` of each other (about a fifth of a scanned frame),
-and describes each against the whole cloud. It also returns the
-subsample's rows, which are the points a frame fuses: the TSDF measures a
-voxel along its nearest point's normal, so a thinner sample of a smooth
-surface moves it little (:func:`inhand.metrics.reconstruct`). The
+and describes each against the whole cloud. The same subsample, each
+point lifted to the mean height of its neighbours, is what a frame fuses
+(:attr:`inhand.preprocess.SegmentedFrame.spread_surface`). The
 descriptor is a rigid-motion invariant histogram over a spherical
 support: 4 radial shells x 8 bins of the angle between neighbor normals
 and the keypoint normal, plus an optional 8-bin luminance histogram when
@@ -252,9 +251,11 @@ def _nn_with_ratio(dmat: np.ndarray, ratio: float) -> np.ndarray:
     return out
 
 
-def _spread_subsample(cloud: PointCloud, tree: cKDTree) -> np.ndarray:
+def _spread_subsample(cloud: PointCloud, tree: cKDTree) -> tuple[np.ndarray, np.ndarray]:
     """Ascending cloud rows of the points with no higher-priority point
-    within ``SPREAD_SPACING_MM``; ``tree`` is built on ``cloud.points``.
+    within ``SPREAD_SPACING_MM``, and their neighbours: the cloud rows
+    ``(kept, other)``, shape ``(m, 2)``, of every other point that lies as
+    close to a kept one.  ``tree`` is built on ``cloud.points``.
 
     A point's priority is its rank by squared distance to the centroid,
     ties broken by position, under Knuth's multiplicative hash. The hash is
@@ -277,30 +278,56 @@ def _spread_subsample(cloud: PointCloud, tree: cKDTree) -> np.ndarray:
     a, b = tree.query_pairs(SPREAD_SPACING_MM, output_type="ndarray").T
     keep = np.ones(n, dtype=bool)
     keep[np.where(priority[a] < priority[b], a, b)] = False  # the lower of each pair
-    return np.flatnonzero(keep)
+    # A pair holds at most one kept point.
+    first = keep[a]
+    near = first | keep[b]
+    kept, other = np.where(first, a, b)[near], np.where(first, b, a)[near]
+    return np.flatnonzero(keep), np.column_stack([kept, other])
 
 
-def describe_cloud(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only keypoint positions ``(k, 3)``, their descriptors ``(k, d)``,
-    and the ascending cloud rows of the spread subsample.
+def _spread_heights(cloud: PointCloud, rows: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """For each of ``rows``, the mean offset of itself and of those of its
+    ``neighbours`` (:func:`_spread_subsample`) whose normals face its own
+    way (positive dot product).
 
-    The keypoints are the ISS keypoints of the spread subsample
-    (:func:`_spread_subsample`), in position order; each is described
-    against the whole cloud.  One kd-tree of the whole cloud serves both.
+    A point's offset is measured from the row's point along the bisector of
+    the two normals.  That bisector is square to the chord between two
+    points of a sphere or a cylinder, and of any smooth surface to second
+    order, so the surface's curvature adds nothing to the mean: what is
+    left is the mean of the points' noise along the normal, less the row's
+    own.
+    """
+    kept, other = neighbours.T
+    own, theirs = cloud.normals[kept], cloud.normals[other]
+    facing = np.einsum("ij,ij->i", own, theirs) > 0.0
+    kept, other, bisector = kept[facing], other[facing], own[facing] + theirs[facing]
+    chord = cloud.points[other] - cloud.points[kept]
+    offset = np.einsum("ij,ij->i", chord, bisector) / np.linalg.norm(bisector, axis=1)
+    owner, k = np.searchsorted(rows, kept), len(rows)
+    # The row itself adds one point at offset 0.
+    return np.bincount(owner, offset, minlength=k) / (np.bincount(owner, minlength=k) + 1.0)
+
+
+def describe_cloud(cloud: PointCloud) -> tuple[np.ndarray, ...]:
+    """Read-only keypoint positions ``(k, 3)`` and their descriptors ``(k, d)``,
+    then the rows of the spread subsample (:func:`_spread_subsample`) and
+    their heights (:func:`_spread_heights`).
+
+    The keypoints are the ISS keypoints of the spread subsample, in
+    position order; each is described against the whole cloud.  One
+    kd-tree of the whole cloud serves them all.
     """
     tree = cKDTree(cloud.points)
-    spread = _spread_subsample(cloud, tree)
+    spread, neighbours = _spread_subsample(cloud, tree)
     rows = spread[detect_iss_keypoints(PointCloud(cloud.points[spread]))]
-    return (
-        _freeze(cloud.points[rows]),
-        _freeze(_describe_all(cloud, rows, tree)),
-        _freeze(spread),
-    )
+    positions, descriptors = cloud.points[rows], _describe_all(cloud, rows, tree)
+    heights = _spread_heights(cloud, spread, neighbours)
+    return tuple(map(_freeze, (positions, descriptors, spread, heights)))
 
 
 def match_feat3d(source: tuple, target: tuple) -> CorrespondenceSet:
     """Mutual-NN matches (tag ``feat3d``) of two ``(positions, descriptors)``
-    pairs, the keypoints that :func:`describe_cloud` returns."""
+    keypoint sets, the first two items of :func:`describe_cloud`."""
     (ps, ds), (pt, dt) = source, target
     if len(ps) == 0 or len(pt) == 0:
         return CorrespondenceSet(np.empty((0, 3)), np.empty((0, 3)), "feat3d")

@@ -6,14 +6,13 @@ a voxel that no cloud has come near is absent.  Registered clouds are
 integrated by updating all voxels within the truncation band of any
 point: the signed distance of a voxel is the projection of its offset
 from the nearest point onto that point's normal, so the zero level set
-tracks the observed surface.  Because the distance is measured along
-the normal, not to the point, a thinner sample of a smooth surface moves
-it little: the reconstruction pipeline integrates each frame's spread
-subsample, about a fifth of its points (:func:`inhand.metrics.reconstruct`).
-The search for the nearest point stops at the truncation distance, and a
-tie between two points resolves as the unbounded search does.  The mesh
-is pulled out with the classic 256-case marching-cubes tables over cells
-whose eight corners have all been observed.
+tracks the observed surface.  The reconstruction pipeline integrates a
+sample of each frame's points (:func:`inhand.metrics.reconstruct` says
+which and why).  The search for the nearest point stops at the
+truncation distance, and a tie between two points resolves as the
+unbounded search does.  The mesh is pulled out with the classic 256-case
+marching-cubes tables over cells whose eight corners have all been
+observed.
 """
 
 from __future__ import annotations

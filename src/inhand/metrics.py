@@ -47,7 +47,7 @@ from .fusion import (
     laplacian_smooth,
     measure_dimensions,
 )
-from .geometry import CameraIntrinsics, PointCloud, RigidTransform, rotation_angle_rad
+from .geometry import CameraIntrinsics, RigidTransform, rotation_angle_rad
 from .preprocess import SegmentedFrame
 from .register import (
     RegistrationConfig,
@@ -78,15 +78,19 @@ def reconstruct(
     frames registers nothing beyond frame 0 this raises
     :class:`DivergenceError` instead of meshing a single view.
 
-    Each frame fuses only its spread subsample
-    (:attr:`SegmentedFrame.spread_rows`, about a fifth of a scanned
-    frame), which its description has already computed.  A voxel's signed
-    distance is its offset from the nearest point projected onto that
-    point's normal, which is the same from every point of a plane.  On a
-    surface of curvature radius R, a point ``s`` to the side of the voxel's
-    foot moves it by about ``s**2 / (2 R)``.  On the benchmark's scanned
-    frames a point left out lies a median 1.2 mm and at most about 3 mm
-    from the nearest kept one: 0.03 and 0.18 mm at R = 25 mm.
+    Each frame fuses only its :attr:`~SegmentedFrame.spread_surface`,
+    about a fifth of its points, which its description has already
+    sampled.  A voxel's signed distance is its offset from the nearest
+    point along that point's normal, which is the same from every point of
+    a plane; on a surface of curvature radius R, a point ``s`` to the side
+    of the voxel's foot moves it by about ``s**2 / (2 R)``.  On the
+    benchmark's scanned frames a point left out lies a median 1.2 mm and
+    at most about 3 mm from the nearest kept one: 0.03 and 0.18 mm at
+    R = 25 mm.  A kept point alone would carry all of its sensor noise,
+    where the whole cloud lets each voxel read a different point, so each
+    kept point is moved along its normal to the mean height of its
+    neighbours within ``SPREAD_SPACING_MM``, which averages that noise out
+    without pulling a curved surface inward.
     """
     with registrations(frames, (config,), intrinsics) as (registration,):
         result = registration.result()
@@ -100,15 +104,7 @@ def _first_frame_volume(
     """The TSDF cube that :func:`reconstruct` fuses into, holding frame 0 at
     the identity, the pose at which every registration chain anchors it."""
     volume = TsdfVolume(volume_center, side_mm, resolution)
-    return _integrate_spread(volume, frames[0], RigidTransform.identity())
-
-
-def _integrate_spread(
-    volume: TsdfVolume, frame: SegmentedFrame, pose: RigidTransform
-) -> TsdfVolume:
-    """Integrate the spread subsample of ``frame``'s object cloud at ``pose``."""
-    cloud, rows = frame.object_cloud, frame.spread_rows
-    return integrate(volume, PointCloud(cloud.points[rows], cloud.normals[rows]), pose)
+    return integrate(volume, frames[0].spread_surface, RigidTransform.identity())
 
 
 def _fuse(
@@ -131,7 +127,9 @@ def _fuse(
         )
     by_index = {f.frame_index: f for f in frames}
     for pose in result.poses[1:]:
-        volume = _integrate_spread(volume, by_index[pose.frame_index], pose.world_from_frame)
+        volume = integrate(
+            volume, by_index[pose.frame_index].spread_surface, pose.world_from_frame
+        )
     return laplacian_smooth(extract_mesh(volume), smooth_iterations)
 
 

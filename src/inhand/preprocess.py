@@ -4,7 +4,7 @@ Input frames are camera-space clouds already segmented into object and
 hand parts. Clouds without stored normals get them from local PCA
 oriented toward the sensor origin; points outside the TSDF cube are
 dropped at integration, not here. A frame computes its own 3D features,
-the spread subsample that fusion integrates, and its contact state once,
+the surface sample that fusion integrates, and its contact state once,
 for every pair and gamma it takes part in.
 """
 
@@ -93,12 +93,12 @@ class SegmentedFrame:
     tuple ``(pixel_pairs (N, 4), source_depths (N,), target_depths (N,))``;
     ``detector_boxes`` is a tuple of :class:`DetectorBox`.
 
-    :attr:`features`, :attr:`spread_rows` and :attr:`contact` depend on
+    :attr:`features`, :attr:`spread_surface` and :attr:`contact` depend on
     this frame alone: each is computed on first use and cached, so every
     pair, gamma and energy configuration shares it;
     :func:`dataclasses.replace` starts a new cache.  :attr:`features` and
-    :attr:`spread_rows` come from one :func:`describe_cloud` call, so the
-    thread that describes a frame also computes its rows.  During
+    :attr:`spread_surface` come from one :func:`describe_cloud` call, so
+    the thread that describes a frame also samples its surface.  During
     registration, :func:`inhand.register.registrations` says which thread
     computes each.
     """
@@ -110,7 +110,7 @@ class SegmentedFrame:
     detector_boxes: tuple[DetectorBox, ...] | None = None
 
     @cached_property
-    def _described(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _described(self) -> tuple[np.ndarray, ...]:
         return describe_cloud(self.object_cloud)
 
     @property
@@ -119,14 +119,15 @@ class SegmentedFrame:
         return self._described[:2]
 
     @property
-    def spread_rows(self) -> np.ndarray:
-        """Ascending rows of the object cloud's spread subsample, no two
-        within ``SPREAD_SPACING_MM``: ISS detects :attr:`features` on them,
-        and fusion integrates them, because a TSDF that measures along the
-        nearest point's normal loses little by it
-        (:func:`inhand.metrics.reconstruct`).  Registration uses the whole
-        cloud."""
-        return self._described[2]
+    def spread_surface(self) -> PointCloud:
+        """The points that fusion integrates: the object cloud's spread
+        subsample, each point moved along its normal by its height
+        (:func:`inhand.features._spread_heights`), with its normal.
+        :func:`inhand.metrics.reconstruct` says why.  Registration uses
+        the whole cloud."""
+        rows, heights = self._described[2:]
+        points, normals = self.object_cloud.points[rows], self.object_cloud.normals[rows]
+        return PointCloud(points + heights[:, None] * normals, normals)
 
     @cached_property
     def contact(self) -> ContactState | None:

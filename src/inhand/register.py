@@ -479,8 +479,8 @@ def registrations(
     running one.
 
     Threads: the calling thread describes every frame in order (each
-    frame's ``features`` and, from the same call, the ``spread_rows`` that
-    fusion reads), and one worker thread registers every pair of
+    frame's ``features`` and, from the same call, the ``spread_surface``
+    that fusion reads), and one worker thread registers every pair of
     every config, config after config, and detects contact (each frame's
     ``contact``), so no cached property of a frame is computed on two
     threads.  A pair waits until its frame is described.  Each config's

@@ -24,6 +24,7 @@ from inhand.features import (
     CorrespondenceSet,
     _describe_all,
     _neighbourhood_moments,
+    _spread_heights,
     _spread_subsample,
     describe_cloud,
     detect_iss_keypoints,
@@ -242,8 +243,7 @@ def move(cloud, pose):
 
 def keypoints(cloud):
     """The keypoint positions and descriptors of :func:`describe_cloud`."""
-    positions, descriptors, _ = describe_cloud(cloud)
-    return positions, descriptors
+    return describe_cloud(cloud)[:2]
 
 
 class TestDetect:
@@ -561,7 +561,7 @@ def test_describe_cloud_matches_add_at_on_a_blob(coloured):
     if coloured:
         rng = np.random.default_rng(48)
         cloud = PointCloud(cloud.points, cloud.normals, rng.uniform(0.0, 1.0, (3000, 3)))
-    positions, descriptors, got_spread = describe_cloud(cloud)
+    positions, descriptors, got_spread, _ = describe_cloud(cloud)
     spread = spread_reference(cloud)
     assert got_spread.tobytes() == spread.tobytes()
     rows = spread[add_at_iss(PointCloud(cloud.points[spread]))]
@@ -591,20 +591,26 @@ def lattice_clouds(draw):
 @settings(max_examples=200, deadline=None)
 @given(cloud=lattice_clouds())
 def test_spread_subsample_matches_the_pairwise_definition(cloud):
-    rows = _spread_subsample(cloud, cKDTree(cloud.points))
+    rows, neighbours = _spread_subsample(cloud, cKDTree(cloud.points))
     assert rows.tobytes() == spread_reference(cloud).tobytes()
+    pts = cloud.points
+    near = [(k, j) for k in rows for j in range(len(pts))
+            if j != k and np.sum((pts[j] - pts[k]) ** 2) <= SPREAD_SPACING_MM**2]
+    assert sorted(map(tuple, neighbours.tolist())) == sorted(near)
 
 
 def test_describe_cloud_ignores_row_order():
     cloud = blobby_cloud(seed=53, n=3000)
     perm = np.random.default_rng(54).permutation(len(cloud))
     shuffled = PointCloud(cloud.points[perm], normals=cloud.normals[perm])
-    (positions, descriptors, spread), (got_positions, got_descriptors, got_spread) = (
-        describe_cloud(cloud), describe_cloud(shuffled)
-    )
+    (positions, descriptors, spread, heights), (
+        got_positions, got_descriptors, got_spread, got_heights
+    ) = describe_cloud(cloud), describe_cloud(shuffled)
     assert len(positions) > 10
-    # The same points, in the shuffled cloud's rows.
-    assert np.array_equal(np.sort(perm[got_spread]), spread)
+    # The same points, in the shuffled cloud's rows, at the same heights.
+    order = np.argsort(perm[got_spread])
+    assert np.array_equal(perm[got_spread][order], spread)
+    np.testing.assert_allclose(got_heights[order], heights, rtol=0, atol=1e-9)
     assert got_positions.tobytes() == positions.tobytes()
     np.testing.assert_allclose(got_descriptors, descriptors, rtol=0, atol=1e-12)
 
@@ -619,6 +625,84 @@ def test_describe_cloud_ignores_row_order():
 def test_spread_subsample_follows_a_rigid_motion(axis, angle, shift):
     cloud = blobby_cloud(seed=55, n=3000)
     moved = move(cloud, RigidTransform(rotation_about_axis(axis, angle), np.array(shift)))
-    rows = _spread_subsample(cloud, cKDTree(cloud.points))
+    rows, _ = _spread_subsample(cloud, cKDTree(cloud.points))
     assert 0 < len(rows) < len(cloud)
-    assert np.array_equal(_spread_subsample(moved, cKDTree(moved.points)), rows)
+    assert np.array_equal(_spread_subsample(moved, cKDTree(moved.points))[0], rows)
+
+
+def heights_reference(cloud, rows):
+    """Each row's height by its definition, one row at a time: the mean,
+    over the points within ``SPREAD_SPACING_MM`` of it whose normals have a
+    positive dot product with its own (itself included), of their offset
+    from it along the bisector of the two normals."""
+    out = []
+    for row in rows:
+        point, normal = cloud.points[row], cloud.normals[row]
+        near = (np.sum((cloud.points - point) ** 2, axis=1) <= SPREAD_SPACING_MM**2) & (
+            cloud.normals @ normal > 0.0
+        )
+        bisector = cloud.normals[near] + normal
+        bisector /= np.linalg.norm(bisector, axis=1, keepdims=True)
+        out.append(np.mean(np.sum((cloud.points[near] - point) * bisector, axis=1)))
+    return np.array(out)
+
+
+def heights_of(cloud):
+    rows, neighbours = _spread_subsample(cloud, cKDTree(cloud.points))
+    return rows, _spread_heights(cloud, rows, neighbours)
+
+
+def test_spread_heights_match_their_definition():
+    blob = blobby_cloud(seed=56, n=3000)
+    rng = np.random.default_rng(57)
+    noisy = blob.points + rng.normal(scale=0.5, size=blob.points.shape)
+    # A sheet facing the other way 0.7 mm inside part of the blob, which the
+    # outer sheet's heights must not read.
+    cloud = PointCloud(
+        np.vstack([noisy, noisy[:400] - 0.7 * blob.normals[:400]]),
+        normals=np.vstack([blob.normals, -blob.normals[:400]]),
+    )
+    rows, heights = heights_of(cloud)
+    assert np.any(rows >= len(noisy)) and np.any(rows < 400)
+    np.testing.assert_allclose(heights, heights_reference(cloud, rows), rtol=0, atol=1e-9)
+
+
+def sphere_and_cylinder():
+    """Noise-free samples, about two points per mm^2, of a 25 mm sphere and of
+    a 30 mm cylinder 60 mm long, with their exact outward normals."""
+    rng = np.random.default_rng(58)
+    dirs = rng.normal(size=(16000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    sphere = PointCloud(25.0 * dirs + [0.0, 0.0, 500.0], normals=dirs)
+    phi, z = rng.uniform(0.0, 2.0 * np.pi, 22000), rng.uniform(-30.0, 30.0, 22000)
+    radial = np.column_stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)])
+    cylinder = PointCloud(30.0 * radial + np.column_stack([0 * z, 0 * z, z]), normals=radial)
+    return [(sphere, 25.0, lambda p: np.linalg.norm(p - [0.0, 0.0, 500.0], axis=1)),
+            (cylinder, 30.0, lambda p: np.linalg.norm(p[:, :2], axis=1))]
+
+
+@pytest.mark.parametrize("shape", [0, 1], ids=["sphere", "cylinder"])
+def test_spread_heights_keep_a_curved_surface_in_place(shape):
+    cloud, radius, radius_of = sphere_and_cylinder()[shape]
+    rows, heights = heights_of(cloud)
+    lifted = cloud.points[rows] + heights[:, None] * cloud.normals[rows]
+    np.testing.assert_allclose(radius_of(lifted), radius, rtol=0, atol=1e-9)
+    # Measured along each kept point's own normal, the same neighbours would
+    # sink it by about s**2 / (2 R).
+    sunk = [np.mean((cloud.points[near] - cloud.points[row]) @ cloud.normals[row])
+            for row, near in zip(rows[:200], cKDTree(cloud.points).query_ball_point(
+                cloud.points[rows[:200]], SPREAD_SPACING_MM))]
+    assert np.mean(sunk) < -0.005
+
+
+def test_spread_heights_average_the_noise_out_of_a_plane():
+    rng = np.random.default_rng(59)
+    xy = rng.uniform(-20.0, 20.0, size=(3200, 2))
+    cloud = PointCloud(
+        np.column_stack([xy, 600.0 + rng.normal(scale=0.5, size=len(xy))]),
+        normals=np.tile([0.0, 0.0, 1.0], (len(xy), 1)),
+    )
+    rows, heights = heights_of(cloud)
+    lifted = cloud.points[rows, 2] + heights
+    assert np.std(cloud.points[rows, 2] - 600.0) > 0.45
+    assert np.std(lifted - 600.0) < 0.35

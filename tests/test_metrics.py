@@ -12,7 +12,7 @@ import pytest
 from inhand import contact, features, fusion, metrics, preprocess, register, synth
 from inhand.errors import DivergenceError, EmptyInputError, InHandError
 from inhand.fusion import Probe
-from inhand.geometry import CameraIntrinsics, PointCloud
+from inhand.geometry import CameraIntrinsics
 from inhand.metrics import (
     SweepResult,
     compare_energies,
@@ -170,7 +170,7 @@ def assert_results_identical(a, b):
 
 
 class TestReconstruct:
-    def test_volume_is_each_frame_subsample_integrated_at_its_pose(self, monkeypatch):
+    def test_volume_is_each_frame_spread_surface_integrated_at_its_pose(self, monkeypatch):
         frames, truth = sweep_fixture()[:2]
         meshed = count_calls(monkeypatch, fusion.extract_mesh)
         cube = sweep_volume(truth)
@@ -180,10 +180,8 @@ class TestReconstruct:
         assert len(result.poses) == len(frames)
         want = fusion.TsdfVolume(cube["volume_center"], cube["side_mm"], cube["resolution"])
         for pose in result.poses:
-            frame = by_index[pose.frame_index]
-            cloud, rows = frame.object_cloud, frame.spread_rows
-            subsample = PointCloud(cloud.points[rows], normals=cloud.normals[rows])
-            want = fusion.integrate(want, subsample, pose.world_from_frame)
+            surface = by_index[pose.frame_index].spread_surface
+            want = fusion.integrate(want, surface, pose.world_from_frame)
         assert got.keys.tobytes() == want.keys.tobytes()
         assert got.tsdf.tobytes() == want.tsdf.tobytes()
         assert got.weights.tobytes() == want.weights.tobytes()
@@ -339,15 +337,12 @@ class TestRunGammaSweep:
         )
         # Every frame registers at every gamma, and frame 0 is fused once.
         assert len(fused) == 1 + len(gammas) * (len(frames) - 1)
-        # Each frame fuses its spread subsample, points and normals, which
+        # Each frame fuses its spread surface, points and normals, which
         # leaves points out.
         clouds = [(c.points.tobytes(), c.normals.tobytes()) for _, _, c, _ in fused]
-        spreads = [
-            (f.object_cloud.points[f.spread_rows].tobytes(),
-             f.object_cloud.normals[f.spread_rows].tobytes())
-            for f in frames
-        ]
-        assert all(len(f.spread_rows) < len(f.object_cloud) for f in frames)
+        surfaces = [f.spread_surface for f in frames]
+        spreads = [(c.points.tobytes(), c.normals.tobytes()) for c in surfaces]
+        assert all(len(c) < len(f.object_cloud) for c, f in zip(surfaces, frames))
         assert clouds == spreads + 2 * spreads[1:]
         monkeypatch.undo()
         assert_results_identical(result, serial_sweep(frames, truth, gammas))

@@ -5,7 +5,8 @@ import pytest
 
 from inhand.errors import DegenerateConfigurationError, InsufficientPointsError
 from inhand.geometry import PointCloud
-from inhand.preprocess import NORMAL_NEIGHBORS, estimate_normals
+from inhand.features import describe_cloud
+from inhand.preprocess import NORMAL_NEIGHBORS, SegmentedFrame, estimate_normals
 
 
 class TestEstimateNormals:
@@ -53,3 +54,17 @@ class TestEstimateNormals:
         pts = rng.uniform(-30, 30, (500, 3)) * [1, 1, 0.2] + [0, 0, 600]
         out = estimate_normals(PointCloud(pts))
         np.testing.assert_allclose(np.linalg.norm(out.normals, axis=1), 1.0, atol=1e-9)
+
+
+def test_spread_surface_lifts_each_spread_point_by_its_height():
+    rng = np.random.default_rng(7)
+    dirs = rng.normal(size=(4000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pts = np.array([0.0, 0.0, 700.0]) + 30.0 * dirs + rng.normal(scale=0.5, size=dirs.shape)
+    cloud = PointCloud(pts, normals=dirs)
+    surface = SegmentedFrame(0, cloud, None).spread_surface
+    _, _, rows, heights = describe_cloud(cloud)
+    assert 0 < len(rows) < len(cloud) and np.count_nonzero(heights) > len(rows) // 2
+    lifted = cloud.points[rows] + heights[:, None] * cloud.normals[rows]
+    assert surface.points.tobytes() == lifted.tobytes()
+    assert surface.normals.tobytes() == cloud.normals[rows].tobytes()

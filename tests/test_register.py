@@ -583,9 +583,9 @@ class TestOverlappedSequence:
         pairs = record_threads(monkeypatch, register, "register_pair")
         register_all(frames, RegistrationConfig())
         assert described == [main] * len(frames)
-        # Each frame keeps what it was described with, its spread rows too.
+        # Each frame keeps what it was described with, its spread surface too.
         for frame in frames:
-            frame.features, frame.spread_rows
+            frame.features, frame.spread_surface
         assert len(described) == len(frames)
         # One worker, not the caller, registers every pair, the last included.
         assert len(pairs) == len(frames) - 1
