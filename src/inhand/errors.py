@@ -60,17 +60,6 @@ class DivergenceError(InHandError):
     exit_code, stage = 4, "registration"
 
 
-class MatchFileParseError(InHandError):
-    """A feature-match sidecar file is malformed.
-
-    Carries the 1-based line number of the offending line.
-    """
-
-    def __init__(self, message: str, line_number: int) -> None:
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
 class EmptyMeshError(InHandError):
     """Surface extraction found no zero crossing inside observed space."""
     exit_code, stage = 5, "meshing"
@@ -86,7 +75,7 @@ class DegenerateMotionError(InHandError):
 
 
 class FileFormatError(InHandError):
-    """A data file (PLY, box file, ground truth) is malformed or unsupported."""
+    """A data file (PLY, box file, match file, ground truth) is malformed or unsupported."""
 
 
 class ManifestError(InHandError):

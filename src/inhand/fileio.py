@@ -43,7 +43,6 @@ from .errors import (
     FileFormatError,
     InsufficientPointsError,
     ManifestError,
-    MatchFileParseError,
 )
 from .fusion import Probe, TriangleMesh, check_working_volume
 from .geometry import CameraIntrinsics, PointCloud, RigidTransform
@@ -362,8 +361,9 @@ def parse_feat2d_file(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if not np.isfinite([u, v, u2, v2]).all():
                 raise ValueError("non-finite pixel")
         except ValueError:
-            raise MatchFileParseError(
-                f"{path}: expected u v depth u' v' depth', pixels finite, got {line!r}", lineno
+            raise FileFormatError(
+                f"line {lineno}: {path}: expected u v depth u' v' depth', pixels finite, "
+                f"got {line!r}"
             ) from None
         rows.append((u, v, u2, v2, depth, depth2))
     table = np.asarray(rows, dtype=np.float64).reshape(-1, 6)

@@ -246,24 +246,20 @@ def nearest_within(tree, points: np.ndarray, radius: float) -> tuple[np.ndarray,
     """Each point's nearest neighbour in the kd-tree ``tree``, searched only
     as far as ``radius``.
 
-    Returns ``(dist, index)`` as ``tree.query(points)`` does, to the bit,
-    wherever that distance is at most ``radius``; elsewhere the distance
-    reads ``inf`` and the index ``tree.n``.  The search is a ``k=2`` query
-    whose bound lies one float above ``radius``, as the bound is strict, so
-    a point exactly at ``radius`` is found.  Two neighbours at the same
-    distance can come back in another order than the unbounded search finds
-    them, so a point whose two nearest distances are equal is asked again
-    without a bound, and a tie resolves as the unbounded search does.
+    Returns ``(dist, index)`` with the distance of ``tree.query(points)``, to
+    the bit, wherever that distance is at most ``radius``; elsewhere the
+    distance reads ``inf`` and the index ``tree.n``.  The query's bound lies
+    one float above ``radius``, as the bound is strict, so a point exactly at
+    ``radius`` is found.  The index is the unbounded search's wherever the
+    nearest point is unique.  Where several points tie for nearest, any of
+    them may come back: a bounded search can visit them in another order,
+    and each lies at the returned distance.
     """
     dist, index = tree.query(
-        points, k=2, distance_upper_bound=np.nextafter(radius, np.inf), workers=-1
+        points, distance_upper_bound=np.nextafter(radius, np.inf), workers=-1
     )
-    tied = (dist[:, 0] == dist[:, 1]) & (dist[:, 0] <= radius)
-    dist, index = dist[:, 0].copy(), index[:, 0].copy()
     far = dist > radius
     dist[far], index[far] = np.inf, tree.n
-    if tied.any():
-        dist[tied], index[tied] = tree.query(points[tied], workers=-1)
     return dist, index
 
 

@@ -223,8 +223,8 @@ def refine_icp(
     frame points with world points and enters every solve as point-to-point
     rows of weight ``gamma_t``.  Each iteration pairs every point with its
     nearest metascan point, keeps pairs within ``icp_max_dist`` (the search
-    stops there, and a tie resolves as the unbounded search does; see
-    :func:`~inhand.geometry.nearest_within`), records
+    stops there; :func:`~inhand.geometry.nearest_within` says which of two
+    equally near points comes back), records
     their RMS distance, and stops once that changed by less than
     ``icp_convergence_eps`` or after ``icp_max_iters`` records; otherwise it
     takes one Gauss-Newton step of :func:`_point_to_plane_step` on the

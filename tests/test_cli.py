@@ -821,7 +821,6 @@ class TestUsage:
             "DegenerateConfigurationError": 4,
             "NoContactError": 4,
             "DivergenceError": 4,
-            "MatchFileParseError": 3,
             "EmptyMeshError": 5,
             "OpenMeshError": 5,
             "DegenerateMotionError": 3,

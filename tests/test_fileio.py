@@ -14,7 +14,7 @@ import pytest
 
 import inhand
 from inhand.contact import PosedHand
-from inhand.errors import FileFormatError, ManifestError, MatchFileParseError
+from inhand.errors import FileFormatError, ManifestError
 from inhand.fileio import (
     ManifestFrame,
     SequenceManifest,
@@ -326,18 +326,20 @@ class TestFeat2d:
     def test_parse_error_reports_line(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("320 240 700 377 297 500\n1 2 3 4 5\n")
-        with pytest.raises(MatchFileParseError) as info:
+        with pytest.raises(FileFormatError) as info:
             parse_feat2d_file(f)
-        assert info.value.line_number == 2
-        assert "line 2" in str(info.value)
+        assert str(info.value) == (
+            f"line 2: {f}: expected u v depth u' v' depth', pixels finite, got '1 2 3 4 5'"
+        )
+        assert info.value.exit_code == 3
 
     def test_non_numeric_field(self, tmp_path):
         f = tmp_path / "bad2.txt"
         for line in ("a b c d e f", "nan 240 700 377 297 500", "320 240 700 377 inf 500"):
-            f.write_text(line + "\n")
-            with pytest.raises(MatchFileParseError, match="bad2.txt") as info:
+            f.write_text("# a comment line\n" + line + "\n")
+            with pytest.raises(FileFormatError) as info:
                 parse_feat2d_file(f)
-            assert info.value.line_number == 1
+            assert str(info.value).startswith(f"line 2: {f}: expected ")
 
 
 class TestGroundTruthFile:

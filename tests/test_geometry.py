@@ -324,19 +324,46 @@ class TestNearestWithin:
         want_dist, want_index = tree.query(queries)
         kept = want_dist <= radius
         assert dist[kept].tobytes() == want_dist[kept].tobytes()
-        np.testing.assert_array_equal(index[kept], want_index[kept])
         assert np.isinf(dist[~kept]).all()
         assert (index[~kept] == tree.n).all()
+        # Every point's distance to every query, nearest first.
+        all_dist, all_index = tree.query(queries, k=tree.n)
+        unique = kept & (all_dist[:, 0] < all_dist[:, 1])
+        np.testing.assert_array_equal(index[unique], want_index[unique])
+        # At a tie the point returned is one of those at the nearest distance.
+        returned = all_index[kept] == index[kept, None]
+        assert all_dist[kept][returned].tobytes() == want_dist[kept].tobytes()
 
     def test_lattice_has_what_a_bound_alone_gets_wrong(self):
         # The cases the test above must meet: answers exactly at the radius,
-        # and ties that a bounded k=2 query orders otherwise than the
-        # unbounded search.
+        # which a strict bound at the radius loses, and ties within it.
         tree, queries = lattice_tree_and_queries(0)
+        want_dist, _ = tree.query(queries)
+        at_radius = want_dist == 1.0
+        assert np.any(at_radius)
+        strict, _ = tree.query(queries, distance_upper_bound=1.0)
+        assert np.isinf(strict[at_radius]).all()
+        dist, _ = tree.query(queries, k=2)
+        assert np.any((dist[:, 0] == dist[:, 1]) & (dist[:, 0] <= 1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_points=st.integers(1, 400),
+        radius=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+    )
+    def test_unbounded_index_on_noisy_clouds(self, seed, n_points, radius):
+        # Random points almost never tie: wherever the nearest point is
+        # unique and within the radius, the index is the unbounded search's.
+        rng = np.random.default_rng(seed)
+        tree = cKDTree(rng.normal(scale=2.0, size=(n_points, 3)))
+        queries = rng.normal(scale=2.5, size=(300, 3))
+        dist, index = nearest_within(tree, queries, radius)
         want_dist, want_index = tree.query(queries)
-        assert np.any(want_dist == 1.0)
-        dist, index = tree.query(queries, k=2, distance_upper_bound=np.nextafter(1.0, np.inf))
-        assert np.any((dist[:, 0] <= 1.0) & (index[:, 0] != want_index))
+        nearest_two, _ = tree.query(queries, k=2)  # inf second with one point
+        kept = (want_dist <= radius) & (nearest_two[:, 0] < nearest_two[:, 1])
+        assert dist[kept].tobytes() == want_dist[kept].tobytes()
+        np.testing.assert_array_equal(index[kept], want_index[kept])
 
     def test_empty_queries_and_a_one_point_tree(self):
         tree = cKDTree(np.zeros((1, 3)))
@@ -345,3 +372,14 @@ class TestNearestWithin:
         dist, index = nearest_within(tree, np.array([[0.6, 0.0, 0.0], [2.0, 0.0, 0.0]]), 1.0)
         np.testing.assert_array_equal(dist, [0.6, np.inf])
         np.testing.assert_array_equal(index, [0, 1])
+
+    def test_an_answer_one_float_beyond_the_radius_is_beyond(self):
+        # The bound lies one float above the radius, so the search itself
+        # can answer a distance one float above it.
+        tree = cKDTree(np.zeros((1, 3)))
+        query = np.array([[0.510327802374517, -0.469825595836857, 0.093965119167371]])
+        bounded, _ = tree.query(query, distance_upper_bound=np.nextafter(0.7, np.inf))
+        assert bounded[0] == np.nextafter(0.7, np.inf)
+        dist, index = nearest_within(tree, query, 0.7)
+        np.testing.assert_array_equal(dist, [np.inf])
+        np.testing.assert_array_equal(index, [1])
