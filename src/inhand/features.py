@@ -6,8 +6,8 @@ suppression on the smallest eigenvalue. :func:`describe_cloud` detects
 them on a spread subsample of the cloud, which keeps no two points within
 ``SPREAD_SPACING_MM`` of each other (about a fifth of a scanned frame),
 and describes each against the whole cloud. The same subsample, each
-point lifted to the mean height of its neighbours, is what a frame fuses
-(:attr:`inhand.preprocess.SegmentedFrame.spread_surface`). The
+point lifted to the mean height of its neighbours, is what ICP and fusion
+read (:attr:`inhand.preprocess.SegmentedFrame.spread_surface`). The
 descriptor is a rigid-motion invariant histogram over a spherical
 support: 4 radial shells x 8 bins of the angle between neighbor normals
 and the keypoint normal, plus an optional 8-bin luminance histogram when

@@ -262,27 +262,3 @@ def nearest_within(tree, points: np.ndarray, radius: float) -> tuple[np.ndarray,
     dist[far], index[far] = np.inf, tree.n
     return dist, index
 
-
-def voxel_downsample_indices(points, voxel_size: float) -> np.ndarray:
-    """Indices of the first point falling in each occupied voxel.
-
-    Deterministic: keeps the earliest point per voxel in input order, and
-    returns indices in input order.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if voxel_size <= 0.0:
-        raise ValueError("voxel size must be positive")
-    if len(pts) == 0:
-        return np.empty(0, dtype=np.int64)
-    cells = np.floor(pts / voxel_size).astype(np.int64)
-    # Shift to nonnegative so a single linear key is collision-free.
-    cells -= cells.min(axis=0)
-    dims = cells.max(axis=0) + 1
-    key = (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    first = np.ones(len(pts), dtype=bool)
-    first[1:] = sorted_key[1:] != sorted_key[:-1]
-    keep = order[first]
-    keep.sort()
-    return keep

@@ -71,8 +71,8 @@ def reconstruct(
 ) -> tuple[SequenceResult, TriangleMesh]:
     """Register a sequence, fuse the registered frames, and mesh the volume.
 
-    The frames are registered as :func:`run_sequence` does, on their whole
-    clouds, and integrated at their poses into a TSDF cube of ``side_mm``
+    The frames are registered as :func:`run_sequence` does, on their spread
+    surfaces, and integrated at their poses into a TSDF cube of ``side_mm``
     and ``resolution`` voxels centred on ``volume_center``; the extracted
     mesh is smoothed for ``smooth_iterations``.  When a sequence of several
     frames registers nothing beyond frame 0 this raises

@@ -4,8 +4,8 @@ Input frames are camera-space clouds already segmented into object and
 hand parts. Clouds without stored normals get them from local PCA
 oriented toward the sensor origin; points outside the TSDF cube are
 dropped at integration, not here. A frame computes its own 3D features,
-the surface sample that fusion integrates, and its contact state once,
-for every pair and gamma it takes part in.
+the surface sample that registration and fusion read, and its contact
+state once, for every pair and gamma it takes part in.
 """
 
 from __future__ import annotations
@@ -120,11 +120,11 @@ class SegmentedFrame:
 
     @property
     def spread_surface(self) -> PointCloud:
-        """The points that fusion integrates: the object cloud's spread
-        subsample, each point moved along its normal by its height
+        """The points that ICP refines, the metascan holds and fusion
+        integrates: the object cloud's spread subsample, each point moved
+        along its normal by its height
         (:func:`inhand.features._spread_heights`), with its normal.
-        :func:`inhand.metrics.reconstruct` says why.  Registration uses
-        the whole cloud."""
+        :func:`inhand.metrics.reconstruct` says why."""
         rows, heights = self._described[2:]
         points, normals = self.object_cloud.points[rows], self.object_cloud.normals[rows]
         return PointCloud(points + heights[:, None] * normals, normals)

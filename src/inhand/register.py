@@ -4,10 +4,11 @@ Each new frame is first aligned to the previous frame by one robust
 weighted least-squares problem over all available sparse correspondence
 sets (2D feature matches, 3D feature matches, hand-contact pairs, and
 optionally detector-box pairs).  The result is composed with the previous
-frame's world pose and then refined by point-to-plane ICP, with the
-contact pairs as point-to-point rows, against the metascan: an
-``(M, 3)`` array of every previously registered cloud, which each chain's
-:func:`run_sequence` owns and merges into.
+frame's world pose and then refined by point-to-plane ICP of the frame's
+spread surface (:attr:`SegmentedFrame.spread_surface`), with the contact
+pairs as point-to-point rows, against the metascan: the ``(M, 3)`` union
+of the spread surfaces of every previously registered frame, in world
+coordinates, which each chain's :func:`run_sequence` owns and stacks onto.
 Keypoints, descriptors and contact states belong to one frame and are
 cached on it (:class:`SegmentedFrame`); a pair only matches them.
 :func:`registrations` states which thread does which part of that work.
@@ -41,7 +42,6 @@ from .geometry import (
     nearest_within,
     rotation_about_axis,
     solve_weighted_rigid,
-    voxel_downsample_indices,
 )
 from .preprocess import SegmentedFrame
 
@@ -81,10 +81,10 @@ class RegistrationConfig:
       visual pairs;
     * ICP's ``WEAK_DIRECTION_RATIO`` (c = 30): no step along a direction
       whose eigenvalue lies below lambda_max / c, with the shift measured
-      from the shift that best follows each turn.  Per frame, on the
+      from the shift that best follows each turn.  At each ICP step on the
       benchmark's pin and bottle every direction but the twist lies within
-      a ratio of 5.2 of lambda_max, and a textured sphere's three weak
-      turns from 48.7 up, so any c in that gap counts the weak directions
+      a ratio of 5.7 of lambda_max, and a textured sphere's three weak
+      turns from 33.8 up, so any c in that gap counts the weak directions
       right.
     """
 
@@ -109,18 +109,6 @@ class RegistrationConfig:
 
     def set_weight(self, tag: str) -> float:
         return self.gamma_t if tag in _GAMMA_TAGS else 1.0
-
-
-METASCAN_VOXEL_MM = 2.0
-
-
-def merge_metascan(metascan: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``metascan`` with world-frame ``points`` merged in, as a new ``(M, 3)`` array.
-
-    Each voxel :data:`METASCAN_VOXEL_MM` on a side keeps its earliest point.
-    """
-    merged = np.vstack([metascan, points])
-    return merged[voxel_downsample_indices(merged, METASCAN_VOXEL_MM)]
 
 
 @dataclass(frozen=True)
@@ -427,7 +415,8 @@ def register_pair(
 ) -> FramePose:
     """Register ``curr`` against ``prev`` and refine against the ``metascan`` array.
 
-    Returns the pose and changes no argument; the caller merges the cloud.
+    ICP refines the spread surface of ``curr``.  Returns the pose and
+    changes no argument; the caller stacks the surface onto the metascan.
     An under-constrained sparse stage and ICP divergence both propagate,
     so the caller can skip the frame.
     """
@@ -443,7 +432,7 @@ def register_pair(
         contact = CorrespondenceSet(
             contact.source, world_from_prev.apply(contact.target), "contact"
         )
-    result = refine_icp(curr.object_cloud, metascan, config, start=world, contact=contact)
+    result = refine_icp(curr.spread_surface, metascan, config, start=world, contact=contact)
     counts["icp"] = result.pair_count
     return FramePose(
         curr.frame_index,
@@ -480,12 +469,14 @@ def registrations(
 
     Threads: the calling thread describes every frame in order (each
     frame's ``features`` and, from the same call, the ``spread_surface``
-    that fusion reads), and one worker thread registers every pair of
-    every config, config after config, and detects contact (each frame's
-    ``contact``), so no cached property of a frame is computed on two
-    threads.  A pair waits until its frame is described.  Each config's
-    :func:`run_sequence` owns its chain's poses, skips and metascan array.
-    An error of a pair comes out before one of a later frame's description.
+    that ICP, the metascan and fusion read), and one worker thread
+    registers every pair of every config, config after config, and detects
+    contact (each frame's ``contact``), so no cached property of a frame is
+    computed on two threads.  A chain waits until frame 0 is described
+    before it starts its metascan, and a pair until its frame is.  Each
+    config's :func:`run_sequence` owns its chain's poses, skips and
+    metascan array.  An error of a pair comes out before one of a later
+    frame's description.
     """
     if not frames:
         raise EmptyInputError("no frames to register")
@@ -524,12 +515,14 @@ def run_sequence(
 
     ``described`` holds one future per frame, resolved once it is described.
     Frame 0 anchors the world frame.  The loop owns the chain: the poses, the
-    skips and the metascan array, into which it merges each registered
-    frame's world-frame cloud.  An under-constrained or diverging frame is
-    skipped, and the next is aligned against the last registered one.
+    skips and the metascan array, onto which it stacks each registered
+    frame's spread surface in world coordinates.  An under-constrained or
+    diverging frame is skipped, and the next is aligned against the last
+    registered one.
     """
     prev, world_prev = frames[0], RigidTransform.identity()
-    metascan = merge_metascan(np.empty((0, 3)), prev.object_cloud.points)
+    described[0].result()  # raises the error of frame 0's description
+    metascan = prev.spread_surface.points
     poses = [FramePose(prev.frame_index, world_prev, float("nan"), float("nan"), {})]
     skipped: list[int] = []
     for curr, done in zip(frames[1:], described[1:]):
@@ -542,5 +535,5 @@ def run_sequence(
             continue
         poses.append(pose)
         prev, world_prev = curr, pose.world_from_frame
-        metascan = merge_metascan(metascan, world_prev.apply(curr.object_cloud.points))
+        metascan = np.vstack([metascan, world_prev.apply(curr.spread_surface.points)])
     return SequenceResult(tuple(poses), metascan, tuple(skipped))

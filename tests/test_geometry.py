@@ -23,7 +23,6 @@ from inhand.geometry import (
     rotation_about_axis,
     rotation_angle_rad,
     solve_weighted_rigid,
-    voxel_downsample_indices,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -280,27 +279,6 @@ class TestPointCloud:
     def test_channel_lengths_checked(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((2, 3)), normals=np.array([[0.0, 0.0, 1.0]]))
-
-
-class TestVoxelDownsample:
-    def test_keeps_first_per_voxel(self):
-        pts = np.array(
-            [
-                [0.1, 0.1, 0.1],
-                [0.3, 0.2, 0.4],  # same 1 mm voxel as the first point
-                [1.5, 0.0, 0.0],
-                [1.7, 0.2, 0.1],  # same voxel as the third point
-            ]
-        )
-        keep = voxel_downsample_indices(pts, 1.0)
-        np.testing.assert_array_equal(keep, [0, 2])
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(21)
-        pts = rng.uniform(-40, 40, (2000, 3))
-        a = voxel_downsample_indices(pts, 2.0)
-        b = voxel_downsample_indices(pts, 2.0)
-        np.testing.assert_array_equal(a, b)
 
 
 def lattice_tree_and_queries(seed):

@@ -24,14 +24,12 @@ from inhand.geometry import (
     rotation_about_axis,
     rotation_angle_rad,
     solve_weighted_rigid,
-    voxel_downsample_indices,
 )
 from inhand.preprocess import DetectorBox, SegmentedFrame, estimate_normals
 from inhand.register import (
     RegistrationConfig,
     align_sparse,
     detector_correspondences,
-    merge_metascan,
     refine_icp,
     register_pair,
     registrations,
@@ -166,12 +164,9 @@ class TestAlignSparse:
 
 
 def blob_scan(stretch):
-    """The :func:`blob_cloud` scaled by ``stretch``, with PCA normals, thinned
-    as the metascan is thinned.  The radial directions of the blob are not
-    its surface normals."""
-    blob = estimate_normals(PointCloud(blob_cloud(4000).points * stretch))
-    keep = voxel_downsample_indices(blob.points, register.METASCAN_VOXEL_MM)
-    return PointCloud(blob.points[keep], normals=blob.normals[keep])
+    """The :func:`blob_cloud` of 4,000 points scaled by ``stretch``, with PCA
+    normals.  The radial directions of the blob are not its surface normals."""
+    return estimate_normals(PointCloud(blob_cloud(4000).points * stretch))
 
 
 class TestRefineIcp:
@@ -179,7 +174,8 @@ class TestRefineIcp:
     def scan(self):
         # About its centroid the round blob's weakest direction lies near the
         # lambda_max / 30 cut and mixes turn and shift; a pure shift must
-        # still come back without a turn.
+        # still come back without a turn.  Split as _strong_direction_solve
+        # splits it, its weakest turn lies at lambda_max / 32.4.
         return blob_scan(np.ones(3))
 
     def test_recovers_two_mm_translation(self, scan):
@@ -190,7 +186,8 @@ class TestRefineIcp:
         assert math.degrees(rotation_angle_rad(result.transform.rotation)) < 0.01
 
     def test_recovers_two_mm_translation_on_a_stretched_blob(self):
-        # Every direction of this scan lies well inside the cut.
+        # Every direction of this scan lies well inside the cut: its weakest
+        # turn at lambda_max / 13.8.
         self.test_recovers_two_mm_translation(blob_scan(np.array([1.0, 0.75, 0.55])))
 
     def test_identity_on_exact_overlap(self, scan):
@@ -206,6 +203,10 @@ class TestRefineIcp:
             refine_icp(scan, scan.points, start=RigidTransform(np.eye(3), np.array([150.0, 0, 0])))
 
     def test_rms_non_increasing(self, scan):
+        # A point-to-plane step lowers the distances to the target planes, not
+        # the point distances the RMS records, so the step that converges may
+        # raise the RMS by less than icp_convergence_eps.  Over 300 such
+        # starts on this scan, 50 did, by at most 7.5e-5 mm, and none before.
         rng = np.random.default_rng(7)
         for _ in range(15):
             axis = rng.normal(size=3)
@@ -215,7 +216,8 @@ class TestRefineIcp:
             )
             result = refine_icp(scan, scan.points, start=t)
             diffs = np.diff(result.rms_history)
-            assert np.all(diffs <= 1e-9)
+            assert result.converged and np.all(diffs[:-1] <= 1e-9)
+            assert abs(diffs[-1]) < RegistrationConfig.icp_convergence_eps
 
     def test_stops_at_the_iteration_cap_on_its_last_rms(self, scan, monkeypatch):
         monkeypatch.setattr(RegistrationConfig, "icp_max_iters", 2)
@@ -308,18 +310,6 @@ def cylinder_cloud(n=3000, seed=5, radius=30.0, height=80.0):
     return PointCloud(np.vstack([side, caps]), normals=np.vstack([side_normals, cap_normals]))
 
 
-class TestMetascan:
-    def test_keep_first_merge(self):
-        first = np.array([[0.1, 0.1, 0.1], [5.0, 5.0, 5.0]])
-        scan = merge_metascan(NO_POINTS, first)
-        # A near-duplicate in an occupied voxel is discarded; a point in a
-        # fresh voxel is kept.
-        scan = merge_metascan(scan, np.array([[0.3, 0.2, 0.2], [9.0, 9.0, 9.0]]))
-        assert len(scan) == 3
-        assert any(np.array_equal(p, first[0]) for p in scan)
-        assert any(np.array_equal(p, [9.0, 9.0, 9.0]) for p in scan)
-
-
 def hand_on(cloud: PointCloud, seed=11, pad_size=45):
     """Two fingertip pads lying exactly on distinct parts of the cloud."""
     order = np.argsort(cloud.points[:, 0])
@@ -341,11 +331,10 @@ def make_frame(index, motion, base_cloud, base_hand):
 
 
 def exact_sequence(n_frames=4, deg_per_frame=4.0):
-    # Pre-thin the canonical sample at the metascan voxel size so the
-    # accumulation keeps every point and exact motions stay exact.
-    canon = blob_cloud()
-    keep = voxel_downsample_indices(canon.points, 2.0)
-    base_cloud = PointCloud(canon.points[keep], normals=canon.normals[keep])
+    """Frames of the :func:`blob_cloud` and a hand on it, each moved rigidly,
+    and each frame's true world pose.  Each frame's spread surface is frame
+    0's moved by the same motion, up to rounding."""
+    base_cloud = blob_cloud()
     base_hand = hand_on(base_cloud)
     frames, truth = [], []
     for k in range(n_frames):
@@ -368,7 +357,7 @@ class TestRegisterPair:
     def test_identical_frames_give_identity(self):
         frames, _ = exact_sequence(n_frames=1)
         twin = SegmentedFrame(1, frames[0].object_cloud, frames[0].hand_pose)
-        scan = merge_metascan(NO_POINTS, frames[0].object_cloud.points)
+        scan = frames[0].spread_surface.points
         pose = register_pair(
             frames[0], twin, scan, RigidTransform.identity(), RegistrationConfig(), INTRINSICS
         )
@@ -380,7 +369,7 @@ class TestRegisterPair:
         frames, _ = exact_sequence(n_frames=2)
         poses = []
         for _ in range(2):
-            scan = merge_metascan(NO_POINTS, frames[0].object_cloud.points)
+            scan = frames[0].spread_surface.points
             poses.append(
                 register_pair(
                     frames[0],
@@ -400,7 +389,7 @@ class TestRegisterPair:
 
     def test_leaves_the_metascan_as_it_was(self):
         frames, _ = exact_sequence(n_frames=2)
-        scan = merge_metascan(NO_POINTS, frames[0].object_cloud.points)
+        scan = frames[0].spread_surface.points.copy()
         before = scan.copy()
         register_pair(
             frames[0], frames[1], scan, RigidTransform.identity(), RegistrationConfig(), INTRINSICS
@@ -423,14 +412,15 @@ class TestRunSequence:
 
     def test_metascan_composition_consistency(self):
         # Every metascan point, mapped back through the inverse of some
-        # frame's pose, must coincide with an original point of that frame.
+        # frame's pose, must coincide with a point of that frame's spread
+        # surface.
         frames, _ = exact_sequence()
         result = register_all(frames, RegistrationConfig())
         poses = {p.frame_index: p.world_from_frame for p in result.poses}
         matched = np.zeros(len(result.metascan), dtype=bool)
         for k, frame in enumerate(frames):
             back = poses[k].inverse().apply(result.metascan)
-            dist, _ = cKDTree(frame.object_cloud.points).query(back)
+            dist, _ = cKDTree(frame.spread_surface.points).query(back)
             matched |= dist < 1e-9
         assert np.all(matched)
 
@@ -502,7 +492,7 @@ class TestUnderConstrainedPair:
 
 def serial_sequence(frames, config):
     """The loop ``run_sequence`` overlaps: each pair registered, then the next."""
-    scan = merge_metascan(NO_POINTS, frames[0].object_cloud.points)
+    scan = frames[0].spread_surface.points
     identity = RigidTransform.identity()
     poses = [register.FramePose(frames[0].frame_index, identity, math.nan, math.nan, {})]
     skipped = []
@@ -515,7 +505,7 @@ def serial_sequence(frames, config):
             continue
         poses.append(pose)
         prev, world_prev = curr, pose.world_from_frame
-        scan = merge_metascan(scan, world_prev.apply(curr.object_cloud.points))
+        scan = np.vstack([scan, world_prev.apply(curr.spread_surface.points)])
     return register.SequenceResult(tuple(poses), scan, tuple(skipped))
 
 
@@ -874,6 +864,28 @@ def test_run_sequence_without_icp_commutes_with_a_rigid_motion(g):
         assert_conjugate(pose.world_from_frame, want.world_from_frame, g)
 
 
+@functools.cache
+def unmoved_metascan():
+    return register_all(exact_sequence(n_frames=5)[0], RegistrationConfig()).metascan
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=rigid_motions())
+def test_metascan_commutes_with_a_rigid_motion(g):
+    # Moving every frame and hand by G turns frame k's pose T_k into
+    # G T_k G^-1 and moves its spread surface by G, so the metascan, the
+    # stack of the surfaces at their poses, moves by G row for row.  Over 300
+    # random motions the largest departure was 5.7e-13 mm.
+    frames = [
+        make_frame(f.frame_index, g, f.object_cloud, f.hand_pose)
+        for f in exact_sequence(n_frames=5)[0]
+    ]
+    got = register_all(frames, RegistrationConfig()).metascan
+    want = unmoved_metascan()
+    assert got.shape == want.shape
+    assert np.abs(got - g.apply(want)).max() < 1e-10
+
+
 def short_pin(seed, hand_sigma=0.0):
     """A 6-frame bowling pin at half the benchmark's point density, and its truth."""
     pin = SyntheticObjectSpec.bowling_pin(50.0, 82.0, 150.0, density=0.5)
@@ -910,11 +922,11 @@ def test_pin_with_a_noisy_hand_keeps_its_twist(seed):
     ids=["shift", "tilt", "turn"],
 )
 def test_registration_with_icp_commutes_with_a_rigid_motion(g):
-    # Moving every input by G moves each pose T to G T G^-1, up to the
-    # axis-aligned metascan grid and ISS roundoff.  Over these three and
-    # eight random motions of seeds 1-3 the largest departures were
-    # 0.00073 deg and 0.0072 mm; point-to-point ICP after a least-squares
-    # sparse solve departed by 1.75-4.92 deg and 7.7-24.3 mm on seed 1.
+    # Moving every input by G moves each pose T to G T G^-1, up to ISS
+    # roundoff and where ICP stops.  Over these three and eight random
+    # motions of seeds 1-3 the largest departures were 0.00014 deg and
+    # 0.0008 mm; point-to-point ICP after a least-squares sparse solve
+    # departed by 1.75-4.92 deg and 7.7-24.3 mm on seed 1.
     frames, _ = short_pin(1)
     moved = [make_frame(f.frame_index, g, f.object_cloud, f.hand_pose) for f in frames]
     got = register_all(moved, RegistrationConfig())
