@@ -25,7 +25,7 @@ import io
 import logging
 import math
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,9 +91,15 @@ def reconstruct(
     kept point is moved along its normal to the mean height of its
     neighbours within ``SPREAD_SPACING_MM``, which averages that noise out
     without pulling a curved surface inward.
+
+    The returned result's metascan is empty: fusion reads the poses, and
+    the metascan, each registered spread surface again in the world frame,
+    is let go before it.
     """
     with registrations(frames, (config,), intrinsics) as (registration,):
         result = registration.result()
+    del registration
+    result = replace(result, metascan=np.empty((0, 3)))
     volume = _first_frame_volume(frames, volume_center, side_mm, resolution)
     return result, _fuse(frames, result, volume, smooth_iterations)
 

@@ -131,11 +131,14 @@ class FramePose:
 @dataclass(frozen=True)
 class IcpResult:
     """``transform`` is the refined world pose; ``rms_history`` holds the
-    dense RMS at each iterate, and ``converged`` says whether its last change
-    fell below ``icp_convergence_eps``."""
+    dense RMS at each iterate kept, ``iterations`` counts the iterations run,
+    an undone one too, and ``converged`` says whether ICP stopped before
+    ``icp_max_iters``: the RMS fell by less than ``icp_convergence_eps``, or
+    rose."""
 
     transform: RigidTransform
     rms_history: tuple[float, ...]
+    iterations: int
     pair_count: int
     converged: bool
 
@@ -216,7 +219,10 @@ def refine_icp(
     their RMS distance, and stops once that changed by less than
     ``icp_convergence_eps`` or after ``icp_max_iters`` records; otherwise it
     takes one Gauss-Newton step of :func:`_point_to_plane_step` on the
-    source normals.  So the last RMS recorded is the returned pose's.  One
+    source normals.  That step lowers the distances to the target planes,
+    not the point distances the RMS records, so it can raise the RMS; ICP
+    then stops, converged, and undoes it and drops its record.  So the RMS
+    history never rises, and its last record is the returned pose's.  One
     kd-tree over the ``metascan`` serves every iteration.
     """
     if len(metascan) == 0:
@@ -241,7 +247,10 @@ def refine_icp(
         dist = dist[in_range]
         history.append(math.sqrt(float(dist @ dist) / pair_count))
         del dist
-        if len(history) > 1 and abs(history[-2] - history[-1]) < config.icp_convergence_eps:
+        if len(history) > 1 and history[-2] - history[-1] < config.icp_convergence_eps:
+            if history[-1] > history[-2]:  # undo the step that raised the RMS
+                history.pop()
+                t, pair_count = before
             converged = True
             break
         if iteration == config.icp_max_iters - 1:
@@ -254,11 +263,12 @@ def refine_icp(
         for axis in range(3):
             residual -= metascan[idx, axis] * world_normals[:, axis]
         del idx
+        before = t, pair_count
         t = _point_to_plane_step(
             moved, world_normals, residual, t, contact, config.gamma_t
         ).compose(t)
         del moved, world_normals, residual  # before the next iteration's
-    return IcpResult(t, tuple(history), pair_count, converged)
+    return IcpResult(t, tuple(history), iteration + 1, pair_count, converged)
 
 
 def _point_to_plane_step(
@@ -440,7 +450,7 @@ def register_pair(
         sparse_rms,
         result.rms_history[-1],
         counts,
-        len(result.rms_history),
+        result.iterations,
         result.converged,
     )
 

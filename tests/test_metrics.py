@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,27 @@ class TestReconstruct:
         assert got.keys.tobytes() == want.keys.tobytes()
         assert got.tsdf.tobytes() == want.tsdf.tobytes()
         assert got.weights.tobytes() == want.weights.tobytes()
+
+    def test_lets_go_of_the_metascan_before_fusion(self, monkeypatch):
+        frames, truth = sweep_fixture()[:2]
+        real_run, real_volume = register.run_sequence, metrics._first_frame_volume
+        metascans = []
+
+        def run_sequence(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            metascans.append(weakref.ref(result.metascan))
+            return result
+
+        def first_frame_volume(*args):
+            assert [ref() for ref in metascans] == [None]
+            return real_volume(*args)
+
+        monkeypatch.setattr(register, "run_sequence", run_sequence)
+        monkeypatch.setattr(metrics, "_first_frame_volume", first_frame_volume)
+        result, _ = metrics.reconstruct(
+            frames, RegistrationConfig(), INTRINSICS, **sweep_volume(truth)
+        )
+        assert len(result.poses) == len(frames) and len(result.metascan) == 0
 
 
 class TestNormalizedMeanError:

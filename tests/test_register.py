@@ -203,10 +203,6 @@ class TestRefineIcp:
             refine_icp(scan, scan.points, start=RigidTransform(np.eye(3), np.array([150.0, 0, 0])))
 
     def test_rms_non_increasing(self, scan):
-        # A point-to-plane step lowers the distances to the target planes, not
-        # the point distances the RMS records, so the step that converges may
-        # raise the RMS by less than icp_convergence_eps.  Over 300 such
-        # starts on this scan, 50 did, by at most 7.5e-5 mm, and none before.
         rng = np.random.default_rng(7)
         for _ in range(15):
             axis = rng.normal(size=3)
@@ -216,8 +212,25 @@ class TestRefineIcp:
             )
             result = refine_icp(scan, scan.points, start=t)
             diffs = np.diff(result.rms_history)
-            assert result.converged and np.all(diffs[:-1] <= 1e-9)
-            assert abs(diffs[-1]) < RegistrationConfig.icp_convergence_eps
+            assert np.all(diffs <= 1e-9)
+
+    def test_a_step_that_raises_the_rms_is_undone(self, scan, monkeypatch):
+        # The first start of test_rms_non_increasing: its fourth record
+        # rises, so ICP returns the pose of its third, as when capped there.
+        rng = np.random.default_rng(7)
+        axis = rng.normal(size=3)
+        start = RigidTransform(
+            rotation_about_axis(axis, math.radians(rng.uniform(0, 2.0))),
+            rng.uniform(-1.5, 1.5, size=3),
+        )
+        result = refine_icp(scan, scan.points, start=start)
+        assert result.converged and (result.iterations, len(result.rms_history)) == (4, 3)
+        monkeypatch.setattr(RegistrationConfig, "icp_max_iters", 3)
+        capped = refine_icp(scan, scan.points, start=start)
+        assert capped.rms_history == result.rms_history
+        assert capped.pair_count == result.pair_count
+        assert np.array_equal(capped.transform.rotation, result.transform.rotation)
+        assert np.array_equal(capped.transform.translation, result.transform.translation)
 
     def test_stops_at_the_iteration_cap_on_its_last_rms(self, scan, monkeypatch):
         monkeypatch.setattr(RegistrationConfig, "icp_max_iters", 2)
