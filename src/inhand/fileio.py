@@ -610,10 +610,6 @@ def load_manifest(path) -> SequenceManifest:
         raise ManifestError(f"{path}: {exc}") from None
 
 
-def _empty_hand() -> PosedHand:
-    return PosedHand(np.empty((0, 3)), (), frozenset({"none"}))
-
-
 def _read_cloud(path) -> PointCloud:
     data = read_ply(path)
     if isinstance(data, TriangleMesh):
@@ -627,9 +623,9 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
     An object cloud missing stored normals gets PCA-estimated ones; one
     without points, too small or too thin for normals, or with colors where
     the first frame's cloud has none or the reverse, raises
-    :class:`FileFormatError`.  Frames without a hand file carry an empty
-    hand, which never satisfies the contact search; the reconstruct
-    command refuses such frames up front when the contact term is active.
+    :class:`FileFormatError`.  A frame without a hand file has no hand
+    (``hand_pose`` None) and so no contact state; the reconstruct command
+    refuses such frames up front when the contact term is active.
     """
     model = None
     if manifest.hand_model is not None:
@@ -652,17 +648,15 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
                 raise FileFormatError(
                     f"{mf.object_path}: cannot estimate normals ({exc})"
                 ) from None
+        hand_pose = None
         if mf.hand_path is not None:
             hand_points = _read_cloud(mf.hand_path).points
-            labels, effectors = model
             try:
-                hand_pose = PosedHand(hand_points, labels, effectors)
+                hand_pose = PosedHand(hand_points, *model)
             except ValueError as exc:
                 raise FileFormatError(
                     f"{mf.hand_path}: does not fit {manifest.hand_model} ({exc})"
                 ) from None
-        else:
-            hand_pose = _empty_hand()
         feat2d = (
             parse_feat2d_file(mf.feat2d_path) if mf.feat2d_path is not None else None
         )

@@ -152,12 +152,8 @@ def measure_probes(mesh: TriangleMesh, probes: Iterable[Probe]) -> dict[str, flo
 
 
 def rotation_span_deg(poses: Sequence[RigidTransform]) -> float:
-    """Total rotation traversed along a pose trajectory, in degrees.
-
-    Sums the angles of consecutive relative rotations, so a trajectory
-    that barely moves scores near zero while one that thrashes between
-    unrelated poses scores far above the scripted motion.
-    """
+    """Total rotation traversed along a pose trajectory, in degrees: the sum
+    of the angles of consecutive relative rotations."""
     total = 0.0
     for a, b in zip(poses, poses[1:]):
         total += math.degrees(rotation_angle_rad(a.rotation.T @ b.rotation))

@@ -87,7 +87,7 @@ class DetectorBox:
 
 @dataclass(frozen=True)
 class SegmentedFrame:
-    """One observation: segmented object cloud, posed hand, optional sidecars.
+    """One observation: segmented object cloud, posed hand or None, optional sidecars.
 
     ``feat2d_matches`` holds pixel matches against the previous frame as a
     tuple ``(pixel_pairs (N, 4), source_depths (N,), target_depths (N,))``;
@@ -105,7 +105,7 @@ class SegmentedFrame:
 
     frame_index: int
     object_cloud: PointCloud
-    hand_pose: PosedHand
+    hand_pose: PosedHand | None
     feat2d_matches: tuple | None = None
     detector_boxes: tuple[DetectorBox, ...] | None = None
 
@@ -131,7 +131,9 @@ class SegmentedFrame:
 
     @cached_property
     def contact(self) -> ContactState | None:
-        """The hand's contact state, or None when no contact is found."""
+        """The hand's contact state; None without a hand or a contact."""
+        if self.hand_pose is None:
+            return None
         try:
             return detect_contacts(self.hand_pose, self.object_cloud)
         except NoContactError as exc:

@@ -255,9 +255,8 @@ def refine_icp(
             break
         if iteration == config.icp_max_iters - 1:
             break  # a step now would leave the returned pose without its RMS
-        rows = slice(None) if pair_count == len(cloud.points) else in_range
-        moved, idx = moved[rows], idx[rows]
-        world_normals = cloud.normals[rows] @ t.rotation.T
+        moved, idx = moved[in_range], idx[in_range]
+        world_normals = cloud.normals[in_range] @ t.rotation.T
         # n . (p - q): each pair's distance along the normal to its target.
         residual = np.einsum("ij,ij->i", moved, world_normals)
         for axis in range(3):

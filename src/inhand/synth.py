@@ -28,6 +28,7 @@ from .geometry import (
     RigidTransform,
     project,
     rotation_about_axis,
+    rotation_angle_rad,
 )
 from .preprocess import DetectorBox, SegmentedFrame, estimate_normals
 
@@ -491,6 +492,15 @@ class GroundTruth:
     def pair_truth(self, frame_a: int, frame_b: int) -> RigidTransform:
         """Transform mapping frame_b coordinates onto frame_a coordinates."""
         return self.motions[frame_a].compose(self.motions[frame_b].inverse())
+
+    def pose_error(self, anchor: int, frame: int, pose: RigidTransform) -> tuple[float, float]:
+        """Rotation error (deg) and object-centre shift (mm) of ``pose``, an
+        estimate of ``pair_truth(anchor, frame)``, frame ``frame``'s pose in the
+        world of frame ``anchor``: the absolute trajectory error (Sturm et al., IROS 2012)."""
+        truth = self.pair_truth(anchor, frame)
+        seen = self.motions[frame].apply(np.asarray(self.center))
+        turn = rotation_angle_rad(pose.rotation @ truth.rotation.T)
+        return math.degrees(turn), float(np.linalg.norm(pose.apply(seen) - truth.apply(seen)))
 
 
 def _occluded(points: np.ndarray, pad_vertices: np.ndarray, view_dir: np.ndarray,

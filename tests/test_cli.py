@@ -2,9 +2,11 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
-import math
 import shutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from inhand.fileio import (
     write_ply,
 )
 from inhand.fusion import TriangleMesh
-from inhand.geometry import PointCloud, RigidTransform, rotation_angle_rad
+from inhand.geometry import PointCloud
 
 
 def run_cli(*argv) -> int:
@@ -77,6 +79,24 @@ def recon_dir(tmp_path_factory, seq_dir):
     out = tmp_path_factory.mktemp("recon")
     assert run_cli("reconstruct", seq_dir / "manifest.json", "--out", out) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def no_contact_dir(tmp_path_factory, seq_dir):
+    out = tmp_path_factory.mktemp("no_contact")
+    code = run_cli("reconstruct", seq_dir / "manifest.json", "--gamma-t", "0", "--out", out)
+    assert code == 0
+    return out
+
+
+def load_poses():
+    """The benchmark's pose-error oracle, which the report must agree with."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "poses.py"
+    spec = importlib.util.spec_from_file_location("perfbench_poses", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def tree_digest(root):
@@ -420,36 +440,28 @@ class TestReconstruct:
     def test_accurate_when_contacts_enabled(self, recon_dir):
         report = json.loads((recon_dir / "report.json").read_text())
         assert report["ground_truth"]["collapse_suspected"] is False
-        assert report["ground_truth"]["span_agreement"] > 0.5
+        assert report["ground_truth"]["rot_err_max_deg"] < 0.05
         diameter = report["dimensions"]["diameter"]
         assert abs(diameter["measured"] - diameter["expected"]) < 2.0
 
     def test_short_sphere_scan_keeps_its_scripted_poses(self, tmp_path):
         # Only the contact pairs fix the pose of a sphere.  Point-to-point
-        # ICP after them spun this scan to a 127.7 deg span (agreement
-        # 0.141) and 123 deg of error; now the worst frame is off by
-        # 0.0047 deg and 0.008 mm.  The mesh is not asserted: 18 deg of
-        # views at the right poses leave a hole, so its volume is unmeasurable.
+        # ICP after them spun this scan to 123 deg of error; now the worst
+        # frame is off by 0.006 deg and 0.009 mm.  The mesh is not asserted:
+        # 18 deg of views at the right poses leave a hole, so its volume is
+        # unmeasurable.
         seq, out = tmp_path / "seq", tmp_path / "out"
         assert synth_sphere(seq, frames=4) == 0
         assert run_cli("reconstruct", seq / "manifest.json", "--out", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["registered"] == 4
-        assert report["ground_truth"]["span_agreement"] >= 0.99
+        assert report["ground_truth"]["rot_err_max_deg"] < 0.05
+        assert report["ground_truth"]["trans_err_max_mm"] < 0.1
         assert report["ground_truth"]["collapse_suspected"] is False
-        truth = load_ground_truth(seq / "ground_truth.json")
-        for line in (out / "trajectory.jsonl").read_text().splitlines():
-            record = json.loads(line)
-            k = record["frame"]
-            pose = RigidTransform(np.reshape(record["rotation"], (3, 3)), record["translation"])
-            want = truth.pair_truth(0, k)
-            assert math.degrees(rotation_angle_rad(pose.rotation @ want.rotation.T)) < 0.05
-            centre = truth.motions[k].apply(np.asarray(truth.center))
-            assert np.linalg.norm(pose.apply(centre) - want.apply(centre)) < 0.1
 
-    def test_scan_that_does_not_turn_has_no_span_agreement(self, tmp_path, capsys):
-        # The truth's span is 0, so no agreement ratio exists; an estimated
-        # span of a hundredth of a degree is not a collapse.
+    def test_scan_that_does_not_turn_is_not_collapsed(self, tmp_path, capsys):
+        # A scripted motion without a turn still has a pose error: here
+        # 0.006 deg and 0.003 mm.
         seq, out = tmp_path / "seq", tmp_path / "out"
         assert run_cli(
             "synth", "--shape", "sphere", "--diameter", "40", "--density", "0.3",
@@ -460,23 +472,64 @@ class TestReconstruct:
         assert run_cli("reconstruct", seq / "manifest.json", "--out", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["registered"] == 3
-        assert report["ground_truth"] == {
-            "rotation_span_deg": 0.0,
-            "span_agreement": None,
-            "collapse_suspected": None,
-        }
+        truth = report["ground_truth"]
+        assert truth["rot_err_max_deg"] < 0.05 and truth["trans_err_max_mm"] < 0.1
+        assert truth["collapse_suspected"] is False
         assert "collapsed" not in capsys.readouterr().out
 
-    def test_no_contact_suspects_collapse(self, seq_dir, tmp_path):
-        out = tmp_path / "collapse"
-        code = run_cli(
-            "reconstruct", seq_dir / "manifest.json", "--gamma-t", "0", "--out", out
-        )
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
+    def test_no_contact_suspects_collapse(self, no_contact_dir):
+        report = json.loads((no_contact_dir / "report.json").read_text())
         assert report["config"]["gamma_t"] == 0.0
         assert "contact" not in report["correspondence_counts"]
+        assert report["ground_truth"]["rot_err_max_deg"] > cli.COLLAPSE_ROT_ERR_DEG
         assert report["ground_truth"]["collapse_suspected"] is True
+
+    @pytest.mark.parametrize("run", ["recon_dir", "no_contact_dir"])
+    def test_pose_error_agrees_with_the_benchmark(self, run, seq_dir, request):
+        # The oracle takes the angle by arccos, the library by atan2.
+        out = request.getfixturevalue(run)
+        poses = load_poses()
+        errors = poses.frame_errors(
+            poses.load_trajectory(out / "trajectory.jsonl"),
+            poses.load_truth(seq_dir / "ground_truth.json"),
+        )
+        truth = json.loads((out / "report.json").read_text())["ground_truth"]
+        assert truth["rot_err_max_deg"] == pytest.approx(max(e.rot_deg for e in errors), abs=1e-6)
+        assert truth["trans_err_max_mm"] == pytest.approx(
+            max(e.trans_mm for e in errors), abs=1e-9
+        )
+
+    def test_pose_error_is_taken_in_the_first_frames_world(self, seq_dir, tmp_path):
+        # The chain anchors the first manifest frame at the identity.  Scored
+        # in frame 0's world, a manifest that starts at frame 1 read the
+        # truth's 6 deg turn between the two as error, and a collapse.
+        work = edited_copy(seq_dir, tmp_path, lambda p: p["frames"].pop(0))
+        assert run_cli("reconstruct", work / "manifest.json", "--out", work / "out") == 0
+        truth = json.loads((work / "out" / "report.json").read_text())["ground_truth"]
+        assert truth["rot_err_max_deg"] < 0.05 and truth["trans_err_max_mm"] < 0.1
+        assert truth["collapse_suspected"] is False
+
+    def test_truth_without_a_frames_motion_refused_before_registration(
+        self, seq_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "reconstruct", lambda *a, **k: pytest.fail("registered"))
+
+        def drop_last_motion(work):
+            edit_json(work / "ground_truth.json", lambda p: p["motions"].pop())
+            return 5
+
+        def first_index_negative(work):
+            edit_json(work / "manifest.json", lambda p: p["frames"][0].update(index=-1))
+            return -1
+
+        for uncovered in (drop_last_motion, first_index_negative):
+            work = tmp_path / uncovered.__name__
+            shutil.copytree(seq_dir, work)
+            frame = uncovered(work)
+            code = run_cli("reconstruct", work / "manifest.json", "--out", work / "out")
+            assert code == 3, uncovered.__name__
+            err = capsys.readouterr().err
+            assert "ground_truth.json" in err and f"frame {frame} " in err, err
 
     def test_detector_at_gamma_zero_refused_before_any_output(self, seq_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -21,8 +21,6 @@ ALLOWED = {
 ALLOWED_MEMBERS = {
     # ROADMAP item 1 reports it.
     ("contact", "ContactState.threshold_used"),
-    # ROADMAP item 1 reports it.
-    ("synth", "GroundTruth.pair_truth"),
     # Only the benchmark's tracer and the tests read it.
     ("register", "SequenceResult.metascan"),
     # test_synth checks the frames against this reference sample.

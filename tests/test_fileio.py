@@ -506,7 +506,7 @@ class TestLoadFrames:
         assert normals is not None
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
 
-    def test_frame_without_hand_gets_empty_hand(self, tmp_path):
+    def test_frame_without_hand_has_no_hand(self, tmp_path, caplog):
         manifest, _ = write_sequence_dir(tmp_path)
         frames = tuple(
             ManifestFrame(f.index, f.object_path, None) for f in manifest.frames
@@ -520,7 +520,10 @@ class TestLoadFrames:
             smooth_iterations=manifest.smooth_iterations,
         )
         loaded = load_frames(no_hands)
-        assert len(loaded[0].hand_pose.vertices) == 0
+        assert loaded[0].hand_pose is None
+        # No contact search runs, so none fails with a warning.
+        assert loaded[0].contact is None
+        assert caplog.records == []
 
     def test_detector_box_keeps_its_size(self, tmp_path):
         manifest, _ = write_sequence_dir(tmp_path)
