@@ -267,6 +267,7 @@ def cmd_reconstruct(args) -> int:
     fileio.save_trajectory(result.poses, outputs["trajectory"])
 
     span = rotation_span_deg([p.world_from_frame for p in result.poses])
+    icps = [p.icp for p in result.poses if p.icp is not None]
     counts: dict[str, int] = {}
     for pose in result.poses:
         for tag, n in pose.correspondence_counts.items():
@@ -281,11 +282,11 @@ def cmd_reconstruct(args) -> int:
         },
         "rotation_span_deg": span,
         "mean_sparse_rms": _nanmean(p.sparse_residual for p in result.poses),
-        "mean_icp_rms": _nanmean(p.icp_residual for p in result.poses),
+        "mean_icp_rms": _nanmean(icp.rms_history[-1] for icp in icps),
         "correspondence_counts": counts,
         "icp": {
-            "iterations": sum(p.icp_iterations for p in result.poses),
-            "not_converged": sum(p.icp_converged is False for p in result.poses),
+            "iterations": sum(icp.iterations for icp in icps),
+            "not_converged": sum(not icp.converged for icp in icps),
         },
         "mesh": {
             "vertices": len(mesh.vertices),

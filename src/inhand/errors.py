@@ -33,11 +33,9 @@ class InvalidDepthError(InHandError):
 
 
 class EmptyInputError(InHandError):
-    """An operation received an empty cloud or empty correspondence data."""
-
-
-class InsufficientPointsError(InHandError):
-    """Fewer points than the operation's minimum (e.g. cloud smaller than k)."""
+    """Too little input: an empty cloud or empty correspondence data, a cloud
+    with fewer points than the operation's minimum (k for normals), or a
+    synthetic frame with no visible surface points."""
 
 
 class UnderConstrainedError(InHandError):
@@ -68,10 +66,6 @@ class EmptyMeshError(InHandError):
 class OpenMeshError(InHandError):
     """A probe that requires a closed (watertight) mesh got an open one."""
     exit_code, stage = 5, "meshing"
-
-
-class DegenerateMotionError(InHandError):
-    """A synthetic script produced a frame with no visible surface points."""
 
 
 class FileFormatError(InHandError):

@@ -40,8 +40,8 @@ import numpy as np
 from .contact import PosedHand
 from .errors import (
     DegenerateConfigurationError,
+    EmptyInputError,
     FileFormatError,
-    InsufficientPointsError,
     ManifestError,
 )
 from .fusion import Probe, TriangleMesh, check_working_volume
@@ -644,7 +644,7 @@ def load_frames(manifest: SequenceManifest) -> list[SegmentedFrame]:
         if cloud.normals is None:
             try:
                 cloud = estimate_normals(cloud)
-            except (InsufficientPointsError, DegenerateConfigurationError) as exc:
+            except (EmptyInputError, DegenerateConfigurationError) as exc:
                 raise FileFormatError(
                     f"{mf.object_path}: cannot estimate normals ({exc})"
                 ) from None
@@ -679,23 +679,20 @@ def save_trajectory(poses, path) -> None:
     """Write one JSON record per registered frame (JSON Lines).
 
     ``poses`` are :class:`~inhand.register.FramePose` records; a NaN
-    residual (no pairs, or no ICP) is written as ``null``, and so is
-    ``icp_converged`` where no ICP ran.
+    sparse residual (no pairs) is written as ``null``.  The ICP fields come
+    from ``pose.icp``: its last RMS, iteration count and convergence, or
+    ``null``, 0 and ``null`` where no ICP ran.
     """
-
-    def num(x: float):
-        return None if math.isnan(x) else x
-
     lines = [
         json.dumps(
             {
                 "frame": p.frame_index,
                 "rotation": [float(v) for v in p.world_from_frame.rotation.ravel()],
                 "translation": [float(v) for v in p.world_from_frame.translation],
-                "sparse_rms": num(p.sparse_residual),
-                "icp_rms": num(p.icp_residual),
-                "icp_iterations": p.icp_iterations,
-                "icp_converged": p.icp_converged,
+                "sparse_rms": None if math.isnan(p.sparse_residual) else p.sparse_residual,
+                "icp_rms": None if p.icp is None else p.icp.rms_history[-1],
+                "icp_iterations": 0 if p.icp is None else p.icp.iterations,
+                "icp_converged": None if p.icp is None else p.icp.converged,
                 "counts": dict(p.correspondence_counts),
             }
         )

@@ -75,7 +75,7 @@ def reconstruct(
     surfaces, and integrated at their poses into a TSDF cube of ``side_mm``
     and ``resolution`` voxels centred on ``volume_center``; the extracted
     mesh is smoothed for ``smooth_iterations``.  When a sequence of several
-    frames registers nothing beyond frame 0 this raises
+    frames registers nothing beyond the chain's first frame this raises
     :class:`DivergenceError` instead of meshing a single view.
 
     Each frame fuses only its :attr:`~SegmentedFrame.spread_surface`,
@@ -107,8 +107,8 @@ def reconstruct(
 def _first_frame_volume(
     frames: Sequence[SegmentedFrame], volume_center, side_mm: float, resolution: int
 ) -> TsdfVolume:
-    """The TSDF cube that :func:`reconstruct` fuses into, holding frame 0 at
-    the identity, the pose at which every registration chain anchors it."""
+    """The TSDF cube that :func:`reconstruct` fuses into, holding the chain's
+    first frame at the identity, where every registration chain anchors it."""
     volume = TsdfVolume(volume_center, side_mm, resolution)
     return integrate(volume, frames[0].spread_surface, RigidTransform.identity())
 
@@ -120,10 +120,10 @@ def _fuse(
     smooth_iterations: int,
 ) -> TriangleMesh:
     """The fusion half of :func:`reconstruct`: integrate every registered
-    frame after frame 0 into ``volume``, which holds frame 0
+    frame after the chain's first into ``volume``, which holds the first
     (:func:`_first_frame_volume`), then extract and smooth.
 
-    A sequence of several frames that registered nothing beyond frame 0
+    A sequence of several frames that registered nothing beyond the first
     raises :class:`DivergenceError` instead of meshing a single view.
     """
     if len(frames) > 1 and len(result.poses) == 1:
@@ -234,9 +234,9 @@ def run_gamma_sweep(
     Every gamma registers through one :func:`registrations`, whose
     docstring states the threads; the calling thread fuses and measures
     each gamma in grid order as soon as its registration is done.  Every
-    chain anchors frame 0 at the identity, so frame 0 is fused once, and
-    each gamma fuses its other frames into its own copy of that volume.
-    The rows are those of the serial loop, bit for bit.
+    chain anchors its first frame at the identity, so that frame is fused
+    once, and each gamma fuses its other frames into its own copy of that
+    volume.  The rows are those of the serial loop, bit for bit.
     """
     frames = list(frames)
     probes = tuple(probes)
@@ -272,8 +272,8 @@ def _measure_at_gamma(
     smooth_iterations: int,
 ) -> dict[str, float]:
     """Probe values for one pipeline run, once ``registration`` is done, fused
-    into a copy of the volume ``first`` that holds frame 0; failures come
-    back as NaN."""
+    into a copy of the volume ``first`` that holds the chain's first frame;
+    failures come back as NaN."""
     try:
         mesh = _fuse(frames, registration.result(), first.copy(), smooth_iterations)
     except InHandError as exc:

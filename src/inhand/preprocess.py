@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .contact import ContactState, PosedHand, detect_contacts
-from .errors import DegenerateConfigurationError, InsufficientPointsError, NoContactError
+from .errors import DegenerateConfigurationError, EmptyInputError, NoContactError
 from .features import describe_cloud
 from .geometry import PointCloud, _freeze
 
@@ -38,7 +38,7 @@ def estimate_normals(cloud: PointCloud) -> PointCloud:
     k = NORMAL_NEIGHBORS
     n = len(cloud)
     if n < k:
-        raise InsufficientPointsError(f"cloud has {n} points but k={k}")
+        raise EmptyInputError(f"cloud has {n} points but k={k}")
     pts = cloud.points
     _, nbr = cKDTree(pts).query(pts, k=k)
     neigh = pts[nbr]  # (n, k, 3)

@@ -112,23 +112,6 @@ class RegistrationConfig:
 
 
 @dataclass(frozen=True)
-class FramePose:
-    """Registration result for one frame plus residual diagnostics.
-
-    ``icp_iterations`` counts ICP's iterations; ``icp_converged`` is None
-    when no ICP ran (frame 0, or ``use_icp`` off).
-    """
-
-    frame_index: int
-    world_from_frame: RigidTransform
-    sparse_residual: float
-    icp_residual: float
-    correspondence_counts: dict[str, int]
-    icp_iterations: int = 0
-    icp_converged: bool | None = None
-
-
-@dataclass(frozen=True)
 class IcpResult:
     """``transform`` is the refined world pose; ``rms_history`` holds the
     dense RMS at each iterate kept, ``iterations`` counts the iterations run,
@@ -141,6 +124,19 @@ class IcpResult:
     iterations: int
     pair_count: int
     converged: bool
+
+
+@dataclass(frozen=True)
+class FramePose:
+    """Registration result for one frame plus residual diagnostics; ``icp``
+    is what :func:`refine_icp` returned for it, None where no ICP ran (the
+    chain's first frame, or ``use_icp`` off)."""
+
+    frame_index: int
+    world_from_frame: RigidTransform
+    sparse_residual: float
+    correspondence_counts: dict[str, int]
+    icp: IcpResult | None
 
 
 def sparse_energy(
@@ -235,8 +231,7 @@ def refine_icp(
     converged = False
     pair_count = 0
     for iteration in range(config.icp_max_iters):
-        moved = t.apply(cloud.points)
-        dist, idx = nearest_within(index, moved, config.icp_max_dist)
+        dist, idx = nearest_within(index, t.apply(cloud.points), config.icp_max_dist)
         in_range = dist <= config.icp_max_dist
         pair_count = int(np.count_nonzero(in_range))
         if pair_count < 3:
@@ -244,9 +239,8 @@ def refine_icp(
                 f"{pair_count} ICP pairs within {config.icp_max_dist} mm "
                 f"at iteration {iteration}"
             )
-        dist = dist[in_range]
+        dist, idx = dist[in_range], idx[in_range]
         history.append(math.sqrt(float(dist @ dist) / pair_count))
-        del dist
         if len(history) > 1 and history[-2] - history[-1] < config.icp_convergence_eps:
             if history[-1] > history[-2]:  # undo the step that raised the RMS
                 history.pop()
@@ -255,59 +249,30 @@ def refine_icp(
             break
         if iteration == config.icp_max_iters - 1:
             break  # a step now would leave the returned pose without its RMS
-        moved, idx = moved[in_range], idx[in_range]
-        world_normals = cloud.normals[in_range] @ t.rotation.T
-        # n . (p - q): each pair's distance along the normal to its target.
-        residual = np.einsum("ij,ij->i", moved, world_normals)
-        for axis in range(3):
-            residual -= metascan[idx, axis] * world_normals[:, axis]
-        del idx
         before = t, pair_count
         t = _point_to_plane_step(
-            moved, world_normals, residual, t, contact, config.gamma_t
+            cloud, t, in_range, metascan, idx, contact, config.gamma_t
         ).compose(t)
-        del moved, world_normals, residual  # before the next iteration's
     return IcpResult(t, tuple(history), iteration + 1, pair_count, converged)
 
 
 def _point_to_plane_step(
-    moved: np.ndarray,
-    normals: np.ndarray,
-    residual: np.ndarray,
-    pose: RigidTransform,
-    contact: CorrespondenceSet | None,
-    gamma_t: float,
+    cloud: PointCloud, pose: RigidTransform, in_range: np.ndarray, metascan: np.ndarray,
+    targets: np.ndarray, contact: CorrespondenceSet | None, gamma_t: float,
 ) -> RigidTransform:
     """One Gauss-Newton step of the dense point-to-plane term plus contact rows.
 
-    The world-frame dense rows (points ``moved``, ``normals``, signed
-    ``residual`` distances to the target planes) enter with weight 1 over
+    The dense rows pair the ``cloud`` points ``in_range`` under ``pose``
+    with the ``metascan`` rows ``targets`` and enter with weight 1 over
     their count, ``contact`` (frame source under ``pose``, world target)
     with ``gamma_t`` over its count.  The step ``(omega, v)`` turns about
     the rows' centroid ``c``; its rotation is scaled by their RMS radius
     ``L``, so the 6x6 normal matrix compares millimetres with millimetres.
     A direction the data barely constrain gets no step
     (:func:`_strong_direction_solve`; Zhang, Kaess & Singh, ICRA 2016): any
-    step there would be noise.  ``moved`` is overwritten.
+    step there would be noise.
     """
-    n = len(moved)
-    centroid = moved.mean(axis=0)
-    offsets = moved
-    offsets -= centroid
-    radius = math.sqrt(float(np.einsum("ij,ij->", offsets, offsets)) / n)
-    arms = np.empty_like(offsets)  # (p - c) x n / L, one column at a time
-    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.multiply(offsets[:, j], normals[:, k], out=arms[:, i])
-        arms[:, i] -= offsets[:, k] * normals[:, j]
-    arms /= radius
-    h = np.empty((6, 6))
-    h[:3, :3] = arms.T @ arms
-    h[:3, 3:] = arms.T @ normals
-    h[3:, 3:] = normals.T @ normals
-    h[3:, :3] = h[:3, 3:].T
-    g = -np.concatenate([arms.T @ residual, normals.T @ residual])
-    h /= n
-    g /= n
+    h, g, centroid, radius = _dense_normal_equations(cloud, pose, in_range, metascan, targets)
     if contact is not None and len(contact):
         moved_contact = pose.apply(contact.source)
         e = moved_contact - contact.target
@@ -324,6 +289,34 @@ def _point_to_plane_step(
     angle = float(np.linalg.norm(omega))
     rot = rotation_about_axis(omega, angle) if angle > 0.0 else np.eye(3)
     return RigidTransform(rot, centroid + v - rot @ centroid)
+
+
+def _dense_normal_equations(cloud, pose, in_range, metascan, targets):
+    """The dense rows' scaled normal equations ``h x = g``, and the centroid and
+    RMS radius they are taken about.  The rows live only here, so they are gone
+    before the contact rows are built; the offsets reuse the points' array."""
+    points = pose.apply(cloud.points)[in_range]
+    normals = cloud.normals[in_range] @ pose.rotation.T
+    # n . (p - q): each pair's distance along the normal to its target.
+    residual = np.einsum("ij,ij->i", points, normals)
+    for axis in range(3):
+        residual -= metascan[targets, axis] * normals[:, axis]
+    n = len(points)
+    centroid = points.mean(axis=0)
+    offsets = points  # centred in place: the points are not read again
+    offsets -= centroid
+    radius = math.sqrt(float(np.einsum("ij,ij->", offsets, offsets)) / n)
+    arms = np.empty_like(offsets)  # (p - c) x n / L
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        arms[:, i] = offsets[:, j] * normals[:, k] - offsets[:, k] * normals[:, j]
+    arms /= radius
+    h = np.empty((6, 6))
+    h[:3, :3] = arms.T @ arms
+    h[:3, 3:] = arms.T @ normals
+    h[3:, 3:] = normals.T @ normals
+    h[3:, :3] = h[:3, 3:].T
+    g = -np.concatenate([arms.T @ residual, normals.T @ residual])
+    return h / n, g / n, centroid, radius
 
 
 def _strong_direction_solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -435,7 +428,7 @@ def register_pair(
     sparse_rms = _pair_rms(sets, t_pair)
     world = world_from_prev.compose(t_pair)
     if not config.use_icp:
-        return FramePose(curr.frame_index, world, sparse_rms, float("nan"), counts)
+        return FramePose(curr.frame_index, world, sparse_rms, counts, None)
     contact = next((cs for cs in sets if cs.tag == "contact" and len(cs)), None)
     if contact is not None:  # frame points paired with world points
         contact = CorrespondenceSet(
@@ -443,15 +436,7 @@ def register_pair(
         )
     result = refine_icp(curr.spread_surface, metascan, config, start=world, contact=contact)
     counts["icp"] = result.pair_count
-    return FramePose(
-        curr.frame_index,
-        result.transform,
-        sparse_rms,
-        result.rms_history[-1],
-        counts,
-        result.iterations,
-        result.converged,
-    )
+    return FramePose(curr.frame_index, result.transform, sparse_rms, counts, result)
 
 
 @dataclass(frozen=True)
@@ -481,11 +466,11 @@ def registrations(
     that ICP, the metascan and fusion read), and one worker thread
     registers every pair of every config, config after config, and detects
     contact (each frame's ``contact``), so no cached property of a frame is
-    computed on two threads.  A chain waits until frame 0 is described
-    before it starts its metascan, and a pair until its frame is.  Each
-    config's :func:`run_sequence` owns its chain's poses, skips and
-    metascan array.  An error of a pair comes out before one of a later
-    frame's description.
+    computed on two threads.  A chain waits until its first frame is
+    described before it starts its metascan, and a pair until its frame
+    is.  Each config's :func:`run_sequence` owns its chain's poses, skips
+    and metascan array.  An error of a pair comes out before one of a
+    later frame's description.
     """
     if not frames:
         raise EmptyInputError("no frames to register")
@@ -523,16 +508,16 @@ def run_sequence(
     """The pair loop of one config that :func:`registrations` runs on its worker.
 
     ``described`` holds one future per frame, resolved once it is described.
-    Frame 0 anchors the world frame.  The loop owns the chain: the poses, the
-    skips and the metascan array, onto which it stacks each registered
-    frame's spread surface in world coordinates.  An under-constrained or
-    diverging frame is skipped, and the next is aligned against the last
-    registered one.
+    The chain's first frame, ``frames[0]``, anchors the world frame.  The
+    loop owns the chain: the poses, the skips and the metascan array, onto
+    which it stacks each registered frame's spread surface in world
+    coordinates.  An under-constrained or diverging frame is skipped, and
+    the next is aligned against the last registered one.
     """
     prev, world_prev = frames[0], RigidTransform.identity()
-    described[0].result()  # raises the error of frame 0's description
+    described[0].result()  # raises the error of the first frame's description
     metascan = prev.spread_surface.points
-    poses = [FramePose(prev.frame_index, world_prev, float("nan"), float("nan"), {})]
+    poses = [FramePose(prev.frame_index, world_prev, float("nan"), {}, None)]
     skipped: list[int] = []
     for curr, done in zip(frames[1:], described[1:]):
         done.result()  # raises the error of this frame's description

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .contact import PosedHand
-from .errors import DegenerateMotionError
+from .errors import EmptyInputError
 from .fusion import Probe
 from .geometry import (
     CameraIntrinsics,
@@ -472,7 +472,8 @@ class GroundTruth:
     stores the first six fields and ``fileio.load_ground_truth`` reads
     them back into this same type.  ``center`` is the object center in
     canonical coordinates; ``motions[k]`` maps canonical coordinates to
-    frame k, so frame k's world pose is ``pair_truth(0, k)``.
+    frame k, so frame k's world pose is ``pair_truth(anchor, k)``, with the
+    chain's first frame as the anchor, as :meth:`pose_error` takes it.
 
     The last two fields are generator-only and empty when the truth is
     read from disk: ``visible_indices[k]`` lists, in ascending order, the
@@ -629,7 +630,7 @@ def generate_sequence(
         )
         idx = idx[~shadowed]
         if len(idx) == 0:
-            raise DegenerateMotionError(f"frame {k}: no visible surface points")
+            raise EmptyInputError(f"frame {k}: no visible surface points")
         pts = pose.apply(canonical.points[idx])
         if motion.sigma > 0.0:
             pts = pts + rng.normal(scale=motion.sigma, size=pts.shape)

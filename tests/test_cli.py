@@ -869,14 +869,12 @@ class TestUsage:
             "UsageError": 2,
             "InvalidDepthError": 3,
             "EmptyInputError": 3,
-            "InsufficientPointsError": 3,
             "UnderConstrainedError": 4,
             "DegenerateConfigurationError": 4,
             "NoContactError": 4,
             "DivergenceError": 4,
             "EmptyMeshError": 5,
             "OpenMeshError": 5,
-            "DegenerateMotionError": 3,
             "FileFormatError": 3,
             "ManifestError": 3,
         }

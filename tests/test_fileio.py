@@ -37,7 +37,7 @@ from inhand.fileio import (
 from inhand.fusion import TriangleMesh
 from inhand.geometry import CameraIntrinsics, PointCloud, RigidTransform
 from inhand.preprocess import DetectorBox
-from inhand.register import FramePose
+from inhand.register import FramePose, IcpResult
 from inhand.synth import MotionScript, SyntheticObjectSpec, generate_sequence
 
 INTRINSICS = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)
@@ -569,17 +569,25 @@ class TestLoadFrames:
             load_frames(manifest)
 
 
+ICP_KEYS = ("icp_rms", "icp_iterations", "icp_converged")
+
+
 class TestTrajectory:
     def test_jsonl_one_record_per_pose(self, tmp_path):
         poses = [
-            FramePose(0, RigidTransform.identity(), float("nan"), float("nan"), {}),
-            FramePose(1, RigidTransform.identity(), 0.5, 0.25, {"feat3d": 7}),
+            FramePose(0, RigidTransform.identity(), float("nan"), {}, icp=None),
+            FramePose(
+                1, RigidTransform.identity(), 0.5, {"feat3d": 7},
+                icp=IcpResult(RigidTransform.identity(), (0.5, 0.25), 3, 40, True),
+            ),
         ]
         path = tmp_path / "traj.jsonl"
         save_trajectory(poses, path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["frame"] for r in records] == [0, 1]
         assert records[0]["sparse_rms"] is None
+        assert [records[0][k] for k in ICP_KEYS] == [None, 0, None]
+        assert [records[1][k] for k in ICP_KEYS] == [0.25, 3, True]
         assert records[1]["counts"] == {"feat3d": 7}
         assert records[1]["rotation"] == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 from inhand import cli
 
@@ -53,7 +54,22 @@ def test_a_tree_against_itself_reads_the_same_errors(monkeypatch, capsys):
     assert runs["parent"]["failed"] is None
     assert all(math.isfinite(runs["parent"][key])
                for key in ("axial_deg", "rot_deg", "trans_mm", "dim_err_max_mm"))
+    assert all(math.isfinite(runs["parent"][key])
+               for key in ("axial_deg_rms", "rot_deg_rms", "trans_mm_rms"))
+    assert runs["parent"]["axial_deg_rms"] <= runs["parent"]["axial_deg"]
+    assert f" axial_rms {runs['parent']['axial_deg_rms']:.4f} " in lines[0]
     assert " dim_mm " in lines[0] and " volume_pct " in lines[0]
+
+
+def test_rms_of_a_known_error_list_leaves_out_the_first_frame():
+    tool = load_tool()
+    errors = [SimpleNamespace(frame=0, axial_deg=0.0, rot_deg=0.0, trans_mm=0.0),
+              SimpleNamespace(frame=1, axial_deg=3.0, rot_deg=1.0, trans_mm=2.0),
+              SimpleNamespace(frame=2, axial_deg=4.0, rot_deg=1.0, trans_mm=0.0)]
+    assert tool.pose_summary(errors) == {
+        "axial_deg": 4.0, "rot_deg": 1.0, "trans_mm": 2.0,
+        "axial_deg_rms": math.sqrt(12.5), "rot_deg_rms": 1.0, "trans_mm_rms": math.sqrt(2.0),
+    }
 
 
 def test_reads_the_mesh_errors_of_the_report():
@@ -68,7 +84,8 @@ def test_reads_the_mesh_errors_of_the_report():
     }}
     closed = tool.mesh_errors(report, truth)
     assert closed == {"dim_err_max_mm": 0.5, "volume_err_pct": -1.0}
-    poses = {"axial_deg": 0.01, "rot_deg": 0.02, "trans_mm": 0.003, "failed": None}
+    poses = {"axial_deg": 0.01, "rot_deg": 0.02, "trans_mm": 0.003, "axial_deg_rms": 0.005,
+             "failed": None}
     assert tool.describe({**poses, **closed}).endswith(" dim_mm 0.50 volume_pct -1.000")
     report["dimensions"]["volume"].update(measured=None, abs_error=None)
     report["dimensions"]["height"].update(measured=None, abs_error=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from inhand.errors import DegenerateConfigurationError, InsufficientPointsError
+from inhand.errors import DegenerateConfigurationError, EmptyInputError
 from inhand.geometry import PointCloud
 from inhand.features import describe_cloud
 from inhand.preprocess import NORMAL_NEIGHBORS, SegmentedFrame, estimate_normals
@@ -40,7 +40,7 @@ class TestEstimateNormals:
         assert np.all(np.einsum("ij,ij->i", out.normals, -pts) >= 0.0)
 
     def test_too_few_points(self):
-        with pytest.raises(InsufficientPointsError):
+        with pytest.raises(EmptyInputError, match=f"but k={NORMAL_NEIGHBORS}"):
             estimate_normals(PointCloud(np.zeros((NORMAL_NEIGHBORS - 1, 3))))
 
     def test_collinear_neighborhood_degenerate(self):

@@ -409,6 +409,18 @@ class TestRegisterPair:
         )
         assert scan.shape == before.shape and scan.tobytes() == before.tobytes()
 
+    def test_carries_the_icp_result_it_was_refined_by(self):
+        frames, _ = exact_sequence(n_frames=2)
+        scan = frames[0].spread_surface.points
+        pair = (frames[0], frames[1], scan, RigidTransform.identity())
+        pose = register_pair(*pair, RegistrationConfig(), INTRINSICS)
+        assert isinstance(pose.icp, register.IcpResult)
+        assert pose.icp.transform is pose.world_from_frame
+        assert pose.correspondence_counts["icp"] == pose.icp.pair_count
+        sparse_only = register_pair(*pair, RegistrationConfig(use_icp=False), INTRINSICS)
+        assert sparse_only.icp is None
+        assert "icp" not in sparse_only.correspondence_counts
+
 
 class TestRunSequence:
     def test_exact_motion_recovered(self):
@@ -507,7 +519,7 @@ def serial_sequence(frames, config):
     """The loop ``run_sequence`` overlaps: each pair registered, then the next."""
     scan = frames[0].spread_surface.points
     identity = RigidTransform.identity()
-    poses = [register.FramePose(frames[0].frame_index, identity, math.nan, math.nan, {})]
+    poses = [register.FramePose(frames[0].frame_index, identity, math.nan, {}, icp=None)]
     skipped = []
     prev, world_prev = frames[0], identity
     for curr in frames[1:]:
@@ -531,8 +543,13 @@ def assert_same_registration(got, want):
         assert (
             a.world_from_frame.translation.tobytes() == b.world_from_frame.translation.tobytes()
         )
-        residuals = np.array([a.sparse_residual, a.icp_residual])
-        assert residuals.tobytes() == np.array([b.sparse_residual, b.icp_residual]).tobytes()
+        assert np.float64(a.sparse_residual).tobytes() == np.float64(b.sparse_residual).tobytes()
+        assert (a.icp is None) == (b.icp is None)
+        if a.icp is not None:
+            assert np.array(a.icp.rms_history).tobytes() == np.array(b.icp.rms_history).tobytes()
+            assert (a.icp.iterations, a.icp.converged, a.icp.pair_count) == (
+                b.icp.iterations, b.icp.converged, b.icp.pair_count
+            )
         assert a.correspondence_counts == b.correspondence_counts
     assert got.metascan.tobytes() == want.metascan.tobytes()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from inhand import synth
 from inhand.contact import detect_contacts
-from inhand.errors import DegenerateMotionError
+from inhand.errors import EmptyInputError
 from inhand.features import load_feat2d, match_feat3d
 from inhand.geometry import (
     CameraIntrinsics,
@@ -238,7 +238,7 @@ class TestGenerateSequence:
 
     def test_total_occlusion_degenerates(self, monkeypatch):
         monkeypatch.setattr(synth, "OCCLUSION_RADIUS_MM", 1e6)
-        with pytest.raises(DegenerateMotionError):
+        with pytest.raises(EmptyInputError, match="frame 0: no visible surface points"):
             generate_sequence(SyntheticObjectSpec.sphere(70.0), static_script(1))
 
     def test_contact_fires_every_frame_with_both_bones(self):

@@ -13,8 +13,11 @@ reconstruct`` on it at the default settings, from the tree's root with its
 
 ``perfbench/poses.py`` scores the trajectory against the sequence's ground
 truth.  Each sequence prints both trees' maximum axial (twist about the
-axis of revolution), rotation and translation error over the frames, and
-the change in axial error.  Beside them it prints the mesh's errors from
+axis of revolution), rotation and translation error over the frames, the
+RMS axial error over the frames after the chain's first (``axial_rms``),
+and the change in maximum axial error; the JSON holds the RMS of all
+three errors too (``axial_deg_rms``, ``rot_deg_rms``, ``trans_mm_rms``).
+Beside them it prints the mesh's errors from
 ``report.json``: the largest absolute error of the length probes in mm
 (``dim_mm``), and the signed volume error in percent of the true volume
 (``volume_pct``), or ``open`` when the mesh is not closed and the volume
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -61,7 +65,8 @@ def sequences(harness, seeds: list[int]) -> list[tuple[str, list[str]]]:
 
 def run_tree(harness, root: Path, synth: list[str], work: Path) -> dict:
     """Generate one sequence in ``work`` with ``root``'s ``inhand``, reconstruct
-    it, and score it: its maximum errors, or why it failed."""
+    it, and score it: its maximum and RMS pose errors and its mesh errors,
+    or why it failed."""
     seq, out = work / "seq", work / "out"
     env = harness.child_env(root)
     for argv in (["synth", *synth, "--out", str(seq)],
@@ -75,10 +80,19 @@ def run_tree(harness, root: Path, synth: list[str], work: Path) -> dict:
     missing = [k for k in range(len(truth["motions"])) if k not in trajectory]
     if missing:
         return {"failed": f"frames {missing} not registered"}
-    errors = frame_errors(trajectory, truth)
-    return {**{name: max(getattr(e, name) for e in errors) for name in ERRORS},
+    return {**pose_summary(frame_errors(trajectory, truth)),
             **mesh_errors(json.loads((out / "report.json").read_text()), truth),
             "failed": None}
+
+
+def pose_summary(errors: list) -> dict:
+    """Each error's maximum over ``errors`` (one ``poses.FrameError`` per
+    frame, in frame order) and its RMS over the frames after the chain's
+    first, whose pose is the world and so has no error to score."""
+    later = errors[1:]
+    return {**{name: max(getattr(e, name) for e in errors) for name in ERRORS},
+            **{f"{name}_rms": math.sqrt(sum(getattr(e, name) ** 2 for e in later) / len(later))
+               for name in ERRORS}}
 
 
 def mesh_errors(report: dict, truth: dict) -> dict:
@@ -102,6 +116,7 @@ def describe(run: dict) -> str:
         return f"FAILED: {run['failed']}"
     dim, volume = run["dim_err_max_mm"], run["volume_err_pct"]
     return " ".join([*(f"{name} {run[name]:.4f}" for name in ERRORS),
+                     f"axial_rms {run['axial_deg_rms']:.4f}",
                      "dim_mm " + ("none" if dim is None else f"{dim:.2f}"),
                      "volume_pct " + ("open" if volume is None else f"{volume:+.3f}")])
 
